@@ -2,16 +2,13 @@
 
 Machine-readable results (JSON/CSV) go to --out or stdout; human summaries
 go to stderr.  Exit codes: 0 all checks passed / data written, 1 at least
-one check failed, 2 configuration or precondition error.  FPEPS_THREADS
-caps the worker threads used for independent checks.
+one check failed, 2 configuration or precondition error.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -27,7 +24,7 @@ from .critical import (
     norm_zero_locator,
 )
 from .correlators import correlation_scan
-from .errors import FpepsError, ZeroNormError
+from .errors import ContractViolationError, FpepsError, ZeroNormError
 from .gaussian import (
     apply_channel,
     gamma_out_hat,
@@ -43,23 +40,6 @@ from .tensors import FPEPSTensor
 MAPPING_LATTICES = (LatticeSpec(1, 2), LatticeSpec(2, 1), LatticeSpec(2, 2))
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("FPEPS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _parallel_map(fn, items):
-    workers = _thread_count()
-    items = list(items)
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _emit(text: str, out_path):
     if out_path:
         with open(out_path, "w", newline="") as fh:
@@ -73,28 +53,23 @@ def _emit(text: str, out_path):
 
 
 def _mapping_checks(seed: int, n_sets: int, tolerance: float):
-    jobs = []
+    checks = []
     for i in range(n_sets):
         lattice = MAPPING_LATTICES[i % len(MAPPING_LATTICES)]
-        jobs.append((i, lattice, seed + i))
-
-    def run(job):
-        i, lattice, sub_seed = job
-        rng = np.random.default_rng(sub_seed)
+        rng = np.random.default_rng(seed + i)
         tensors = {s: FPEPSTensor.random(rng, parity=0) for s in lattice.sites()}
         oracle = build_fpeps(lattice, tensors)
         mapped = map_tensor_set(lattice, tensors)
         contracted = contract_peps(lattice, mapped)
         residual = abs(oracle.normalized_overlap(contracted) - 1.0)
-        return {
+        checks.append({
             "name": f"mapping-overlap-{lattice.n_h}x{lattice.n_v}-{i}",
-            "seed": sub_seed,
+            "seed": seed + i,
             "residual": residual,
             "tolerance": tolerance,
             "passed": bool(residual <= tolerance),
-        }
-
-    return _parallel_map(run, jobs)
+        })
+    return checks
 
 
 def _gaussian_checks(lattice: LatticeSpec, seed: int, tolerance: float):
@@ -184,6 +159,10 @@ def _gaussian_checks(lattice: LatticeSpec, seed: int, tolerance: float):
 
 def cmd_verify(args) -> int:
     lattice = parse_lattice(args.lattice)
+    if not args.tolerance > 0.0:
+        raise ContractViolationError(f"--tolerance must be positive, got {args.tolerance}")
+    if args.suite in ("mapping", "all") and args.sets < 1:
+        raise ContractViolationError(f"--sets must be at least 1, got {args.sets}")
     checks = []
     if args.suite in ("mapping", "all"):
         checks.extend(_mapping_checks(args.seed, args.sets, args.tolerance))
@@ -236,7 +215,10 @@ def cmd_hamiltonian(args) -> int:
 
 def cmd_spectrum(args) -> int:
     if args.sizes:
-        sizes = [int(tok) for tok in args.sizes.split(",") if tok]
+        try:
+            sizes = [int(tok) for tok in args.sizes.split(",") if tok]
+        except ValueError as exc:
+            raise ContractViolationError(f"cannot parse --sizes {args.sizes!r}") from exc
         rows = gap_scan(sizes)
         text = "N,gap\n" + "".join(f"{n},{g!r}\n" for n, g in rows)
         _emit(text, args.out)
@@ -259,11 +241,14 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    if ".." in args.blocks:
-        lo, hi = args.blocks.split("..")
-        lengths = list(range(int(lo), int(hi) + 1))
-    else:
-        lengths = [int(tok) for tok in args.blocks.split(",") if tok]
+    try:
+        if ".." in args.blocks:
+            lo, hi = args.blocks.split("..")
+            lengths = list(range(int(lo), int(hi) + 1))
+        else:
+            lengths = [int(tok) for tok in args.blocks.split(",") if tok]
+    except ValueError as exc:
+        raise ContractViolationError(f"cannot parse --blocks {args.blocks!r}") from exc
     rows = entropy_scan(args.torus, lengths)
     text = "L,entropy_bits\n" + "".join(f"{l},{s!r}\n" for l, s in rows)
     _emit(text, args.out)

@@ -27,6 +27,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
+from .critical import ground_state_blocks
 from .errors import ContractViolationError, ZeroNormError
 
 MIN_GRID = 101
@@ -90,27 +91,13 @@ def torus_correlator_tables(grid_size: int):
 
     Returns (table_p, table_q) with table[n1, n2]; these differ from the
     continuum values by image sums of order 1/grid^2 and are the right tool
-    for large-separation scans and block-covariance assembly.
+    for large-separation scans and block-covariance assembly.  They are the
+    type-(1, 1) and type-(1, 2) entries of the ground-state displacement
+    array, so an odd grid never meets the singular set.
     """
     _check_grid(grid_size)
-    phis = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    s1 = np.sin(phis)[:, None]
-    s2 = np.sin(phis)[None, :]
-    den = -1.0 + s1 * s2
-    bad = np.argwhere(np.abs(den) < 1e-12)
-    if bad.size:
-        momenta = [(phis[i], phis[j]) for i, j in bad[:4]]
-        raise ZeroNormError(
-            f"grid of size {grid_size} hits singular momenta {momenta}",
-            momenta=momenta,
-        )
-    rp = (s1 - s2) / den
-    rq = (np.cos(phis)[:, None] * np.cos(phis)[None, :]) / den
-    table_p = np.fft.ifft2(1j * rp)
-    table_q = np.fft.ifft2(rq)
-    if max(np.max(np.abs(table_p.imag)), np.max(np.abs(table_q.imag))) > 1e-12:
-        raise RuntimeError("correlator tables should be real")
-    return table_p.real, table_q.real
+    blocks = ground_state_blocks(grid_size)
+    return blocks[..., 0, 0], blocks[..., 0, 1]
 
 
 def torus_correlator(n1: int, n2: int, kind: str, grid_size: int = 401) -> float:
@@ -214,6 +201,8 @@ def correlation_scan(direction: str, max_n: int, grid_size: int = 401):
         raise ContractViolationError(
             f"direction must be one of {sorted(DIRECTIONS)}, got {direction!r}"
         )
+    if max_n < 1:
+        raise ContractViolationError(f"max_n must be at least 1, got {max_n}")
     to_pair = DIRECTIONS[direction]
     rows = []
     for n in range(1, max_n + 1):

@@ -28,7 +28,7 @@ import scipy.linalg
 
 from .errors import ContractViolationError, NumericalValidityError, ZeroNormError
 from .fock import FockVector, ModeRegistry, OperatorPoly, apply_poly, vacuum
-from .gaussian import GaussianChannel, gamma_out_hat
+from .gaussian import GaussianChannel, _circulant, gamma_out_hat
 from .lattice import LatticeSpec, Site
 from .quadratic import DiracQuadratic
 from .tensors import FPEPSTensor
@@ -228,53 +228,50 @@ def norm_zero_locator(lattice: LatticeSpec, atol: float = 1e-9) -> NormZeroRepor
 # torus scans
 
 
-def ground_state_blocks(torus: int) -> dict[str, np.ndarray]:
-    """Displacement blocks t^{ab}(Delta) of the ground covariance on a torus.
+def ground_state_blocks(torus: int) -> np.ndarray:
+    """Displacement array T[dh, dv, a, b] of the ground covariance on a torus.
 
-    Entry arrays are indexed [dh, dv]; t11 couples two type-1 Majoranas,
-    t12 type-1 with type-2 (t21 = -t12, t22 = -t11 for this model).
+    a, b index the Majorana type; T[..., 0, 0] couples two type-1
+    Majoranas, T[..., 0, 1] type-1 with type-2.
     """
-    if torus % 2 == 0:
-        raise ContractViolationError("torus size must be odd (unique ground state)")
+    if torus < 1 or torus % 2 == 0:
+        raise ContractViolationError(
+            f"torus size must be odd and positive (unique ground state), got {torus}"
+        )
     phis = 2.0 * np.pi * np.arange(torus) / torus
     s1 = np.sin(phis)[:, None]
     s2 = np.sin(phis)[None, :]
     den = -1.0 + s1 * s2
     rp = (s1 - s2) / den
     rq = (np.cos(phis)[:, None] * np.cos(phis)[None, :]) / den
-    t11 = np.fft.ifft2(1j * rp)
-    t12 = np.fft.ifft2(rq)
-    if max(np.max(np.abs(t11.imag)), np.max(np.abs(t12.imag))) > 1e-11:
+    g_hat = np.moveaxis(np.array([[1j * rp, rq], [-rq, -1j * rp]]), (0, 1), (2, 3))
+    T = np.fft.ifft2(g_hat, axes=(0, 1))
+    if np.max(np.abs(T.imag)) > 1e-12:
         raise NumericalValidityError("ground-state blocks should be real")
-    return {"t11": t11.real, "t12": t12.real}
+    return T.real
 
 
-def block_covariance(blocks: dict[str, np.ndarray], torus: int, length: int) -> np.ndarray:
+def block_covariance(blocks: np.ndarray, torus: int, length: int) -> np.ndarray:
     """qp-ordered covariance matrix of an L x L block of sites."""
-    t11, t12 = blocks["t11"], blocks["t12"]
-    sites = [(h, v) for v in range(length) for h in range(length)]
-    m = len(sites)
-    gamma = np.zeros((2 * m, 2 * m))
-    for i, (h1, v1) in enumerate(sites):
-        for j, (h2, v2) in enumerate(sites):
-            dh = (h2 - h1) % torus
-            dv = (v2 - v1) % torus
-            gamma[i, j] = t11[dh, dv]
-            gamma[i, m + j] = t12[dh, dv]
-            gamma[m + i, j] = -t12[(-dh) % torus, (-dv) % torus]
-            gamma[m + i, m + j] = -t11[dh, dv]
-    return gamma
+    if blocks.shape[:2] != (torus, torus):
+        raise ContractViolationError(f"displacement array does not fit a {torus}-torus")
+    return _circulant(blocks, (length, length))
 
 
 def entropy_scan(torus: int, lengths) -> list[tuple[int, float]]:
     """Block entanglement entropy S(L) in bits on an odd torus."""
     from .quadratic import block_entropy
 
+    lengths = list(lengths)
+    if not lengths:
+        raise ContractViolationError("entropy scan needs at least one block length")
     blocks = ground_state_blocks(torus)
     out = []
     for length in lengths:
-        if length >= torus:
-            raise ContractViolationError("block must be smaller than the torus")
+        if not 0 < length < torus:
+            raise ContractViolationError(
+                f"block length {length} must be between 1 and the torus size minus 1"
+            )
         gamma = block_covariance(blocks, torus, length)
         out.append((length, block_entropy(gamma, range(length * length))))
     return out
@@ -284,6 +281,9 @@ def gap_scan(sizes) -> list[tuple[int, float]]:
     """Single-particle gap of the parent model on odd N x N tori."""
     from .quadratic import parent_hamiltonian, single_particle_spectrum
 
+    sizes = list(sizes)
+    if not sizes:
+        raise ContractViolationError("gap scan needs at least one torus size")
     ham = parent_hamiltonian(example_channel(), radius_cap=2)
     out = []
     for n in sizes:

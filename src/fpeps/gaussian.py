@@ -234,78 +234,54 @@ def fourier_bond(phi) -> np.ndarray:
     return out
 
 
+def _circulant(T: np.ndarray, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """qp-ordered matrix of a translationally invariant coupling on torus sites.
+
+    ``T[dh, dv, a, b]`` (shape ``(n_h, n_v, 2s, 2s)``, a = mtype * s +
+    species) couples component a of a site to component b of the site
+    displaced by (dh, dv).  The matrix covers the ``shape = (L_h, L_v)``
+    rectangle of sites at the origin (default: the whole torus), in M order.
+    """
+    n_h, n_v, width = T.shape[:3]
+    l_h, l_v = shape or (n_h, n_v)
+    h, v = np.arange(l_h), np.arange(l_v)
+    dh = (h[None, :] - h[:, None]) % n_h
+    dv = (v[None, :] - v[:, None]) % n_v
+    # pair[v_i, h_i, v_j, h_j] = T[h_j - h_i, v_j - v_i]
+    pair = T[dh[None, :, None, :], dv[:, None, :, None]]
+    m, s = l_h * l_v, width // 2
+    pair = pair.reshape(m, m, 2, s, 2, s)
+    return pair.transpose(2, 0, 3, 4, 1, 5).reshape(width * m, width * m)
+
+
 def blocks_from_matrix(matrix: np.ndarray, lattice: LatticeSpec, species: int):
     """Momentum blocks of a circulant qp-ordered lattice matrix.
 
-    Returns {phi: complex (2*species x 2*species) block}.  The input must be
-    translationally invariant; displacement data is read off site (1, 1).
+    Returns {phi: complex (2*species x 2*species) block}, keyed by
+    ``lattice.momenta()``.  The input must be translationally invariant;
+    displacement data is read off site (1, 1).
     """
-    n = lattice.n_sites
-    width = 2 * species
-
-    def entry(mtype, site_idx, sp):
-        return mtype * species * n + species * site_idx + sp
-
-    # displacement blocks T(Delta)[mu, nu] = M[(s0, mu), (s0 + Delta, nu)]
-    t = {}
-    s0 = (1, 1)
-    i0 = lattice.site_index(s0)
-    for dh in range(lattice.n_h):
-        for dv in range(lattice.n_v):
-            tgt = lattice.site_index((1 + dh, 1 + dv))
-            block = np.zeros((width, width), dtype=complex)
-            for r in (0, 1):
-                for s_ in (0, 1):
-                    for mu in range(species):
-                        for nu in range(species):
-                            block[r * species + mu, s_ * species + nu] = matrix[
-                                entry(r, i0, mu), entry(s_, tgt, nu)
-                            ]
-            t[(dh, dv)] = block
-
-    out = {}
-    for phi in lattice.momenta():
-        acc = np.zeros((width, width), dtype=complex)
-        for (dh, dv), block in t.items():
-            acc += block * np.exp(-1j * (phi[0] * dh + phi[1] * dv))
-        out[phi] = acc
-    return out
+    n_h, n_v, s = lattice.n_h, lattice.n_v, species
+    # row of site (1, 1): [r, mu, c, (dv, dh), nu] -> T[dh, dv, (r, mu), (c, nu)]
+    row = np.asarray(matrix).reshape(2, n_h * n_v, s, 2, n_h * n_v, s)[:, 0]
+    T = row.reshape(2, s, 2, n_v, n_h, s).transpose(4, 3, 0, 1, 2, 5)
+    hat = np.fft.fft2(T.reshape(n_h, n_v, 2 * s, 2 * s), axes=(0, 1))
+    return dict(zip(lattice.momenta(), hat.swapaxes(0, 1).reshape(-1, 2 * s, 2 * s)))
 
 
 def matrix_from_blocks(blocks: dict, lattice: LatticeSpec, species: int) -> np.ndarray:
-    """Inverse of :func:`blocks_from_matrix` (exact on the torus)."""
-    n = lattice.n_sites
+    """Inverse of :func:`blocks_from_matrix` (exact on the torus).
+
+    ``blocks`` must be keyed by ``lattice.momenta()``, in that order.
+    """
+    if list(blocks) != lattice.momenta():
+        raise ContractViolationError("blocks must be keyed by lattice.momenta(), in order")
     width = 2 * species
-    some = next(iter(blocks.values()))
-    if some.shape != (width, width):
+    stack = np.asarray(list(blocks.values()))
+    if stack.shape[1:] != (width, width):
         raise ContractViolationError("block size does not match species count")
-
-    t = {}
-    for dh in range(lattice.n_h):
-        for dv in range(lattice.n_v):
-            acc = np.zeros((width, width), dtype=complex)
-            for phi, block in blocks.items():
-                acc += block * np.exp(1j * (phi[0] * dh + phi[1] * dv))
-            t[(dh, dv)] = acc / n
-
-    out = np.zeros((2 * species * n, 2 * species * n), dtype=complex)
-
-    def entry(mtype, site_idx, sp):
-        return mtype * species * n + species * site_idx + sp
-
-    for s in lattice.sites():
-        si = lattice.site_index(s)
-        for (dh, dv), block in t.items():
-            ti = lattice.site_index((s[0] + dh, s[1] + dv))
-            for r in (0, 1):
-                for s_ in (0, 1):
-                    out[
-                        entry(r, si, 0):entry(r, si, 0) + species,
-                        entry(s_, ti, 0):entry(s_, ti, 0) + species,
-                    ] += block[
-                        r * species:(r + 1) * species, s_ * species:(s_ + 1) * species
-                    ]
-    return out
+    grid = stack.reshape(lattice.n_v, lattice.n_h, width, width).swapaxes(0, 1)
+    return _circulant(np.fft.ifft2(grid, axes=(0, 1)))
 
 
 # ---------------------------------------------------------------------------

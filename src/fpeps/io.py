@@ -1,11 +1,10 @@
-"""File formats: tensor sets, channels, CSV tables.
+"""File formats: tensor sets and channels.
 
 JSON floats are serialized with Python's shortest round-trip repr, so a
 fixed input produces byte-identical output files.
 """
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 
@@ -18,24 +17,29 @@ from .tensors import FPEPSTensor, PEPSTensor
 
 
 def load_tensor_set(path) -> tuple[LatticeSpec, dict[Site, int], dict[Site, FPEPSTensor]]:
-    data = json.loads(Path(path).read_text())
-    lat = LatticeSpec(int(data["lattice"]["nh"]), int(data["lattice"]["nv"]))
-    parity_rows = data.get("parity")
-    parity: dict[Site, int] = {}
-    for v in range(1, lat.n_v + 1):
-        for h in range(1, lat.n_h + 1):
-            parity[(h, v)] = (
-                int(parity_rows[v - 1][h - 1]) if parity_rows is not None else 0
-            )
-    tensors: dict[Site, FPEPSTensor] = {}
-    for entry in data["tensors"]:
-        site = (int(entry["site"][0]), int(entry["site"][1]))
-        arr = np.zeros((2,) * 5, dtype=complex)
-        for item in entry["entries"]:
-            arr[item["k"], item["l"], item["r"], item["u"], item["d"]] = complex(
-                item["re"], item["im"]
-            )
-        tensors[site] = FPEPSTensor(arr, parity[site])
+    try:
+        data = json.loads(Path(path).read_text())
+        lat = LatticeSpec(int(data["lattice"]["nh"]), int(data["lattice"]["nv"]))
+        parity_rows = data.get("parity")
+        parity: dict[Site, int] = {}
+        for v in range(1, lat.n_v + 1):
+            for h in range(1, lat.n_h + 1):
+                parity[(h, v)] = (
+                    int(parity_rows[v - 1][h - 1]) if parity_rows is not None else 0
+                )
+        tensors: dict[Site, FPEPSTensor] = {}
+        for entry in data["tensors"]:
+            site = (int(entry["site"][0]), int(entry["site"][1]))
+            arr = np.zeros((2,) * 5, dtype=complex)
+            for item in entry["entries"]:
+                arr[item["k"], item["l"], item["r"], item["u"], item["d"]] = complex(
+                    item["re"], item["im"]
+                )
+            tensors[site] = FPEPSTensor(arr, parity[site])
+    except (ValueError, KeyError, IndexError, TypeError) as exc:
+        raise ContractViolationError(
+            f"malformed tensor-set file {path}: {type(exc).__name__}: {exc}"
+        ) from exc
     missing = [s for s in lat.sites() if s not in tensors]
     if missing:
         raise ContractViolationError(f"tensor-set file missing sites {missing}")
@@ -128,19 +132,3 @@ def load_channel(path) -> GaussianChannel:
     if ch.p_modes != int(data["p_modes"]) or ch.q_modes != int(data["q_modes"]):
         raise ContractViolationError("channel file mode counts do not match blocks")
     return ch
-
-
-def format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (np.floating,)):
-        return repr(float(value))
-    return str(value)
-
-
-def write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_cell(x) for x in row])

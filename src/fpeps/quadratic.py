@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolationError, NumericalValidityError, ZeroNormError
-from .gaussian import GaussianChannel, MajoranaCM, gamma_out_hat
+from .gaussian import GaussianChannel, MajoranaCM, _circulant, gamma_out_hat, matrix_from_blocks
 from .lattice import LatticeSpec
 
 Displacement = tuple[int, int]
@@ -65,9 +65,12 @@ class QuadraticHamiltonian:
                 )
 
     def h_hat(self, phi) -> np.ndarray:
-        acc = np.zeros((2, 2), dtype=complex)
+        """Momentum blocks at phi of shape (..., 2); returns (..., 2, 2)."""
+        phi = np.asarray(phi, dtype=float)
+        acc = np.zeros(phi.shape[:-1] + (2, 2), dtype=complex)
         for (dh, dv), blk in self.blocks.items():
-            acc += blk * np.exp(-1j * (phi[0] * dh + phi[1] * dv))
+            phase = np.exp(-1j * (phi[..., 0] * dh + phi[..., 1] * dv))
+            acc += blk * phase[..., None, None]
         return acc
 
     def locality_radius(self) -> int:
@@ -77,15 +80,13 @@ class QuadraticHamiltonian:
 
     def materialize(self, lattice: LatticeSpec) -> np.ndarray:
         """Full real antisymmetric coefficient matrix on a torus (qp order)."""
-        n = lattice.n_sites
-        h = np.zeros((2 * n, 2 * n))
-        for s in lattice.sites():
-            si = lattice.site_index(s)
-            for (dh, dv), blk in self.blocks.items():
-                ti = lattice.site_index((s[0] + dh, s[1] + dv))
-                for r in (0, 1):
-                    for c in (0, 1):
-                        h[r * n + si, c * n + ti] += blk[r, c]
+        T = np.zeros((lattice.n_h, lattice.n_v, 2, 2))
+        if self.blocks:
+            # displacements that alias on a small torus add up
+            dh, dv = np.array(list(self.blocks)).T
+            values = np.array(list(self.blocks.values()))
+            np.add.at(T, (dh % lattice.n_h, dv % lattice.n_v), values)
+        h = _circulant(T)
         if np.max(np.abs(h + h.T)) > 1e-9:
             raise NumericalValidityError("materialized Hamiltonian not antisymmetric")
         return (h - h.T) / 2.0
@@ -258,16 +259,13 @@ def parent_hamiltonian(
 
     ham = QuadraticHamiltonian(blocks)
     # cross-check: h_hat must reproduce d * g_hat at random momenta
-    rng = np.random.default_rng(99)
-    for _ in range(16):
-        phi = tuple(rng.uniform(0, 2 * np.pi, 2))
-        want = np.array([
-            [1j * triple.p(phi), triple.q(phi)],
-            [-np.conj(triple.q(phi)), -1j * triple.p(phi)],
-        ])
-        got = ham.h_hat(phi)
-        if np.max(np.abs(got - want)) > 1e-9:
-            raise NumericalValidityError("parent Hamiltonian harmonics inconsistent")
+    phis = np.random.default_rng(99).uniform(0, 2 * np.pi, (16, 2))
+    # a triple without sine (or cosine) terms evaluates to a plain 0
+    p = np.broadcast_to(triple.p(phis.T), len(phis))
+    q = np.broadcast_to(triple.q(phis.T), len(phis))
+    want = np.moveaxis(np.array([[1j * p, q], [-np.conj(q), -1j * p]]), -1, 0)
+    if np.max(np.abs(ham.h_hat(phis) - want)) > 1e-9:
+        raise NumericalValidityError("parent Hamiltonian harmonics inconsistent")
     return ham
 
 
@@ -275,22 +273,18 @@ def parent_hamiltonian(
 # spectra, ground-state covariance, consistency, entropy
 
 
+def _positive_branch(hh: np.ndarray) -> np.ndarray:
+    """Upper eigenvalue of i h_hat for a stack of momentum blocks."""
+    return np.linalg.eigvalsh(1j * hh)[..., -1]
+
+
 def single_particle_spectrum(
     ham: QuadraticHamiltonian, lattice: LatticeSpec
 ) -> tuple[list[tuple[tuple[float, float], float]], float]:
     """Positive branch of eigenvalues of i h_hat(phi) per momentum, and the gap."""
-    out = []
-    for phi in lattice.momenta():
-        w = np.linalg.eigvalsh(1j * ham.h_hat(phi))
-        out.append((phi, float(w[-1])))
-    gap = min(e for _, e in out)
-    return out, gap
-
-
-def spectrum_for_channel(
-    channel: GaussianChannel, lattice: LatticeSpec, radius_cap: int = 2
-):
-    return single_particle_spectrum(parent_hamiltonian(channel, radius_cap), lattice)
+    momenta = lattice.momenta()
+    eps = _positive_branch(ham.h_hat(momenta))
+    return list(zip(momenta, eps.tolist())), float(eps.min())
 
 
 def filled_branch_energy(ham: QuadraticHamiltonian, lattice: LatticeSpec) -> float:
@@ -306,20 +300,16 @@ def energy_expectation(h_full: np.ndarray, gamma: MajoranaCM) -> float:
 
 def ground_state_cm(ham: QuadraticHamiltonian, lattice: LatticeSpec) -> MajoranaCM:
     """Covariance matrix of the filled negative branch, g_hat = -h_hat/eps."""
-    from .gaussian import matrix_from_blocks
-
-    blocks = {}
-    for phi in lattice.momenta():
-        hh = ham.h_hat(phi)
-        w = np.linalg.eigvalsh(1j * hh)
-        eps = float(w[-1])
-        if eps < 1e-12:
-            raise ZeroNormError(
-                f"gapless momentum {phi}: ground covariance undefined",
-                momenta=[phi],
-            )
-        blocks[phi] = -hh / eps
-    mat = matrix_from_blocks(blocks, lattice, species=1)
+    momenta = lattice.momenta()
+    hh = ham.h_hat(momenta)
+    eps = _positive_branch(hh)
+    if np.any(eps < 1e-12):
+        phi = momenta[int(np.argmax(eps < 1e-12))]
+        raise ZeroNormError(
+            f"gapless momentum {phi}: ground covariance undefined",
+            momenta=[phi],
+        )
+    mat = matrix_from_blocks(dict(zip(momenta, -hh / eps[:, None, None])), lattice, species=1)
     if np.max(np.abs(mat.imag)) > 1e-10:
         raise NumericalValidityError("ground covariance has imaginary residue")
     return MajoranaCM(mat.real)
@@ -334,28 +324,22 @@ def ground_state_cm_consistency(
     block and equals its ground-state covariance -h_hat/eps.
     """
     ham = parent_hamiltonian(channel, radius_cap)
-    zero_norm = []
-    blocks = []
-    for phi in lattice.momenta():
-        fb = gamma_out_hat(channel, phi)
-        if fb.zero_norm:
-            zero_norm.append(phi)
-        else:
-            blocks.append((phi, fb.g_hat))
+    momenta = lattice.momenta()
+    fbs = [gamma_out_hat(channel, phi) for phi in momenta]
+    zero_norm = [fb.phi for fb in fbs if fb.zero_norm]
     if zero_norm:
         raise ZeroNormError(
             f"zero-norm momenta on this lattice: {zero_norm}",
             momenta=zero_norm,
         )
-    residual = 0.0
-    for phi, g in blocks:
-        hh = ham.h_hat(phi)
-        comm = np.max(np.abs(g @ hh - hh @ g))
-        w = np.linalg.eigvalsh(1j * hh)
-        eps = float(w[-1])
-        extremal = np.max(np.abs(g + hh / eps)) if eps > 1e-12 else np.inf
-        residual = max(residual, float(comm), float(extremal))
-    return residual
+    g = np.array([fb.g_hat for fb in fbs])
+    hh = ham.h_hat(momenta)
+    comm = np.max(np.abs(g @ hh - hh @ g))
+    eps = _positive_branch(hh)
+    if np.any(eps <= 1e-12):
+        return np.inf
+    extremal = np.max(np.abs(g + hh / eps[:, None, None]))
+    return max(float(comm), float(extremal))
 
 
 def binary_entropy_bits(x: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ContractViolationError
 
-_IDX = ((0, 1),) * 5
+_PARITY = np.indices((2,) * 5).sum(axis=0) % 2  # (k + l + r + u + d) mod 2
 
 
 @dataclass(frozen=True)
@@ -38,15 +38,8 @@ class FPEPSTensor:
             raise ContractViolationError(f"parity must be 0 or 1, got {self.parity}")
 
     def validate(self, atol: float = 0.0):
-        bad = []
-        for k in (0, 1):
-            for l in (0, 1):
-                for r in (0, 1):
-                    for u in (0, 1):
-                        for d in (0, 1):
-                            if (k + l + r + u + d) % 2 != self.parity:
-                                if abs(self.entries[k, l, r, u, d]) > atol:
-                                    bad.append((k, l, r, u, d))
+        forbidden = (_PARITY != self.parity) & (np.abs(self.entries) > atol)
+        bad = [tuple(idx) for idx in np.argwhere(forbidden).tolist()]
         if bad:
             raise ContractViolationError(
                 f"parity-{self.parity} tensor has forbidden entries at {bad}"

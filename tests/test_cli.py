@@ -15,6 +15,12 @@ def run(argv):
     return main(argv)
 
 
+def assert_config_error(argv, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_mapping_small(tmp_path):
     out = tmp_path / "report.json"
     code = run(["verify", "--suite", "mapping", "--seed", "7",
@@ -68,6 +74,12 @@ def test_verify_gaussian_4x4_fails_with_momenta(tmp_path):
     assert any("zero_norm_momenta" in c and c["zero_norm_momenta"] for c in failing)
 
 
+@pytest.mark.parametrize("flags", [["--sets", "0"], ["--tolerance", "nan"]])
+def test_verify_bad_flag_is_config_error(tmp_path, capsys, flags):
+    assert_config_error(["verify", "--suite", "mapping", *flags,
+                         "--out", str(tmp_path / "x.json")], capsys)
+
+
 def test_verify_determinism(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
@@ -92,6 +104,11 @@ def test_correlations_diagonal(tmp_path):
     p_rows = [r for r in rows if r["kind"] == "p"]
     assert all(abs(float(r["numeric"])) < 1e-8 for r in p_rows)
     assert {(r["n1"], r["n2"]) for r in rows} == {("1", "1"), ("2", "2")}
+
+
+def test_correlations_zero_rows_is_config_error(tmp_path, capsys):
+    assert_config_error(["correlations", "--dir", "axis", "--max-n", "0",
+                         "--out", str(tmp_path / "x.csv")], capsys)
 
 
 def test_correlations_bad_grid_is_config_error(tmp_path):
@@ -136,6 +153,19 @@ def test_spectrum_lattice_levels(tmp_path):
     assert np.allclose(sorted(energies), sorted(-energies))
 
 
+def test_spectrum_floats_round_trip(tmp_path):
+    out = tmp_path / "spec.csv"
+    assert run(["spectrum", "--lattice", "5x5", "--out", str(out)]) == 0
+    rows = list(csv.reader(out.read_text().splitlines()))[1:]
+    cells = [cell for row in rows for cell in row]
+    assert len(cells) == 3 * 2 * 25
+    assert all(repr(float(cell)) == cell for cell in cells)
+
+
+def test_spectrum_bad_sizes_is_config_error(tmp_path, capsys):
+    assert_config_error(["spectrum", "--sizes", "4,x", "--out", str(tmp_path / "x.csv")], capsys)
+
+
 def test_spectrum_even_lattice_is_config_error(tmp_path):
     assert run(["spectrum", "--lattice", "4x4",
                 "--out", str(tmp_path / "x.csv")]) == 2
@@ -149,6 +179,10 @@ def test_entropy_scan(tmp_path):
     assert [r["L"] for r in rows] == ["2", "3", "4"]
     values = [float(r["entropy_bits"]) for r in rows]
     assert values[0] < values[1] < values[2]
+
+
+def test_entropy_bad_blocks_is_config_error(tmp_path, capsys):
+    assert_config_error(["entropy", "--blocks", "a..b", "--out", str(tmp_path / "x.csv")], capsys)
 
 
 def test_convert_round_trip(tmp_path):
@@ -168,3 +202,10 @@ def test_convert_round_trip(tmp_path):
 def test_convert_missing_file_is_config_error(tmp_path):
     assert run(["convert", "--input", str(tmp_path / "nope.json"),
                 "--output", str(tmp_path / "out.json")]) == 2
+
+
+def test_convert_file_without_lattice_is_config_error(tmp_path, capsys):
+    src = tmp_path / "empty.json"
+    src.write_text("{}")
+    assert_config_error(["convert", "--input", str(src),
+                         "--output", str(tmp_path / "out.json")], capsys)

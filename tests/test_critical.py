@@ -185,3 +185,8 @@ def test_ground_state_blocks_match_lattice_covariance():
     sub = block_covariance(blocks, torus, torus)
     # block_covariance indexes sites as (h, v) with h fastest -> same M order
     assert np.max(np.abs(sub - gamma)) < 1e-10
+    # an L = 3 block: the rows and columns of its sites in the torus matrix
+    sites = [lattice.site_index((h, v)) for v in (1, 2, 3) for h in (1, 2, 3)]
+    idx = sites + [lattice.n_sites + i for i in sites]
+    block = block_covariance(blocks, torus, 3)
+    assert np.max(np.abs(block - gamma[np.ix_(idx, idx)])) < 1e-10

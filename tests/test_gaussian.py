@@ -69,7 +69,7 @@ def test_fourier_bond_antihermitian_and_real_at_zero():
     assert np.max(np.abs(fourier_bond((0.0, 0.0)).imag)) < 1e-12
 
 
-@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (3, 2)])
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (3, 2), (2, 3)])
 def test_fourier_bond_round_trip(shape):
     lattice = LatticeSpec(*shape)
     cm = lattice_bond_cm(lattice)
@@ -174,7 +174,7 @@ def test_eq9_block_spectrum_matches_complex_blocks():
     assert np.allclose(w4, [-1, -1, 1, 1], atol=1e-10)
 
 
-@pytest.mark.parametrize("shape", [(3, 3), (5, 5)])
+@pytest.mark.parametrize("shape", [(3, 3), (5, 5), (3, 5), (5, 3)])
 def test_fourier_equivalence(shape):
     lattice = LatticeSpec(*shape)
     ch = example_channel()

@@ -13,7 +13,6 @@ from fpeps.io import (
     load_channel,
     load_peps_set,
     load_tensor_set,
-    write_csv,
 )
 from fpeps.lattice import LatticeSpec
 from fpeps.mapping import map_tensor_set
@@ -75,11 +74,3 @@ def test_channel_round_trip(tmp_path):
     ch2 = load_channel(path)
     assert np.array_equal(ch2.B, ch.B)
     assert np.array_equal(ch2.D, ch.D)
-
-
-def test_csv_uses_round_trip_floats(tmp_path):
-    path = tmp_path / "out.csv"
-    value = 0.1 + 0.2  # 0.30000000000000004
-    write_csv(path, ["a", "b"], [[1, value]])
-    text = path.read_text()
-    assert "0.30000000000000004" in text

@@ -44,6 +44,15 @@ def test_hamiltonian_reality_condition():
         assert np.max(np.abs(left - right)) < 1e-12
 
 
+def test_h_hat_on_a_stack_matches_single_momenta():
+    ham = parent_hamiltonian(example_channel())
+    phis = np.random.default_rng(4).uniform(0, 2 * np.pi, (3, 5, 2))
+    stack = ham.h_hat(phis)
+    assert stack.shape == (3, 5, 2, 2)
+    for i, j in np.ndindex(3, 5):
+        assert np.array_equal(stack[i, j], ham.h_hat(tuple(phis[i, j])))
+
+
 def test_parent_is_local_radius_one():
     ham = parent_hamiltonian(example_channel(), radius_cap=2)
     assert ham.locality_radius() == 1
