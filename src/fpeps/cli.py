@@ -23,7 +23,7 @@ from .critical import (
     hcrit_coefficients,
     norm_zero_locator,
 )
-from .correlators import correlation_scan
+from .correlators import correlation_scan, quadrature_error
 from .errors import ContractViolationError, FpepsError, ZeroNormError
 from .gaussian import (
     apply_channel,
@@ -188,14 +188,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_correlations(args) -> int:
-    rows = []
+    rows, error = [], 0.0
     for direction in args.dir:
-        rows.extend(correlation_scan(direction, args.max_n, args.grid))
+        scan = correlation_scan(direction, args.max_n, args.grid)
+        error = max(error, quadrature_error(scan, args.grid))
+        rows.extend(scan)
     text = "n1,n2,kind,numeric,residue,asymptotic\n"
     for n1, n2, kind, numeric, residue, asym in rows:
         text += f"{n1},{n2},{kind},{numeric!r},{residue!r},{asym!r}\n"
     _emit(text, args.out)
-    print(f"correlations: wrote {len(rows)} rows", file=sys.stderr)
+    print(f"correlations: wrote {len(rows)} rows, "
+          f"quadrature error estimate {error:.1e}", file=sys.stderr)
     return 0
 
 
@@ -289,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dir", action="append", required=True,
                    choices=("axis", "diagonal", "n-2n"))
     p.add_argument("--max-n", type=int, default=40)
-    p.add_argument("--grid", type=int, default=401)
+    p.add_argument("--grid", type=int, default=401,
+                   help="minimum quadrature nodes per axis (odd, >= 101)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_correlations)
 

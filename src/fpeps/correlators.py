@@ -6,13 +6,28 @@ Both evaluation routes target the continuum double integral
     corr(n1, n2, "q") = (1/(2 pi)^2) Int (q/d)(phi)   e^{i n.phi} d^2 phi,
 
 the covariance entries <i c^(1)_s c^(1)_{s+n}> and <i c^(1)_s c^(2)_{s+n}>
-of the infinite lattice.  ``correlator_numeric`` evaluates it as a nested
-adaptive quadrature with the integrable kink lines (phi_i = pi/2, 3pi/2)
-as explicit panel boundaries; a plain uniform grid sum would instead give
-the finite-torus correlator, whose image corrections decay only like
-1/grid^2 and never reach the tolerances used here.  ``correlator_residue``
-closes the inner integral around the single pole inside the unit circle
-and integrates the remaining angle adaptively.
+of the infinite lattice.  The integrand is analytic except at the two
+corners sin phi1 sin phi2 = 1, where it stays bounded but its limit depends
+on the direction of approach.
+
+``correlator_numeric`` and ``correlation_scan`` evaluate it with one
+tensor-product composite Gauss-Legendre rule on [0, 2 pi]^2.  Each axis is
+split at the kink lines phi = pi/2, 3 pi/2, which pass through the corners;
+panels are graded geometrically toward those lines from both sides, and the
+coarse panels on axis i shrink like 1/max|n_i| so that e^{i n.phi} stays
+resolved.  The integrand is evaluated in a form without cancellation,
+1 - sin a sin b = sin^2((a-b)/2) + cos^2((a+b)/2), and every requested entry
+comes out of one separable product E1 (W o F) E2^T (a non-uniform DFT over
+the nodes), streamed over chunks of rows so that no full grid is held.
+``grid_size`` is the minimum number of nodes per axis.
+``quadrature_error`` repeats the product with a higher Gauss order on the
+same panels.  A plain uniform grid sum would instead give the finite-torus
+correlator (``torus_correlator``), whose image corrections decay only like
+1/grid^2.
+
+``correlator_residue`` closes the inner integral around the single pole
+inside the unit circle and integrates the remaining angle adaptively with
+scipy ``quad``; it shares no code with the rule and is its reference.
 
 Selection rules: "p" vanishes for even n1 + n2 and is antisymmetric under
 exchange of (n1, n2); "q" vanishes for odd n1 + n2 and is symmetric.  The
@@ -28,11 +43,23 @@ import numpy as np
 from scipy.integrate import quad
 
 from .critical import ground_state_blocks
-from .errors import ContractViolationError, ZeroNormError
+from .errors import ContractViolationError
 
 MIN_GRID = 101
 HALF_PI = math.pi / 2.0
-SPLIT = (HALF_PI, 3.0 * HALF_PI)
+
+# The composite rule: Gauss order per panel (and the higher order of the
+# error estimate), geometric grading ratio and number of graded panels on
+# each side of a kink line, and the largest coarse panel,
+# h <= min(pi/4, COARSE_PHASE / max|n|), which keeps the phase change across
+# one panel at most COARSE_PHASE radians.  ROW_CHUNK rows of the grid are
+# evaluated at a time.
+GAUSS_ORDER = 12
+ERROR_ORDER = 16
+GRADING_RATIO = 0.2
+GRADING_LEVELS = 8
+COARSE_PHASE = 10.0
+ROW_CHUNK = 16
 
 
 def _check_grid(grid_size: int):
@@ -42,47 +69,111 @@ def _check_grid(grid_size: int):
         )
 
 
-def correlator_numeric(n1: int, n2: int, kind: str, grid_size: int = 401) -> float:
-    """Adaptive quadrature of the correlator double integral.
+def _quarter_edges(n_max: int, grid_size: int) -> np.ndarray:
+    """Panel edges of one quarter axis, as offsets 0 .. pi/2 from a kink line.
 
-    ``grid_size`` (odd, >= 101) caps the number of adaptive panels per axis;
-    the kink lines are panel boundaries, so the quadrature converges to the
-    continuum value far below the acceptance tolerances.
+    The graded panels fill [0, h] with edges h ratio^k; coarse panels of
+    length at most h fill [h, pi/2].  Their number is raised until the
+    axis, four mirrored quarters, carries at least ``grid_size`` nodes at
+    Gauss order GAUSS_ORDER.
     """
-    _check_grid(grid_size)
-    if kind == "p":
-        def inner_integrand(phi1, phi2, s2, cos_n2):
-            s1 = math.sin(phi1)
-            den = -1.0 + s1 * s2
-            # Re[i (p/d) e^{i n.phi}] = -(p/d) sin(n1 phi1 + n2 phi2)
-            return -((s1 - s2) / den) * math.sin(n1 * phi1 + n2 * phi2)
-    elif kind == "q":
-        def inner_integrand(phi1, phi2, s2, cos_phi2):
-            s1 = math.sin(phi1)
-            den = -1.0 + s1 * s2
-            return (math.cos(phi1) * cos_phi2 / den) * math.cos(n1 * phi1 + n2 * phi2)
-    else:
-        raise ContractViolationError(f"kind must be 'p' or 'q', got {kind!r}")
-
-    def outer(phi2):
-        s2 = math.sin(phi2)
-        c2 = math.cos(phi2)
-        if abs(-1.0 + s2) < 1e-15 or abs(1.0 + s2) < 1e-15:
-            raise ZeroNormError(
-                f"outer node hit the singular line at phi2 = {phi2}",
-                momenta=[(HALF_PI, phi2)],
-            )
-        val, _ = quad(
-            inner_integrand, 0.0, 2.0 * math.pi, args=(phi2, s2, c2),
-            points=SPLIT, limit=grid_size, epsabs=1e-12, epsrel=0.0,
-        )
-        return val
-
-    total, _ = quad(
-        outer, 0.0, 2.0 * math.pi,
-        points=SPLIT, limit=grid_size, epsabs=1e-11, epsrel=0.0,
+    h = min(HALF_PI / 2.0, COARSE_PHASE / max(n_max, 1))
+    n_coarse = max(
+        math.ceil((HALF_PI - h) / h),
+        math.ceil(grid_size / (4 * GAUSS_ORDER)) - GRADING_LEVELS,
     )
-    return total / (2.0 * math.pi) ** 2
+    graded = h * GRADING_RATIO ** np.arange(GRADING_LEVELS, 0, -1)
+    return np.concatenate(([0.0], graded, np.linspace(h, HALF_PI, n_coarse + 1)))
+
+
+def _axis_rule(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [pi/2, 5 pi/2] from the quarter-axis panel edges.
+
+    The quarter is mirrored into the segment [pi/2, 3 pi/2], graded at both
+    ends, and the segment is repeated shifted by pi, so the rule is
+    invariant under phi -> phi + pi, the symmetry behind the parity
+    selection rules.
+    """
+    x, w = np.polynomial.legendre.leggauss(order)
+    half = 0.5 * np.diff(edges)[:, None]
+    offsets = (half * x + edges[:-1, None] + half).ravel()
+    weights = (half * w).ravel()
+    segment = np.concatenate((HALF_PI + offsets, 3.0 * HALF_PI - offsets[::-1]))
+    seg_weights = np.concatenate((weights, weights[::-1]))
+    return (np.concatenate((segment, segment + math.pi)),
+            np.concatenate((seg_weights, seg_weights)))
+
+
+def _fourier_rows(ns, phi, weights) -> np.ndarray:
+    """Rows w cos(n phi) for every n, then rows w sin(n phi)."""
+    angle = np.outer(ns, phi)
+    return np.concatenate((np.cos(angle), np.sin(angle))) * weights
+
+
+def _ratios(phi1: np.ndarray, phi2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p/d and q/d on the grid phi1 x phi2, written without cancellation.
+
+    With den = 1 - sin a sin b = sin^2((a-b)/2) + cos^2((a+b)/2), which is
+    a sum of squares and stays positive off the two corners,
+    p/d = -2 cos((a+b)/2) sin((a-b)/2) / den and q/d = -cos a cos b / den.
+    """
+    half_sum = np.cos(0.5 * (phi1[:, None] + phi2))
+    half_diff = np.sin(0.5 * (phi1[:, None] - phi2))
+    den = half_diff * half_diff + half_sum * half_sum
+    return -2.0 * half_sum * half_diff / den, -np.outer(np.cos(phi1), np.cos(phi2)) / den
+
+
+def _rule_values(entries, grid_size: int, order: int) -> np.ndarray:
+    """Continuum correlators of every (n1, n2, kind) entry from one rule."""
+    _check_grid(grid_size)
+    for _n1, _n2, kind in entries:
+        if kind not in ("p", "q"):
+            raise ContractViolationError(f"kind must be 'p' or 'q', got {kind!r}")
+    n1s, at1 = np.unique([int(e[0]) for e in entries], return_inverse=True)
+    n2s, at2 = np.unique([int(e[1]) for e in entries], return_inverse=True)
+    phi1, w1 = _axis_rule(_quarter_edges(np.max(np.abs(n1s)), grid_size), order)
+    phi2, w2 = _axis_rule(_quarter_edges(np.max(np.abs(n2s)), grid_size), order)
+    e1 = _fourier_rows(n1s, phi1, w1)
+    e2 = _fourier_rows(n2s, phi2, w2)
+    # (W o F) E2^T one chunk of phi1 rows at a time, so that no full grid
+    # is ever held; then E1 on the left
+    half_p = np.empty((len(phi1), e2.shape[0]))
+    half_q = np.empty((len(phi1), e2.shape[0]))
+    for lo in range(0, len(phi1), ROW_CHUNK):
+        f_p, f_q = _ratios(phi1[lo:lo + ROW_CHUNK], phi2)
+        half_p[lo:lo + ROW_CHUNK] = f_p @ e2.T
+        half_q[lo:lo + ROW_CHUNK] = f_q @ e2.T
+    sums_p, sums_q = e1 @ half_p, e1 @ half_q
+    # blocks [cos; sin](n1) x [cos; sin](n2): corr_p = -Im and corr_q = Re
+    # of Int (ratio) e^{i n.phi}
+    k1, k2 = len(n1s), len(n2s)
+    im_p = (sums_p[k1:, :k2] + sums_p[:k1, k2:])[at1, at2]
+    re_q = (sums_q[:k1, :k2] - sums_q[k1:, k2:])[at1, at2]
+    is_p = np.array([e[2] == "p" for e in entries])
+    return np.where(is_p, -im_p, re_q) / (2.0 * math.pi) ** 2
+
+
+def correlator_numeric(n1: int, n2: int, kind: str, grid_size: int = 401) -> float:
+    """Composite Gauss-Legendre evaluation of the correlator double integral.
+
+    ``grid_size`` (odd, >= 101) is the minimum number of nodes per axis;
+    the rule refines its coarse panels until each axis carries at least
+    that many.  This is ``correlation_scan``'s table evaluation with one
+    entry.
+    """
+    return float(_rule_values([(n1, n2, kind)], grid_size, GAUSS_ORDER)[0])
+
+
+def quadrature_error(rows, grid_size: int = 401) -> float:
+    """Error estimate for the ``numeric`` column of ``correlation_scan`` rows.
+
+    The largest difference between those values and a rule of Gauss order
+    ERROR_ORDER on the same panels; the panels follow from the rows'
+    separations and ``grid_size``, so they are those of the scan that
+    produced ``rows``.
+    """
+    finer = _rule_values([row[:3] for row in rows], grid_size, ERROR_ORDER)
+    return float(np.max(np.abs(finer - np.array([row[3] for row in rows]))))
 
 
 @lru_cache(maxsize=8)
@@ -111,10 +202,13 @@ def _inner_residue(n1: int, phi2: float) -> complex:
 
     The pole z = i (1 - |cos phi2|) / sin phi2 contributes
     i^(n1+1) (1 - |cos|)^n1 |cos| / sin^(n1+1); the companion pole with
-    1 + |cos| lies outside the unit circle for every angle.
+    1 + |cos| lies outside the unit circle for every angle.  It is evaluated
+    as ((1 - |cos|)/sin)^n1 (|cos|/sin), whose factors stay finite where
+    sin^(n1+1) alone would underflow to zero at large n1, and with the
+    power of i reduced mod 4, which keeps it exact.
     """
     c, s = abs(math.cos(phi2)), math.sin(phi2)
-    return (1j ** (n1 + 1)) * (1.0 - c) ** n1 * c / s ** (n1 + 1)
+    return (1j ** ((n1 + 1) % 4)) * ((1.0 - c) / s) ** n1 * (c / s)
 
 
 def correlator_residue(n1: int, n2: int, kind: str) -> float:
@@ -196,7 +290,10 @@ DIRECTIONS = {
 
 
 def correlation_scan(direction: str, max_n: int, grid_size: int = 401):
-    """Rows (n1, n2, kind, numeric, residue, asymptotic) for one direction."""
+    """Rows (n1, n2, kind, numeric, residue, asymptotic) for one direction.
+
+    The numeric column of all rows comes from one evaluation of the rule.
+    """
     if direction not in DIRECTIONS:
         raise ContractViolationError(
             f"direction must be one of {sorted(DIRECTIONS)}, got {direction!r}"
@@ -204,15 +301,13 @@ def correlation_scan(direction: str, max_n: int, grid_size: int = 401):
     if max_n < 1:
         raise ContractViolationError(f"max_n must be at least 1, got {max_n}")
     to_pair = DIRECTIONS[direction]
-    rows = []
-    for n in range(1, max_n + 1):
-        n1, n2 = to_pair(n)
-        for kind in ("p", "q"):
-            numeric = correlator_numeric(n1, n2, kind, grid_size)
-            residue = correlator_residue(n1, n2, kind)
-            asym = asymptotic_k(n1, n2, kind)
-            rows.append((n1, n2, kind, numeric, residue, asym))
-    return rows
+    entries = [(*to_pair(n), kind) for n in range(1, max_n + 1) for kind in ("p", "q")]
+    numeric = _rule_values(entries, grid_size, GAUSS_ORDER)
+    return [
+        (n1, n2, kind, float(value), correlator_residue(n1, n2, kind),
+         asymptotic_k(n1, n2, kind))
+        for (n1, n2, kind), value in zip(entries, numeric)
+    ]
 
 
 def fitted_scale(numbers, kernel) -> float:

@@ -130,6 +130,8 @@ class GaussianChannel:
     def validate(self, atol: float = ANTISYM_ATOL):
         G = self.assembled()
         n = G.shape[0]
+        if not np.all(np.isfinite(G)):
+            raise ContractViolationError("channel matrix must be finite")
         if np.max(np.abs(G + G.T)) > atol:
             raise ContractViolationError("channel matrix must be antisymmetric")
         if np.max(np.abs(G @ G.T - np.eye(n))) > atol:

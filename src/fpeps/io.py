@@ -6,6 +6,7 @@ fixed input produces byte-identical output files.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +17,37 @@ from .lattice import LatticeSpec, Site
 from .tensors import FPEPSTensor, PEPSTensor
 
 
-def load_tensor_set(path) -> tuple[LatticeSpec, dict[Site, int], dict[Site, FPEPSTensor]]:
+@contextmanager
+def _reading(kind: str, path):
+    """Turn any malformed-content error into a one-line ContractViolationError."""
     try:
+        yield
+    except (ValueError, KeyError, IndexError, TypeError, OverflowError) as exc:
+        raise ContractViolationError(
+            f"malformed {kind} file {path}: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
+def _lattice_of(data, listed: int, kind: str) -> LatticeSpec:
+    """The file's lattice, refused before any per-site loop if sites are missing."""
+    lat = LatticeSpec(int(data["lattice"]["nh"]), int(data["lattice"]["nv"]))
+    if lat.n_sites > listed:
+        raise ContractViolationError(
+            f"{kind} file missing sites: {listed} tensors for {lat.n_sites} sites"
+        )
+    return lat
+
+
+def _require_all_sites(kind: str, lattice: LatticeSpec, tensors: dict) -> None:
+    missing = [s for s in lattice.sites() if s not in tensors]
+    if missing:
+        raise ContractViolationError(f"{kind} file missing sites {missing}")
+
+
+def load_tensor_set(path) -> tuple[LatticeSpec, dict[Site, int], dict[Site, FPEPSTensor]]:
+    with _reading("tensor-set", path):
         data = json.loads(Path(path).read_text())
-        lat = LatticeSpec(int(data["lattice"]["nh"]), int(data["lattice"]["nv"]))
+        lat = _lattice_of(data, len(data["tensors"]), "tensor-set")
         parity_rows = data.get("parity")
         parity: dict[Site, int] = {}
         for v in range(1, lat.n_v + 1):
@@ -36,13 +64,7 @@ def load_tensor_set(path) -> tuple[LatticeSpec, dict[Site, int], dict[Site, FPEP
                     item["re"], item["im"]
                 )
             tensors[site] = FPEPSTensor(arr, parity[site])
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
-        raise ContractViolationError(
-            f"malformed tensor-set file {path}: {type(exc).__name__}: {exc}"
-        ) from exc
-    missing = [s for s in lat.sites() if s not in tensors]
-    if missing:
-        raise ContractViolationError(f"tensor-set file missing sites {missing}")
+    _require_all_sites("tensor-set", lat, tensors)
     return lat, parity, tensors
 
 
@@ -97,18 +119,20 @@ def dump_peps_set(lattice: LatticeSpec, tensors: dict[Site, PEPSTensor]) -> str:
 
 
 def load_peps_set(path) -> tuple[LatticeSpec, dict[Site, PEPSTensor]]:
-    data = json.loads(Path(path).read_text())
-    lat = LatticeSpec(int(data["lattice"]["nh"]), int(data["lattice"]["nv"]))
-    tensors: dict[Site, PEPSTensor] = {}
-    for entry in data["tensors"]:
-        site = (int(entry["site"][0]), int(entry["site"][1]))
-        arr = np.zeros((2,) * 7, dtype=complex)
-        for item in entry["entries"]:
-            arr[
-                item["k"], item["l"], item["lp"], item["r"], item["rp"],
-                item["u"], item["d"],
-            ] = complex(item["re"], item["im"])
-        tensors[site] = PEPSTensor(arr)
+    with _reading("PEPS-set", path):
+        data = json.loads(Path(path).read_text())
+        lat = _lattice_of(data, len(data["tensors"]), "PEPS-set")
+        tensors: dict[Site, PEPSTensor] = {}
+        for entry in data["tensors"]:
+            site = (int(entry["site"][0]), int(entry["site"][1]))
+            arr = np.zeros((2,) * 7, dtype=complex)
+            for item in entry["entries"]:
+                arr[
+                    item["k"], item["l"], item["lp"], item["r"], item["rp"],
+                    item["u"], item["d"],
+                ] = complex(item["re"], item["im"])
+            tensors[site] = PEPSTensor(arr)
+    _require_all_sites("PEPS-set", lat, tensors)
     return lat, tensors
 
 
@@ -123,12 +147,13 @@ def dump_channel(channel: GaussianChannel) -> str:
 
 
 def load_channel(path) -> GaussianChannel:
-    data = json.loads(Path(path).read_text())
-    ch = GaussianChannel(
-        np.asarray(data["A"], dtype=float),
-        np.asarray(data["B"], dtype=float),
-        np.asarray(data["D"], dtype=float),
-    )
-    if ch.p_modes != int(data["p_modes"]) or ch.q_modes != int(data["q_modes"]):
-        raise ContractViolationError("channel file mode counts do not match blocks")
+    with _reading("channel", path):
+        data = json.loads(Path(path).read_text())
+        ch = GaussianChannel(
+            np.asarray(data["A"], dtype=float),
+            np.asarray(data["B"], dtype=float),
+            np.asarray(data["D"], dtype=float),
+        )
+        if ch.p_modes != int(data["p_modes"]) or ch.q_modes != int(data["q_modes"]):
+            raise ContractViolationError("channel file mode counts do not match blocks")
     return ch

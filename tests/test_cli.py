@@ -106,6 +106,31 @@ def test_correlations_diagonal(tmp_path):
     assert {(r["n1"], r["n2"]) for r in rows} == {("1", "1"), ("2", "2")}
 
 
+def test_correlations_axis_to_large_separation(tmp_path, capsys):
+    # the residue route used to underflow to a ZeroDivisionError from n = 116
+    out = tmp_path / "axis.csv"
+    assert run(["correlations", "--dir", "axis", "--max-n", "120",
+                "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert len(rows) == 240
+    assert all(abs(float(r["numeric"]) - float(r["residue"])) <= 1e-10 for r in rows)
+    err = capsys.readouterr().err
+    assert err.startswith("correlations: wrote 240 rows, quadrature error estimate ")
+    assert err.count("\n") == 1
+
+
+def test_correlations_out_is_deterministic(tmp_path, capsys):
+    outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for out in outs:
+        assert run(["correlations", "--dir", "diagonal", "--dir", "n-2n",
+                    "--max-n", "20", "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    # the error estimate goes to stderr only
+    assert outs[0].read_text().splitlines()[0] == "n1,n2,kind,numeric,residue,asymptotic"
+    assert "error" not in outs[0].read_text()
+    assert capsys.readouterr().err.count("quadrature error estimate") == 2
+
+
 def test_correlations_zero_rows_is_config_error(tmp_path, capsys):
     assert_config_error(["correlations", "--dir", "axis", "--max-n", "0",
                          "--out", str(tmp_path / "x.csv")], capsys)

@@ -1,19 +1,52 @@
 """Correlator quadratures, residue reduction, asymptotics."""
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+from fpeps import correlators
 from fpeps.correlators import (
+    GAUSS_ORDER,
     asymptotic_k,
     asymptotic_scaled,
     correlation_scan,
     correlator_numeric,
     correlator_residue,
     fitted_scale,
+    quadrature_error,
     torus_correlator,
     torus_correlator_tables,
+    _axis_rule,
     _inner_residue,
+    _quarter_edges,
+    _ratios,
 )
 from fpeps.errors import ContractViolationError
+
+README_SCANS = (("axis", 40), ("diagonal", 20), ("n-2n", 20))
+
+
+def nested_quad(n1, n2, kind):
+    """Independent reference: nested adaptive scipy quad, kink lines as breaks."""
+    split = (math.pi / 2, 3 * math.pi / 2)
+    if kind == "p":
+        def inner(phi1, phi2):
+            s1, s2 = math.sin(phi1), math.sin(phi2)
+            return -((s1 - s2) / (-1.0 + s1 * s2)) * math.sin(n1 * phi1 + n2 * phi2)
+    else:
+        def inner(phi1, phi2):
+            s1, s2 = math.sin(phi1), math.sin(phi2)
+            return (math.cos(phi1) * math.cos(phi2) / (-1.0 + s1 * s2)
+                    * math.cos(n1 * phi1 + n2 * phi2))
+
+    def outer(phi2):
+        return quad(inner, 0.0, 2 * math.pi, args=(phi2,), points=split,
+                    limit=401, epsabs=1e-12, epsrel=0.0)[0]
+
+    total = quad(outer, 0.0, 2 * math.pi, points=split, limit=401,
+                 epsabs=1e-11, epsrel=0.0)[0]
+    return total / (2 * math.pi) ** 2
 
 
 def test_grid_preconditions():
@@ -26,9 +59,9 @@ def test_grid_preconditions():
 
 
 def test_parity_selection_numeric():
-    assert abs(correlator_numeric(2, 2, "p")) < 1e-8
-    assert abs(correlator_numeric(1, 2, "q")) < 1e-8
-    assert abs(correlator_numeric(3, 1, "p")) < 1e-8
+    assert abs(correlator_numeric(2, 2, "p")) < 1e-12
+    assert abs(correlator_numeric(1, 2, "q")) < 1e-12
+    assert abs(correlator_numeric(3, 1, "p")) < 1e-12
 
 
 def test_parity_selection_residue_exact():
@@ -43,7 +76,56 @@ def test_numeric_matches_residue():
     ]:
         a = correlator_numeric(n1, n2, kind)
         b = correlator_residue(n1, n2, kind)
-        assert abs(a - b) < 1e-8, (n1, n2, kind)
+        assert abs(a - b) < 1e-10, (n1, n2, kind)
+
+
+@pytest.mark.parametrize("direction,max_n", README_SCANS)
+def test_scan_matches_residue_on_readme_rows(direction, max_n):
+    rows = correlation_scan(direction, max_n)
+    assert len(rows) == 2 * max_n
+    for n1, n2, kind, numeric, residue, _asym in rows:
+        assert abs(numeric - residue) <= 1e-10, (n1, n2, kind)
+        if (n1 + n2) % 2 == (0 if kind == "p" else 1):
+            assert abs(numeric) <= 1e-12, (n1, n2, kind)
+    assert quadrature_error(rows) <= 1e-12
+
+
+@pytest.mark.parametrize("entry", [(1, 0, "p"), (1, 1, "q"), (0, 0, "q")])
+def test_rule_matches_nested_quad(entry):
+    # (0, 0) has no contour reduction, so only the nested quad can check it
+    assert abs(correlator_numeric(*entry) - nested_quad(*entry)) <= 1e-10
+
+
+def test_ratios_finite_and_on_unit_circle_at_every_node():
+    # (p/d)^2 + (q/d)^2 = 1.  Node angles are doubles, so at distance r from
+    # a corner sin phi1 sin phi2 = 1 the half-angle form carries a relative
+    # error ~1e-16/r (nodes come within ~2e-9 here).  The plain form
+    # -1 + s1 s2 errs by ~1e-16/r^2: O(1) there, and 0/0 at some nodes.
+    for n_max in (0, 40, 120):
+        phi, _w = _axis_rule(_quarter_edges(n_max, 401), GAUSS_ORDER)
+        f_p, f_q = _ratios(phi, phi)
+        assert np.all(np.isfinite(f_p)) and np.all(np.isfinite(f_q))
+        assert np.max(np.abs(f_p ** 2 + f_q ** 2 - 1.0)) < 1e-6
+
+
+def test_grid_is_minimum_nodes_per_axis():
+    for n_max in (0, 10, 40):
+        for grid in (101, 401, 1001):
+            phi, w = _axis_rule(_quarter_edges(n_max, grid), GAUSS_ORDER)
+            assert len(phi) >= grid
+            assert np.sum(w) == pytest.approx(2 * math.pi, abs=1e-13)
+    # more nodes than needed leave the values unchanged
+    assert abs(correlator_numeric(7, 2, "p", grid_size=1001)
+               - correlator_numeric(7, 2, "p")) < 1e-12
+
+
+def test_error_estimate_tracks_an_underresolved_rule(monkeypatch):
+    # coarse panels far too long for e^{i n phi}: the estimate must see it
+    monkeypatch.setattr(correlators, "COARSE_PHASE", 60.0)
+    rows = correlation_scan("axis", 40, grid_size=101)
+    actual = max(abs(r[3] - r[4]) for r in rows)
+    assert actual > 1e-8
+    assert quadrature_error(rows, grid_size=101) > 0.5 * actual
 
 
 def test_exchange_structure():

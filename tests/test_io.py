@@ -1,8 +1,11 @@
-"""File formats round-trip bit-exactly."""
+"""File formats round-trip bit-exactly; malformed files raise one error type."""
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpeps.critical import example_channel
 from fpeps.errors import ContractViolationError
@@ -74,3 +77,131 @@ def test_channel_round_trip(tmp_path):
     ch2 = load_channel(path)
     assert np.array_equal(ch2.B, ch.B)
     assert np.array_equal(ch2.D, ch.D)
+
+
+LOADERS = (load_tensor_set, load_peps_set, load_channel)
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize("text", ["{}", "not json", "[1, 2]"])
+def test_malformed_file_is_contract_violation(tmp_path, loader, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(ContractViolationError, match="malformed"):
+        loader(path)
+
+
+@pytest.mark.parametrize("loader", (load_tensor_set, load_peps_set))
+def test_lattice_larger_than_tensor_list_is_refused_first(tmp_path, loader):
+    # refused from the counts, before any loop over the lattice's sites,
+    # which would not end for a lattice of, say, 10^9 x 10^9
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"lattice": {"nh": 300, "nv": 300}, "tensors": []}))
+    with pytest.raises(ContractViolationError, match="0 tensors for 90000 sites"):
+        loader(path)
+
+
+DELETE = object()
+
+
+def _valid_documents():
+    lattice = LatticeSpec(1, 1)
+    parity, tensors = random_set(lattice, seed=1)
+    return {
+        load_tensor_set: json.loads(dump_tensor_set(lattice, parity, tensors)),
+        load_peps_set: json.loads(dump_peps_set(lattice, map_tensor_set(lattice, tensors))),
+        load_channel: json.loads(dump_channel(example_channel())),
+    }
+
+
+VALID = _valid_documents()
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("loader,path,value", [
+    (load_tensor_set, ("lattice", "nh"), float("inf")),
+    (load_tensor_set, ("tensors", 0, "entries", 0, "re"), 10**400),
+    (load_peps_set, ("lattice", "nv"), float("inf")),
+    (load_peps_set, ("tensors", 0, "entries", 0, "im"), 10**400),
+    (load_channel, ("p_modes",), float("inf")),
+    (load_channel, ("A", 0, 0), 10**400),
+], ids=["tensor-set-inf", "tensor-set-huge", "peps-set-inf", "peps-set-huge",
+        "channel-inf", "channel-huge"])
+def test_out_of_range_number_is_contract_violation(tmp_path, loader, path, value):
+    # int(inf) and float(10**400) raise OverflowError
+    target = tmp_path / "big.json"
+    target.write_text(json.dumps(_replaced(VALID[loader], path, value)))
+    with pytest.raises(ContractViolationError, match="OverflowError"):
+        loader(target)
+
+
+def test_channel_with_nan_is_refused(tmp_path):
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(_replaced(VALID[load_channel], ("A", 0, 1), float("nan"))))
+    with pytest.raises(ContractViolationError, match="finite"):
+        load_channel(path)
+
+
+# --- fuzzing: every loader returns or raises ContractViolationError ---------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=10,
+)
+def _load_or_refuse(loader, path):
+    try:
+        loader(path)
+    except ContractViolationError as exc:
+        assert "\n" not in str(exc)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.json"
+
+
+@settings(max_examples=150, deadline=None)
+@given(loader=st.sampled_from(LOADERS), doc=JSON_VALUES)
+def test_loaders_on_arbitrary_json(fuzz_path, loader, doc):
+    fuzz_path.write_text(json.dumps(doc))
+    _load_or_refuse(loader, fuzz_path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), loader=st.sampled_from(LOADERS))
+def test_loaders_on_corrupted_valid_files(fuzz_path, data, loader):
+    doc = VALID[loader]
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    value = data.draw(JSON_VALUES | st.just(DELETE) if path else JSON_VALUES)
+    fuzz_path.write_text(json.dumps(_replaced(doc, path, value)))
+    _load_or_refuse(loader, fuzz_path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(loader=st.sampled_from(LOADERS), raw=st.binary(max_size=64))
+def test_loaders_on_arbitrary_bytes(fuzz_path, loader, raw):
+    fuzz_path.write_bytes(raw)
+    _load_or_refuse(loader, fuzz_path)
