@@ -15,22 +15,34 @@ highest-M projector acts on the state first; for even-parity tensors the
 order is immaterial since the projectors commute.
 
 ``build_fpeps`` keeps only the modes that are currently live (bond applied,
-projector pending), which keeps the dense arrays small; the result is
-identical to composing ``apply_poly`` over the full registry.
+projector pending, or physical mode created) as one dense ``(2,)*w``
+tensor.  A bond is two slice writes.  A site is one fused step: the 2x16
+matrix ``<k 0000| Q |0 l r u d>`` contracts the site's four auxiliary axes
+(which projects them onto empty) and adds the axis of ``a(site)``; the
+Jordan-Wigner signs from the other live modes enter as a +-1 mask.  The cap
+limits the peak live width, not the total mode count: 13 modes at 3x2, 16
+at 3x3, 20 at 4x3.  The result equals composing ``apply_poly`` over the
+full registry (``build_fpeps_reference``).
 """
 from __future__ import annotations
+
+from bisect import bisect_left
+from functools import cache
 
 import numpy as np
 
 from .errors import ContractViolationError, ResourceLimitError
 from .fock import (
     DEFAULT_MODE_CAP,
+    SPECIES,
     FockVector,
     ModeRegistry,
     OperatorPoly,
-    _bit_parity,
+    apply_poly,
+    parity_signs,
     physical_registry,
     standard_registry,
+    vacuum,
 )
 from .lattice import LatticeSpec, Site
 from .tensors import FPEPSTensor
@@ -58,116 +70,116 @@ def bond_v(site: Site, lattice: LatticeSpec) -> OperatorPoly:
     ])
 
 
+def entry_monomial(site: Site, index) -> tuple:
+    """The word a^dag^k alpha^l beta^r gamma^u delta^d of entry A[k, l, r, u, d]."""
+    return tuple(((sp_, site), sp_ == "a") for sp_, bit in zip(SPECIES, index) if bit)
+
+
 def projector_q(site: Site, tensor: FPEPSTensor) -> OperatorPoly:
     """Local projector built from a parity-valid coefficient tensor."""
     tensor.validate()
-    s = site
-    terms = []
-    for (k, l, r, u, d), coeff in tensor.nonzero_items():
-        monomial = []
-        if k:
-            monomial.append((("a", s), True))
-        if l:
-            monomial.append((("alpha", s), False))
-        if r:
-            monomial.append((("beta", s), False))
-        if u:
-            monomial.append((("gamma", s), False))
-        if d:
-            monomial.append((("delta", s), False))
-        terms.append((coeff, tuple(monomial)))
-    return OperatorPoly.from_terms(terms)
+    return OperatorPoly.from_terms(
+        (coeff, entry_monomial(site, idx)) for idx, coeff in tensor.nonzero_items()
+    )
+
+
+@cache
+def site_signs() -> np.ndarray:
+    """Signs s[k, l, r, u, d] = <k 0000| monomial |0 l r u d> on one site.
+
+    The five modes are ordered (a, alpha, beta, gamma, delta), as in the
+    standard registry, so ``A * s`` are the matrix elements of ``Q``
+    between the site's auxiliary occupations and its physical one.
+    """
+    site = (1, 1)
+    reg = ModeRegistry(tuple((sp_, site) for sp_ in SPECIES))
+    signs = np.zeros((2,) * 5)
+    for idx in np.ndindex(*(2,) * 5):
+        basis = np.zeros(32, dtype=complex)
+        basis[sum(bit << i for i, bit in enumerate(idx[1:], start=1))] = 1.0
+        out = apply_poly(FockVector(reg, basis),
+                         OperatorPoly.from_terms([(1.0, entry_monomial(site, idx))]))
+        signs[idx] = out.amplitudes[idx[0]].real
+    signs.flags.writeable = False  # one cached table for every caller
+    return signs
 
 
 class _ActiveState:
-    """Flat dense amplitudes over the currently live subset of a registry.
+    """Dense amplitudes over the live modes, bit i of the index on slot i.
 
-    Bit i of the flat index is the occupation of the i-th live mode, where
-    live modes are kept sorted by their registry position so Jordan-Wigner
-    signs agree with the full-registry computation (all non-live modes are
-    empty and contribute no parity).
+    Live modes are kept sorted by registry position, so Jordan-Wigner signs
+    agree with the full-registry computation (every other mode is empty and
+    contributes no parity).  A physical mode goes live when its projector
+    creates it.  Projectors act in descending M and the physical modes come
+    first in the registry, so the new ``a(site)`` is always slot 0: no live
+    mode precedes it, and ``a^dag`` picks up no sign.
     """
 
-    def __init__(self, registry: ModeRegistry, initial_positions):
-        self.registry = registry
-        self.positions = sorted(initial_positions)
-        self.amps = np.zeros(1 << len(self.positions), dtype=complex)
-        self.amps[0] = 1.0
+    def __init__(self):
+        self.positions: list[int] = []
+        self.amps = np.ones(1, dtype=complex)
 
-    def _slot(self, position: int) -> int:
-        return self.positions.index(position)
+    def open_bond(self, pos_first: int, pos_second: int):
+        """Apply (1 + c^dag_first c^dag_second) / sqrt(2) on two fresh modes.
 
-    def add_mode(self, position: int):
-        """Insert an empty live mode, keeping registry order."""
-        slot = np.searchsorted(self.positions, position)
-        idx = np.arange(self.amps.shape[0])
-        low = idx & ((1 << slot) - 1)
-        new_idx = low | ((idx >> slot) << (slot + 1))
-        out = np.zeros(self.amps.shape[0] * 2, dtype=complex)
-        out[new_idx] = self.amps
-        self.positions.insert(slot, position)
-        self.amps = out
-
-    def apply_monomial(self, coeff: complex, factors):
-        """Accumulates coeff * (monomial acting on current amps); returns array.
-
-        ``factors`` is a sequence of (slot, is_creation); they act right to
-        left as written.
+        Live modes below both new ones are counted twice and cancel, so the
+        pair picks up the parity of the live modes between them, and -1 when
+        the second mode precedes the first.
         """
-        work = self.amps
-        idx = np.arange(work.shape[0])
-        for slot, create in reversed(list(factors)):
-            bit = 1 << slot
-            below = bit - 1
-            occupied = (idx & bit) != 0
-            src = ~occupied if create else occupied
-            sign = 1.0 - 2.0 * _bit_parity(idx[src] & below)
-            out = np.zeros_like(work)
-            out[idx[src] ^ bit] = sign * work[src]
-            work = out
-            if not work.any():
-                break
-        return coeff * work
+        pos_lo, pos_hi = sorted((pos_first, pos_second))
+        below = bisect_left(self.positions, pos_lo)
+        between = bisect_left(self.positions, pos_hi) - below
+        old = self.amps.reshape(-1, 1 << between, 1 << below)
+        new = np.zeros((old.shape[0], 2, 1 << between, 2, 1 << below), dtype=complex)
+        np.multiply(old, SQRT_HALF, out=new[:, 0, :, 0, :])
+        sign = -SQRT_HALF if pos_second < pos_first else SQRT_HALF
+        np.multiply(old, (sign * parity_signs(between))[:, None], out=new[:, 1, :, 1, :])
+        self.positions.insert(below, pos_lo)
+        self.positions.insert(below + between + 1, pos_hi)
+        self.amps = new.reshape(-1)
 
-    def apply_pair_creation(self, pos_first: int, pos_second: int, amplitude: complex):
-        """Apply (1 + amplitude * c^dag_first c^dag_second) for two fresh modes."""
-        self.add_mode(pos_first)
-        self.add_mode(pos_second)
-        s1, s2 = self._slot(pos_first), self._slot(pos_second)
-        created = self.apply_monomial(amplitude, [(s1, True), (s2, True)])
-        self.amps = self.amps + created
+    def project_site(self, pos_a: int, pos_alpha: int, tensor: FPEPSTensor):
+        """Apply the site projector; its auxiliary modes leave, ``a`` joins.
 
-    def apply_site_projector(self, site: Site, tensor: FPEPSTensor):
-        labels = [("a", site), ("alpha", site), ("beta", site),
-                  ("gamma", site), ("delta", site)]
-        slots = [self._slot(self.registry.position(lab)) for lab in labels]
-        total = np.zeros_like(self.amps)
-        for (k, l, r, u, d), coeff in tensor.nonzero_items():
-            factors = []
-            if k:
-                factors.append((slots[0], True))
-            if l:
-                factors.append((slots[1], False))
-            if r:
-                factors.append((slots[2], False))
-            if u:
-                factors.append((slots[3], False))
-            if d:
-                factors.append((slots[4], False))
-            total += self.apply_monomial(coeff, factors)
-        self.amps = total
+        The four auxiliary modes are contiguous from ``pos_alpha``.  The
+        annihilators pass the live modes below ``alpha``, so a term picks up
+        their parity when ``l + r + u + d`` is odd, that is when ``k``
+        differs from the tensor's parity.
+        """
+        first = self.positions.index(pos_alpha)
+        amps = self.amps.reshape(-1, 16, 1 << first)  # [above, d u r l, below]
+        matrix = (tensor.entries * site_signs()).transpose(0, 4, 3, 2, 1).reshape(2, 16)
+        out = amps.transpose(0, 2, 1) @ matrix.T  # [above, below, k]
+        out[:, :, 1 - tensor.parity] *= parity_signs(first)
+        self.positions[first:first + 4] = []
+        self.positions.insert(0, pos_a)
+        self.amps = out.reshape(-1)
 
-    def project_empty(self, positions):
-        """Project the given live modes onto occupation 0 and drop them."""
-        drop_slots = sorted(self._slot(p) for p in positions)
-        keep_slots = [s for s in range(len(self.positions)) if s not in drop_slots]
-        n_new = len(keep_slots)
-        new_idx = np.arange(1 << n_new)
-        old_idx = np.zeros(1 << n_new, dtype=np.int64)
-        for rank, slot in enumerate(keep_slots):
-            old_idx |= ((new_idx >> rank) & 1) << slot
-        self.amps = self.amps[old_idx]
-        self.positions = [self.positions[s] for s in keep_slots]
+
+def _plan(lattice: LatticeSpec, registry: ModeRegistry):
+    """Bonds to open before each site's projector, in action order, and the peak width."""
+    opened: set = set()
+    steps = []
+    live = width = 0
+    for site in reversed(lattice.sites()):
+        bonds = []
+        for kind, source, target in (
+            ("h", site, lattice.right(site)),              # provides beta(site)
+            ("h", lattice.left(site), site),               # provides alpha(site)
+            ("v", site, lattice.north(site)),              # provides delta(site)
+            ("v", lattice.south(site), site),              # provides gamma(site)
+        ):
+            if (kind, source) in opened:
+                continue
+            opened.add((kind, source))
+            first, second = ("beta", "alpha") if kind == "h" else ("delta", "gamma")
+            bonds.append((registry.position((first, source)),
+                          registry.position((second, target))))
+        live += 2 * len(bonds)
+        width = max(width, live)
+        live -= 3  # four auxiliary modes leave, the physical one joins
+        steps.append((site, bonds))
+    return steps, width
 
 
 def build_fpeps(
@@ -178,12 +190,14 @@ def build_fpeps(
     """Assemble the physical state exactly; may be the zero vector.
 
     Tensors are keyed by site (h, v); every site must be present.  The
-    returned vector lives on the physical registry in M order.
+    returned vector lives on the physical registry in M order.  ``cap``
+    bounds the peak number of live modes, counted before allocating.
     """
-    total_modes = 5 * lattice.n_sites
-    if total_modes > cap:
+    registry = standard_registry(lattice)
+    steps, width = _plan(lattice, registry)
+    if width > cap:
         raise ResourceLimitError(
-            f"{total_modes} combined modes exceed the dense cap of {cap}"
+            f"peak live width of {width} modes exceeds the dense cap of {cap}"
         )
     sites = lattice.sites()
     missing = [s for s in sites if s not in tensors]
@@ -192,52 +206,13 @@ def build_fpeps(
     for s in sites:
         tensors[s].validate()
 
-    registry = standard_registry(lattice)
-    state = _ActiveState(registry, [registry.position(("a", s)) for s in sites])
-
-    h_done: set[Site] = set()
-    v_done: set[Site] = set()
-
-    def ensure_h(source: Site):
-        if source in h_done:
-            return
-        h_done.add(source)
-        t = lattice.right(source)
-        state.apply_pair_creation(
-            registry.position(("beta", source)),
-            registry.position(("alpha", t)),
-            1.0,
-        )
-        state.amps *= SQRT_HALF
-
-    def ensure_v(source: Site):
-        if source in v_done:
-            return
-        v_done.add(source)
-        t = lattice.north(source)
-        state.apply_pair_creation(
-            registry.position(("delta", source)),
-            registry.position(("gamma", t)),
-            1.0,
-        )
-        state.amps *= SQRT_HALF
-
-    # The site product ascending in M means the last site acts first.
-    for site in reversed(sites):
-        ensure_h(site)              # provides beta(site)
-        ensure_h(lattice.left(site))   # provides alpha(site)
-        ensure_v(site)              # provides delta(site)
-        ensure_v(lattice.south(site))  # provides gamma(site)
-        state.apply_site_projector(site, tensors[site])
-        state.project_empty(
-            [registry.position((sp_, site))
-             for sp_ in ("alpha", "beta", "gamma", "delta")]
-        )
-
-    phys = physical_registry(lattice)
-    expected = [registry.position(("a", s)) for s in sites]
-    assert state.positions == expected
-    return FockVector(phys, state.amps)
+    state = _ActiveState()
+    for site, bonds in steps:
+        for pos_first, pos_second in bonds:
+            state.open_bond(pos_first, pos_second)
+        state.project_site(registry.position(("a", site)),
+                           registry.position(("alpha", site)), tensors[site])
+    return FockVector(physical_registry(lattice), state.amps)
 
 
 def build_fpeps_reference(
@@ -246,8 +221,6 @@ def build_fpeps_reference(
     cap: int = DEFAULT_MODE_CAP,
 ) -> FockVector:
     """Slow full-registry construction used to cross-check ``build_fpeps``."""
-    from .fock import apply_poly, vacuum
-
     total_modes = 5 * lattice.n_sites
     if total_modes > cap:
         raise ResourceLimitError(

@@ -218,11 +218,7 @@ def cmd_hamiltonian(args) -> int:
 
 def cmd_spectrum(args) -> int:
     if args.sizes:
-        try:
-            sizes = [int(tok) for tok in args.sizes.split(",") if tok]
-        except ValueError as exc:
-            raise ContractViolationError(f"cannot parse --sizes {args.sizes!r}") from exc
-        rows = gap_scan(sizes)
+        rows = gap_scan(_int_list(args.sizes, "--sizes"))
         text = "N,gap\n" + "".join(f"{n},{g!r}\n" for n, g in rows)
         _emit(text, args.out)
         print(f"spectrum: gap scan over {len(rows)} sizes", file=sys.stderr)
@@ -243,16 +239,32 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def cmd_entropy(args) -> int:
+def _int_list(text: str, flag: str) -> list[int]:
+    """A comma-separated list of integers; empty items are skipped."""
     try:
-        if ".." in args.blocks:
-            lo, hi = args.blocks.split("..")
-            lengths = list(range(int(lo), int(hi) + 1))
-        else:
-            lengths = [int(tok) for tok in args.blocks.split(",") if tok]
+        return [int(tok) for tok in text.split(",") if tok]
     except ValueError as exc:
-        raise ContractViolationError(f"cannot parse --blocks {args.blocks!r}") from exc
-    rows = entropy_scan(args.torus, lengths)
+        raise ContractViolationError(f"cannot parse {flag} {text!r}") from exc
+
+
+def _block_lengths(text: str, torus: int) -> list[int]:
+    """``--blocks``: a range ``a..b`` inside ``1..torus-1``, or a comma list."""
+    if ".." not in text:
+        return _int_list(text, "--blocks")
+    try:
+        lo, hi = (int(tok) for tok in text.split(".."))
+    except ValueError as exc:
+        raise ContractViolationError(f"cannot parse --blocks {text!r}") from exc
+    # checked before the range is listed, so a huge upper end allocates nothing
+    if not 0 < lo <= hi < torus:
+        raise ContractViolationError(
+            f"--blocks range {text!r} must be non-empty and inside 1..{torus - 1}"
+        )
+    return list(range(lo, hi + 1))
+
+
+def cmd_entropy(args) -> int:
+    rows = entropy_scan(args.torus, _block_lengths(args.blocks, args.torus))
     text = "L,entropy_bits\n" + "".join(f"{l},{s!r}\n" for l, s in rows)
     _emit(text, args.out)
     print(f"entropy: scan over {len(rows)} block sizes", file=sys.stderr)

@@ -6,9 +6,12 @@ the upper neighbor's u, both with periodic wraparound.  The extra primed
 bond also wraps, but mapped tensor sets pin it to 0 on the boundary column,
 which reproduces the open transport chain through a uniform code path.
 
-The contraction is dense and column by column: each column collapses to a
-transfer tensor over its physical legs and the 4-dimensional combined
-(l, l') / (r, r') row indices, and columns are absorbed left to right.
+The contraction is dense and column by column.  Each column collapses to a
+transfer tensor [L, phys, R] over its physical legs and the combined
+(l, l') / (r, r') row indices.  The environment keeps the same layout
+[L_open, phys, R], so absorbing a column is one BLAS ``tensordot`` over R and
+a reshape.  The last column is contracted together with the periodic trace
+over (R, L_open), so the full environment including it is never formed.
 """
 from __future__ import annotations
 
@@ -23,27 +26,24 @@ MAX_SITES = 12
 
 
 def _column_tensor(lattice: LatticeSpec, tensors, h: int) -> np.ndarray:
-    """Contract the vertical chain of column h into [phys, L, R]."""
-    n_v = lattice.n_v
+    """Contract the vertical chain of column h into [L, phys, R]."""
     blocks = []
-    for v in range(1, n_v + 1):
+    for v in range(1, lattice.n_v + 1):
         t = tensors[(h, v)]
         if not isinstance(t, PEPSTensor):
             t = PEPSTensor(np.asarray(t))
-        blocks.append(t.entries.reshape(2, 4, 4, 2, 2))  # [k, L, R, u, d]
+        # [k, L, R, u, d] -> [u, L, k, R, d], contiguous for einsum's inner loop
+        blocks.append(np.ascontiguousarray(
+            t.entries.reshape(2, 4, 4, 2, 2).transpose(3, 1, 0, 2, 4)))
 
-    if n_v == 1:
-        # vertical self-loop: the single bond provides both u and d
-        col = np.einsum("klruu->klr", blocks[0])
-        return col.reshape(2, 4, 4)
-
-    col = blocks[0]  # [p, L, R, u_top, d]
-    for v in range(1, n_v):
-        # merge: phys and L/R row-major (row 1 most significant)
-        col = np.einsum("plrux,kabxd->pklarbud", col, blocks[v])
-        p, k, l, a, r, b, u, d = col.shape
-        col = col.reshape(p * k, l * a, r * b, u, d)
-    return np.einsum("plruu->plr", col)
+    col = blocks[0]
+    for block in blocks[1:]:
+        # merge: L, phys and R row-major (row 1 most significant)
+        col = np.einsum("ulprx,xakbd->ulapkrbd", col, block)
+        u, l, a, p, k, r, b, d = col.shape
+        col = col.reshape(u, l * a, p * k, r * b, d)
+    # periodic vertical bond (the self-loop when n_v == 1)
+    return np.einsum("ulpru->lpr", col)
 
 
 def contract_peps(lattice: LatticeSpec, tensors: dict[Site, PEPSTensor]) -> FockVector:
@@ -64,14 +64,18 @@ def contract_peps(lattice: LatticeSpec, tensors: dict[Site, PEPSTensor]) -> Fock
 
     cols = [_column_tensor(lattice, tensors, h) for h in range(1, lattice.n_h + 1)]
 
-    env = cols[0]  # [phys, L_open, R_current]
-    for col in cols[1:]:
-        env = np.einsum("plr,qrs->pqls", env, col)
-        p, q, l, s = env.shape
-        env = env.reshape(p * q, l, s)
-    amps = np.einsum("pll->p", env)
+    env = cols[0]  # [L_open, phys, R_current]
+    for col in cols[1:-1]:
+        env = np.tensordot(env, col, axes=([2], [0]))
+        l, p, q, s = env.shape
+        env = env.reshape(l, p * q, s)
+    if lattice.n_h == 1:
+        amps = np.einsum("lpl->p", env)
+    else:
+        # last column and the periodic horizontal trace in one contraction
+        amps = np.tensordot(env, cols[-1], axes=([0, 2], [2, 0])).reshape(-1)
 
-    # env phys bits are column-major (column 1 most significant, rows inner);
+    # phys bits are column-major (column 1 most significant, rows inner);
     # reorder to the M-order Fock convention (site M on bit M-1).
     n = lattice.n_sites
     nd = amps.reshape((2,) * n)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .build import site_signs
 from .errors import ContractViolationError, NumericalValidityError, ZeroNormError
 from .fock import FockVector, ModeRegistry, OperatorPoly, apply_poly, vacuum
 from .gaussian import GaussianChannel, _circulant, gamma_out_hat
@@ -103,7 +104,8 @@ def example_projector_tensor() -> FPEPSTensor:
 
     The exponential is expanded exactly in the five-mode Fock space (the
     series terminates by nilpotency); the resulting tensor is even-parity
-    with 16 nonzero entries.
+    with 16 nonzero entries.  Its matrix elements <k 0000| Q |0 l r u d>
+    are A times the sign of each entry's monomial (``build.site_signs``).
     """
     site = (1, 1)
     reg = site_registry(site)
@@ -115,41 +117,13 @@ def example_projector_tensor() -> FPEPSTensor:
         mat[:, j] = apply_poly(basis, gen).amplitudes
     Q = scipy.linalg.expm(mat)
 
-    entries = np.zeros((2,) * 5, dtype=complex)
-    for (k, l, r, u, d) in np.ndindex(*(2,) * 5):
-        col = (l << 1) | (r << 2) | (u << 3) | (d << 4)
-        row = k
-        amp = Q[row, col]
-        if (k + l + r + u + d) % 2:
-            if abs(amp) > 1e-12:
-                raise NumericalValidityError(
-                    f"odd-parity amplitude {amp} at {(k, l, r, u, d)}"
-                )
-            continue
-        if abs(amp) < 1e-14:
-            continue
-        # reference sign of the monomial a^dag^k alpha^l beta^r gamma^u delta^d
-        mono = []
-        if k:
-            mono.append((("a", site), True))
-        if l:
-            mono.append((("alpha", site), False))
-        if r:
-            mono.append((("beta", site), False))
-        if u:
-            mono.append((("gamma", site), False))
-        if d:
-            mono.append((("delta", site), False))
-        probe = np.zeros(dim, dtype=complex)
-        probe[col] = 1.0
-        ref = apply_poly(
-            FockVector(reg, probe), OperatorPoly.from_terms([(1.0, tuple(mono))])
-        ).amplitudes[row]
-        if abs(ref) < 0.5:
-            raise NumericalValidityError(
-                f"reference monomial vanished at {(k, l, r, u, d)}"
-            )
-        entries[k, l, r, u, d] = amp / ref
+    # rows k (a on bit 0), columns l + 2r + 4u + 8d with a empty
+    amps = Q[:2, 0::2].reshape(2, 2, 2, 2, 2).transpose(0, 4, 3, 2, 1)
+    odd = np.indices(amps.shape).sum(axis=0) % 2 == 1
+    if np.any(np.abs(amps[odd]) > 1e-12):
+        bad = tuple(np.argwhere(odd & (np.abs(amps) > 1e-12))[0].tolist())
+        raise NumericalValidityError(f"odd-parity amplitude {amps[bad]} at {bad}")
+    entries = np.where(odd | (np.abs(amps) < 1e-14), 0.0, amps / site_signs())
     return FPEPSTensor(entries, parity=0)
 
 

@@ -35,15 +35,16 @@ SPECIES = ("a", "alpha", "beta", "gamma", "delta")
 ModeLabel = tuple[str, Site]
 
 
-def _bit_parity(x: np.ndarray | int):
-    """Parity (0/1) of the set bits of x (works on arrays of non-negative ints)."""
-    x = np.bitwise_and(x, 0xFFFFFFFF)
-    x ^= x >> 16
-    x ^= x >> 8
-    x ^= x >> 4
-    x ^= x >> 2
-    x ^= x >> 1
-    return np.bitwise_and(x, 1)
+def parity_signs(n: int) -> np.ndarray:
+    """(-1)^(number of set bits of i) for i < 2^n.
+
+    Entry i is the Jordan-Wigner sign a ladder operator on position n picks
+    up from the occupations i of the positions below it.
+    """
+    signs = np.ones(1)
+    for _ in range(n):
+        signs = np.concatenate([signs, -signs])
+    return signs
 
 
 @dataclass(frozen=True)
@@ -180,16 +181,11 @@ def vacuum(registry: ModeRegistry, cap: int = DEFAULT_MODE_CAP) -> FockVector:
 
 def _apply_ladder(amps: np.ndarray, pos: int, create: bool) -> np.ndarray:
     """Apply a single creation/annihilation operator on registry position pos."""
-    n_states = amps.shape[0]
-    idx = np.arange(n_states)
-    bit = 1 << pos
-    below = bit - 1
-    occupied = (idx & bit) != 0
-    src = ~occupied if create else occupied
-    sign = 1.0 - 2.0 * _bit_parity(idx[src] & below)
-    out = np.zeros_like(amps)
-    out[idx[src] ^ bit] = sign * amps[src]
-    return out
+    view = amps.reshape(-1, 2, 1 << pos)  # [above, pos, below]
+    src, dst = (0, 1) if create else (1, 0)
+    out = np.zeros_like(view)
+    out[:, dst] = parity_signs(pos) * view[:, src]
+    return out.reshape(-1)
 
 
 def apply_poly(state: FockVector, op: OperatorPoly) -> FockVector:
@@ -211,21 +207,16 @@ def majorana_vector(state: FockVector, pos: int, which: int) -> np.ndarray:
 
     c^(1) = a^dag + a and c^(2) = -i (a^dag - a).
     """
-    amps = state.amplitudes
-    idx = np.arange(amps.shape[0])
-    bit = 1 << pos
-    below = bit - 1
-    sign = 1.0 - 2.0 * _bit_parity(idx & below)
-    out = np.empty_like(amps)
-    if which == 1:
-        out[idx ^ bit] = sign * amps
-    elif which == 2:
-        occupied = (idx & bit) != 0
-        phase = np.where(occupied, 1j, -1j)
-        out[idx ^ bit] = phase * sign * amps
-    else:
+    if which not in (1, 2):
         raise ContractViolationError(f"Majorana type must be 1 or 2, got {which}")
-    return out
+    view = state.amplitudes.reshape(-1, 2, 1 << pos)  # [above, pos, below]
+    signs = parity_signs(pos)
+    # c^(2) picks up -i from an empty source mode and +i from an occupied one
+    up, down = (1.0, 1.0) if which == 1 else (-1j, 1j)
+    out = np.empty_like(view)
+    out[:, 1] = up * signs * view[:, 0]
+    out[:, 0] = down * signs * view[:, 1]
+    return out.reshape(-1)
 
 
 def covariance_matrix(state: FockVector, modes=None, atol: float = 1e-12) -> np.ndarray:
@@ -265,8 +256,7 @@ def _sparse_majorana(n: int, pos: int, which: int) -> sp.csr_matrix:
     dim = 1 << n
     idx = np.arange(dim)
     bit = 1 << pos
-    below = bit - 1
-    sign = 1.0 - 2.0 * _bit_parity(idx & below)
+    sign = np.tile(parity_signs(pos), dim >> pos)
     if which == 1:
         data = sign.astype(complex)
     else:

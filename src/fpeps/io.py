@@ -44,6 +44,15 @@ def _require_all_sites(kind: str, lattice: LatticeSpec, tensors: dict) -> None:
         raise ContractViolationError(f"{kind} file missing sites {missing}")
 
 
+def _entry_index(item: dict, keys) -> tuple[int, ...]:
+    """The entry's index tuple; each component must be the JSON integer 0 or 1."""
+    index = tuple(item[key] for key in keys)
+    for key, value in zip(keys, index):
+        if type(value) is not int or value not in (0, 1):
+            raise ValueError(f"entry index {key}={value!r} is not 0 or 1")
+    return index
+
+
 def load_tensor_set(path) -> tuple[LatticeSpec, dict[Site, int], dict[Site, FPEPSTensor]]:
     with _reading("tensor-set", path):
         data = json.loads(Path(path).read_text())
@@ -60,9 +69,7 @@ def load_tensor_set(path) -> tuple[LatticeSpec, dict[Site, int], dict[Site, FPEP
             site = (int(entry["site"][0]), int(entry["site"][1]))
             arr = np.zeros((2,) * 5, dtype=complex)
             for item in entry["entries"]:
-                arr[item["k"], item["l"], item["r"], item["u"], item["d"]] = complex(
-                    item["re"], item["im"]
-                )
+                arr[_entry_index(item, "klrud")] = complex(item["re"], item["im"])
             tensors[site] = FPEPSTensor(arr, parity[site])
     _require_all_sites("tensor-set", lat, tensors)
     return lat, parity, tensors
@@ -127,10 +134,9 @@ def load_peps_set(path) -> tuple[LatticeSpec, dict[Site, PEPSTensor]]:
             site = (int(entry["site"][0]), int(entry["site"][1]))
             arr = np.zeros((2,) * 7, dtype=complex)
             for item in entry["entries"]:
-                arr[
-                    item["k"], item["l"], item["lp"], item["r"], item["rp"],
-                    item["u"], item["d"],
-                ] = complex(item["re"], item["im"])
+                arr[_entry_index(item, ("k", "l", "lp", "r", "rp", "u", "d"))] = complex(
+                    item["re"], item["im"]
+                )
             tensors[site] = PEPSTensor(arr)
     _require_all_sites("PEPS-set", lat, tensors)
     return lat, tensors

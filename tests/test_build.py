@@ -97,6 +97,17 @@ def test_build_matches_reference_construction():
     assert np.max(np.abs(fast.amplitudes - slow.amplitudes)) < 1e-12
 
 
+def test_build_matches_reference_construction_mixed_parity():
+    lattice = LatticeSpec(2, 2)
+    rng = np.random.default_rng(17)
+    parity = {(1, 1): 1, (2, 1): 0, (1, 2): 1, (2, 2): 1}
+    tensors = {s: FPEPSTensor.random(rng, parity=parity[s]) for s in lattice.sites()}
+    fast = build_fpeps(lattice, tensors)
+    slow = build_fpeps_reference(lattice, tensors)
+    assert slow.norm() > 1e-6
+    assert np.max(np.abs(fast.amplitudes - slow.amplitudes)) < 1e-12
+
+
 def test_parity_superselection():
     lattice = LatticeSpec(2, 2)
     rng = np.random.default_rng(8)
@@ -139,10 +150,19 @@ def test_missing_site_raises():
 
 
 def test_mode_cap():
-    lattice = LatticeSpec(3, 2)  # 30 modes
+    lattice = LatticeSpec(5, 4)  # peak live width 29 > 24
     tensors = {s: one_entry(0, 0, 0, 0, 0) for s in lattice.sites()}
     with pytest.raises(ResourceLimitError):
         build_fpeps(lattice, tensors)
+
+
+@pytest.mark.parametrize("shape, width", [((3, 2), 13), ((3, 3), 16), ((4, 3), 20), ((4, 4), 24)])
+def test_mode_cap_counts_peak_live_width(shape, width):
+    # the cap bounds the widest live set, counted before anything is allocated
+    lattice = LatticeSpec(*shape)
+    tensors = {s: one_entry(0, 0, 0, 0, 0) for s in lattice.sites()}
+    with pytest.raises(ResourceLimitError, match=f"width of {width} modes"):
+        build_fpeps(lattice, tensors, cap=width - 1)
 
 
 def test_zero_state_is_representable():

@@ -1,13 +1,20 @@
 """Exit codes, output formats, and determinism of the command driver."""
 import csv
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fpeps import cli
 from fpeps.cli import main
+from fpeps.errors import ContractViolationError
 from fpeps.io import dump_tensor_set, load_peps_set
-from fpeps.lattice import LatticeSpec
+from fpeps.lattice import LatticeSpec, parse_lattice
 from fpeps.tensors import FPEPSTensor
 
 
@@ -234,3 +241,55 @@ def test_convert_file_without_lattice_is_config_error(tmp_path, capsys):
     src.write_text("{}")
     assert_config_error(["convert", "--input", str(src),
                          "--output", str(tmp_path / "out.json")], capsys)
+
+
+# --- fuzzing the argument grammars: parse, or exit 2 with one error line ----
+
+GRAMMAR_TEXT = st.text(max_size=12) | st.text(alphabet="0123456789xX.,-+ _\n", max_size=12)
+
+
+def assert_parsed_or_refused(argv):
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    if code == 2:
+        text = err.getvalue()
+        assert text.startswith("error: ") and text.count("\n") == 1
+    else:
+        assert code == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=GRAMMAR_TEXT)
+def test_lattice_grammar_fuzz(text):
+    try:
+        lattice = parse_lattice(text)
+    except ContractViolationError as exc:
+        assert "\n" not in str(exc)
+    else:
+        assert lattice.n_h >= 1 and lattice.n_v >= 1
+    assert_parsed_or_refused(["hamiltonian", "--lattice=" + text])
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=GRAMMAR_TEXT)
+def test_sizes_grammar_fuzz(text):
+    # only the grammar: a parsed list goes to a stub instead of the gap scan
+    def parsed(sizes):
+        assert all(type(n) is int for n in sizes)
+        return [(n, 0.0) for n in sizes]
+
+    with mock.patch.object(cli, "gap_scan", parsed):
+        assert_parsed_or_refused(["spectrum", "--sizes=" + text])
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=GRAMMAR_TEXT)
+def test_blocks_grammar_fuzz(text):
+    # a 5-torus keeps every accepted block length (1..4) cheap to evaluate
+    assert_parsed_or_refused(["entropy", "--torus", "5", "--blocks=" + text])
+
+
+def test_huge_block_range_is_refused_before_listing(tmp_path, capsys):
+    assert_config_error(["entropy", "--torus", "5", "--blocks", "1..10000000000",
+                         "--out", str(tmp_path / "x.csv")], capsys)

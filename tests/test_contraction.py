@@ -1,4 +1,6 @@
 """Exact spin-PEPS contraction."""
+import string
+
 import numpy as np
 import pytest
 
@@ -59,3 +61,39 @@ def test_site_cap():
     tensors = {s: product_tensor(1, 0) for s in lattice.sites()}
     with pytest.raises(ResourceLimitError):
         contract_peps(lattice, tensors)
+
+
+def full_einsum(lattice, tensors):
+    """Every bond of the torus summed at once, as one independent einsum.
+
+    Site (h, v) carries B[k, l, l', r, r', u, d]; (r, r') of a site meets
+    (l, l') of its right neighbor and d meets u of the site above, both
+    periodic, so l' and r' wrap like every other bond.
+    """
+    letters = iter(string.ascii_letters)
+    phys = {s: next(letters) for s in lattice.sites()}
+    right = {s: next(letters) + next(letters) for s in lattice.sites()}
+    north = {s: next(letters) for s in lattice.sites()}
+    operands = []
+    for s in lattice.sites():
+        left, south = right[lattice.left(s)], north[lattice.south(s)]
+        operands += [tensors[s].entries,
+                     phys[s] + left + right[s] + south + north[s]]
+    # amplitude index: site M on bit M - 1, so the last site is the first axis
+    out = "".join(phys[s] for s in reversed(lattice.sites()))
+    spec = ",".join(operands[1::2]) + "->" + out
+    return np.einsum(spec, *operands[0::2], optimize=True).reshape(-1)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 1), (3, 2)])
+def test_matches_full_einsum_on_random_tensors(shape):
+    # unmapped tensors: l' and r' carry weight on every column, including the wrap
+    lattice = LatticeSpec(*shape)
+    rng = np.random.default_rng(sum(shape))
+    tensors = {
+        s: PEPSTensor(rng.standard_normal((2,) * 7) + 1j * rng.standard_normal((2,) * 7))
+        for s in lattice.sites()
+    }
+    expected = full_einsum(lattice, tensors)
+    state = contract_peps(lattice, tensors)
+    assert np.max(np.abs(state.amplitudes - expected)) < 1e-10 * np.max(np.abs(expected))

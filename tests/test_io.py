@@ -101,6 +101,23 @@ def test_lattice_larger_than_tensor_list_is_refused_first(tmp_path, loader):
         loader(path)
 
 
+@pytest.mark.parametrize("loader", (load_tensor_set, load_peps_set))
+@pytest.mark.parametrize("value", [True, 2, 1.0, -1, -2, None],
+                         ids=["true", "2", "1.0", "-1", "-2", "null"])
+def test_entry_index_must_be_zero_or_one(tmp_path, loader, value):
+    # numpy would send -2 to 0 and None (a new axis) to two entries
+    lattice = LatticeSpec(1, 1)
+    parity, tensors = random_set(lattice, seed=2)
+    doc = json.loads(dump_tensor_set(lattice, parity, tensors) if loader is load_tensor_set
+                     else dump_peps_set(lattice, map_tensor_set(lattice, tensors)))
+    doc["tensors"][0]["entries"][0]["k"] = value
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ContractViolationError, match="entry index k=") as info:
+        loader(path)
+    assert "\n" not in str(info.value)
+
+
 DELETE = object()
 
 

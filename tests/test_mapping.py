@@ -82,20 +82,24 @@ def test_sign_function_depends_only_on_local_indices():
     assert set(np.unique(table.table)) <= {0, 1}
 
 
+def assert_oracle_matches_contraction(lattice, tensors, parity=None):
+    oracle = build_fpeps(lattice, tensors)
+    contracted = contract_peps(lattice, map_tensor_set(lattice, tensors, parity))
+    # the translation is exact including the global phase
+    scale = 2.0 ** lattice.n_sites
+    assert np.max(
+        np.abs(contracted.amplitudes - scale * oracle.amplitudes)
+    ) < 1e-10 * max(1.0, np.max(np.abs(contracted.amplitudes)))
+    assert abs(oracle.normalized_overlap(contracted) - 1.0) < 1e-10
+
+
 @pytest.mark.parametrize("shape", [(1, 2), (2, 1), (2, 2)])
 def test_oracle_equivalence_even_tensors(shape):
     lattice = LatticeSpec(*shape)
     rng = np.random.default_rng(123)
-    scale = 2.0 ** lattice.n_sites
     for _ in range(8):
         tensors = {s: FPEPSTensor.random(rng, parity=0) for s in lattice.sites()}
-        oracle = build_fpeps(lattice, tensors)
-        contracted = contract_peps(lattice, map_tensor_set(lattice, tensors))
-        # the translation is exact including the global phase
-        assert np.max(
-            np.abs(contracted.amplitudes - scale * oracle.amplitudes)
-        ) < 1e-10 * max(1.0, np.max(np.abs(contracted.amplitudes)))
-        assert abs(oracle.normalized_overlap(contracted) - 1.0) < 1e-10
+        assert_oracle_matches_contraction(lattice, tensors)
 
 
 def test_oracle_equivalence_mixed_parity():
@@ -106,11 +110,26 @@ def test_oracle_equivalence_mixed_parity():
         tensors = {
             s: FPEPSTensor.random(rng, parity=parity[s]) for s in lattice.sites()
         }
-        oracle = build_fpeps(lattice, tensors)
-        contracted = contract_peps(lattice, map_tensor_set(lattice, tensors, parity))
-        assert np.max(
-            np.abs(contracted.amplitudes - 16.0 * oracle.amplitudes)
-        ) < 1e-10 * max(1.0, np.max(np.abs(contracted.amplitudes)))
+        assert_oracle_matches_contraction(lattice, tensors, parity)
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["even", "mixed"])
+@pytest.mark.parametrize("shape", [(3, 1), (3, 2), (3, 3), (4, 3)],
+                         ids=["3x1", "3x2", "3x3", "4x3"])
+def test_oracle_equivalence_with_bulk_columns(shape, mixed):
+    # bulk columns run the branch l' = r' + u + d with r' = 1
+    lattice = LatticeSpec(*shape)
+    rng = np.random.default_rng(400 + 10 * shape[1] + shape[0] + mixed)
+    for _ in range({3: 4, 6: 4, 9: 2, 12: 1}[lattice.n_sites]):
+        bits = np.arange(lattice.n_sites) % 2 if mixed else np.zeros(lattice.n_sites)
+        bits = rng.permutation(bits)
+        parity = {s: int(b) for s, b in zip(lattice.sites(), bits)}
+        tensors = {
+            s: FPEPSTensor.random(rng, parity=parity[s]) for s in lattice.sites()
+        }
+        mapped = map_tensor_set(lattice, tensors, parity)
+        assert np.any(mapped[(2, 1)].entries[:, :, :, :, 1] != 0)
+        assert_oracle_matches_contraction(lattice, tensors, parity)
 
 
 def test_parity_transport_telescopes():
