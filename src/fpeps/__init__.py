@@ -51,18 +51,17 @@ from .fock import (
     vacuum,
 )
 from .gaussian import (
-    FourierBlock,
     GaussianChannel,
     MajoranaCM,
     apply_channel,
     fourier_bond,
+    g_hat,
     gamma_out_hat,
     lattice_bond_cm,
     physical_cm_from_blocks,
-    purity_check,
 )
 from .lattice import LatticeSpec
-from .mapping import derive_sign_function, derive_sign_functions, map_tensor_set, map_to_peps
+from .mapping import derive_sign_functions, map_tensor_set, map_to_peps
 from .quadratic import (
     DiracQuadratic,
     QuadraticHamiltonian,

@@ -27,10 +27,10 @@ from .correlators import correlation_scan, quadrature_error
 from .errors import ContractViolationError, FpepsError, ZeroNormError
 from .gaussian import (
     apply_channel,
+    g_hat,
     gamma_out_hat,
     lattice_bond_cm,
     physical_cm_from_blocks,
-    purity_check,
 )
 from .lattice import LatticeSpec, parse_lattice
 from .mapping import map_tensor_set
@@ -77,20 +77,15 @@ def _gaussian_checks(lattice: LatticeSpec, seed: int, tolerance: float):
     checks = []
     rng = np.random.default_rng(seed)
 
-    residual = 0.0
-    for _ in range(100):
-        phi = tuple(rng.uniform(0, 2 * np.pi, 2))
-        fb = gamma_out_hat(channel, phi)
-        rp, rq = closed_form_ratios(phi)
-        # cross-multiplied: p/d and q/d lose precision near the removable
-        # zeros of d on the phi_i = pi lines, while p, q and d do not
-        den = -1.0 + np.sin(phi[0]) * np.sin(phi[1])
-        residual = max(
-            residual,
-            abs(den * (fb.p - fb.d * rp)),
-            abs(den * (fb.q.real - fb.d * rq)),
-            abs(fb.q.imag),
-        )
+    phis = rng.uniform(0, 2 * np.pi, (100, 2))
+    out = gamma_out_hat(channel, phis)
+    rp, rq = closed_form_ratios(phis)
+    # cross-multiplied: p/d and q/d lose precision near the removable
+    # zeros of d on the phi_i = pi lines, while p, q and d do not
+    den = -1.0 + np.sin(phis[:, 0]) * np.sin(phis[:, 1])
+    residual = float(np.max(np.abs([
+        den * (out.p - out.d * rp), den * (out.q.real - out.d * rq), out.q.imag,
+    ])))
     checks.append({
         "name": "closed-form-ratios",
         "residual": residual,
@@ -108,11 +103,10 @@ def _gaussian_checks(lattice: LatticeSpec, seed: int, tolerance: float):
         })
         return checks
 
-    purity = 0.0
-    for phi in lattice.momenta():
-        fb = gamma_out_hat(channel, phi)
-        if not fb.zero_norm:
-            purity = max(purity, purity_check(fb))
+    out = gamma_out_hat(channel, np.array(lattice.momenta()))
+    defined = ~out.zero_norm
+    g = g_hat(out.p[defined], out.q[defined], out.d[defined])
+    purity = float(np.max(np.abs(g @ g + np.eye(2)), initial=0.0))
     checks.append({
         "name": f"momentum-purity-{lattice.n_h}x{lattice.n_v}",
         "residual": purity,

@@ -29,7 +29,7 @@ import scipy.linalg
 from .build import site_signs
 from .errors import ContractViolationError, NumericalValidityError, ZeroNormError
 from .fock import FockVector, ModeRegistry, OperatorPoly, apply_poly, vacuum
-from .gaussian import GaussianChannel, _circulant, gamma_out_hat
+from .gaussian import GaussianChannel, _circulant, g_hat, gamma_out_hat
 from .lattice import LatticeSpec, Site
 from .quadratic import DiracQuadratic
 from .tensors import FPEPSTensor
@@ -56,16 +56,19 @@ def example_channel() -> GaussianChannel:
     return GaussianChannel(np.zeros((2, 2)), EXAMPLE_B, EXAMPLE_D)
 
 
-def closed_form_ratios(phi, atol: float = 1e-12) -> tuple[float, float]:
-    """(p/d, q/d) of the critical model at one momentum."""
-    s1, s2 = np.sin(phi[0]), np.sin(phi[1])
+def closed_form_ratios(phi, atol: float = 1e-12):
+    """(p/d, q/d) of the critical model at momenta of shape (..., 2)."""
+    phi = np.asarray(phi, dtype=float)
+    s1, s2 = np.sin(phi[..., 0]), np.sin(phi[..., 1])
     den = -1.0 + s1 * s2
-    if abs(den) < atol:
+    singular = np.abs(den) < atol
+    if np.any(singular):
+        bad = tuple(phi[singular][0].tolist())
         raise ZeroNormError(
-            f"momentum {tuple(phi)} sits on the singular set of the model",
-            momenta=[tuple(phi)],
+            f"momentum {bad} sits on the singular set of the model",
+            momenta=[bad],
         )
-    return (s1 - s2) / den, float(np.cos(phi[0]) * np.cos(phi[1])) / den
+    return ((s1 - s2) / den)[()], (np.cos(phi[..., 0]) * np.cos(phi[..., 1]) / den)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -170,32 +173,29 @@ class NormZeroReport:
         return len(self.essential) == 0
 
 
-def norm_zero_locator(lattice: LatticeSpec, atol: float = 1e-9) -> NormZeroReport:
+def norm_zero_locator(lattice: LatticeSpec) -> NormZeroReport:
     """Zeros of the projection determinant on the reciprocal lattice.
 
     Essential zeros (sin phi1 sin phi2 = 1) make the state undefined;
     removable ones (a momentum component on {0, pi}) are correlated-loop
     artifacts that leave the covariance data intact.
     """
-    channel = example_channel()
-    removable, essential = [], []
-    for phi in lattice.momenta():
-        fb = gamma_out_hat(channel, phi)
-        if abs(fb.d) > atol:
-            continue
-        s1s2 = np.sin(phi[0]) * np.sin(phi[1])
-        on_line = any(
-            min(abs(c), abs(c - np.pi), abs(c - 2 * np.pi)) < 1e-9 for c in phi
+    momenta = lattice.momenta()
+    phis = np.array(momenta)
+    zero = gamma_out_hat(example_channel(), phis).zero_norm
+    essential = zero & (np.abs(np.sin(phis[:, 0]) * np.sin(phis[:, 1]) - 1.0) < 1e-9)
+    to_line = np.abs(phis[..., None] - np.array([0.0, np.pi, 2 * np.pi])).min(axis=-1)
+    removable = zero & ~essential & np.any(to_line < 1e-9, axis=1)
+    stray = zero & ~essential & ~removable
+    if np.any(stray):
+        raise NumericalValidityError(
+            f"unclassified determinant zero at momentum {momenta[np.argmax(stray)]}"
         )
-        if abs(s1s2 - 1.0) < 1e-9:
-            essential.append(phi)
-        elif on_line:
-            removable.append(phi)
-        else:
-            raise NumericalValidityError(
-                f"unclassified determinant zero at momentum {phi}"
-            )
-    return NormZeroReport(lattice, tuple(removable), tuple(essential))
+
+    def pick(mask):
+        return tuple(phi for phi, hit in zip(momenta, mask) if hit)
+
+    return NormZeroReport(lattice, pick(removable), pick(essential))
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +212,9 @@ def ground_state_blocks(torus: int) -> np.ndarray:
         raise ContractViolationError(
             f"torus size must be odd and positive (unique ground state), got {torus}"
         )
-    phis = 2.0 * np.pi * np.arange(torus) / torus
-    s1 = np.sin(phis)[:, None]
-    s2 = np.sin(phis)[None, :]
-    den = -1.0 + s1 * s2
-    rp = (s1 - s2) / den
-    rq = (np.cos(phis)[:, None] * np.cos(phis)[None, :]) / den
-    g_hat = np.moveaxis(np.array([[1j * rp, rq], [-rq, -1j * rp]]), (0, 1), (2, 3))
-    T = np.fft.ifft2(g_hat, axes=(0, 1))
+    angles = 2.0 * np.pi * np.arange(torus) / torus
+    phis = np.stack(np.meshgrid(angles, angles, indexing="ij"), axis=-1)
+    T = np.fft.ifft2(g_hat(*closed_form_ratios(phis), 1.0), axes=(0, 1))
     if np.max(np.abs(T.imag)) > 1e-12:
         raise NumericalValidityError("ground-state blocks should be real")
     return T.real

@@ -129,18 +129,6 @@ class FockVector:
     def copy(self) -> "FockVector":
         return FockVector(self.registry, self.amplitudes.copy())
 
-    def to_json(self) -> dict:
-        return {
-            "modes": [[sp_, list(site)] for sp_, site in self.registry.labels],
-            "amplitudes": [[float(a.real), float(a.imag)] for a in self.amplitudes],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FockVector":
-        labels = tuple((sp_, (int(s[0]), int(s[1]))) for sp_, s in data["modes"])
-        amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
-        return cls(ModeRegistry(labels), amps)
-
 
 @dataclass(frozen=True)
 class OperatorPoly:

@@ -24,6 +24,7 @@ where "first" is the mode whose creator appears left in the bond operator
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from .errors import (
 from .lattice import LatticeSpec
 
 ANTISYM_ATOL = 1e-12
-PURITY_ATOL = 1e-10
 ZERO_NORM_ATOL = 1e-9
 
 # species offsets inside a site's virtual quadruple
@@ -65,25 +65,6 @@ class MajoranaCM:
         """max |Gamma^2 + 1|; ~0 for pure Gaussian states."""
         mat = self.matrix
         return float(np.max(np.abs(mat @ mat + np.eye(mat.shape[0]))))
-
-    def is_pure(self, atol: float = PURITY_ATOL) -> bool:
-        return self.purity_defect() <= atol
-
-
-def interleaved_from_qp(m: int) -> np.ndarray:
-    """Index array reordering qp layout to per-mode (c1, c2) interleaving."""
-    idx = np.empty(2 * m, dtype=int)
-    idx[0::2] = np.arange(m)
-    idx[1::2] = np.arange(m) + m
-    return idx
-
-
-def qp_from_interleaved(m: int) -> np.ndarray:
-    """Index array reordering per-mode interleaved layout back to qp."""
-    idx = np.empty(2 * m, dtype=int)
-    idx[:m] = 2 * np.arange(m)
-    idx[m:] = 2 * np.arange(m) + 1
-    return idx
 
 
 @dataclass(frozen=True)
@@ -217,22 +198,19 @@ def lattice_bond_cm(lattice: LatticeSpec) -> MajoranaCM:
 
 
 def fourier_bond(phi) -> np.ndarray:
-    """8x8 momentum block of the bond covariance matrix.
+    """8x8 momentum blocks of the bond covariance matrix, shape (..., 8, 8).
 
-    Valid on reciprocal-lattice points of any torus (wraparound aliases
-    reduce to the same values there) and for arbitrary angles as the
-    infinite-lattice limit.  Ordering: qp with species (alpha, beta, gamma,
-    delta).
+    ``phi`` has shape (..., 2).  Valid on reciprocal-lattice points of any
+    torus (wraparound aliases reduce to the same values there) and for
+    arbitrary angles as the infinite-lattice limit.  Ordering: qp with
+    species (alpha, beta, gamma, delta).
     """
-    phi1, phi2 = phi
-    W = np.zeros((4, 4), dtype=complex)
-    W[BETA, ALPHA] = np.exp(-1j * phi1)
-    W[ALPHA, BETA] = -np.exp(1j * phi1)
-    W[DELTA, GAMMA] = np.exp(-1j * phi2)
-    W[GAMMA, DELTA] = -np.exp(1j * phi2)
-    out = np.zeros((8, 8), dtype=complex)
-    out[:4, 4:] = W
-    out[4:, :4] = W
+    phase = np.exp(1j * np.asarray(phi, dtype=float))
+    out = np.zeros(phase.shape[:-1] + (8, 8), dtype=complex)
+    W = out[..., :4, 4:]
+    W[..., [BETA, DELTA], [ALPHA, GAMMA]] = phase.conj()
+    W[..., [ALPHA, GAMMA], [BETA, DELTA]] = -phase
+    out[..., 4:, :4] = W
     return out
 
 
@@ -256,33 +234,36 @@ def _circulant(T: np.ndarray, shape: tuple[int, int] | None = None) -> np.ndarra
     return pair.transpose(2, 0, 3, 4, 1, 5).reshape(width * m, width * m)
 
 
-def blocks_from_matrix(matrix: np.ndarray, lattice: LatticeSpec, species: int):
+def blocks_from_matrix(matrix: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
     """Momentum blocks of a circulant qp-ordered lattice matrix.
 
-    Returns {phi: complex (2*species x 2*species) block}, keyed by
-    ``lattice.momenta()``.  The input must be translationally invariant;
-    displacement data is read off site (1, 1).
+    Returns a complex ``(n_sites, w, w)`` stack in ``lattice.momenta()``
+    order, ``w`` being the number of Majorana components per site.  The
+    input must be translationally invariant; displacement data is read off
+    site (1, 1).
     """
-    n_h, n_v, s = lattice.n_h, lattice.n_v, species
+    n_h, n_v = lattice.n_h, lattice.n_v
+    matrix = np.asarray(matrix)
+    s = matrix.shape[0] // (2 * n_h * n_v)
     # row of site (1, 1): [r, mu, c, (dv, dh), nu] -> T[dh, dv, (r, mu), (c, nu)]
-    row = np.asarray(matrix).reshape(2, n_h * n_v, s, 2, n_h * n_v, s)[:, 0]
+    row = matrix.reshape(2, n_h * n_v, s, 2, n_h * n_v, s)[:, 0]
     T = row.reshape(2, s, 2, n_v, n_h, s).transpose(4, 3, 0, 1, 2, 5)
     hat = np.fft.fft2(T.reshape(n_h, n_v, 2 * s, 2 * s), axes=(0, 1))
-    return dict(zip(lattice.momenta(), hat.swapaxes(0, 1).reshape(-1, 2 * s, 2 * s)))
+    return hat.swapaxes(0, 1).reshape(-1, 2 * s, 2 * s)
 
 
-def matrix_from_blocks(blocks: dict, lattice: LatticeSpec, species: int) -> np.ndarray:
+def matrix_from_blocks(blocks: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
     """Inverse of :func:`blocks_from_matrix` (exact on the torus).
 
-    ``blocks`` must be keyed by ``lattice.momenta()``, in that order.
+    ``blocks`` is an ``(n_sites, w, w)`` stack in ``lattice.momenta()`` order.
     """
-    if list(blocks) != lattice.momenta():
-        raise ContractViolationError("blocks must be keyed by lattice.momenta(), in order")
-    width = 2 * species
-    stack = np.asarray(list(blocks.values()))
-    if stack.shape[1:] != (width, width):
-        raise ContractViolationError("block size does not match species count")
-    grid = stack.reshape(lattice.n_v, lattice.n_h, width, width).swapaxes(0, 1)
+    blocks = np.asarray(blocks)
+    width = blocks.shape[-1]
+    if blocks.shape != (lattice.n_sites, width, width) or width % 2:
+        raise ContractViolationError(
+            "blocks must be an (n_sites, w, w) stack with even w, in lattice.momenta() order"
+        )
+    grid = blocks.reshape(lattice.n_v, lattice.n_h, width, width).swapaxes(0, 1)
     return _circulant(np.fft.ifft2(grid, axes=(0, 1)))
 
 
@@ -290,40 +271,33 @@ def matrix_from_blocks(blocks: dict, lattice: LatticeSpec, species: int) -> np.n
 # momentum-space output blocks
 
 
-@dataclass(frozen=True)
-class FourierBlock:
-    """Per-momentum covariance data of a channel output.
+class OutputTriple(NamedTuple):
+    """(p, q, d) of a channel output at each momentum, and the zero-norm mask.
 
-    ``p``, ``q``, ``d`` satisfy g_hat = (1/d) [[i p, q], [-conj(q), -i p]];
-    ``q`` is complex in general and real for reflection-symmetric channels.
-    ``zero_norm`` marks momenta where d vanishes (state undefined there);
-    g_hat/gamma_hat are None in that case, while p and q (adjugate data)
-    remain well defined.
+    The output block is g_hat = (1/d) [[i p, q], [-conj(q), -i p]] (see
+    :func:`g_hat`); ``q`` is complex in general and real for
+    reflection-symmetric channels.  ``zero_norm`` marks momenta where d
+    vanishes (state undefined there), while p and q (adjugate data) remain
+    well defined.
     """
 
-    phi: tuple[float, float]
-    p: float
-    q: complex
-    d: float
-    zero_norm: bool
-    g_hat: np.ndarray | None
-    gamma_hat: np.ndarray | None
+    p: np.ndarray
+    q: np.ndarray
+    d: np.ndarray
+    zero_norm: np.ndarray
 
 
-def _adjugate(M: np.ndarray) -> tuple[np.ndarray, complex]:
-    """(adj(M), det(M)) via the Faddeev-LeVerrier recursion."""
-    n = M.shape[0]
-    Bk = np.eye(n, dtype=M.dtype)
-    ck = 1.0 + 0.0j
+def _adjugate(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(adj(M), det(M)) of a stack (..., n, n) via the Faddeev-LeVerrier recursion."""
+    n = M.shape[-1]
+    eye = np.eye(n, dtype=M.dtype)
+    Bk = eye
     for k in range(1, n):
         Mk = M @ Bk
-        ck = -np.trace(Mk) / k
-        Bk = Mk + ck * np.eye(n, dtype=M.dtype)
-    Mn = M @ Bk
-    cn = -np.trace(Mn) / n
-    det = (-1.0) ** n * cn
-    adj = (-1.0) ** (n - 1) * Bk
-    return adj, det
+        ck = -Mk.trace(0, -2, -1) / k
+        Bk = Mk + ck[..., None, None] * eye
+    cn = -(M @ Bk).trace(0, -2, -1) / n
+    return (-1.0) ** (n - 1) * Bk, (-1.0) ** n * cn
 
 
 def eq9_gamma_hat(p: float, q: complex, d: float) -> np.ndarray:
@@ -337,60 +311,50 @@ def eq9_gamma_hat(p: float, q: complex, d: float) -> np.ndarray:
     ])
 
 
-def gamma_out_hat(channel: GaussianChannel, phi) -> FourierBlock:
-    """Output momentum block of a one-site channel fed by the lattice bonds."""
+def g_hat(p, q, d) -> np.ndarray:
+    """Complex blocks (1/d) [[i p, q], [-conj(q), -i p]], shape (..., 2, 2)."""
+    blocks = np.stack([1j * p, q, -np.conj(q), -1j * p], axis=-1) / np.asarray(d)[..., None]
+    return blocks.reshape(blocks.shape[:-1] + (2, 2))
+
+
+def gamma_out_hat(channel: GaussianChannel, phis) -> OutputTriple:
+    """Output momentum data of a one-site channel fed by the lattice bonds.
+
+    ``phis`` has shape (..., 2); each field of the result has shape ``...``,
+    so a single momentum gives numpy scalars.
+    """
     if channel.q_modes != 4 or channel.p_modes != 1:
         raise ContractViolationError(
             "momentum-space evaluation expects a one-site channel "
             "(1 physical, 4 virtual modes)"
         )
-    M = channel.D - fourier_bond(phi)
-    adj, det = _adjugate(M)
-    if abs(det.imag) > 1e-9 * max(1.0, abs(det)):
-        raise NumericalValidityError(f"determinant not real: {det}")
+    adj, det = _adjugate(channel.D - fourier_bond(phis))
+    bad = abs(det.imag) > 1e-9 * np.maximum(1.0, abs(det))
+    if bad.any():
+        raise NumericalValidityError(f"determinant not real: {det[bad][0]}")
     d = det.real
-    R = channel.B @ adj @ channel.B.T + d * channel.A
-    if abs(R[0, 0].real) > 1e-9 * max(1.0, abs(R[0, 0])):
-        raise NumericalValidityError(f"diagonal block entry not imaginary: {R[0, 0]}")
-    p = R[0, 0].imag
-    q = complex(R[0, 1])
-    if abs(R[1, 0] + np.conj(q)) > 1e-9:
+    R = channel.B @ adj @ channel.B.T + d[..., None, None] * channel.A
+    r00 = R[..., 0, 0]
+    bad = abs(r00.real) > 1e-9 * np.maximum(1.0, abs(r00))
+    if bad.any():
+        raise NumericalValidityError(f"diagonal block entry not imaginary: {r00[bad][0]}")
+    q = R[..., 0, 1]
+    if (abs(R[..., 1, 0] + q.conj()) > 1e-9).any():
         raise NumericalValidityError("momentum block lost its antisymmetry pattern")
-    zero = abs(d) <= ZERO_NORM_ATOL
-    if zero:
-        return FourierBlock(tuple(phi), p, q, d, True, None, None)
-    g_hat = np.array([[1j * p, q], [-np.conj(q), -1j * p]]) / d
-    return FourierBlock(tuple(phi), p, q, d, False, g_hat, eq9_gamma_hat(p, q, d))
-
-
-def purity_check(block: FourierBlock) -> float:
-    """max |g_hat^2 + 1|; at most ~1e-10 for a valid channel block."""
-    if block.zero_norm or block.g_hat is None:
-        raise ZeroNormError(
-            "purity undefined at a zero-norm momentum",
-            determinant=block.d,
-            momenta=[block.phi],
-        )
-    g = block.g_hat
-    return float(np.max(np.abs(g @ g + np.eye(2))))
+    return OutputTriple(r00.imag[()], q[()], d[()], (abs(d) <= ZERO_NORM_ATOL)[()])
 
 
 def physical_cm_from_blocks(channel: GaussianChannel, lattice: LatticeSpec) -> MajoranaCM:
-    """Real-space output covariance assembled from per-momentum blocks."""
-    blocks = {}
-    zero_norm = []
-    for phi in lattice.momenta():
-        fb = gamma_out_hat(channel, phi)
-        if fb.zero_norm:
-            zero_norm.append(phi)
-        else:
-            blocks[phi] = fb.g_hat
-    if zero_norm:
+    """Real-space output covariance assembled from the momentum blocks."""
+    momenta = lattice.momenta()
+    out = gamma_out_hat(channel, np.array(momenta))
+    if np.any(out.zero_norm):
+        zero_norm = [phi for phi, zero in zip(momenta, out.zero_norm) if zero]
         raise ZeroNormError(
             f"state undefined: zero-norm momenta {zero_norm}",
             momenta=zero_norm,
         )
-    mat = matrix_from_blocks(blocks, lattice, species=1)
+    mat = matrix_from_blocks(g_hat(out.p, out.q, out.d), lattice)
     if np.max(np.abs(mat.imag)) > 1e-10:
         raise NumericalValidityError("assembled covariance has imaginary residue")
     return MajoranaCM(mat.real)

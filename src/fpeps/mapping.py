@@ -257,11 +257,6 @@ def derive_sign_functions(lattice: LatticeSpec, parity=None) -> dict[Site, SignF
     return tables
 
 
-def derive_sign_function(lattice: LatticeSpec, site: Site, parity=None) -> SignFunction:
-    """Sign table of one site (computes the whole lattice; see module docs)."""
-    return derive_sign_functions(lattice, parity)[lattice.wrap(site)]
-
-
 # ---------------------------------------------------------------------------
 
 

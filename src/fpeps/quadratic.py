@@ -23,10 +23,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolationError, NumericalValidityError, ZeroNormError
-from .gaussian import GaussianChannel, MajoranaCM, _circulant, gamma_out_hat, matrix_from_blocks
+from .gaussian import (
+    GaussianChannel,
+    MajoranaCM,
+    _circulant,
+    g_hat,
+    gamma_out_hat,
+    matrix_from_blocks,
+)
 from .lattice import LatticeSpec
 
 Displacement = tuple[int, int]
+
+# minimal_triple samples the channel at TRIPLE_SAMPLES momenta drawn from
+# TRIPLE_SEED; a singular value below TRIPLE_RTOL times the largest is zero
+TRIPLE_SAMPLES = 240
+TRIPLE_SEED = 20240
+TRIPLE_RTOL = 1e-9
+# harmonic coefficients and Hamiltonian block entries this small are zero
+HARMONIC_ATOL = 1e-12
 
 
 def _half_space(radius: int) -> list[Displacement]:
@@ -101,124 +116,66 @@ class QuadraticHamiltonian:
 # parent Hamiltonian via the minimal polynomial triple
 
 
-@dataclass(frozen=True)
-class PolynomialTriple:
-    """Trig polynomials (p, q, d): p odd, d even, q = qr (even) + i qi (odd)."""
-
-    radius: int
-    p_sin: dict    # Displacement -> float, Delta in half space without (0,0)
-    qr_cos: dict   # Displacement -> float, Delta in half space
-    qi_sin: dict
-    d_cos: dict
-
-    def p(self, phi) -> float:
-        return sum(
-            c * np.sin(phi[0] * dh + phi[1] * dv)
-            for (dh, dv), c in self.p_sin.items()
-        )
-
-    def q(self, phi) -> complex:
-        qr = sum(
-            c * np.cos(phi[0] * dh + phi[1] * dv)
-            for (dh, dv), c in self.qr_cos.items()
-        )
-        qi = sum(
-            c * np.sin(phi[0] * dh + phi[1] * dv)
-            for (dh, dv), c in self.qi_sin.items()
-        )
-        return qr + 1j * qi
-
-    def d(self, phi) -> float:
-        return sum(
-            c * np.cos(phi[0] * dh + phi[1] * dv)
-            for (dh, dv), c in self.d_cos.items()
-        )
-
-
 def minimal_triple(
-    channel: GaussianChannel,
-    radius_cap: int = 2,
-    n_samples: int = 240,
-    seed: int = 20240,
-    rtol: float = 1e-9,
-) -> PolynomialTriple:
-    """Smallest-support (p, q, d) matching the channel's momentum ratios."""
-    rng = np.random.default_rng(seed)
-    samples = []
-    while len(samples) < n_samples:
-        phi = tuple(rng.uniform(0.0, 2.0 * np.pi, 2))
-        fb = gamma_out_hat(channel, phi)
-        if abs(fb.d) < 1e-6:
-            continue
-        samples.append((phi, fb.p / fb.d, fb.q / fb.d))
+    channel: GaussianChannel, radius_cap: int = 2
+) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest-support (p, q, d) matching the channel's momentum ratios.
+
+    Returns the half-space displacements ``deltas`` (shape (m, 2), (0, 0)
+    first) and the coefficients ``coef`` (shape (4, m)) of
+    p = sum coef[0] sin(phi.Delta), Re q = sum coef[1] cos(phi.Delta),
+    Im q = sum coef[2] sin(phi.Delta) and d = sum coef[3] cos(phi.Delta);
+    coefficients of at most ``HARMONIC_ATOL`` are zero.
+    """
+    # a quarter more draws than samples covers the momenta where d nearly
+    # vanishes, which are skipped
+    draws = TRIPLE_SAMPLES + TRIPLE_SAMPLES // 4
+    phis = np.random.default_rng(TRIPLE_SEED).uniform(0.0, 2.0 * np.pi, (draws, 2))
+    out = gamma_out_hat(channel, phis)
+    keep = np.flatnonzero(np.abs(out.d) >= 1e-6)[:TRIPLE_SAMPLES]
+    if len(keep) < TRIPLE_SAMPLES:
+        raise NumericalValidityError(
+            f"projection determinant nearly vanishes at {draws - len(keep)} of {draws} momenta"
+        )
+    phis, d = phis[keep], out.d[keep]
+    ratios = np.stack([out.p[keep] / d, out.q.real[keep] / d, out.q.imag[keep] / d], axis=1)
 
     for radius in range(radius_cap + 1):
-        half = _half_space(radius)
-        sin_basis = [d for d in half if d != (0, 0)]
-        cols = []
-        labels = []
-        for name, basis in (
-            ("p", sin_basis), ("qr", half), ("qi", sin_basis), ("d", half),
-        ):
-            for delta in basis:
-                labels.append((name, delta))
-                cols.append(None)
-        n_unknowns = len(labels)
-        rows = []
-        for phi, rp, rq in samples:
-            sin_vals = {d: np.sin(phi[0] * d[0] + phi[1] * d[1]) for d in half}
-            cos_vals = {d: np.cos(phi[0] * d[0] + phi[1] * d[1]) for d in half}
-            row_p = np.zeros(n_unknowns)
-            row_qr = np.zeros(n_unknowns)
-            row_qi = np.zeros(n_unknowns)
-            for j, (name, delta) in enumerate(labels):
-                if name == "p":
-                    row_p[j] = sin_vals[delta]
-                elif name == "qr":
-                    row_qr[j] = cos_vals[delta]
-                elif name == "qi":
-                    row_qi[j] = sin_vals[delta]
-                else:  # d couples into every ratio equation
-                    row_p[j] = -rp * cos_vals[delta]
-                    row_qr[j] = -rq.real * cos_vals[delta]
-                    row_qi[j] = -rq.imag * cos_vals[delta]
-            rows.extend((row_p, row_qr, row_qi))
-        mat = np.asarray(rows)
-        _, svals, vt = np.linalg.svd(mat, full_matrices=True)
+        deltas = np.array(_half_space(radius))
+        m = len(deltas)
+        angle = phis[:, :1] * deltas[:, 0] + phis[:, 1:] * deltas[:, 1]
+        sin, cos = np.sin(angle[:, 1:]), np.cos(angle)
+        # rows (p, Re q, Im q) of each sample; columns p | Re q | Im q | d,
+        # with no sine column at Delta = (0, 0)
+        mat = np.zeros((len(phis), 3, 4 * m - 2))
+        mat[:, 0, :m - 1] = sin
+        mat[:, 1, m - 1:2 * m - 1] = cos
+        mat[:, 2, 2 * m - 1:3 * m - 2] = sin
+        mat[:, :, 3 * m - 2:] = -ratios[:, :, None] * cos[:, None, :]
+        mat = mat.reshape(3 * len(phis), -1)
+        n_unknowns = mat.shape[1]
+        _, svals, vt = np.linalg.svd(mat, full_matrices=False)
+        # with more unknowns than rows the padded zeros make the triple non-unique
         svals = np.concatenate([svals, np.zeros(max(0, n_unknowns - len(svals)))])
-        if svals[-1] > rtol * svals[0]:
+        if svals[-1] > TRIPLE_RTOL * svals[0]:
             continue  # no exact triple at this radius
-        if n_unknowns >= 2 and svals[-2] <= rtol * svals[0]:
+        if n_unknowns >= 2 and svals[-2] <= TRIPLE_RTOL * svals[0]:
             raise NumericalValidityError(
                 f"polynomial triple at radius {radius} is not unique"
             )
-        vec = vt[-1]
-        triple = _vector_to_triple(vec, labels, radius)
+        coef = np.insert(vt[-1], [0, 2 * m - 1], 0.0).reshape(4, m)
+        coef[np.abs(coef) <= HARMONIC_ATOL] = 0.0
         # orient: d <= 0 where defined, so gamma_hat is the ground state
-        d_mean = np.mean([triple.d(phi) for phi, _, _ in samples[:32]])
-        if d_mean > 0:
-            vec = -vec
-            triple = _vector_to_triple(vec, labels, radius)
-        return triple
+        if np.mean(cos[:32] @ coef[3]) > 0:
+            coef = -coef
+        return deltas, coef
     raise ContractViolationError(
         f"no polynomial triple within displacement radius {radius_cap}; "
         "the parent Hamiltonian would violate the locality cap"
     )
 
 
-def _vector_to_triple(vec, labels, radius) -> PolynomialTriple:
-    parts = {"p": {}, "qr": {}, "qi": {}, "d": {}}
-    for val, (name, delta) in zip(vec, labels):
-        if abs(val) > 1e-12:
-            parts[name][delta] = float(val)
-    return PolynomialTriple(radius, parts["p"], parts["qr"], parts["qi"], parts["d"])
-
-
-def parent_hamiltonian(
-    channel: GaussianChannel,
-    radius_cap: int = 2,
-    atol: float = 1e-12,
-) -> QuadraticHamiltonian:
+def parent_hamiltonian(channel: GaussianChannel, radius_cap: int = 2) -> QuadraticHamiltonian:
     """Local Hamiltonian whose ground state is the channel output.
 
     h_hat(phi) = [[i p, q], [-conj(q), -i p]] from the minimal triple; the
@@ -226,44 +183,29 @@ def parent_hamiltonian(
     Blocks beyond ``radius_cap`` cannot occur by construction; offending
     radii raise ``ContractViolationError`` inside the triple search.
     """
-    triple = minimal_triple(channel, radius_cap=radius_cap)
-    blocks: dict[Displacement, np.ndarray] = {}
-
-    def add(delta, r, c, value):
-        if abs(value) < atol:
-            return
-        blk = blocks.setdefault(delta, np.zeros((2, 2)))
-        blk[r, c] += value
-
-    # p(phi) = sum b sin(phi.Delta) -> i p contributes -b/2 at +Delta, +b/2 at -Delta
-    for delta, b in triple.p_sin.items():
-        add(delta, 0, 0, -b / 2.0)
-        add((-delta[0], -delta[1]), 0, 0, b / 2.0)
-        add(delta, 1, 1, b / 2.0)
-        add((-delta[0], -delta[1]), 1, 1, -b / 2.0)
-    # q(phi) = sum a cos + i b sin -> harmonic coefficient (a - b)/2 at +Delta
-    qdeltas = set(triple.qr_cos) | set(triple.qi_sin)
-    for delta in qdeltas:
-        a = triple.qr_cos.get(delta, 0.0)
-        b = triple.qi_sin.get(delta, 0.0)
-        if delta == (0, 0):
-            add(delta, 0, 1, a)
-            add(delta, 1, 0, -a)
-            continue
-        plus, minus = (a - b) / 2.0, (a + b) / 2.0
-        add(delta, 0, 1, plus)
-        add((-delta[0], -delta[1]), 0, 1, minus)
-        # h^(21)(phi) = -conj(q)(phi): coefficient -Q_{-Delta} at +Delta
-        add(delta, 1, 0, -minus)
-        add((-delta[0], -delta[1]), 1, 0, -plus)
-
+    deltas, (p, qr, qi, _) = minimal_triple(channel, radius_cap=radius_cap)
+    # p = sum b sin(phi.Delta) and q = sum a cos(phi.Delta) + i c sin(phi.Delta)
+    # have the harmonic blocks [[-b, a - c], [-(a + c), b]] / 2 at +Delta and
+    # [[b, a + c], [-(a - c), -b]] / 2 at -Delta; the on-site block is [[0, a], [-a, 0]]
+    plus = np.stack([-p, qr - qi, -(qr + qi), p], axis=-1).reshape(-1, 2, 2) / 2.0
+    minus = np.stack([p, qr + qi, -(qr - qi), -p], axis=-1).reshape(-1, 2, 2) / 2.0
+    plus[0] = [[0.0, qr[0]], [-qr[0], 0.0]]
+    for T in (plus, minus):
+        T[np.abs(T) < HARMONIC_ATOL] = 0.0
+    blocks = {}
+    # shortest displacements first, then descending dv: h_hat sums the blocks
+    # in insertion order, so this order fixes the last bits of every spectrum
+    for j in np.lexsort((-deltas[:, 1], np.abs(deltas).sum(axis=1))):
+        dh, dv = deltas[j].tolist()
+        blocks[(dh, dv)] = plus[j]
+        if j:
+            blocks[(-dh, -dv)] = minus[j]
     ham = QuadraticHamiltonian(blocks)
+
     # cross-check: h_hat must reproduce d * g_hat at random momenta
     phis = np.random.default_rng(99).uniform(0, 2 * np.pi, (16, 2))
-    # a triple without sine (or cosine) terms evaluates to a plain 0
-    p = np.broadcast_to(triple.p(phis.T), len(phis))
-    q = np.broadcast_to(triple.q(phis.T), len(phis))
-    want = np.moveaxis(np.array([[1j * p, q], [-np.conj(q), -1j * p]]), -1, 0)
+    sin, cos = np.sin(phis @ deltas.T), np.cos(phis @ deltas.T)
+    want = g_hat(sin @ p, cos @ qr + 1j * (sin @ qi), 1.0)
     if np.max(np.abs(ham.h_hat(phis) - want)) > 1e-9:
         raise NumericalValidityError("parent Hamiltonian harmonics inconsistent")
     return ham
@@ -309,30 +251,28 @@ def ground_state_cm(ham: QuadraticHamiltonian, lattice: LatticeSpec) -> Majorana
             f"gapless momentum {phi}: ground covariance undefined",
             momenta=[phi],
         )
-    mat = matrix_from_blocks(dict(zip(momenta, -hh / eps[:, None, None])), lattice, species=1)
+    mat = matrix_from_blocks(-hh / eps[:, None, None], lattice)
     if np.max(np.abs(mat.imag)) > 1e-10:
         raise NumericalValidityError("ground covariance has imaginary residue")
     return MajoranaCM(mat.real)
 
 
-def ground_state_cm_consistency(
-    channel: GaussianChannel, lattice: LatticeSpec, radius_cap: int = 2
-) -> float:
+def ground_state_cm_consistency(channel: GaussianChannel, lattice: LatticeSpec) -> float:
     """max over momenta of commutator + extremality residuals.
 
     Checks that the channel output block commutes with the parent Hamiltonian
     block and equals its ground-state covariance -h_hat/eps.
     """
-    ham = parent_hamiltonian(channel, radius_cap)
+    ham = parent_hamiltonian(channel)
     momenta = lattice.momenta()
-    fbs = [gamma_out_hat(channel, phi) for phi in momenta]
-    zero_norm = [fb.phi for fb in fbs if fb.zero_norm]
-    if zero_norm:
+    out = gamma_out_hat(channel, np.array(momenta))
+    if np.any(out.zero_norm):
+        zero_norm = [phi for phi, zero in zip(momenta, out.zero_norm) if zero]
         raise ZeroNormError(
             f"zero-norm momenta on this lattice: {zero_norm}",
             momenta=zero_norm,
         )
-    g = np.array([fb.g_hat for fb in fbs])
+    g = g_hat(out.p, out.q, out.d)
     hh = ham.h_hat(momenta)
     comm = np.max(np.abs(g @ hh - hh @ g))
     eps = _positive_branch(hh)

@@ -22,3 +22,16 @@ def vacuum_site_channel():
         [-np.eye(4), np.zeros((4, 4))],
     ])
     return GaussianChannel(VACUUM_CM.copy(), np.zeros((2, 8)), D)
+
+
+@pytest.fixture
+def zero_norm_momenta_4x4():
+    """Zeros of 16 (1 - sin phi1 sin phi2) cos^2(phi1/2) cos^2(phi2/2) on the
+    4x4 torus, in ``lattice.momenta()`` order (phi2 outer, phi1 inner)."""
+    h = np.pi / 2
+    return [
+        (2 * h, 0.0),
+        (h, h), (2 * h, h),
+        (0.0, 2 * h), (h, 2 * h), (2 * h, 2 * h), (3 * h, 2 * h),
+        (2 * h, 3 * h), (3 * h, 3 * h),
+    ]

@@ -160,12 +160,3 @@ def test_quadratic_requires_antisymmetry():
 def test_diagonalization_cap():
     with pytest.raises(ResourceLimitError):
         exact_ground_state(np.zeros((26, 26)), reg(13))
-
-
-def test_json_round_trip():
-    rng = np.random.default_rng(2)
-    amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    state = FockVector(reg(2), amps)
-    again = FockVector.from_json(state.to_json())
-    assert again.registry == state.registry
-    assert np.array_equal(again.amplitudes, state.amplitudes)

@@ -11,13 +11,11 @@ from fpeps.gaussian import (
     blocks_from_matrix,
     eq9_gamma_hat,
     fourier_bond,
+    g_hat,
     gamma_out_hat,
-    interleaved_from_qp,
     lattice_bond_cm,
     matrix_from_blocks,
     physical_cm_from_blocks,
-    purity_check,
-    qp_from_interleaved,
 )
 from fpeps.lattice import LatticeSpec
 
@@ -27,15 +25,6 @@ VACUUM_CM = np.array([[0.0, 1.0], [-1.0, 0.0]])
 def test_cm_validation():
     with pytest.raises(ContractViolationError):
         MajoranaCM(np.eye(2))
-
-
-def test_qp_interleave_round_trip():
-    m = 5
-    rng = np.random.default_rng(0)
-    mat = rng.standard_normal((2 * m, 2 * m))
-    idx = interleaved_from_qp(m)
-    back = qp_from_interleaved(m)
-    assert np.array_equal(mat[np.ix_(idx, idx)][np.ix_(back, back)], mat)
 
 
 def test_channel_validation_rejects_bad_blocks():
@@ -73,14 +62,22 @@ def test_fourier_bond_antihermitian_and_real_at_zero():
 def test_fourier_bond_round_trip(shape):
     lattice = LatticeSpec(*shape)
     cm = lattice_bond_cm(lattice)
-    blocks = {phi: fourier_bond(phi) for phi in lattice.momenta()}
-    rebuilt = matrix_from_blocks(blocks, lattice, species=4)
+    blocks = fourier_bond(np.array(lattice.momenta()))
+    assert blocks.shape == (lattice.n_sites, 8, 8)
+    rebuilt = matrix_from_blocks(blocks, lattice)
     assert np.max(np.abs(rebuilt.imag)) < 1e-12
     assert np.max(np.abs(rebuilt.real - cm.matrix)) < 1e-12
     # and the forward transform agrees entrywise
-    forward = blocks_from_matrix(cm.matrix, lattice, species=4)
-    for phi in lattice.momenta():
-        assert np.max(np.abs(forward[phi] - blocks[phi])) < 1e-12
+    forward = blocks_from_matrix(cm.matrix, lattice)
+    assert np.max(np.abs(forward - blocks)) < 1e-12
+
+
+def test_matrix_from_blocks_rejects_wrong_stack():
+    lattice = LatticeSpec(3, 2)
+    blocks = fourier_bond(np.array(lattice.momenta()))
+    for bad in (blocks[:-1], blocks[:, :7, :7], blocks[:, :, :4]):
+        with pytest.raises(ContractViolationError):
+            matrix_from_blocks(bad, lattice)
 
 
 def test_apply_channel_b_zero_returns_a(vacuum_channel):
@@ -123,37 +120,43 @@ def test_gamma_out_hat_zero_norm_flag():
     ch = example_channel()
     fb = gamma_out_hat(ch, (np.pi / 2, np.pi / 2))
     assert fb.zero_norm
-    assert fb.g_hat is None
     fb = gamma_out_hat(ch, (np.pi, 1.3))  # removable line: zero determinant too
     assert fb.zero_norm
     fb = gamma_out_hat(ch, (0.7, 1.3))
     assert not fb.zero_norm
 
 
-def test_purity_check_valid_and_corrupted():
+def test_gamma_out_hat_stack_matches_single_momenta():
     ch = example_channel()
-    fb = gamma_out_hat(ch, (0.7, 1.9))
-    assert purity_check(fb) < 1e-10
-    corrupted = type(fb)(
-        fb.phi, fb.p * 1.1, fb.q, fb.d, False,
-        np.array([[1j * fb.p * 1.1, fb.q], [-np.conj(fb.q), -1j * fb.p * 1.1]]) / fb.d,
-        fb.gamma_hat,
-    )
-    assert purity_check(corrupted) > 1e-3
+    stack = np.random.default_rng(8).uniform(0, 2 * np.pi, (3, 4, 2))
+    stack[0, 1] = (np.pi / 2, np.pi / 2)
+    stack[2, 3] = (np.pi, 1.3)
+    flat = stack.reshape(-1, 2)
+    single = [gamma_out_hat(ch, phi) for phi in flat]
+    for fb in single:
+        assert all(np.ndim(field) == 0 for field in fb)
+    for phis in (stack, flat):
+        out = gamma_out_hat(ch, phis)
+        for field, values in zip(out, zip(*single)):
+            assert field.shape == phis.shape[:-1]
+            assert np.array_equal(field.reshape(-1), np.array(values))
+    zero = gamma_out_hat(ch, stack).zero_norm.reshape(-1)
+    assert [tuple(phi) for phi in flat[zero]] == [(np.pi / 2, np.pi / 2), (np.pi, 1.3)]
+
+
+def purity_defect(g):
+    return np.max(np.abs(g @ g + np.eye(2)))
+
+
+def test_purity_check_valid_and_corrupted():
+    fb = gamma_out_hat(example_channel(), (0.7, 1.9))
+    assert purity_defect(g_hat(fb.p, fb.q, fb.d)) < 1e-10
+    assert purity_defect(g_hat(fb.p * 1.1, fb.q, fb.d)) > 1e-3
 
 
 def test_purity_check_vacuum_channel_exact():
-    fb = gamma_out_hat_like_vacuum()
-    assert purity_check(fb) == pytest.approx(0.0, abs=1e-15)
-
-
-def gamma_out_hat_like_vacuum():
-    """Build a FourierBlock by hand for the vacuum state (p=0, q=-d)."""
-    from fpeps.gaussian import FourierBlock
-
-    p, q, d = 0.0, 1.0, 1.0
-    g = np.array([[1j * p, q], [-q, -1j * p]]) / d
-    return FourierBlock((0.0, 0.0), p, q, d, False, g, eq9_gamma_hat(p, q, d))
+    # the vacuum block: p = 0, q = d
+    assert purity_defect(g_hat(0.0, 1.0, 1.0)) == 0.0
 
 
 def test_eq9_block_is_antisymmetric_and_pure():
@@ -170,7 +173,7 @@ def test_eq9_block_is_antisymmetric_and_pure():
 def test_eq9_block_spectrum_matches_complex_blocks():
     ch = example_channel()
     fb = gamma_out_hat(ch, (0.9, 2.2))
-    w4 = np.sort(np.linalg.eigvals(fb.gamma_hat).imag)
+    w4 = np.sort(np.linalg.eigvals(eq9_gamma_hat(fb.p, fb.q, fb.d)).imag)
     assert np.allclose(w4, [-1, -1, 1, 1], atol=1e-10)
 
 
@@ -183,8 +186,9 @@ def test_fourier_equivalence(shape):
     assert np.max(np.abs(direct.matrix - assembled.matrix)) < 1e-10
 
 
-def test_physical_cm_raises_on_zero_norm_lattice():
+def test_physical_cm_raises_on_zero_norm_lattice(zero_norm_momenta_4x4):
     lattice = LatticeSpec(4, 4)
     with pytest.raises(ZeroNormError) as err:
         physical_cm_from_blocks(example_channel(), lattice)
-    assert err.value.momenta
+    assert err.value.momenta == zero_norm_momenta_4x4
+    assert all(type(c) is float for phi in err.value.momenta for c in phi)

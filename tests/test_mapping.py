@@ -6,12 +6,7 @@ from fpeps.build import build_fpeps
 from fpeps.contraction import contract_peps
 from fpeps.errors import ContractViolationError
 from fpeps.lattice import LatticeSpec
-from fpeps.mapping import (
-    derive_sign_function,
-    derive_sign_functions,
-    map_tensor_set,
-    map_to_peps,
-)
+from fpeps.mapping import derive_sign_functions, map_tensor_set, map_to_peps
 from fpeps.tensors import FPEPSTensor, SignFunction
 
 
@@ -77,7 +72,7 @@ def test_zero_tensor_maps_to_zero():
 
 def test_sign_function_depends_only_on_local_indices():
     # table shape and binary values are enforced by construction
-    table = derive_sign_function(LatticeSpec(2, 2), (2, 1))
+    table = derive_sign_functions(LatticeSpec(2, 2))[(2, 1)]
     assert table.table.shape == (2,) * 5
     assert set(np.unique(table.table)) <= {0, 1}
 

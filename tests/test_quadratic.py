@@ -79,6 +79,17 @@ def test_parent_matches_coupling_table_with_positive_scale():
     assert abs(dirac.mu) < 1e-12
 
 
+def test_triple_search_refuses_a_vanishing_determinant(monkeypatch):
+    # d below 1e-6 at every sampled momentum leaves nothing to fit
+    import fpeps.quadratic as quadratic
+
+    real = quadratic.gamma_out_hat
+    monkeypatch.setattr(quadratic, "gamma_out_hat",
+                        lambda ch, phis: real(ch, phis)._replace(d=np.zeros(len(phis))))
+    with pytest.raises(NumericalValidityError, match="300 of 300"):
+        parent_hamiltonian(example_channel())
+
+
 def test_parent_of_vacuum_channel_is_onsite(vacuum_site_channel):
     ham = parent_hamiltonian(vacuum_site_channel, radius_cap=1)
     assert set(ham.blocks) == {(0, 0)}
@@ -191,10 +202,11 @@ def test_ground_state_cm_consistency(shape):
     assert res < 1e-10
 
 
-def test_consistency_reports_zero_norm_momenta():
+def test_consistency_reports_zero_norm_momenta(zero_norm_momenta_4x4):
     with pytest.raises(ZeroNormError) as err:
         ground_state_cm_consistency(example_channel(), LatticeSpec(4, 4))
-    assert err.value.momenta
+    assert err.value.momenta == zero_norm_momenta_4x4
+    assert all(type(c) is float for phi in err.value.momenta for c in phi)
 
 
 def test_block_entropy_vacuum():
