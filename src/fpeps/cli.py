@@ -39,6 +39,11 @@ from .tensors import FPEPSTensor
 
 MAPPING_LATTICES = (LatticeSpec(1, 2), LatticeSpec(2, 1), LatticeSpec(2, 2))
 
+# verify's gaussian suite holds about seven (8 N)^2 float arrays of the
+# dense lattice channel for N sites (D, the bond covariance, their
+# difference, its LU factors); above MAX_DENSE_FLOATS (1 GiB) it is refused.
+MAX_DENSE_FLOATS = 2**27
+
 
 def _emit(text: str, out_path):
     if out_path:
@@ -52,6 +57,16 @@ def _emit(text: str, out_path):
 # verify
 
 
+def _residual_check(name: str, residual, tolerance: float, **extra) -> dict:
+    return {"name": name, **extra, "residual": residual, "tolerance": tolerance,
+            "passed": bool(residual <= tolerance)}
+
+
+def _zero_norm_check(name: str, momenta, error: str) -> dict:
+    return {"name": name, "passed": False,
+            "zero_norm_momenta": [list(p) for p in momenta], "error": error}
+
+
 def _mapping_checks(seed: int, n_sets: int, tolerance: float):
     checks = []
     for i in range(n_sets):
@@ -62,19 +77,14 @@ def _mapping_checks(seed: int, n_sets: int, tolerance: float):
         mapped = map_tensor_set(lattice, tensors)
         contracted = contract_peps(lattice, mapped)
         residual = abs(oracle.normalized_overlap(contracted) - 1.0)
-        checks.append({
-            "name": f"mapping-overlap-{lattice.n_h}x{lattice.n_v}-{i}",
-            "seed": seed + i,
-            "residual": residual,
-            "tolerance": tolerance,
-            "passed": bool(residual <= tolerance),
-        })
+        checks.append(_residual_check(f"mapping-overlap-{lattice.n_h}x{lattice.n_v}-{i}",
+                                      residual, tolerance, seed=seed + i))
     return checks
 
 
 def _gaussian_checks(lattice: LatticeSpec, seed: int, tolerance: float):
     channel = example_channel()
-    checks = []
+    size = f"{lattice.n_h}x{lattice.n_v}"
     rng = np.random.default_rng(seed)
 
     phis = rng.uniform(0, 2 * np.pi, (100, 2))
@@ -86,68 +96,35 @@ def _gaussian_checks(lattice: LatticeSpec, seed: int, tolerance: float):
     residual = float(np.max(np.abs([
         den * (out.p - out.d * rp), den * (out.q.real - out.d * rq), out.q.imag,
     ])))
-    checks.append({
-        "name": "closed-form-ratios",
-        "residual": residual,
-        "tolerance": tolerance,
-        "passed": bool(residual <= tolerance),
-    })
+    checks = [_residual_check("closed-form-ratios", residual, tolerance)]
 
     report = norm_zero_locator(lattice)
     if not report.state_defined:
-        checks.append({
-            "name": f"fourier-equivalence-{lattice.n_h}x{lattice.n_v}",
-            "passed": False,
-            "zero_norm_momenta": [list(p) for p in report.essential],
-            "error": "state undefined: essential zero-norm momenta on this lattice",
-        })
+        checks.append(_zero_norm_check(
+            f"fourier-equivalence-{size}", report.essential,
+            "state undefined: essential zero-norm momenta on this lattice"))
         return checks
 
     out = gamma_out_hat(channel, np.array(lattice.momenta()))
     defined = ~out.zero_norm
     g = g_hat(out.p[defined], out.q[defined], out.d[defined])
     purity = float(np.max(np.abs(g @ g + np.eye(2)), initial=0.0))
-    checks.append({
-        "name": f"momentum-purity-{lattice.n_h}x{lattice.n_v}",
-        "residual": purity,
-        "tolerance": tolerance,
-        "passed": bool(purity <= tolerance),
-    })
+    checks.append(_residual_check(f"momentum-purity-{size}", purity, tolerance))
 
-    try:
+    def dense_difference():
         big = channel.expand_to_lattice(lattice.n_sites)
         direct = apply_channel(big, lattice_bond_cm(lattice))
         assembled = physical_cm_from_blocks(channel, lattice)
-        res = float(np.max(np.abs(direct.matrix - assembled.matrix)))
-        checks.append({
-            "name": f"fourier-equivalence-{lattice.n_h}x{lattice.n_v}",
-            "residual": res,
-            "tolerance": tolerance,
-            "passed": bool(res <= tolerance),
-        })
-    except ZeroNormError as exc:
-        checks.append({
-            "name": f"fourier-equivalence-{lattice.n_h}x{lattice.n_v}",
-            "passed": False,
-            "zero_norm_momenta": [list(p) for p in exc.momenta],
-            "error": str(exc),
-        })
+        return float(np.max(np.abs(direct.matrix - assembled.matrix)))
 
-    try:
-        res = ground_state_cm_consistency(channel, lattice)
-        checks.append({
-            "name": f"parent-consistency-{lattice.n_h}x{lattice.n_v}",
-            "residual": res,
-            "tolerance": tolerance,
-            "passed": bool(res <= tolerance),
-        })
-    except ZeroNormError as exc:
-        checks.append({
-            "name": f"parent-consistency-{lattice.n_h}x{lattice.n_v}",
-            "passed": False,
-            "zero_norm_momenta": [list(p) for p in exc.momenta],
-            "error": str(exc),
-        })
+    for name, compute in (
+        (f"fourier-equivalence-{size}", dense_difference),
+        (f"parent-consistency-{size}", lambda: ground_state_cm_consistency(channel, lattice)),
+    ):
+        try:
+            checks.append(_residual_check(name, compute(), tolerance))
+        except ZeroNormError as exc:
+            checks.append(_zero_norm_check(name, exc.momenta, str(exc)))
     return checks
 
 
@@ -157,6 +134,12 @@ def cmd_verify(args) -> int:
         raise ContractViolationError(f"--tolerance must be positive, got {args.tolerance}")
     if args.suite in ("mapping", "all") and args.sets < 1:
         raise ContractViolationError(f"--sets must be at least 1, got {args.sets}")
+    dense = 7 * (8 * lattice.n_sites) ** 2
+    if args.suite in ("gaussian", "all") and dense > MAX_DENSE_FLOATS:
+        raise ContractViolationError(
+            f"--lattice {args.lattice} needs {8 * dense / 2**30:.1f} GiB of dense "
+            f"arrays, over the {8 * MAX_DENSE_FLOATS / 2**30:.0f} GiB limit"
+        )
     checks = []
     if args.suite in ("mapping", "all"):
         checks.extend(_mapping_checks(args.seed, args.sets, args.tolerance))

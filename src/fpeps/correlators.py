@@ -61,11 +61,38 @@ GRADING_LEVELS = 8
 COARSE_PHASE = 10.0
 ROW_CHUNK = 16
 
+# A rule over k1 x k2 distinct separations holds its Fourier rows (3 k x
+# nodes floats per axis while built), two nodes1 x 2 k2 half sums and two
+# 2 k1 x 2 k2 sums; above MAX_RULE_FLOATS (1 GiB) it is refused unallocated.
+MAX_RULE_FLOATS = 2**27
+
 
 def _check_grid(grid_size: int):
     if grid_size % 2 == 0 or grid_size < MIN_GRID:
         raise ContractViolationError(
             f"grid size must be odd and >= {MIN_GRID}, got {grid_size}"
+        )
+
+
+def _coarse_panels(n_max: int, grid_size: int) -> tuple[float, int]:
+    """Largest coarse panel h and the number of coarse panels per quarter axis."""
+    h = min(HALF_PI / 2.0, COARSE_PHASE / max(n_max, 1))
+    return h, max(
+        math.ceil((HALF_PI - h) / h),
+        math.ceil(grid_size / (4 * GAUSS_ORDER)) - GRADING_LEVELS,
+    )
+
+
+def _check_rule_size(axes, grid_size: int, order: int):
+    """Refuse a rule over ``axes``, (distinct separations, largest |n|) per axis."""
+    (k1, n1_max), (k2, n2_max) = axes
+    nodes1, nodes2 = (4 * order * (GRADING_LEVELS + _coarse_panels(n_max, grid_size)[1])
+                      for n_max in (n1_max, n2_max))
+    floats = 3 * (k1 * nodes1 + k2 * nodes2) + 4 * nodes1 * k2 + 8 * k1 * k2
+    if floats > MAX_RULE_FLOATS:
+        raise ContractViolationError(
+            f"quadrature rule needs {8 * floats / 2**30:.1f} GiB of arrays, "
+            f"over the {8 * MAX_RULE_FLOATS / 2**30:.0f} GiB limit"
         )
 
 
@@ -77,11 +104,7 @@ def _quarter_edges(n_max: int, grid_size: int) -> np.ndarray:
     axis, four mirrored quarters, carries at least ``grid_size`` nodes at
     Gauss order GAUSS_ORDER.
     """
-    h = min(HALF_PI / 2.0, COARSE_PHASE / max(n_max, 1))
-    n_coarse = max(
-        math.ceil((HALF_PI - h) / h),
-        math.ceil(grid_size / (4 * GAUSS_ORDER)) - GRADING_LEVELS,
-    )
+    h, n_coarse = _coarse_panels(n_max, grid_size)
     graded = h * GRADING_RATIO ** np.arange(GRADING_LEVELS, 0, -1)
     return np.concatenate(([0.0], graded, np.linspace(h, HALF_PI, n_coarse + 1)))
 
@@ -107,7 +130,11 @@ def _axis_rule(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
 def _fourier_rows(ns, phi, weights) -> np.ndarray:
     """Rows w cos(n phi) for every n, then rows w sin(n phi)."""
     angle = np.outer(ns, phi)
-    return np.concatenate((np.cos(angle), np.sin(angle))) * weights
+    rows = np.empty((2 * len(ns), len(phi)))
+    np.cos(angle, out=rows[:len(ns)])
+    np.sin(angle, out=rows[len(ns):])
+    rows *= weights
+    return rows
 
 
 def _ratios(phi1: np.ndarray, phi2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -131,6 +158,7 @@ def _rule_values(entries, grid_size: int, order: int) -> np.ndarray:
             raise ContractViolationError(f"kind must be 'p' or 'q', got {kind!r}")
     n1s, at1 = np.unique([int(e[0]) for e in entries], return_inverse=True)
     n2s, at2 = np.unique([int(e[1]) for e in entries], return_inverse=True)
+    _check_rule_size([(len(ns), np.max(np.abs(ns))) for ns in (n1s, n2s)], grid_size, order)
     phi1, w1 = _axis_rule(_quarter_edges(np.max(np.abs(n1s)), grid_size), order)
     phi2, w2 = _axis_rule(_quarter_edges(np.max(np.abs(n2s)), grid_size), order)
     e1 = _fourier_rows(n1s, phi1, w1)
@@ -282,11 +310,8 @@ def asymptotic_scaled(n1: int, n2: int, kind: str) -> float:
     return sign * asymptotic_k(n1, n2, kind)
 
 
-DIRECTIONS = {
-    "axis": lambda n: (n, 0),
-    "diagonal": lambda n: (n, n),
-    "n-2n": lambda n: (n, 2 * n),
-}
+# separation (n1, n2) = n (a, b) along each direction
+DIRECTIONS = {"axis": (1, 0), "diagonal": (1, 1), "n-2n": (1, 2)}
 
 
 def correlation_scan(direction: str, max_n: int, grid_size: int = 401):
@@ -300,8 +325,12 @@ def correlation_scan(direction: str, max_n: int, grid_size: int = 401):
         )
     if max_n < 1:
         raise ContractViolationError(f"max_n must be at least 1, got {max_n}")
-    to_pair = DIRECTIONS[direction]
-    entries = [(*to_pair(n), kind) for n in range(1, max_n + 1) for kind in ("p", "q")]
+    a, b = DIRECTIONS[direction]
+    # sized for the higher order of quadrature_error, so that a scan is never
+    # run only to have its error estimate refused
+    _check_rule_size([(max_n, a * max_n), (max_n if b else 1, b * max_n)],
+                     grid_size, ERROR_ORDER)
+    entries = [(a * n, b * n, kind) for n in range(1, max_n + 1) for kind in ("p", "q")]
     numeric = _rule_values(entries, grid_size, GAUSS_ORDER)
     return [
         (n1, n2, kind, float(value), correlator_residue(n1, n2, kind),

@@ -253,9 +253,11 @@ def blocks_from_matrix(matrix: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
 
 
 def matrix_from_blocks(blocks: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
-    """Inverse of :func:`blocks_from_matrix` (exact on the torus).
+    """Real inverse of :func:`blocks_from_matrix` (exact on the torus).
 
     ``blocks`` is an ``(n_sites, w, w)`` stack in ``lattice.momenta()`` order.
+    The imaginary residue is checked on the displacement array, every entry
+    of which enters the matrix, and only the real part is gathered.
     """
     blocks = np.asarray(blocks)
     width = blocks.shape[-1]
@@ -264,7 +266,11 @@ def matrix_from_blocks(blocks: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
             "blocks must be an (n_sites, w, w) stack with even w, in lattice.momenta() order"
         )
     grid = blocks.reshape(lattice.n_v, lattice.n_h, width, width).swapaxes(0, 1)
-    return _circulant(np.fft.ifft2(grid, axes=(0, 1)))
+    T = np.fft.ifft2(grid, axes=(0, 1))
+    residue = np.max(np.abs(T.imag))
+    if residue > 1e-10:
+        raise NumericalValidityError(f"lattice matrix has imaginary residue {residue:.1e}")
+    return _circulant(T.real)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +360,4 @@ def physical_cm_from_blocks(channel: GaussianChannel, lattice: LatticeSpec) -> M
             f"state undefined: zero-norm momenta {zero_norm}",
             momenta=zero_norm,
         )
-    mat = matrix_from_blocks(g_hat(out.p, out.q, out.d), lattice)
-    if np.max(np.abs(mat.imag)) > 1e-10:
-        raise NumericalValidityError("assembled covariance has imaginary residue")
-    return MajoranaCM(mat.real)
+    return MajoranaCM(matrix_from_blocks(g_hat(out.p, out.q, out.d), lattice))

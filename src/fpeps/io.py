@@ -1,4 +1,4 @@
-"""File formats: tensor sets and channels.
+"""File formats: fermionic tensor sets and mapped spin tensor sets.
 
 JSON floats are serialized with Python's shortest round-trip repr, so a
 fixed input produces byte-identical output files.
@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractViolationError
-from .gaussian import GaussianChannel
 from .lattice import LatticeSpec, Site
 from .tensors import FPEPSTensor, PEPSTensor
 
@@ -141,25 +140,3 @@ def load_peps_set(path) -> tuple[LatticeSpec, dict[Site, PEPSTensor]]:
     _require_all_sites("PEPS-set", lat, tensors)
     return lat, tensors
 
-
-def dump_channel(channel: GaussianChannel) -> str:
-    return json.dumps({
-        "p_modes": channel.p_modes,
-        "q_modes": channel.q_modes,
-        "A": channel.A.tolist(),
-        "B": channel.B.tolist(),
-        "D": channel.D.tolist(),
-    }, indent=1)
-
-
-def load_channel(path) -> GaussianChannel:
-    with _reading("channel", path):
-        data = json.loads(Path(path).read_text())
-        ch = GaussianChannel(
-            np.asarray(data["A"], dtype=float),
-            np.asarray(data["B"], dtype=float),
-            np.asarray(data["D"], dtype=float),
-        )
-        if ch.p_modes != int(data["p_modes"]) or ch.q_modes != int(data["q_modes"]):
-            raise ContractViolationError("channel file mode counts do not match blocks")
-    return ch

@@ -14,15 +14,14 @@ so one extra two-valued horizontal bond per link transports it: bulk tensors
 enforce ``l' = (r' + u + d) mod 2`` and the last column pins ``r' = 0``.
 
 The local tables ``f`` are not hand-derived.  ``derive_sign_functions``
-symbolically normal-orders the full fermionic expression over GF(2)
-(every anticommutation contributes a quadratic monomial in the bond
-occupation variables), subtracts the boundary and vertical pieces, and
-checks that the remainder splits site-locally.  A failure to split raises,
-so any convention drift between this module and the dense oracle is loud.
+normal-orders the full fermionic expression as one integer matrix over the
+``2N`` bond occupation variables (every anticommutation adds a product of
+two variables), adds the boundary and vertical pieces, reduces mod 2 and
+checks that every remaining monomial sits on one site.  A failure to split
+raises, so any convention drift between this module and the dense oracle is
+loud.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,69 +29,11 @@ from .errors import ContractViolationError
 from .lattice import LatticeSpec, Site
 from .tensors import FPEPSTensor, PEPSTensor, SignFunction
 
-# ---------------------------------------------------------------------------
-# GF(2) linear/quadratic forms over bond-occupation variables
-
-
-class _Lin:
-    """Affine form over GF(2): xor of variables plus a constant bit."""
-
-    __slots__ = ("vars", "const")
-
-    def __init__(self, vars_=(), const=0):
-        self.vars = frozenset(vars_)
-        self.const = const & 1
-
-    def __xor__(self, other: "_Lin") -> "_Lin":
-        return _Lin(self.vars ^ other.vars, self.const ^ other.const)
-
-
-def _quad_add_product(quad: dict, a: _Lin, b: _Lin):
-    """quad += a*b over GF(2); keys are frozensets of 0..2 variables."""
-
-    def flip(key):
-        quad[key] = quad.get(key, 0) ^ 1
-        if not quad[key]:
-            del quad[key]
-
-    for va in a.vars:
-        for vb in b.vars:
-            flip(frozenset((va, vb)))  # va == vb collapses: x*x = x
-    if b.const:
-        for va in a.vars:
-            flip(frozenset((va,)))
-    if a.const:
-        for vb in b.vars:
-            flip(frozenset((vb,)))
-    if a.const and b.const:
-        flip(frozenset())
-
-
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _BondVars:
-    """Variable ids of the bond occupations on a lattice."""
-
-    lattice: LatticeSpec
-
-    def x(self, site: Site) -> int:
-        """Horizontal bond leaving ``site`` rightward."""
-        return self.lattice.site_index(site)
-
-    def y(self, site: Site) -> int:
-        """Vertical bond leaving ``site`` upward."""
-        return self.lattice.n_sites + self.lattice.site_index(site)
-
-    def local_vars(self, site: Site) -> dict[str, int]:
-        lat = self.lattice
-        return {
-            "l": self.x(lat.left(site)),
-            "r": self.x(site),
-            "u": self.y(lat.south(site)),
-            "d": self.y(site),
-        }
+# table entries [k, u, d, l, r] as 32 columns; rows of _SLOT_VALUES are the
+# values of the local bonds in slot order (l, r, u, d)
+_GRID = np.indices((2,) * 5).reshape(5, 32)
+_SLOT_VALUES = _GRID[[3, 4, 1, 2]]
+_GRID_PARITY = _GRID.sum(axis=0) % 2
 
 
 def _normalize_parity(lattice: LatticeSpec, parity) -> dict[Site, int]:
@@ -107,81 +48,17 @@ def _normalize_parity(lattice: LatticeSpec, parity) -> dict[Site, int]:
     return out
 
 
-def _total_sign_form(lattice: LatticeSpec, parity: dict[Site, int]) -> dict:
-    """Exact GF(2) quadratic form of the fermionic amplitude sign.
+def _transport_form(lattice: LatticeSpec, slots: np.ndarray) -> np.ndarray:
+    """Boundary and vertical sign pieces carried by the extra bonds.
 
-    Variables are the bond occupations; the physical index of each site is
-    eliminated through the tensor parity constraint
-    ``k = (l + r + u + d + c) mod 2``.
+    ``slots[s, t]`` is the one-hot bond variable of slot t (l, r, u, d) at
+    site s.  The result is the product matrix of ``d_s Pi_s`` over all sites
+    plus ``l_s Pi_s`` over the first column.
     """
-    bonds = _BondVars(lattice)
-    sites = lattice.sites()
-    quad: dict = {}
-
-    # Step 1: commute every physical creation operator to the left, out of
-    # the ascending-M site product.  Moving a^dag of site M past the
-    # auxiliary monomials of all earlier sites costs k_M * sum_{M'<M} q_M'.
-    prefix = _Lin()
-    for s in sites:
-        lv = bonds.local_vars(s)
-        q = _Lin((lv["l"],)) ^ _Lin((lv["r"],)) ^ _Lin((lv["u"],)) ^ _Lin((lv["d"],))
-        k = q ^ _Lin((), parity[s])
-        _quad_add_product(quad, k, prefix)
-        prefix = prefix ^ q
-
-    # Step 2: cancel every auxiliary annihilator against its bond creator.
-    # Creator string (left to right), all bond pairs in ascending M order;
-    # pair order within the string is free because the pairs are even.
-    creators: list[tuple[tuple[str, Site], int]] = []
-    for s in sites:
-        creators.append((("beta", s), bonds.x(s)))
-        creators.append((("alpha", lattice.right(s)), bonds.x(s)))
-        creators.append((("delta", s), bonds.y(s)))
-        creators.append((("gamma", lattice.north(s)), bonds.y(s)))
-
-    annihilators: list[tuple[tuple[str, Site], int]] = []
-    for s in sites:
-        lv = bonds.local_vars(s)
-        annihilators.append((("alpha", s), lv["l"]))
-        annihilators.append((("beta", s), lv["r"]))
-        annihilators.append((("gamma", s), lv["u"]))
-        annihilators.append((("delta", s), lv["d"]))
-
-    for label, var in reversed(annihilators):
-        for pos, (clabel, cvar) in enumerate(creators):
-            if clabel == label:
-                if cvar != var:
-                    raise ContractViolationError(
-                        f"bond variable mismatch at {label}: {cvar} vs {var}"
-                    )
-                del creators[pos]
-                break
-            _quad_add_product(quad, _Lin((var,)), _Lin((cvar,)))
-        else:
-            raise ContractViolationError(f"no creator found for {label}")
-    if creators:
-        raise ContractViolationError(f"unmatched bond creators left: {creators}")
-    return quad
-
-
-def _transport_form(lattice: LatticeSpec) -> dict:
-    """Boundary and vertical sign pieces carried by the extra bonds."""
-    bonds = _BondVars(lattice)
-    quad: dict = {}
-    for v in range(1, lattice.n_v + 1):
-        for h in range(1, lattice.n_h + 1):
-            s = (h, v)
-            pi = _Lin()
-            for j in range(h + 1, lattice.n_h + 1):
-                t = (j, v)
-                lv = bonds.local_vars(t)
-                pi = pi ^ _Lin((lv["u"],)) ^ _Lin((lv["d"],))
-            d_form = _Lin((bonds.local_vars(s)["d"],))
-            _quad_add_product(quad, d_form, pi)
-            if h == 1:
-                l_form = _Lin((bonds.local_vars(s)["l"],))
-                _quad_add_product(quad, l_form, pi)
-    return quad
+    rows = (slots[:, 2] + slots[:, 3]).reshape(lattice.n_v, lattice.n_h, -1)
+    pi = (rows[:, ::-1].cumsum(axis=1)[:, ::-1] - rows).reshape(lattice.n_sites, -1)
+    first = (np.arange(lattice.n_sites) % lattice.n_h == 0)[:, None]
+    return (slots[:, 3] + first * slots[:, 0]).T @ pi
 
 
 def derive_sign_functions(lattice: LatticeSpec, parity=None) -> dict[Site, SignFunction]:
@@ -190,71 +67,75 @@ def derive_sign_functions(lattice: LatticeSpec, parity=None) -> dict[Site, SignF
     ``parity`` is None (all even), a single int, or a per-site mapping.  The
     residual quadratic form after removing the transported pieces must split
     site-locally; a cross-site leftover raises ``ContractViolationError``.
-    The constant term (a global sign) is folded into the table of site
-    (1, 1).
+
+    Bond variable ``m`` is the horizontal bond leaving site ``m`` rightward
+    and ``N + m`` the vertical bond leaving it toward ``v + 1``.  The
+    physical index of each site is eliminated through the tensor parity
+    constraint ``k = (l + r + u + d + c) mod 2``.
     """
     parity = _normalize_parity(lattice, parity)
-    bonds = _BondVars(lattice)
-    residual = _total_sign_form(lattice, parity)
-    for key, bit in _transport_form(lattice).items():
-        residual[key] = residual.get(key, 0) ^ bit
-        if not residual[key]:
-            del residual[key]
-
+    c = np.array([parity[s] for s in lattice.sites()])
     n = lattice.n_sites
+    site = np.arange(n)
+    h, v = site % lattice.n_h, site // lattice.n_h
+    left = v * lattice.n_h + (h - 1) % lattice.n_h
+    south = (v - 1) % lattice.n_v * lattice.n_h + h
+    local = np.stack([left, site, n + south, n + site], axis=1)  # slots l, r, u, d
+    # one-hot (N, 4, 2N); the integer counts are held as floats so that the
+    # products run in BLAS, exact far beyond any lattice that fits in memory
+    slots = np.eye(2 * n)[local]
 
-    def visible_sites(var: int) -> set[Site]:
-        if var < n:
-            site = lattice.sites()[var]
-            return {site, lattice.right(site)}
-        site = lattice.sites()[var - n]
-        return {site, lattice.north(site)}
+    # Step 1: commute every physical creation operator to the left, out of
+    # the ascending-M site product.  Moving a^dag of site M past the
+    # auxiliary monomials of all earlier sites costs k_M * sum_{M'<M} q_M'.
+    q = slots.sum(axis=1)
+    prefix = q.cumsum(axis=0) - q
+    form = q.T @ prefix + np.diag(c @ prefix)
 
-    per_site: dict[Site, list[frozenset]] = {s: [] for s in lattice.sites()}
-    const_bit = 0
-    for key, bit in residual.items():
-        if not bit:
-            continue
-        if not key:
-            const_bit ^= 1
-            continue
-        options = None
-        for var in key:
-            vis = visible_sites(var)
-            options = vis if options is None else options & vis
-        if not options:
-            raise ContractViolationError(
-                f"sign derivation failed: monomial {sorted(key)} is not site-local"
-            )
-        owner = min(options, key=lattice.site_index)
-        per_site[owner].append(key)
+    # Step 2: cancel the auxiliary annihilators alpha_m beta_m gamma_m delta_m
+    # (M order, undone from the right) against the creator string
+    # beta_m alpha_right(m) delta_m gamma_north(m) (M order), whose variables
+    # are r_m, r_m, d_m, d_m.  Annihilator j meets its creator at match[j].
+    match = np.stack([4 * left + 1, 4 * site, 4 * south + 3, 4 * site + 2], axis=1).ravel()
+    if not (np.array_equal(np.sort(match), np.arange(4 * n))
+            and np.array_equal(local[:, [1, 1, 3, 3]].ravel()[match], local.ravel())):
+        raise ContractViolationError("bond creators do not match the annihilators one to one")
+    # Annihilator j passes the creator of every earlier annihilator i < j
+    # that stands left of its own; each pass adds x_var(j) x_var(i).
+    passes = np.triu(match[:, None] < match[None, :], 1)
+    var_rows = slots.reshape(4 * n, 2 * n)  # row j: the variable of annihilator j
+    form += var_rows.T @ passes.T @ var_rows
 
-    tables: dict[Site, SignFunction] = {}
-    for s in lattice.sites():
-        lv = bonds.local_vars(s)
-        table = np.zeros((2,) * 5, dtype=np.uint8)
-        for k in (0, 1):
-            for u in (0, 1):
-                for d in (0, 1):
-                    for l in (0, 1):
-                        for r in (0, 1):
-                            if (k + u + d + l + r) % 2 != parity[s]:
-                                continue
-                            # Self-loop bonds alias two local indices onto one
-                            # variable; assignment order gives r and d priority
-                            # (the aliased entries only matter when equal).
-                            value = {lv["l"]: l, lv["u"]: u, lv["r"]: r, lv["d"]: d}
-                            acc = 0
-                            for key in per_site[s]:
-                                prod = 1
-                                for var in key:
-                                    prod &= value[var]
-                                acc ^= prod
-                            table[k, u, d, l, r] = acc
-        if s == (1, 1) and const_bit:
-            table ^= 1
-        tables[s] = SignFunction(table)
-    return tables
+    # Remove the transported pieces (mod 2 a sum), then fold to monomials:
+    # x_a x_b (a < b) above the diagonal, x_a x_a = x_a on it.
+    form += _transport_form(lattice, slots)
+    monomials = (np.triu(form + form.T, 1) + np.diag(np.diag(form))) % 2
+    a, b = np.nonzero(monomials)
+
+    # Each monomial belongs to the first site that sees both variables.
+    sees = slots.any(axis=1)  # (N, 2N)
+    shared = sees[:, a] & sees[:, b]
+    if not shared.any(axis=0).all():
+        bad = int(np.argmin(shared.any(axis=0)))
+        raise ContractViolationError(
+            f"sign derivation failed: monomial {sorted({int(a[bad]), int(b[bad])})} "
+            "is not site-local"
+        )
+    owner = shared.argmax(axis=0)
+
+    # Self-loop bonds alias two slots onto one variable; the last matching
+    # slot wins, so r takes priority over l and d over u (the aliased
+    # entries only matter when equal).
+    def slot_of(var_ids):
+        return 3 - (local[owner][:, ::-1] == var_ids[:, None]).argmax(axis=1)
+
+    per_site = np.zeros((n, 4, 4), dtype=np.int64)
+    np.add.at(per_site, (owner, slot_of(a), slot_of(b)), 1)
+    tables = np.einsum("sij,ig,jg->sg", per_site, _SLOT_VALUES, _SLOT_VALUES) % 2
+    tables *= _GRID_PARITY == c[:, None]
+    return {
+        s: SignFunction(t.reshape((2,) * 5)) for s, t in zip(lattice.sites(), tables)
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -251,10 +251,7 @@ def ground_state_cm(ham: QuadraticHamiltonian, lattice: LatticeSpec) -> Majorana
             f"gapless momentum {phi}: ground covariance undefined",
             momenta=[phi],
         )
-    mat = matrix_from_blocks(-hh / eps[:, None, None], lattice)
-    if np.max(np.abs(mat.imag)) > 1e-10:
-        raise NumericalValidityError("ground covariance has imaginary residue")
-    return MajoranaCM(mat.real)
+    return MajoranaCM(matrix_from_blocks(-hh / eps[:, None, None], lattice))
 
 
 def ground_state_cm_consistency(channel: GaussianChannel, lattice: LatticeSpec) -> float:

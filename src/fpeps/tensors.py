@@ -85,7 +85,7 @@ class SignFunction:
             raise ContractViolationError(
                 f"sign table must have shape (2,)*5, got {arr.shape}"
             )
-        if not np.isin(arr, (0, 1)).all():
+        if (arr > 1).any():  # uint8: 0 or 1
             raise ContractViolationError("sign table values must be 0 or 1")
         object.__setattr__(self, "table", arr)
 

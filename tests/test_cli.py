@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpeps import cli
+from fpeps import cli, correlators
 from fpeps.cli import main
 from fpeps.errors import ContractViolationError
 from fpeps.io import dump_tensor_set, load_peps_set
@@ -87,6 +87,29 @@ def test_verify_bad_flag_is_config_error(tmp_path, capsys, flags):
                          "--out", str(tmp_path / "x.json")], capsys)
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("an oversized request reached the numerics")
+
+
+@pytest.mark.parametrize("suite", ["gaussian", "all"])
+def test_verify_oversized_lattice_is_refused_before_allocating(tmp_path, capsys, suite):
+    # the dense channel of a 101x101 torus would be (80800)^2 floats
+    with mock.patch.object(cli, "_gaussian_checks", _must_not_run), \
+            mock.patch.object(cli, "_mapping_checks", _must_not_run):
+        assert_config_error(["verify", "--suite", suite, "--lattice", "101x101",
+                             "--out", str(tmp_path / "x.json")], capsys)
+
+
+def test_verify_limit_admits_15x15(tmp_path):
+    with mock.patch.object(cli, "_gaussian_checks", lambda *args: []):
+        assert run(["verify", "--suite", "gaussian", "--lattice", "15x15",
+                    "--out", str(tmp_path / "x.json")]) == 0
+    # the mapping suite does not read --lattice
+    with mock.patch.object(cli, "_mapping_checks", lambda *args: []):
+        assert run(["verify", "--suite", "mapping", "--lattice", "101x101",
+                    "--out", str(tmp_path / "x.json")]) == 0
+
+
 def test_verify_determinism(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
@@ -141,6 +164,17 @@ def test_correlations_out_is_deterministic(tmp_path, capsys):
 def test_correlations_zero_rows_is_config_error(tmp_path, capsys):
     assert_config_error(["correlations", "--dir", "axis", "--max-n", "0",
                          "--out", str(tmp_path / "x.csv")], capsys)
+
+
+@pytest.mark.parametrize("flags", [["--dir", "diagonal", "--max-n", "5000"],
+                                   ["--dir", "axis", "--max-n", "10000000000"],
+                                   ["--dir", "axis", "--max-n", "1", "--grid", "100000001"]],
+                         ids=["diagonal-5000", "axis-1e10", "grid-1e8"])
+def test_correlations_oversized_rule_is_refused_before_allocating(tmp_path, capsys, flags):
+    with mock.patch.object(correlators, "_fourier_rows", _must_not_run), \
+            mock.patch.object(correlators, "correlator_residue", _must_not_run):
+        assert_config_error(["correlations", *flags,
+                             "--out", str(tmp_path / "x.csv")], capsys)
 
 
 def test_correlations_bad_grid_is_config_error(tmp_path):

@@ -128,6 +128,18 @@ def test_error_estimate_tracks_an_underresolved_rule(monkeypatch):
     assert quadrature_error(rows, grid_size=101) > 0.5 * actual
 
 
+def test_rule_size_limit_covers_scan_and_error_estimate(monkeypatch):
+    monkeypatch.setattr(correlators, "_fourier_rows", lambda *args: pytest.fail("allocated"))
+    rows = [(n, n, kind) for n in range(1, 2001) for kind in ("p", "q")]
+    with pytest.raises(ContractViolationError, match="GiB"):
+        quadrature_error(rows)
+    # 1150 diagonal separations fit the scan's own rule but not the finer
+    # one of its error estimate, so the scan refuses them up front
+    correlators._check_rule_size([(1150, 1150)] * 2, 401, correlators.GAUSS_ORDER)
+    with pytest.raises(ContractViolationError, match="GiB"):
+        correlation_scan("diagonal", 1150)
+
+
 def test_exchange_structure():
     # same-type correlators are antisymmetric under exchange, mixed-type
     # ones symmetric; magnitudes are exchange symmetric either way

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from fpeps.critical import example_channel
-from fpeps.errors import ContractViolationError, ZeroNormError
+from fpeps.errors import ContractViolationError, NumericalValidityError, ZeroNormError
 from fpeps.gaussian import (
     GaussianChannel,
     MajoranaCM,
@@ -65,11 +65,18 @@ def test_fourier_bond_round_trip(shape):
     blocks = fourier_bond(np.array(lattice.momenta()))
     assert blocks.shape == (lattice.n_sites, 8, 8)
     rebuilt = matrix_from_blocks(blocks, lattice)
-    assert np.max(np.abs(rebuilt.imag)) < 1e-12
-    assert np.max(np.abs(rebuilt.real - cm.matrix)) < 1e-12
+    assert rebuilt.dtype == np.float64
+    assert np.max(np.abs(rebuilt - cm.matrix)) < 1e-12
     # and the forward transform agrees entrywise
     forward = blocks_from_matrix(cm.matrix, lattice)
     assert np.max(np.abs(forward - blocks)) < 1e-12
+
+
+def test_matrix_from_blocks_refuses_an_imaginary_matrix():
+    lattice = LatticeSpec(3, 2)
+    blocks = fourier_bond(np.array(lattice.momenta()))
+    with pytest.raises(NumericalValidityError, match="imaginary residue"):
+        matrix_from_blocks(1j * blocks, lattice)
 
 
 def test_matrix_from_blocks_rejects_wrong_stack():

@@ -9,14 +9,8 @@ from hypothesis import strategies as st
 
 from fpeps.critical import example_channel
 from fpeps.errors import ContractViolationError
-from fpeps.io import (
-    dump_channel,
-    dump_peps_set,
-    dump_tensor_set,
-    load_channel,
-    load_peps_set,
-    load_tensor_set,
-)
+from fpeps.gaussian import GaussianChannel
+from fpeps.io import dump_peps_set, dump_tensor_set, load_peps_set, load_tensor_set
 from fpeps.lattice import LatticeSpec
 from fpeps.mapping import map_tensor_set
 from fpeps.tensors import FPEPSTensor
@@ -70,16 +64,7 @@ def test_peps_set_round_trip(tmp_path):
         assert np.array_equal(mapped2[s].entries, mapped[s].entries)
 
 
-def test_channel_round_trip(tmp_path):
-    ch = example_channel()
-    path = tmp_path / "channel.json"
-    path.write_text(dump_channel(ch))
-    ch2 = load_channel(path)
-    assert np.array_equal(ch2.B, ch.B)
-    assert np.array_equal(ch2.D, ch.D)
-
-
-LOADERS = (load_tensor_set, load_peps_set, load_channel)
+LOADERS = (load_tensor_set, load_peps_set)
 
 
 @pytest.mark.parametrize("loader", LOADERS)
@@ -127,7 +112,6 @@ def _valid_documents():
     return {
         load_tensor_set: json.loads(dump_tensor_set(lattice, parity, tensors)),
         load_peps_set: json.loads(dump_peps_set(lattice, map_tensor_set(lattice, tensors))),
-        load_channel: json.loads(dump_channel(example_channel())),
     }
 
 
@@ -161,10 +145,7 @@ def _replaced(doc, path, value):
     (load_tensor_set, ("tensors", 0, "entries", 0, "re"), 10**400),
     (load_peps_set, ("lattice", "nv"), float("inf")),
     (load_peps_set, ("tensors", 0, "entries", 0, "im"), 10**400),
-    (load_channel, ("p_modes",), float("inf")),
-    (load_channel, ("A", 0, 0), 10**400),
-], ids=["tensor-set-inf", "tensor-set-huge", "peps-set-inf", "peps-set-huge",
-        "channel-inf", "channel-huge"])
+], ids=["tensor-set-inf", "tensor-set-huge", "peps-set-inf", "peps-set-huge"])
 def test_out_of_range_number_is_contract_violation(tmp_path, loader, path, value):
     # int(inf) and float(10**400) raise OverflowError
     target = tmp_path / "big.json"
@@ -173,11 +154,12 @@ def test_out_of_range_number_is_contract_violation(tmp_path, loader, path, value
         loader(target)
 
 
-def test_channel_with_nan_is_refused(tmp_path):
-    path = tmp_path / "channel.json"
-    path.write_text(json.dumps(_replaced(VALID[load_channel], ("A", 0, 1), float("nan"))))
+def test_channel_with_nan_is_refused():
+    ch = example_channel()
+    A = ch.A.copy()
+    A[0, 1] = float("nan")
     with pytest.raises(ContractViolationError, match="finite"):
-        load_channel(path)
+        GaussianChannel(A, ch.B, ch.D)
 
 
 # --- fuzzing: every loader returns or raises ContractViolationError ---------

@@ -1,4 +1,6 @@
 """Sign derivation and the fermionic-to-spin tensor translation."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from fpeps.build import build_fpeps
 from fpeps.contraction import contract_peps
 from fpeps.errors import ContractViolationError
 from fpeps.lattice import LatticeSpec
+from fpeps import mapping
 from fpeps.mapping import derive_sign_functions, map_tensor_set, map_to_peps
 from fpeps.tensors import FPEPSTensor, SignFunction
 
@@ -106,6 +109,59 @@ def test_oracle_equivalence_mixed_parity():
             s: FPEPSTensor.random(rng, parity=parity[s]) for s in lattice.sites()
         }
         assert_oracle_matches_contraction(lattice, tensors, parity)
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["even", "mixed"])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 3)], ids=["1x1", "1x3"])
+def test_oracle_equivalence_on_self_loop_lattices(shape, mixed):
+    # one column: l and r of every site are the same bond variable, and on
+    # 1x1 u and d are as well
+    lattice = LatticeSpec(*shape)
+    rng = np.random.default_rng(500 + 10 * shape[1] + mixed)
+    for _ in range(6):
+        parity = {s: int(rng.integers(0, 2)) if mixed else 0 for s in lattice.sites()}
+        tensors = {
+            s: FPEPSTensor.random(rng, parity=parity[s]) for s in lattice.sites()
+        }
+        assert_oracle_matches_contraction(lattice, tensors, parity)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2)], ids=["2x2", "3x2"])
+def test_sign_derivation_without_transport_is_not_site_local(monkeypatch, shape):
+    # the boundary and vertical pieces are what makes the residual local
+    monkeypatch.setattr(mapping, "_transport_form", lambda *args: 0.0)
+    with pytest.raises(ContractViolationError, match="not site-local"):
+        derive_sign_functions(LatticeSpec(*shape))
+
+
+# sha256 of the concatenated tables in M order, even and with the
+# checkerboard parity (h + v) mod 2; no contraction reaches 4x4 or 5x2, but
+# convert maps them, and 1x3 aliases l and r onto one bond variable
+SIGN_TABLE_DIGESTS = {
+    ((4, 4), False): "9a551a6d42916a66172b8520eaff868121f880fda6ee5f0244073dc00476b8e0",
+    ((4, 4), True): "edc93d61e65e1ecaf1e52986883cc2c6ce8f6155df84d0b750af0582852e9ecd",
+    ((5, 2), False): "42b0bb735d7f99030e17eb980624aacfbc15fc8ef4341ecaf64acc5b6ac9a2b4",
+    ((5, 2), True): "a89abb7d505823cf7bf6982578155cc2b4cda820ef1d73cb3ff0ab584ffde4b7",
+    ((1, 3), False): "072ae0d4e48a9f03c8422714efaeadb2c146f3f9481df236be9de022577f0dd5",
+    ((1, 3), True): "c4451048a8e8c9fc10e4ffa0b561d98a2b94f9a7b4230fe4e4c589255e1a2f55",
+}
+
+
+@pytest.mark.parametrize(
+    "shape,mixed", list(SIGN_TABLE_DIGESTS),
+    ids=[f"{h}x{v}-{'mixed' if m else 'even'}" for (h, v), m in SIGN_TABLE_DIGESTS],
+)
+def test_sign_tables_are_pinned(shape, mixed):
+    lattice = LatticeSpec(*shape)
+    parity = {(h, v): (h + v) % 2 for h, v in lattice.sites()} if mixed else None
+    tables = derive_sign_functions(lattice, parity)
+    data = b"".join(tables[s].table.tobytes() for s in lattice.sites())
+    assert hashlib.sha256(data).hexdigest() == SIGN_TABLE_DIGESTS[(shape, mixed)]
+
+
+def test_parity_assignment_must_cover_every_site():
+    with pytest.raises(ContractViolationError, match="missing sites"):
+        derive_sign_functions(LatticeSpec(2, 1), {(1, 1): 0})
 
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["even", "mixed"])
