@@ -42,6 +42,8 @@ TRIPLE_SEED = 20240
 TRIPLE_RTOL = 1e-9
 # harmonic coefficients and Hamiltonian block entries this small are zero
 HARMONIC_ATOL = 1e-12
+# block_entropy's bound on the chirality defect and on nu^2 leaving [0, 1]
+ENTROPY_ATOL = 1e-8
 
 
 def _half_space(radius: int) -> list[Displacement]:
@@ -105,11 +107,6 @@ class QuadraticHamiltonian:
         if np.max(np.abs(h + h.T)) > 1e-9:
             raise NumericalValidityError("materialized Hamiltonian not antisymmetric")
         return (h - h.T) / 2.0
-
-    def scaled(self, factor: float) -> "QuadraticHamiltonian":
-        return QuadraticHamiltonian(
-            {d: factor * b for d, b in self.blocks.items()}
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +252,10 @@ def ground_state_cm(ham: QuadraticHamiltonian, lattice: LatticeSpec) -> Majorana
 
 
 def ground_state_cm_consistency(channel: GaussianChannel, lattice: LatticeSpec) -> float:
-    """max over momenta of commutator + extremality residuals.
+    """max over momenta of |[g, h_hat]| and |eps g + h_hat| (cross-multiplied).
 
-    Checks that the channel output block commutes with the parent Hamiltonian
-    block and equals its ground-state covariance -h_hat/eps.
+    The channel output block g must commute with the parent Hamiltonian block
+    and equal its ground-state covariance -h_hat/eps.
     """
     ham = parent_hamiltonian(channel)
     momenta = lattice.momenta()
@@ -275,36 +272,38 @@ def ground_state_cm_consistency(channel: GaussianChannel, lattice: LatticeSpec) 
     eps = _positive_branch(hh)
     if np.any(eps <= 1e-12):
         return np.inf
-    extremal = np.max(np.abs(g + hh / eps[:, None, None]))
+    extremal = np.max(np.abs(eps[:, None, None] * g + hh))
     return max(float(comm), float(extremal))
 
 
-def binary_entropy_bits(x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    inside = (x > 0.0) & (x < 1.0)
-    xi = x[inside]
-    out[inside] = -xi * np.log2(xi) - (1 - xi) * np.log2(1 - xi)
-    return out
+def block_entropy(gamma, modes) -> float:
+    """Entanglement entropy (bits) of a mode subset of a chiral Gaussian state.
 
-
-def block_entropy(gamma, modes, atol: float = 1e-8) -> float:
-    """Entanglement entropy (bits) of a mode subset of a Gaussian state."""
+    A qp-ordered block [[A, C], [-C^T, B]] is chiral when B = -A and C = C^T,
+    as for the critical model.  In the basis (c1 +/- c2)/sqrt(2) it becomes
+    [[0, R], [-R^T, 0]] with R = A - C: the covariance eigenvalues nu are the
+    singular values of the n x n matrix R.
+    """
     mat = gamma.matrix if isinstance(gamma, MajoranaCM) else np.asarray(gamma)
-    m = mat.shape[0] // 2
-    modes = list(modes)
-    if not modes:
+    q = list(modes)
+    if not q:
         raise ContractViolationError("block must contain at least one mode")
-    idx = modes + [m + k for k in modes]
-    sub = mat[np.ix_(idx, idx)]
-    w = np.linalg.eigvalsh(1j * sub)
-    # eigenvalues come in +/- nu pairs (nu = 0 means a maximally mixed mode)
-    nus = np.sort(w)[::-1][: len(modes)]
-    if np.any(nus > 1.0 + atol) or np.any(nus < -atol):
-        raise NumericalValidityError(
-            f"covariance eigenvalues {nus} leave the interval [0, 1]"
+    p = [mat.shape[0] // 2 + k for k in q]
+    a, c, b = mat[np.ix_(q, q)], mat[np.ix_(q, p)], mat[np.ix_(p, p)]
+    defects = np.max(np.abs(a + b)), np.max(np.abs(c - c.T))
+    if max(defects) > ENTROPY_ATOL:
+        raise ContractViolationError(
+            "block [[A, C], [-C^T, B]] is not chiral: "
+            "max|A + B| = {:.2e}, max|C - C^T| = {:.2e}".format(*defects)
         )
-    nus = np.clip(nus, 0.0, 1.0)
-    return float(np.sum(binary_entropy_bits((1.0 + nus) / 2.0)))
+    r = a - c
+    nu2 = np.linalg.eigvalsh(r.T @ r)
+    if nu2[0] < -ENTROPY_ATOL or nu2[-1] > 1.0 + ENTROPY_ATOL:
+        raise NumericalValidityError(f"nu^2 spans [{nu2[0]:.3g}, {nu2[-1]:.3g}], not in [0, 1]")
+    # a mode with x = (1 + nu)/2 = 1 is pure and contributes nothing
+    x = (1.0 + np.sqrt(np.clip(nu2, 0.0, 1.0))) / 2.0
+    x = x[x < 1.0]
+    return float(np.sum(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)))
 
 
 # ---------------------------------------------------------------------------

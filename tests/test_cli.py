@@ -110,6 +110,15 @@ def test_verify_limit_admits_15x15(tmp_path):
                     "--out", str(tmp_path / "x.json")]) == 0
 
 
+def test_verify_gaussian_15x15_passes_at_default_tolerance(tmp_path):
+    # the parent-consistency residual does not grow like 1/gap
+    out = tmp_path / "report.json"
+    assert run(["verify", "--suite", "gaussian", "--lattice", "15x15",
+                "--out", str(out)]) == 0
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["parent-consistency-15x15"]["residual"] < 1e-11
+
+
 def test_verify_determinism(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):

@@ -2,7 +2,12 @@
 import numpy as np
 import pytest
 
-from fpeps.critical import example_channel, hcrit_coefficients
+from fpeps.critical import (
+    block_covariance,
+    example_channel,
+    ground_state_blocks,
+    hcrit_coefficients,
+)
 from fpeps.errors import ContractViolationError, NumericalValidityError, ZeroNormError
 from fpeps.fock import ModeRegistry, exact_ground_state
 from fpeps.gaussian import MajoranaCM, apply_channel, lattice_bond_cm
@@ -196,10 +201,24 @@ def test_ground_energy_matches_dense_diagonalization():
     assert e_dense == pytest.approx(energy_expectation(h_full, gamma), abs=1e-9)
 
 
-@pytest.mark.parametrize("shape", [(3, 3), (5, 5)])
+@pytest.mark.parametrize("shape", [(3, 3), (5, 5), (15, 15), (23, 23)])
 def test_ground_state_cm_consistency(shape):
+    # compared as eps * g + h_hat, the residual does not grow like 1/gap
     res = ground_state_cm_consistency(example_channel(), LatticeSpec(*shape))
-    assert res < 1e-10
+    assert res < 1e-11
+
+
+def test_consistency_detects_a_perturbed_output_block(monkeypatch):
+    import fpeps.quadratic as quadratic
+
+    # the parent is derived unperturbed; only the compared output block moves
+    ham = parent_hamiltonian(example_channel())
+    monkeypatch.setattr(quadratic, "parent_hamiltonian", lambda channel: ham)
+    real = quadratic.g_hat
+    kick = 1e-6 * np.array([[0.0, 1.0], [1.0, 0.0]])
+    monkeypatch.setattr(quadratic, "g_hat", lambda p, q, d: real(p, q, d) + kick)
+    res = ground_state_cm_consistency(example_channel(), LatticeSpec(15, 15))
+    assert res > 1e-7
 
 
 def test_consistency_reports_zero_norm_momenta(zero_norm_momenta_4x4):
@@ -245,3 +264,43 @@ def test_entropy_complement_symmetry():
     s_block = block_entropy(gamma, block)
     s_comp = block_entropy(gamma, complement)
     assert s_block == pytest.approx(s_comp, abs=1e-8)
+
+
+def _entropy_by_complex_eigvalsh(gamma, modes):
+    """Reference route: the nu are the upper half of the eigenvalues of i Gamma_A."""
+    m = gamma.shape[0] // 2
+    idx = list(modes) + [m + k for k in modes]
+    w = np.linalg.eigvalsh(1j * gamma[np.ix_(idx, idx)])
+    nus = np.clip(np.sort(w)[::-1][: len(modes)], 0.0, 1.0)
+    x = (1.0 + nus) / 2.0
+    x = x[x < 1.0]
+    return float(np.sum(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)))
+
+
+def test_block_entropy_matches_complex_eigensolve():
+    blocks = ground_state_blocks(61)
+    for length in range(2, 9):
+        gamma = block_covariance(blocks, 61, length)
+        modes = range(length * length)
+        want = _entropy_by_complex_eigvalsh(gamma, list(modes))
+        assert abs(block_entropy(gamma, modes) - want) <= 1e-10
+    lattice = LatticeSpec(3, 3)
+    gamma = apply_channel(
+        example_channel().expand_to_lattice(lattice.n_sites),
+        lattice_bond_cm(lattice),
+    ).matrix
+    for modes in ([0], [4], [0, 1, 2], [0, 1, 3], [2, 4, 5, 6, 7, 8], list(range(9))):
+        want = _entropy_by_complex_eigvalsh(gamma, modes)
+        assert abs(block_entropy(gamma, modes) - want) <= 1e-10
+
+
+def test_block_entropy_refuses_a_non_chiral_block():
+    # two-mode vacuum with its type-1 Majoranas rotated: a valid pure state
+    # whose two-mode block has C = [[cos, -sin], [sin, cos]], not symmetric
+    t = 0.3
+    rot = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    gamma = np.block([[np.zeros((2, 2)), rot], [-rot.T, np.zeros((2, 2))]])
+    assert np.allclose(gamma @ gamma.T, np.eye(4))
+    assert _entropy_by_complex_eigvalsh(gamma, [0, 1]) == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(ContractViolationError, match=r"not chiral: .*C - C\^T\| = 5.91e-01"):
+        block_entropy(gamma, [0, 1])
