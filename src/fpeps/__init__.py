@@ -43,7 +43,6 @@ from .fock import (
     ModeRegistry,
     OperatorPoly,
     apply_poly,
-    apply_quadratic_h,
     covariance_matrix,
     exact_ground_state,
     physical_registry,

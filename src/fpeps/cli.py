@@ -180,7 +180,7 @@ def cmd_correlations(args) -> int:
 
 
 def cmd_hamiltonian(args) -> int:
-    lattice = parse_lattice(args.lattice) if args.lattice else None
+    lattice = parse_lattice(args.lattice) if args.lattice is not None else None
     table = hcrit_coefficients(lattice)
     lines = ["term,dh,dv,re,im"]
     for (dh, dv), c in sorted(table.pairing.items()):
@@ -194,7 +194,7 @@ def cmd_hamiltonian(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    if args.sizes:
+    if args.sizes is not None:
         rows = gap_scan(_int_list(args.sizes, "--sizes"))
         text = "N,gap\n" + "".join(f"{n},{g!r}\n" for n, g in rows)
         _emit(text, args.out)
@@ -313,9 +313,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        # argparse hands `--opt=--` over as an empty list, unconverted and
+        # unchecked against its choices (inside a list for --dir)
+        for name, value in vars(args).items():
+            if value in ("", []) or (isinstance(value, list) and [] in value):
+                raise ContractViolationError(f"--{name.replace('_', '-')} needs a value")
         return args.func(args)
     except FpepsError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.blas import zherk
 
 from .errors import (
     ContractViolationError,
@@ -68,9 +69,6 @@ class ModeRegistry:
             return self._index[label]
         except KeyError:
             raise ContractViolationError(f"unknown mode label {label!r}") from None
-
-    def __contains__(self, label: ModeLabel) -> bool:
-        return label in self._index
 
 
 def physical_registry(lattice: LatticeSpec) -> ModeRegistry:
@@ -126,9 +124,6 @@ class FockVector:
             raise UndefinedStateError("normalized overlap with a zero vector")
         return abs(self.overlap(other)) / (na * nb)
 
-    def copy(self) -> "FockVector":
-        return FockVector(self.registry, self.amplitudes.copy())
-
 
 @dataclass(frozen=True)
 class OperatorPoly:
@@ -143,16 +138,6 @@ class OperatorPoly:
     @classmethod
     def from_terms(cls, terms) -> "OperatorPoly":
         return cls(tuple((complex(c), tuple(m)) for c, m in terms))
-
-    def __mul__(self, other: "OperatorPoly") -> "OperatorPoly":
-        out = []
-        for ca, ma in self.terms:
-            for cb, mb in other.terms:
-                out.append((ca * cb, ma + mb))
-        return OperatorPoly.from_terms(out)
-
-    def scaled(self, factor: complex) -> "OperatorPoly":
-        return OperatorPoly.from_terms((factor * c, m) for c, m in self.terms)
 
 
 def vacuum(registry: ModeRegistry, cap: int = DEFAULT_MODE_CAP) -> FockVector:
@@ -207,37 +192,28 @@ def majorana_vector(state: FockVector, pos: int, which: int) -> np.ndarray:
     return out.reshape(-1)
 
 
-def covariance_matrix(state: FockVector, modes=None, atol: float = 1e-12) -> np.ndarray:
-    """Majorana covariance matrix <(i/2)[c_k, c_l]> of (a subset of) the modes.
+def covariance_matrix(state: FockVector) -> np.ndarray:
+    """Majorana covariance matrix <(i/2)[c_k, c_l]> of all modes.
 
-    Returned qp-ordered: all type-1 Majoranas of the selected modes first,
-    then all type-2, both in registry order of the selection.
+    Returned qp-ordered: all type-1 Majoranas first, then all type-2, both
+    in registry order.
     """
     nrm = state.norm()
     if nrm < 1e-14:
         raise UndefinedStateError("covariance matrix of a zero-norm state")
-    positions = list(range(state.n_modes)) if modes is None else [
-        state.registry.position(m) if not isinstance(m, int) else m for m in modes
-    ]
-    psi = state.amplitudes / nrm
-    unit = FockVector(state.registry, psi)
-    vecs = [majorana_vector(unit, p, 1) for p in positions]
-    vecs += [majorana_vector(unit, p, 2) for p in positions]
-    m2 = len(vecs)
-    gamma = np.zeros((m2, m2))
-    for k in range(m2):
-        for l in range(k + 1, m2):
-            # c_k is self-adjoint, so <psi|c_k c_l|psi> = <c_k psi|c_l psi>
-            val = 1j * np.vdot(vecs[k], vecs[l])
-            if abs(val.imag) > 1e-9:
-                raise NumericalValidityError(
-                    f"covariance entry not real: {val} at ({k}, {l})"
-                )
-            gamma[k, l] = val.real
-            gamma[l, k] = -val.real
-    if np.max(np.abs(gamma + gamma.T)) > atol:
-        raise NumericalValidityError("covariance matrix not antisymmetric")
-    return gamma
+    n = state.n_modes
+    unit = FockVector(state.registry, state.amplitudes / nrm)
+    vecs = np.empty((2 * n, 1 << n), dtype=complex)
+    for k in range(2 * n):
+        vecs[k] = majorana_vector(unit, k % n, 1 + k // n)
+    # c_k is self-adjoint, so <psi|c_k c_l|psi> = <c_k psi|c_l psi>; zherk
+    # forms only the upper triangle of conj(vecs) vecs^T, with no conjugated copy
+    gram = 1j * np.triu(zherk(1.0, vecs.T, trans=2), 1)
+    bad = np.argwhere(np.abs(gram.imag) > 1e-9)
+    if len(bad):
+        k, l = bad[0]
+        raise NumericalValidityError(f"covariance entry not real: {gram[k, l]} at ({k}, {l})")
+    return gram.real - gram.real.T
 
 
 def _sparse_majorana(n: int, pos: int, which: int) -> sp.csr_matrix:
@@ -282,12 +258,6 @@ def quadratic_operator(h: np.ndarray, n_modes: int) -> sp.csr_matrix:
             if h[k, l] != 0.0:
                 H = H + (2j * h[k, l]) * (cop(k) @ cop(l))
     return H
-
-
-def apply_quadratic_h(state: FockVector, h: np.ndarray) -> FockVector:
-    """Apply H = i sum h_kl c_k c_l to a state."""
-    H = quadratic_operator(h, state.n_modes)
-    return FockVector(state.registry, H @ state.amplitudes)
 
 
 def exact_ground_state(

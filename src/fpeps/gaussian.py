@@ -56,11 +56,6 @@ class MajoranaCM:
             raise ContractViolationError("covariance matrix must be antisymmetric")
         object.__setattr__(self, "matrix", mat)
 
-    @property
-    def m(self) -> int:
-        """Number of fermionic modes."""
-        return self.matrix.shape[0] // 2
-
     def purity_defect(self) -> float:
         """max |Gamma^2 + 1|; ~0 for pure Gaussian states."""
         mat = self.matrix

@@ -324,132 +324,56 @@ class DiracQuadratic:
     mu: float
     constant: float
 
-    def cleaned(self, atol: float = 1e-12) -> "DiracQuadratic":
-        return DiracQuadratic(
-            {d: c for d, c in self.pairing.items() if abs(c) > atol},
-            {d: c for d, c in self.hopping.items() if abs(c) > atol},
-            self.mu if abs(self.mu) > atol else 0.0,
-            self.constant if abs(self.constant) > atol else 0.0,
-        )
-
-
-def _in_half(delta: Displacement) -> bool:
-    return delta > (0, 0) if delta != (0, 0) else False
-
 
 def majorana_to_dirac(ham: QuadraticHamiltonian) -> DiracQuadratic:
-    """Rewrite i sum h c c into normal-ordered particle operators."""
-    pp: dict[Displacement, complex] = {}
-    hh: dict[Displacement, complex] = {}
-    ph: dict[Displacement, complex] = {}
-    hp: dict[Displacement, complex] = {}
+    """Rewrite i sum h c c into normal-ordered particle operators.
 
-    def acc(store, delta, value):
-        if value != 0:
-            store[delta] = store.get(delta, 0.0) + value
-
+    With a^dag = (c1 + i c2)/2 and T(-Delta) = -T(Delta)^T, the block T at
+    Delta > (0, 0) gives pairing 2i((t11 - t22) - i(t12 + t21)) and hopping
+    2i((t11 + t22) + i(t12 - t21)); the on-site block [[0, t], [-t, 0]] is
+    2t (1 - 2n), so mu = -4t and the constant is 2t per site.  Coefficients
+    of at most ``HARMONIC_ATOL`` are zero.
+    """
+    pairing, hopping, mu, constant = {}, {}, 0.0, 0.0
     for delta, T in ham.blocks.items():
-        t11, t12 = T[0, 0], T[0, 1]
-        t21, t22 = T[1, 0], T[1, 1]
-        acc(pp, delta, 1j * (t11 - 1j * t12 - 1j * t21 - t22))
-        acc(ph, delta, 1j * (t11 + 1j * t12 - 1j * t21 + t22))
-        acc(hp, delta, 1j * (t11 - 1j * t12 + 1j * t21 + t22))
-        acc(hh, delta, 1j * (t11 + 1j * t12 + 1j * t21 - t22))
-
-    constant = 0.0
-    # a_x a^dag_y = delta_{xy} - a^dag_y a_x
-    for delta, c in hp.items():
+        (t11, t12), (t21, t22) = T.tolist()
         if delta == (0, 0):
-            constant += c.real
-            if abs(c.imag) > 1e-10:
-                raise NumericalValidityError("on-site constant not real")
-        acc(ph, (-delta[0], -delta[1]), -c)
-
-    pairing: dict[Displacement, complex] = {}
-    for delta, c in pp.items():
-        if delta == (0, 0):
-            continue  # a^dag^2 = 0
-        if _in_half(delta):
-            pairing[delta] = pairing.get(delta, 0.0) + c
-        else:
-            md = (-delta[0], -delta[1])
-            pairing[md] = pairing.get(md, 0.0) - c
-
-    hh_check: dict[Displacement, complex] = {}
-    for delta, c in hh.items():
-        if delta == (0, 0):
-            continue
-        if _in_half(delta):
-            hh_check[delta] = hh_check.get(delta, 0.0) + c
-        else:
-            md = (-delta[0], -delta[1])
-            hh_check[md] = hh_check.get(md, 0.0) - c
-    for delta in set(pairing) | set(hh_check):
-        want = -np.conj(pairing.get(delta, 0.0))
-        got = hh_check.get(delta, 0.0)
-        if abs(want - got) > 1e-9:
-            raise NumericalValidityError(
-                f"pairing terms break Hermiticity at {delta}: {got} vs {want}"
-            )
-
-    hopping: dict[Displacement, complex] = {}
-    mu = 0.0
-    for delta, c in ph.items():
-        if delta == (0, 0):
-            if abs(c.imag) > 1e-10:
-                raise NumericalValidityError("chemical potential not real")
-            mu += c.real
-        elif _in_half(delta):
-            hopping[delta] = hopping.get(delta, 0.0) + c
-    # the opposite-displacement content is the h.c. side; verify, don't add
-    for delta, c in ph.items():
-        if delta != (0, 0) and not _in_half(delta):
-            md = (-delta[0], -delta[1])
-            want = np.conj(hopping.get(md, 0.0))
-            if abs(c - want) > 1e-9:
-                raise NumericalValidityError(
-                    f"hopping terms break Hermiticity at {delta}: {c} vs {want}"
-                )
-    return DiracQuadratic(pairing, hopping, mu, constant).cleaned()
+            mu, constant = -4.0 * t12, 2.0 * t12
+        elif delta > (0, 0):
+            # + 0.0 turns a signed zero into 0.0
+            pairing[delta] = complex(2 * (t12 + t21) + 0.0, 2 * (t11 - t22) + 0.0)
+            hopping[delta] = complex(2 * (t21 - t12) + 0.0, 2 * (t11 + t22) + 0.0)
+    return DiracQuadratic(
+        {d: c for d, c in pairing.items() if abs(c) > HARMONIC_ATOL},
+        {d: c for d, c in hopping.items() if abs(c) > HARMONIC_ATOL},
+        mu if abs(mu) > HARMONIC_ATOL else 0.0,
+        constant if abs(constant) > HARMONIC_ATOL else 0.0,
+    )
 
 
 def dirac_to_majorana(dirac: DiracQuadratic) -> QuadraticHamiltonian:
-    """Inverse rewrite; returns displacement blocks with T(-D) = -T(D)^T."""
-    # accumulate coefficients C[(r, c, Delta)] of sum_s c^(r)_s c^(c)_{s+Delta}
-    C: dict[tuple[int, int, Displacement], complex] = {}
+    """Inverse rewrite; returns displacement blocks with T(-D) = -T(D)^T.
 
-    def add(r, c, delta, value):
-        if value != 0:
-            key = (r, c, delta)
-            C[key] = C.get(key, 0.0) + value
-
-    def add_product(kind_x, kind_y, delta, coeff):
-        # kind: 'dag' -> (c1 + i c2)/2, 'ann' -> (c1 - i c2)/2
-        sx = 1j if kind_x == "dag" else -1j
-        sy = 1j if kind_y == "dag" else -1j
-        add(0, 0, delta, coeff * 0.25)
-        add(0, 1, delta, coeff * 0.25 * sy)
-        add(1, 0, delta, coeff * 0.25 * sx)
-        add(1, 1, delta, coeff * 0.25 * sx * sy)
-
-    for delta, c in dirac.pairing.items():
-        add_product("dag", "dag", delta, c)
-        # h.c.: conj(c) sum_s a_{s+Delta} a_s = conj(c) sum_s' a_{s'} a_{s' - Delta}
-        add_product("ann", "ann", (-delta[0], -delta[1]), np.conj(c))
-    for delta, c in dirac.hopping.items():
-        add_product("dag", "ann", delta, c)
-        add_product("dag", "ann", (-delta[0], -delta[1]), np.conj(c))
-    add_product("dag", "ann", (0, 0), dirac.mu)
-
-    # antisymmetrize: sum_s c^(r)_s c^(c)_{s+D} = -sum_s c^(c)_s c^(r)_{s-D} (+ consts)
-    blocks: dict[Displacement, np.ndarray] = {}
-    for (r, c, delta), value in C.items():
-        anti = 0.5 * (value - C.get((c, r, (-delta[0], -delta[1])), 0.0))
-        t = anti / 1j
-        if abs(t.imag) > 1e-10:
-            raise NumericalValidityError("Majorana block came out complex")
-        if abs(t.real) < 1e-14:
-            continue
-        blk = blocks.setdefault(delta, np.zeros((2, 2)))
-        blk[r, c] += t.real
+    Solves the four real equations of :func:`majorana_to_dirac` per
+    displacement, whose keys must lie in the half space Delta > (0, 0);
+    mu gives the on-site block [[0, -mu/4], [mu/4, 0]].
+    """
+    blocks = {}
+    for delta, c in [*dirac.pairing.items(), *dirac.hopping.items()]:
+        if not delta > (0, 0):
+            raise ContractViolationError(
+                f"particle-form displacement {delta} is not in the half space > (0, 0)"
+            )
+        # blocks go in the order of their first nonzero term, the order h_hat sums them in
+        if c and delta not in blocks:
+            p = complex(dirac.pairing.get(delta, 0.0))
+            k = complex(dirac.hopping.get(delta, 0.0))
+            T = np.array([[p.imag + k.imag, p.real - k.real],
+                          [p.real + k.real, k.imag - p.imag]]) / 4.0
+            blocks[delta] = T
+            blocks[(-delta[0], -delta[1])] = -T.T
+    blocks[(0, 0)] = np.array([[0.0, -dirac.mu], [dirac.mu, 0.0]]) / 4.0
+    for T in blocks.values():
+        # entries below 1e-14 are rounding residue; this also clears signed zeros
+        T[np.abs(T) < 1e-14] = 0.0
     return QuadraticHamiltonian(blocks)

@@ -1,4 +1,5 @@
 """Exit codes, output formats, and determinism of the command driver."""
+import argparse
 import csv
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -7,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fpeps import cli, correlators
@@ -316,6 +317,8 @@ def test_lattice_grammar_fuzz(text):
 
 @settings(max_examples=200, deadline=None)
 @given(text=GRAMMAR_TEXT)
+@example("--")
+@example("")
 def test_sizes_grammar_fuzz(text):
     # only the grammar: a parsed list goes to a stub instead of the gap scan
     def parsed(sizes):
@@ -328,6 +331,8 @@ def test_sizes_grammar_fuzz(text):
 
 @settings(max_examples=200, deadline=None)
 @given(text=GRAMMAR_TEXT)
+@example("--")
+@example("")
 def test_blocks_grammar_fuzz(text):
     # a 5-torus keeps every accepted block length (1..4) cheap to evaluate
     assert_parsed_or_refused(["entropy", "--torus", "5", "--blocks=" + text])
@@ -336,3 +341,30 @@ def test_blocks_grammar_fuzz(text):
 def test_huge_block_range_is_refused_before_listing(tmp_path, capsys):
     assert_config_error(["entropy", "--torus", "5", "--blocks", "1..10000000000",
                          "--out", str(tmp_path / "x.csv")], capsys)
+
+
+def _value_flags():
+    """(argv prefix, flag) for every option of every subcommand that takes a value."""
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for command, parser in subparsers.choices.items():
+        actions = [a for a in parser._actions if a.option_strings and a.nargs != 0]
+        for action in actions:
+            # the other required options get a valid value: only the tested flag is empty
+            prefix = [command]
+            for other in actions:
+                if other.required and other is not action:
+                    prefix += [other.option_strings[0], (other.choices or ["x"])[0]]
+            flag = action.option_strings[0]
+            yield pytest.param(prefix, flag, id=command + flag)
+
+
+@pytest.mark.parametrize("prefix, flag", _value_flags())
+def test_double_dash_value_is_config_error(prefix, flag, capsys):
+    # argparse passes `--opt=--` on as an empty list, skipping type and choices
+    assert_config_error([*prefix, flag + "=--"], capsys)
+
+
+@pytest.mark.parametrize("argv", [["spectrum", "--sizes="], ["hamiltonian", "--lattice="]])
+def test_empty_value_is_config_error(argv, capsys):
+    assert_config_error(argv, capsys)

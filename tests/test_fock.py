@@ -14,10 +14,10 @@ from fpeps.fock import (
     ModeRegistry,
     OperatorPoly,
     apply_poly,
-    apply_quadratic_h,
     covariance_matrix,
     exact_ground_state,
     majorana_vector,
+    quadratic_operator,
     vacuum,
 )
 
@@ -129,6 +129,17 @@ def test_covariance_pure_state_squares_to_minus_one():
     assert np.max(np.abs(gamma @ gamma + np.eye(2 * n))) < 1e-10
 
 
+def test_covariance_matches_pairwise_inner_products():
+    rng = np.random.default_rng(2)
+    n = 4
+    h = rng.standard_normal((2 * n, 2 * n))
+    _, gs = exact_ground_state((h - h.T) / 2, reg(n))
+    vecs = [majorana_vector(gs, p, which) for which in (1, 2) for p in range(n)]
+    want = np.array([[(1j * np.vdot(a, b)).real for b in vecs] for a in vecs])
+    np.fill_diagonal(want, 0.0)
+    assert np.max(np.abs(covariance_matrix(gs) - want)) < 1e-14
+
+
 def test_exact_ground_state_zero_hamiltonian():
     e, state = exact_ground_state(np.zeros((4, 4)), reg(2))
     assert e == 0.0
@@ -148,13 +159,13 @@ def test_apply_quadratic_matches_ground_energy():
     h = rng.standard_normal((2 * n, 2 * n))
     h = (h - h.T) / 2
     e, gs = exact_ground_state(h, reg(n))
-    hpsi = apply_quadratic_h(gs, h)
-    assert np.allclose(hpsi.amplitudes, e * gs.amplitudes, atol=1e-9)
+    hpsi = quadratic_operator(h, n) @ gs.amplitudes
+    assert np.allclose(hpsi, e * gs.amplitudes, atol=1e-9)
 
 
 def test_quadratic_requires_antisymmetry():
     with pytest.raises(ContractViolationError):
-        apply_quadratic_h(vacuum(reg(1)), np.eye(2))
+        quadratic_operator(np.eye(2), 1) @ vacuum(reg(1)).amplitudes
 
 
 def test_diagonalization_cap():

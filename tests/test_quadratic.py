@@ -9,7 +9,15 @@ from fpeps.critical import (
     hcrit_coefficients,
 )
 from fpeps.errors import ContractViolationError, NumericalValidityError, ZeroNormError
-from fpeps.fock import ModeRegistry, exact_ground_state
+from fpeps.fock import (
+    FockVector,
+    ModeRegistry,
+    OperatorPoly,
+    apply_poly,
+    exact_ground_state,
+    physical_registry,
+    quadratic_operator,
+)
 from fpeps.gaussian import MajoranaCM, apply_channel, lattice_bond_cm
 from fpeps.lattice import LatticeSpec
 from fpeps.quadratic import (
@@ -112,14 +120,16 @@ def test_single_mode_block_is_number_operator():
     assert not dirac.pairing and not dirac.hopping
 
 
+ROUND_TRIP_TABLE = DiracQuadratic(
+    pairing={(0, 1): 2j, (1, 0): -2j, (2, -1): 0.3 - 0.7j},
+    hopping={(1, 1): -1.0, (1, -1): -1.0 + 0.25j, (0, 2): 0.4j},
+    mu=0.8,
+    constant=0.0,
+)
+
+
 def test_dirac_round_trip():
-    rng = np.random.default_rng(7)
-    dirac = DiracQuadratic(
-        pairing={(0, 1): 2j, (1, 0): -2j, (2, -1): 0.3 - 0.7j},
-        hopping={(1, 1): -1.0, (1, -1): -1.0 + 0.25j, (0, 2): 0.4j},
-        mu=0.8,
-        constant=0.0,
-    )
+    dirac = ROUND_TRIP_TABLE
     back = majorana_to_dirac(dirac_to_majorana(dirac))
     for key, val in dirac.pairing.items():
         assert back.pairing[key] == pytest.approx(val, abs=1e-14)
@@ -136,6 +146,47 @@ def test_hcrit_table_matches_parent_via_majorana_blocks():
     scale = float(np.dot(want, got) / np.dot(want, want))
     assert scale > 0
     assert np.max(np.abs(got - scale * want)) < 1e-10
+
+
+def _particle_form_operator(table: DiracQuadratic, lattice: LatticeSpec) -> OperatorPoly:
+    """The table's H term by term in ladder operators, mu a^dag a - mu/2 on each site."""
+    terms = []
+    for site in lattice.sites():
+        a = ("a", site)
+        for delta, c in table.pairing.items():
+            b = ("a", lattice.wrap((site[0] + delta[0], site[1] + delta[1])))
+            terms += [(c, ((a, True), (b, True))), (np.conj(c), ((b, False), (a, False)))]
+        for delta, c in table.hopping.items():
+            b = ("a", lattice.wrap((site[0] + delta[0], site[1] + delta[1])))
+            terms += [(c, ((a, True), (b, False))), (np.conj(c), ((b, True), (a, False)))]
+        terms += [(table.mu, ((a, True), (a, False))), (-table.mu / 2, ())]
+    return OperatorPoly.from_terms(terms)
+
+
+@pytest.mark.parametrize("make_table", [
+    hcrit_coefficients,
+    lambda: ROUND_TRIP_TABLE,
+    lambda: majorana_to_dirac(parent_hamiltonian(example_channel())),
+], ids=["hcrit", "round-trip", "parent"])
+def test_particle_form_matches_fock_operators(make_table):
+    # checks the rewrite convention itself, not only that the two rewrites invert
+    table = make_table()
+    lattice = LatticeSpec(3, 3)
+    rng = np.random.default_rng(5)
+    amps = rng.standard_normal(1 << 9) + 1j * rng.standard_normal(1 << 9)
+    psi = FockVector(physical_registry(lattice), amps)
+    want = apply_poly(psi, _particle_form_operator(table, lattice)).amplitudes
+    h = dirac_to_majorana(table).materialize(lattice)
+    got = quadratic_operator(h, lattice.n_sites) @ amps
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("term", ["pairing", "hopping"])
+@pytest.mark.parametrize("delta", [(0, -1), (0, 0)])
+def test_dirac_to_majorana_refuses_keys_outside_the_half_space(term, delta):
+    table = {"pairing": {}, "hopping": {}, term: {delta: 1.0}}
+    with pytest.raises(ContractViolationError, match="not in the half space"):
+        dirac_to_majorana(DiracQuadratic(table["pairing"], table["hopping"], 0.0, 0.0))
 
 
 @pytest.mark.parametrize("n", [3, 5, 9])
