@@ -249,8 +249,8 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    lattice, parity, tensors = fio.load_tensor_set(args.input)
-    mapped = map_tensor_set(lattice, tensors, parity)
+    lattice, _, tensors = fio.load_tensor_set(args.input)
+    mapped = map_tensor_set(lattice, tensors)
     text = fio.dump_peps_set(lattice, mapped) + "\n"
     _emit(text, args.output)
     print(f"convert: mapped {lattice.n_sites} tensors", file=sys.stderr)
@@ -260,8 +260,15 @@ def cmd_convert(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises its command-line errors, so that main reports them in one line."""
+
+    def error(self, message):
+        raise ContractViolationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fpeps",
         description="fermionic PEPS: verification suites and model data",
     )
@@ -313,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # argparse hands `--opt=--` over as an empty list, unconverted and
         # unchecked against its choices (inside a list for --dir)
         for name, value in vars(args).items():

@@ -29,12 +29,9 @@ def _column_tensor(lattice: LatticeSpec, tensors, h: int) -> np.ndarray:
     """Contract the vertical chain of column h into [L, phys, R]."""
     blocks = []
     for v in range(1, lattice.n_v + 1):
-        t = tensors[(h, v)]
-        if not isinstance(t, PEPSTensor):
-            t = PEPSTensor(np.asarray(t))
         # [k, L, R, u, d] -> [u, L, k, R, d], contiguous for einsum's inner loop
         blocks.append(np.ascontiguousarray(
-            t.entries.reshape(2, 4, 4, 2, 2).transpose(3, 1, 0, 2, 4)))
+            tensors[(h, v)].entries.reshape(2, 4, 4, 2, 2).transpose(3, 1, 0, 2, 4)))
 
     col = blocks[0]
     for block in blocks[1:]:
@@ -55,12 +52,6 @@ def contract_peps(lattice: LatticeSpec, tensors: dict[Site, PEPSTensor]) -> Fock
     missing = [s for s in lattice.sites() if s not in tensors]
     if missing:
         raise ContractViolationError(f"missing tensors for sites {missing}")
-    for s, t in tensors.items():
-        arr = t.entries if isinstance(t, PEPSTensor) else np.asarray(t)
-        if arr.shape != (2,) * 7:
-            raise ContractViolationError(
-                f"tensor at {s} has shape {arr.shape}, expected (2,)*7"
-            )
 
     cols = [_column_tensor(lattice, tensors, h) for h in range(1, lattice.n_h + 1)]
 

@@ -37,7 +37,6 @@ large-distance behavior follows K(n1, n2) = (n1+3+i n2)/(n1+1+i n2)^3:
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -204,25 +203,17 @@ def quadrature_error(rows, grid_size: int = 401) -> float:
     return float(np.max(np.abs(finer - np.array([row[3] for row in rows]))))
 
 
-@lru_cache(maxsize=8)
-def torus_correlator_tables(grid_size: int):
-    """Exact correlator tables of a finite grid x grid torus (via FFT).
+def torus_correlator(n1: int, n2: int, kind: str, grid_size: int = 401) -> float:
+    """Exact correlator of a finite grid x grid torus (via FFT).
 
-    Returns (table_p, table_q) with table[n1, n2]; these differ from the
-    continuum values by image sums of order 1/grid^2 and are the right tool
-    for large-separation scans and block-covariance assembly.  They are the
-    type-(1, 1) and type-(1, 2) entries of the ground-state displacement
-    array, so an odd grid never meets the singular set.
+    It differs from the continuum value by image sums of order 1/grid^2.
+    Kinds ``p`` and ``q`` are the type-(1, 1) and type-(1, 2) entries of the
+    ground-state displacement array, so an odd grid never meets the
+    singular set.
     """
     _check_grid(grid_size)
-    blocks = ground_state_blocks(grid_size)
-    return blocks[..., 0, 0], blocks[..., 0, 1]
-
-
-def torus_correlator(n1: int, n2: int, kind: str, grid_size: int = 401) -> float:
-    table_p, table_q = torus_correlator_tables(grid_size)
-    table = table_p if kind == "p" else table_q
-    return float(table[n1 % grid_size, n2 % grid_size])
+    block = ground_state_blocks(grid_size)[n1 % grid_size, n2 % grid_size]
+    return float(block[0, 0] if kind == "p" else block[0, 1])
 
 
 def _inner_residue(n1: int, phi2: float) -> complex:

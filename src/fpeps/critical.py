@@ -56,12 +56,12 @@ def example_channel() -> GaussianChannel:
     return GaussianChannel(np.zeros((2, 2)), EXAMPLE_B, EXAMPLE_D)
 
 
-def closed_form_ratios(phi, atol: float = 1e-12):
+def closed_form_ratios(phi):
     """(p/d, q/d) of the critical model at momenta of shape (..., 2)."""
     phi = np.asarray(phi, dtype=float)
     s1, s2 = np.sin(phi[..., 0]), np.sin(phi[..., 1])
     den = -1.0 + s1 * s2
-    singular = np.abs(den) < atol
+    singular = np.abs(den) < 1e-12
     if np.any(singular):
         bad = tuple(phi[singular][0].tolist())
         raise ZeroNormError(

@@ -152,12 +152,24 @@ def vacuum(registry: ModeRegistry, cap: int = DEFAULT_MODE_CAP) -> FockVector:
     return FockVector(registry, amps)
 
 
-def _apply_ladder(amps: np.ndarray, pos: int, create: bool) -> np.ndarray:
-    """Apply a single creation/annihilation operator on registry position pos."""
+# (up, down) of c^(1) = a^dag + a and c^(2) = -i (a^dag - a) for _flip;
+# a^dag is (1, 0) and a is (0, 1)
+_MAJORANA = ((1, 1), (-1j, 1j))
+
+
+def _flip(amps: np.ndarray, pos: int, up, down) -> np.ndarray:
+    """``up a^dag + down a`` on registry position pos, with the Jordan-Wigner sign.
+
+    ``up`` multiplies the amplitudes whose bit pos is raised, ``down`` those
+    whose bit is lowered; a zero factor leaves its half exactly zero.
+    """
     view = amps.reshape(-1, 2, 1 << pos)  # [above, pos, below]
-    src, dst = (0, 1) if create else (1, 0)
-    out = np.zeros_like(view)
-    out[:, dst] = parity_signs(pos) * view[:, src]
+    signs = parity_signs(pos)
+    out = np.zeros(view.shape, dtype=complex)
+    if up:
+        out[:, 1] = up * signs * view[:, 0]
+    if down:
+        out[:, 0] = down * signs * view[:, 1]
     return out.reshape(-1)
 
 
@@ -168,7 +180,7 @@ def apply_poly(state: FockVector, op: OperatorPoly) -> FockVector:
     for coeff, monomial in op.terms:
         work = state.amplitudes
         for label, create in reversed(monomial):
-            work = _apply_ladder(work, reg.position(label), create)
+            work = _flip(work, reg.position(label), *((1, 0) if create else (0, 1)))
             if not work.any():
                 break
         result += coeff * work
@@ -182,14 +194,7 @@ def majorana_vector(state: FockVector, pos: int, which: int) -> np.ndarray:
     """
     if which not in (1, 2):
         raise ContractViolationError(f"Majorana type must be 1 or 2, got {which}")
-    view = state.amplitudes.reshape(-1, 2, 1 << pos)  # [above, pos, below]
-    signs = parity_signs(pos)
-    # c^(2) picks up -i from an empty source mode and +i from an occupied one
-    up, down = (1.0, 1.0) if which == 1 else (-1j, 1j)
-    out = np.empty_like(view)
-    out[:, 1] = up * signs * view[:, 0]
-    out[:, 0] = down * signs * view[:, 1]
-    return out.reshape(-1)
+    return _flip(state.amplitudes, pos, *_MAJORANA[which - 1])
 
 
 def covariance_matrix(state: FockVector) -> np.ndarray:
@@ -202,10 +207,10 @@ def covariance_matrix(state: FockVector) -> np.ndarray:
     if nrm < 1e-14:
         raise UndefinedStateError("covariance matrix of a zero-norm state")
     n = state.n_modes
-    unit = FockVector(state.registry, state.amplitudes / nrm)
+    unit = state.amplitudes / nrm
     vecs = np.empty((2 * n, 1 << n), dtype=complex)
     for k in range(2 * n):
-        vecs[k] = majorana_vector(unit, k % n, 1 + k // n)
+        vecs[k] = _flip(unit, k % n, *_MAJORANA[k // n])
     # c_k is self-adjoint, so <psi|c_k c_l|psi> = <c_k psi|c_l psi>; zherk
     # forms only the upper triangle of conj(vecs) vecs^T, with no conjugated copy
     gram = 1j * np.triu(zherk(1.0, vecs.T, trans=2), 1)
@@ -214,20 +219,6 @@ def covariance_matrix(state: FockVector) -> np.ndarray:
         k, l = bad[0]
         raise NumericalValidityError(f"covariance entry not real: {gram[k, l]} at ({k}, {l})")
     return gram.real - gram.real.T
-
-
-def _sparse_majorana(n: int, pos: int, which: int) -> sp.csr_matrix:
-    dim = 1 << n
-    idx = np.arange(dim)
-    bit = 1 << pos
-    sign = np.tile(parity_signs(pos), dim >> pos)
-    if which == 1:
-        data = sign.astype(complex)
-    else:
-        occupied = (idx & bit) != 0
-        data = np.where(occupied, 1j, -1j) * sign
-    rows = idx ^ bit
-    return sp.csr_matrix((data, (rows, idx)), shape=(dim, dim))
 
 
 def quadratic_operator(h: np.ndarray, n_modes: int) -> sp.csr_matrix:
@@ -244,19 +235,15 @@ def quadratic_operator(h: np.ndarray, n_modes: int) -> sp.csr_matrix:
     if np.max(np.abs(h + h.T)) > 1e-12:
         raise ContractViolationError("quadratic coefficient matrix must be antisymmetric")
     dim = 1 << n_modes
-    majoranas = {}
-
-    def cop(k):
-        if k not in majoranas:
-            which = 1 if k < n_modes else 2
-            majoranas[k] = _sparse_majorana(n_modes, k % n_modes, which)
-        return majoranas[k]
-
+    idx, ones = np.arange(dim), np.ones(dim)
+    # c_k maps basis state i to i ^ bit; _flip on the all-ones vector gives
+    # the coefficient of every target, so row j holds column j ^ bit
+    c = [sp.csr_matrix((_flip(ones, k % n_modes, *_MAJORANA[k // n_modes]),
+                        (idx, idx ^ (1 << k % n_modes))), shape=(dim, dim))
+         for k in range(2 * n_modes)]
     H = sp.csr_matrix((dim, dim), dtype=complex)
-    for k in range(2 * n_modes):
-        for l in range(k + 1, 2 * n_modes):
-            if h[k, l] != 0.0:
-                H = H + (2j * h[k, l]) * (cop(k) @ cop(l))
+    for k, l in zip(*np.nonzero(np.triu(h, 1))):
+        H = H + (2j * h[k, l]) * (c[k] @ c[l])
     return H
 
 

@@ -103,14 +103,14 @@ class GaussianChannel:
         bottom = np.hstack([-self.B.T, self.D])
         return np.vstack([top, bottom])
 
-    def validate(self, atol: float = ANTISYM_ATOL):
+    def validate(self):
         G = self.assembled()
         n = G.shape[0]
         if not np.all(np.isfinite(G)):
             raise ContractViolationError("channel matrix must be finite")
-        if np.max(np.abs(G + G.T)) > atol:
+        if np.max(np.abs(G + G.T)) > ANTISYM_ATOL:
             raise ContractViolationError("channel matrix must be antisymmetric")
-        if np.max(np.abs(G @ G.T - np.eye(n))) > atol:
+        if np.max(np.abs(G @ G.T - np.eye(n))) > ANTISYM_ATOL:
             raise ContractViolationError("channel matrix must be orthogonal")
 
     def expand_to_lattice(self, n_sites: int) -> "GaussianChannel":

@@ -1,5 +1,9 @@
 """File formats: fermionic tensor sets and mapped spin tensor sets.
 
+Both formats share one JSON layout and one codec: the lattice, the parity
+rows (tensor sets only), then per site the nonzero entries of its array in
+C order of the indices, named by ``_FERMION_KEYS`` or ``_SPIN_KEYS``.
+
 JSON floats are serialized with Python's shortest round-trip repr, so a
 fixed input produces byte-identical output files.
 """
@@ -15,6 +19,10 @@ from .errors import ContractViolationError
 from .lattice import LatticeSpec, Site
 from .tensors import FPEPSTensor, PEPSTensor
 
+# entry index names of the two file formats, in array axis order
+_FERMION_KEYS = ("k", "l", "r", "u", "d")
+_SPIN_KEYS = ("k", "l", "lp", "r", "rp", "u", "d")
+
 
 @contextmanager
 def _reading(kind: str, path):
@@ -27,22 +35,6 @@ def _reading(kind: str, path):
         ) from exc
 
 
-def _lattice_of(data, listed: int, kind: str) -> LatticeSpec:
-    """The file's lattice, refused before any per-site loop if sites are missing."""
-    lat = LatticeSpec(int(data["lattice"]["nh"]), int(data["lattice"]["nv"]))
-    if lat.n_sites > listed:
-        raise ContractViolationError(
-            f"{kind} file missing sites: {listed} tensors for {lat.n_sites} sites"
-        )
-    return lat
-
-
-def _require_all_sites(kind: str, lattice: LatticeSpec, tensors: dict) -> None:
-    missing = [s for s in lattice.sites() if s not in tensors]
-    if missing:
-        raise ContractViolationError(f"{kind} file missing sites {missing}")
-
-
 def _entry_index(item: dict, keys) -> tuple[int, ...]:
     """The entry's index tuple; each component must be the JSON integer 0 or 1."""
     index = tuple(item[key] for key in keys)
@@ -52,91 +44,74 @@ def _entry_index(item: dict, keys) -> tuple[int, ...]:
     return index
 
 
-def load_tensor_set(path) -> tuple[LatticeSpec, dict[Site, int], dict[Site, FPEPSTensor]]:
-    with _reading("tensor-set", path):
+def _load(path, kind: str, keys) -> tuple[LatticeSpec, dict, dict[Site, np.ndarray]]:
+    """The file's lattice, its JSON document and the entry array of every site.
+
+    A lattice with more sites than the file lists tensors is refused before
+    any per-site loop; a site listed twice or outside the lattice is refused
+    by name.  A file that passes all three lists every site exactly once.
+    """
+    with _reading(kind, path):
         data = json.loads(Path(path).read_text())
-        lat = _lattice_of(data, len(data["tensors"]), "tensor-set")
-        parity_rows = data.get("parity")
-        parity: dict[Site, int] = {}
-        for v in range(1, lat.n_v + 1):
-            for h in range(1, lat.n_h + 1):
-                parity[(h, v)] = (
-                    int(parity_rows[v - 1][h - 1]) if parity_rows is not None else 0
-                )
-        tensors: dict[Site, FPEPSTensor] = {}
-        for entry in data["tensors"]:
+        lattice = LatticeSpec(int(data["lattice"]["nh"]), int(data["lattice"]["nv"]))
+        listed = data["tensors"]
+        if lattice.n_sites > len(listed):
+            raise ContractViolationError(
+                f"{kind} file missing sites: {len(listed)} tensors for {lattice.n_sites} sites"
+            )
+        arrays: dict[Site, np.ndarray] = {}
+        for entry in listed:
             site = (int(entry["site"][0]), int(entry["site"][1]))
-            arr = np.zeros((2,) * 5, dtype=complex)
+            if site in arrays:
+                raise ContractViolationError(f"{kind} file lists site {site} twice")
+            if lattice.wrap(site) != site:
+                raise ContractViolationError(
+                    f"{kind} file site {site} lies outside the "
+                    f"{lattice.n_h}x{lattice.n_v} lattice"
+                )
+            arr = arrays[site] = np.zeros((2,) * len(keys), dtype=complex)
             for item in entry["entries"]:
-                arr[_entry_index(item, "klrud")] = complex(item["re"], item["im"])
-            tensors[site] = FPEPSTensor(arr, parity[site])
-    _require_all_sites("tensor-set", lat, tensors)
-    return lat, parity, tensors
+                arr[_entry_index(item, keys)] = complex(item["re"], item["im"])
+    return lattice, data, arrays
+
+
+def _dump(lattice: LatticeSpec, keys, arrays: dict[Site, np.ndarray], **header) -> str:
+    """The JSON document of one entry array per site; ``header`` follows the lattice."""
+    tensors = []
+    for site in lattice.sites():
+        arr = arrays[site]
+        nonzero = arr != 0
+        tensors.append({"site": list(site), "entries": [
+            {**dict(zip(keys, idx)), "re": val.real, "im": val.imag}
+            for idx, val in zip(np.argwhere(nonzero).tolist(), arr[nonzero].tolist())
+        ]})
+    payload = {"lattice": {"nh": lattice.n_h, "nv": lattice.n_v}, **header, "tensors": tensors}
+    return json.dumps(payload, indent=1)
+
+
+def load_tensor_set(path) -> tuple[LatticeSpec, dict[Site, int], dict[Site, FPEPSTensor]]:
+    lattice, data, arrays = _load(path, "tensor-set", _FERMION_KEYS)
+    with _reading("tensor-set", path):
+        rows = data.get("parity")
+        parity = {(h, v): int(rows[v - 1][h - 1]) if rows is not None else 0
+                  for h, v in lattice.sites()}
+        tensors = {s: FPEPSTensor(arrays[s], parity[s]) for s in lattice.sites()}
+    return lattice, parity, tensors
 
 
 def dump_tensor_set(
     lattice: LatticeSpec, parity: dict[Site, int], tensors: dict[Site, FPEPSTensor]
 ) -> str:
-    payload = {
-        "lattice": {"nh": lattice.n_h, "nv": lattice.n_v},
-        "parity": [
-            [parity[(h, v)] for h in range(1, lattice.n_h + 1)]
-            for v in range(1, lattice.n_v + 1)
-        ],
-        "tensors": [
-            {
-                "site": list(site),
-                "entries": [
-                    {
-                        "k": k, "l": l, "r": r, "u": u, "d": d,
-                        "re": val.real, "im": val.imag,
-                    }
-                    for (k, l, r, u, d), val in tensors[site].nonzero_items()
-                ],
-            }
-            for site in lattice.sites()
-        ],
-    }
-    return json.dumps(payload, indent=1)
-
-
-def dump_peps_set(lattice: LatticeSpec, tensors: dict[Site, PEPSTensor]) -> str:
-    payload = {
-        "lattice": {"nh": lattice.n_h, "nv": lattice.n_v},
-        "tensors": [
-            {
-                "site": list(site),
-                "entries": [
-                    {
-                        "k": int(idx[0]), "l": int(idx[1]), "lp": int(idx[2]),
-                        "r": int(idx[3]), "rp": int(idx[4]),
-                        "u": int(idx[5]), "d": int(idx[6]),
-                        "re": tensors[site].entries[idx].real,
-                        "im": tensors[site].entries[idx].imag,
-                    }
-                    for idx in np.ndindex(*(2,) * 7)
-                    if tensors[site].entries[idx] != 0
-                ],
-            }
-            for site in lattice.sites()
-        ],
-    }
-    return json.dumps(payload, indent=1)
+    rows = [[parity[(h, v)] for h in range(1, lattice.n_h + 1)]
+            for v in range(1, lattice.n_v + 1)]
+    arrays = {s: tensors[s].entries for s in lattice.sites()}
+    return _dump(lattice, _FERMION_KEYS, arrays, parity=rows)
 
 
 def load_peps_set(path) -> tuple[LatticeSpec, dict[Site, PEPSTensor]]:
-    with _reading("PEPS-set", path):
-        data = json.loads(Path(path).read_text())
-        lat = _lattice_of(data, len(data["tensors"]), "PEPS-set")
-        tensors: dict[Site, PEPSTensor] = {}
-        for entry in data["tensors"]:
-            site = (int(entry["site"][0]), int(entry["site"][1]))
-            arr = np.zeros((2,) * 7, dtype=complex)
-            for item in entry["entries"]:
-                arr[_entry_index(item, ("k", "l", "lp", "r", "rp", "u", "d"))] = complex(
-                    item["re"], item["im"]
-                )
-            tensors[site] = PEPSTensor(arr)
-    _require_all_sites("PEPS-set", lat, tensors)
-    return lat, tensors
+    lattice, _, arrays = _load(path, "PEPS-set", _SPIN_KEYS)
+    return lattice, {s: PEPSTensor(arrays[s]) for s in lattice.sites()}
 
+
+def dump_peps_set(lattice: LatticeSpec, tensors: dict[Site, PEPSTensor]) -> str:
+    return _dump(lattice, _SPIN_KEYS, {s: tensors[s].entries for s in lattice.sites()})

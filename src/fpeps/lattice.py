@@ -71,12 +71,6 @@ class LatticeSpec:
                 out.append((2.0 * np.pi * kh / self.n_h, 2.0 * np.pi * kv / self.n_v))
         return out
 
-    def displacement(self, a: Site, b: Site) -> tuple[int, int]:
-        """Minimal representative of b - a modulo the torus, in [0, n)."""
-        ah, av = self.wrap(a)
-        bh, bv = self.wrap(b)
-        return ((bh - ah) % self.n_h, (bv - av) % self.n_v)
-
 
 def parse_lattice(text: str) -> LatticeSpec:
     """Parse '3x3'-style lattice descriptions."""

@@ -39,8 +39,6 @@ _GRID_PARITY = _GRID.sum(axis=0) % 2
 def _normalize_parity(lattice: LatticeSpec, parity) -> dict[Site, int]:
     if parity is None:
         return {s: 0 for s in lattice.sites()}
-    if isinstance(parity, int):
-        return {s: parity for s in lattice.sites()}
     out = {lattice.wrap(s): int(c) for s, c in dict(parity).items()}
     missing = [s for s in lattice.sites() if s not in out]
     if missing:
@@ -64,7 +62,7 @@ def _transport_form(lattice: LatticeSpec, slots: np.ndarray) -> np.ndarray:
 def derive_sign_functions(lattice: LatticeSpec, parity=None) -> dict[Site, SignFunction]:
     """Local sign tables for every site of the lattice.
 
-    ``parity`` is None (all even), a single int, or a per-site mapping.  The
+    ``parity`` is None (all even) or a per-site mapping.  The
     residual quadratic form after removing the transported pieces must split
     site-locally; a cross-site leftover raises ``ContractViolationError``.
 
@@ -155,21 +153,17 @@ def map_to_peps(
     """
     tensor.validate()
     h, _ = lattice.wrap(site)
-    first = h == 1
-    last = h == lattice.n_h
+    nonzero = np.nonzero(tensor.entries)
+    k, l, r, u, d = nonzero
+    # the sign table is indexed [k, u, d, l, r]
+    base = (tensor.entries * (-1.0) ** sign.table.transpose(0, 3, 4, 1, 2))[nonzero]
     out = np.zeros((2,) * 7, dtype=complex)
-    for (k, l, r, u, d), a_val in tensor.nonzero_items():
-        base = a_val * (-1.0) ** sign(k, u, d, l, r)
-        for rp in (0, 1):
-            if last and rp != 0:
-                continue
-            if first:
-                lp = 0
-                phase = (-1.0) ** ((d + l) * rp)
-            else:
-                lp = (rp + u + d) % 2
-                phase = (-1.0) ** (d * rp)
-            out[k, l, lp, r, rp, u, d] = base * phase
+    for rp in (0,) if h == lattice.n_h else (0, 1):
+        if h == 1:
+            lp, phase = 0, (-1.0) ** ((d + l) * rp)
+        else:
+            lp, phase = (rp + u + d) % 2, (-1.0) ** (d * rp)
+        out[k, l, lp, r, rp, u, d] = base * phase
     return PEPSTensor(out)
 
 
@@ -178,8 +172,20 @@ def map_tensor_set(
     tensors: dict[Site, FPEPSTensor],
     parity=None,
 ) -> dict[Site, PEPSTensor]:
-    """Map every site tensor with freshly derived sign tables."""
-    signs = derive_sign_functions(lattice, parity)
+    """Map every site tensor with sign tables derived for the tensors' parities.
+
+    ``parity``, if given, is a per-site mapping that must agree with the
+    ``parity`` each tensor carries.
+    """
+    own = {s: tensors[s].parity for s in lattice.sites()}
+    if parity is not None:
+        given = _normalize_parity(lattice, parity)
+        wrong = [s for s in lattice.sites() if given[s] != own[s]]
+        if wrong:
+            raise ContractViolationError(
+                f"parity argument disagrees with the tensors' parity at sites {wrong}"
+            )
+    signs = derive_sign_functions(lattice, own)
     return {
         s: map_to_peps(tensors[s], s, signs[s], lattice) for s in lattice.sites()
     }

@@ -46,17 +46,22 @@ class FPEPSTensor:
             )
 
     def nonzero_items(self):
-        for idx in np.ndindex(*(2,) * 5):
-            val = self.entries[idx]
-            if val != 0:
-                yield idx, complex(val)
+        """(index, value) of every nonzero entry, in C order."""
+        nonzero = self.entries != 0
+        for idx, val in zip(np.argwhere(nonzero).tolist(), self.entries[nonzero].tolist()):
+            yield tuple(idx), val
 
     @classmethod
     def random(cls, rng: np.random.Generator, parity: int = 0) -> "FPEPSTensor":
+        """Standard complex normal entries on the 16 parity-allowed indices.
+
+        One (16, 2) draw, rows in C order of the indices and columns (re, im),
+        consumes the generator exactly as one scalar draw per component would.
+        """
         arr = np.zeros((2,) * 5, dtype=complex)
-        for idx in np.ndindex(*(2,) * 5):
-            if sum(idx) % 2 == parity:
-                arr[idx] = rng.standard_normal() + 1j * rng.standard_normal()
+        allowed = _PARITY == parity  # empty for an invalid parity, refused below
+        z = rng.standard_normal((int(allowed.sum()), 2))
+        arr[allowed] = z[:, 0] + 1j * z[:, 1]
         return cls(arr, parity)
 
 
@@ -88,6 +93,3 @@ class SignFunction:
         if (arr > 1).any():  # uint8: 0 or 1
             raise ContractViolationError("sign table values must be 0 or 1")
         object.__setattr__(self, "table", arr)
-
-    def __call__(self, k: int, u: int, d: int, l: int, r: int) -> int:
-        return int(self.table[k, u, d, l, r])

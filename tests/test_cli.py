@@ -129,9 +129,17 @@ def test_verify_determinism(tmp_path):
 
 
 def test_correlations_requires_direction(capsys):
-    with pytest.raises(SystemExit) as err:
-        run(["correlations"])
-    assert err.value.code == 2
+    assert_config_error(["correlations"], capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--sets=x"],
+    ["verify", "--suite", "bogus"],
+    ["bogus"],
+    [],
+], ids=["bad-int", "bad-choice", "bad-command", "no-command"])
+def test_argparse_errors_are_one_line(capsys, argv):
+    assert_config_error(argv, capsys)
 
 
 def test_correlations_diagonal(tmp_path):
@@ -283,6 +291,18 @@ def test_convert_missing_file_is_config_error(tmp_path):
 def test_convert_file_without_lattice_is_config_error(tmp_path, capsys):
     src = tmp_path / "empty.json"
     src.write_text("{}")
+    assert_config_error(["convert", "--input", str(src),
+                         "--output", str(tmp_path / "out.json")], capsys)
+
+
+def test_convert_file_with_duplicate_site_is_config_error(tmp_path, capsys):
+    lattice = LatticeSpec(2, 1)
+    rng = np.random.default_rng(11)
+    tensors = {s: FPEPSTensor.random(rng) for s in lattice.sites()}
+    doc = json.loads(dump_tensor_set(lattice, {s: 0 for s in lattice.sites()}, tensors))
+    doc["tensors"][1]["site"] = [1, 1]
+    src = tmp_path / "dup.json"
+    src.write_text(json.dumps(doc))
     assert_config_error(["convert", "--input", str(src),
                          "--output", str(tmp_path / "out.json")], capsys)
 

@@ -47,7 +47,7 @@ def test_site_order_of_amplitudes():
 def test_shape_mismatch_raises():
     lattice = LatticeSpec(1, 1)
     with pytest.raises(ContractViolationError):
-        contract_peps(lattice, {(1, 1): np.zeros((2, 2, 2))})
+        contract_peps(lattice, {(1, 1): PEPSTensor(np.zeros((2, 2, 2)))})
 
 
 def test_missing_tensor_raises():

@@ -16,7 +16,6 @@ from fpeps.correlators import (
     fitted_scale,
     quadrature_error,
     torus_correlator,
-    torus_correlator_tables,
     _axis_rule,
     _inner_residue,
     _quarter_edges,
@@ -55,7 +54,7 @@ def test_grid_preconditions():
     with pytest.raises(ContractViolationError):
         correlator_numeric(1, 2, "p", grid_size=99)
     with pytest.raises(ContractViolationError):
-        torus_correlator_tables(100)
+        torus_correlator(1, 2, "p", 100)
 
 
 def test_parity_selection_numeric():

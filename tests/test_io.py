@@ -1,5 +1,6 @@
 """File formats round-trip bit-exactly; malformed files raise one error type."""
 import copy
+import hashlib
 import json
 
 import numpy as np
@@ -64,6 +65,25 @@ def test_peps_set_round_trip(tmp_path):
         assert np.array_equal(mapped2[s].entries, mapped[s].entries)
 
 
+# sha256 of both dumps of one mixed-parity 3x2 set (parities drawn first,
+# then the tensors), computed with the two per-format codecs that the
+# shared one replaced
+DUMP_DIGESTS = (
+    "9efa9168943e3136863f1b86fa61376a09f249645db62da017f8d92976198c86",
+    "27e943706b0fde136a347f47e0e8784b24ba51ef222e592b53b280366ceb305b",
+)
+
+
+def test_dumps_are_pinned():
+    lattice = LatticeSpec(3, 2)
+    rng = np.random.default_rng(11)
+    parity = {s: int(rng.integers(0, 2)) for s in lattice.sites()}
+    tensors = {s: FPEPSTensor.random(rng, parity[s]) for s in lattice.sites()}
+    texts = (dump_tensor_set(lattice, parity, tensors),
+             dump_peps_set(lattice, map_tensor_set(lattice, tensors, parity)))
+    assert tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts) == DUMP_DIGESTS
+
+
 LOADERS = (load_tensor_set, load_peps_set)
 
 
@@ -76,7 +96,7 @@ def test_malformed_file_is_contract_violation(tmp_path, loader, text):
         loader(path)
 
 
-@pytest.mark.parametrize("loader", (load_tensor_set, load_peps_set))
+@pytest.mark.parametrize("loader", LOADERS)
 def test_lattice_larger_than_tensor_list_is_refused_first(tmp_path, loader):
     # refused from the counts, before any loop over the lattice's sites,
     # which would not end for a lattice of, say, 10^9 x 10^9
@@ -86,15 +106,37 @@ def test_lattice_larger_than_tensor_list_is_refused_first(tmp_path, loader):
         loader(path)
 
 
-@pytest.mark.parametrize("loader", (load_tensor_set, load_peps_set))
+def _dump_one_of(loader, lattice, seed):
+    """The file format that ``loader`` reads, for one random even set."""
+    parity, tensors = random_set(lattice, seed=seed)
+    if loader is load_tensor_set:
+        return dump_tensor_set(lattice, parity, tensors)
+    return dump_peps_set(lattice, map_tensor_set(lattice, tensors))
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize("site,message", [
+    ([1, 1], r"lists site \(1, 1\) twice"),
+    ([9, 9], r"site \(9, 9\) lies outside the 2x1 lattice"),
+], ids=["duplicate", "stray"])
+def test_each_site_once_and_inside_the_lattice(tmp_path, loader, site, message):
+    # both loaders used to keep the last of two entries for one site
+    lattice = LatticeSpec(2, 1)
+    doc = json.loads(_dump_one_of(loader, lattice, seed=3))
+    doc["tensors"].append({**doc["tensors"][0], "site": site})
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ContractViolationError, match=message) as info:
+        loader(path)
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("loader", LOADERS)
 @pytest.mark.parametrize("value", [True, 2, 1.0, -1, -2, None],
                          ids=["true", "2", "1.0", "-1", "-2", "null"])
 def test_entry_index_must_be_zero_or_one(tmp_path, loader, value):
     # numpy would send -2 to 0 and None (a new axis) to two entries
-    lattice = LatticeSpec(1, 1)
-    parity, tensors = random_set(lattice, seed=2)
-    doc = json.loads(dump_tensor_set(lattice, parity, tensors) if loader is load_tensor_set
-                     else dump_peps_set(lattice, map_tensor_set(lattice, tensors)))
+    doc = json.loads(_dump_one_of(loader, LatticeSpec(1, 1), seed=2))
     doc["tensors"][0]["entries"][0]["k"] = value
     path = tmp_path / "set.json"
     path.write_text(json.dumps(doc))
@@ -107,12 +149,8 @@ DELETE = object()
 
 
 def _valid_documents():
-    lattice = LatticeSpec(1, 1)
-    parity, tensors = random_set(lattice, seed=1)
-    return {
-        load_tensor_set: json.loads(dump_tensor_set(lattice, parity, tensors)),
-        load_peps_set: json.loads(dump_peps_set(lattice, map_tensor_set(lattice, tensors))),
-    }
+    return {loader: json.loads(_dump_one_of(loader, LatticeSpec(1, 1), seed=1))
+            for loader in LOADERS}
 
 
 VALID = _valid_documents()

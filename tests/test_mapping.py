@@ -202,3 +202,37 @@ def test_sign_tables_cover_all_sites():
     lattice = LatticeSpec(3, 3)
     tables = derive_sign_functions(lattice)
     assert set(tables) == set(lattice.sites())
+
+
+def _drawn_set(lattice, seed, parity=None):
+    """Random tensors; without ``parity`` each site's parity is drawn first."""
+    rng = np.random.default_rng(seed)
+    if parity is None:
+        parity = {s: int(rng.integers(0, 2)) for s in lattice.sites()}
+    return parity, {s: FPEPSTensor.random(rng, parity[s]) for s in lattice.sites()}
+
+
+@pytest.mark.parametrize("checkerboard", [False, True], ids=["drawn", "checkerboard"])
+def test_map_tensor_set_reads_parity_from_the_tensors(checkerboard):
+    # without the parity argument the tables used to be derived for all-even
+    # sites, which put the state at |overlap - 1| = 0.877 on the drawn set
+    # (default_rng(4) draws all six sites odd)
+    lattice = LatticeSpec(3, 2)
+    checker = {(h, v): (h + v) % 2 for h, v in lattice.sites()} if checkerboard else None
+    parity, tensors = _drawn_set(lattice, 4, checker)
+    assert any(parity.values())
+    oracle = build_fpeps(lattice, tensors)
+    contracted = contract_peps(lattice, map_tensor_set(lattice, tensors))
+    assert abs(oracle.normalized_overlap(contracted) - 1.0) < 1e-10
+
+
+def test_map_tensor_set_refuses_a_disagreeing_parity_argument():
+    lattice = LatticeSpec(3, 2)
+    parity, tensors = _drawn_set(lattice, 4)
+    wrong = {**parity, (2, 2): 1 - parity[(2, 2)]}
+    with pytest.raises(ContractViolationError, match=r"\(2, 2\)"):
+        map_tensor_set(lattice, tensors, wrong)
+    # the agreeing argument is accepted and changes nothing
+    with_arg = map_tensor_set(lattice, tensors, parity)
+    without = map_tensor_set(lattice, tensors)
+    assert all(np.array_equal(with_arg[s].entries, without[s].entries) for s in lattice.sites())
