@@ -39,9 +39,11 @@ from .tensors import FPEPSTensor
 
 MAPPING_LATTICES = (LatticeSpec(1, 2), LatticeSpec(2, 1), LatticeSpec(2, 2))
 
-# verify's gaussian suite holds about seven (8 N)^2 float arrays of the
-# dense lattice channel for N sites (D, the bond covariance, their
-# difference, its LU factors); above MAX_DENSE_FLOATS (1 GiB) it is refused.
+# verify's gaussian suite holds at most four (8 N)^2 float arrays of the
+# dense lattice channel for N sites at once (D, the bond covariance, their
+# difference and one LU copy of it) next to smaller ones (B, A, B's solve);
+# measured from 15x15 to 21x21, its resident set grows like five such
+# arrays.  Above MAX_DENSE_FLOATS (1 GiB) it is refused.
 MAX_DENSE_FLOATS = 2**27
 
 
@@ -134,7 +136,7 @@ def cmd_verify(args) -> int:
         raise ContractViolationError(f"--tolerance must be positive, got {args.tolerance}")
     if args.suite in ("mapping", "all") and args.sets < 1:
         raise ContractViolationError(f"--sets must be at least 1, got {args.sets}")
-    dense = 7 * (8 * lattice.n_sites) ** 2
+    dense = 5 * (8 * lattice.n_sites) ** 2
     if args.suite in ("gaussian", "all") and dense > MAX_DENSE_FLOATS:
         raise ContractViolationError(
             f"--lattice {args.lattice} needs {8 * dense / 2**30:.1f} GiB of dense "

@@ -23,10 +23,12 @@ where "first" is the mode whose creator appears left in the bond operator
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg.lapack
 
 from .errors import (
     ContractViolationError,
@@ -118,6 +120,12 @@ class GaussianChannel:
 
         Each per-site block with per-site type sub-blocks X_rs turns into
         kron(I_N, X_rs) within the global type-(r, s) block.
+
+        The result is P (I_N kron G) P^T for a permutation P and this
+        channel's matrix G: every entry is a copy of an entry of G or an
+        exact zero, so it is finite, antisymmetric and orthogonal exactly
+        when G is.  It is therefore not validated again; on a lattice the
+        dense check costs about as much as the map it feeds.
         """
 
         def expand(block: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -132,13 +140,31 @@ class GaussianChannel:
             return out
 
         p, q = self.p_modes, self.q_modes
-        return GaussianChannel(
-            expand(self.A, p, p), expand(self.B, p, q), expand(self.D, q, q)
-        )
+        expanded = copy.copy(self)
+        object.__setattr__(expanded, "A", expand(self.A, p, p))
+        object.__setattr__(expanded, "B", expand(self.B, p, q))
+        object.__setattr__(expanded, "D", expand(self.D, q, q))
+        return expanded
+
+
+def _rcond(M: np.ndarray) -> float:
+    """LAPACK's 1-norm estimate of 1 / cond(M) from one LU; 0 for a zero pivot."""
+    norm = np.linalg.norm(M, 1)  # before the LU copy exists, to keep the peak
+    lu, _, info = scipy.linalg.lapack.dgetrf(M)
+    if info > 0:
+        return 0.0
+    return float(scipy.linalg.lapack.dgecon(lu, norm)[0])
 
 
 def apply_channel(channel: GaussianChannel, gamma_in: MajoranaCM) -> MajoranaCM:
-    """Evaluate the map; raises ZeroNormError when D - Gamma_in is singular."""
+    """Evaluate the map; raises ZeroNormError when D - Gamma_in is singular.
+
+    ``|det(D - Gamma_in)| >= ZERO_NORM_ATOL`` accepts at once.  The
+    determinant is a product over all sites, though, and falls below any
+    fixed bound on a large enough lattice with a well-conditioned matrix;
+    a smaller determinant is singular only when the reciprocal condition
+    number, which does not grow with the size, is below ZERO_NORM_ATOL too.
+    """
     D, B, A = channel.D, channel.B, channel.A
     if gamma_in.matrix.shape != D.shape:
         raise ContractViolationError(
@@ -146,7 +172,7 @@ def apply_channel(channel: GaussianChannel, gamma_in: MajoranaCM) -> MajoranaCM:
         )
     M = D - gamma_in.matrix
     sign, logabsdet = np.linalg.slogdet(M)
-    if sign == 0 or logabsdet < np.log(ZERO_NORM_ATOL):
+    if sign == 0 or (logabsdet < np.log(ZERO_NORM_ATOL) and _rcond(M) < ZERO_NORM_ATOL):
         det = sign * np.exp(logabsdet)
         raise ZeroNormError(
             f"projection is singular: det(D - Gamma_in) = {det:.3e}",

@@ -50,6 +50,8 @@ def _load(path, kind: str, keys) -> tuple[LatticeSpec, dict, dict[Site, np.ndarr
     A lattice with more sites than the file lists tensors is refused before
     any per-site loop; a site listed twice or outside the lattice is refused
     by name.  A file that passes all three lists every site exactly once.
+    A site or entry index that is not a JSON integer, and an entry listed
+    twice within one site, are refused rather than truncated or overwritten.
     """
     with _reading(kind, path):
         data = json.loads(Path(path).read_text())
@@ -61,7 +63,9 @@ def _load(path, kind: str, keys) -> tuple[LatticeSpec, dict, dict[Site, np.ndarr
             )
         arrays: dict[Site, np.ndarray] = {}
         for entry in listed:
-            site = (int(entry["site"][0]), int(entry["site"][1]))
+            site = tuple(entry["site"])
+            if len(site) != 2 or any(type(c) is not int for c in site):
+                raise ValueError(f"site {entry['site']!r} is not two integers")
             if site in arrays:
                 raise ContractViolationError(f"{kind} file lists site {site} twice")
             if lattice.wrap(site) != site:
@@ -70,8 +74,13 @@ def _load(path, kind: str, keys) -> tuple[LatticeSpec, dict, dict[Site, np.ndarr
                     f"{lattice.n_h}x{lattice.n_v} lattice"
                 )
             arr = arrays[site] = np.zeros((2,) * len(keys), dtype=complex)
+            seen = set()
             for item in entry["entries"]:
-                arr[_entry_index(item, keys)] = complex(item["re"], item["im"])
+                index = _entry_index(item, keys)
+                if index in seen:
+                    raise ValueError(f"site {site} lists entry {index} twice")
+                seen.add(index)
+                arr[index] = complex(item["re"], item["im"])
     return lattice, data, arrays
 
 
@@ -93,8 +102,11 @@ def load_tensor_set(path) -> tuple[LatticeSpec, dict[Site, int], dict[Site, FPEP
     lattice, data, arrays = _load(path, "tensor-set", _FERMION_KEYS)
     with _reading("tensor-set", path):
         rows = data.get("parity")
-        parity = {(h, v): int(rows[v - 1][h - 1]) if rows is not None else 0
+        parity = {(h, v): rows[v - 1][h - 1] if rows is not None else 0
                   for h, v in lattice.sites()}
+        for site, value in parity.items():
+            if type(value) is not int:
+                raise ValueError(f"parity {value!r} of site {site} is not an integer")
         tensors = {s: FPEPSTensor(arrays[s], parity[s]) for s in lattice.sites()}
     return lattice, parity, tensors
 

@@ -17,6 +17,7 @@ from fpeps.fock import (
     covariance_matrix,
     exact_ground_state,
     majorana_vector,
+    many_body_gap,
     quadratic_operator,
     vacuum,
 )
@@ -161,6 +162,31 @@ def test_apply_quadratic_matches_ground_energy():
     e, gs = exact_ground_state(h, reg(n))
     hpsi = quadratic_operator(h, n) @ gs.amplitudes
     assert np.allclose(hpsi, e * gs.amplitudes, atol=1e-9)
+
+
+@pytest.mark.parametrize("n,seed", [(1, 0), (3, 1), (4, 2)])
+def test_quadratic_operator_is_the_sum_of_majorana_products(n, seed):
+    # reference: dense c_k from majorana_vector on every basis state, summed
+    # over the pairs k < l in the same order; the arithmetic is the same
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((2 * n, 2 * n))
+    h = h - h.T
+    basis = np.eye(1 << n)
+    c = [np.array([majorana_vector(FockVector(reg(n), e), pos, which) for e in basis]).T
+         for which in (1, 2) for pos in range(n)]
+    want = np.zeros((1 << n, 1 << n), dtype=complex)
+    for k, l in zip(*np.nonzero(np.triu(h, 1))):
+        want += (2j * h[k, l]) * (c[k] @ c[l])
+    assert np.array_equal(quadratic_operator(h, n).toarray(), want)
+
+
+def test_sparse_eigensolves_repeat_exactly():
+    # 9 modes take the eigsh path of both solvers
+    h = np.random.default_rng(4).standard_normal((18, 18))
+    h = h - h.T
+    energies = {exact_ground_state(h, reg(9))[0] for _ in range(3)}
+    gaps = {many_body_gap(h, reg(9)) for _ in range(3)}
+    assert len(energies) == 1 and len(gaps) == 1
 
 
 def test_quadratic_requires_antisymmetry():

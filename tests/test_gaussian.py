@@ -5,6 +5,7 @@ import pytest
 from fpeps.critical import example_channel
 from fpeps.errors import ContractViolationError, NumericalValidityError, ZeroNormError
 from fpeps.gaussian import (
+    ZERO_NORM_ATOL,
     GaussianChannel,
     MajoranaCM,
     apply_channel,
@@ -107,6 +108,47 @@ def test_apply_channel_singular_input(vacuum_channel):
     with pytest.raises(ZeroNormError) as err:
         apply_channel(ch, MajoranaCM(ch.D))
     assert err.value.determinant is not None
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (2, 2), (4, 3), (4, 4)])
+def test_apply_channel_singular_lattices(shape):
+    # tori with zero-norm momenta: D - Gamma_in is singular to rounding
+    lattice = LatticeSpec(*shape)
+    ch = example_channel().expand_to_lattice(lattice.n_sites)
+    with pytest.raises(ZeroNormError) as err:
+        apply_channel(ch, lattice_bond_cm(lattice))
+    det = err.value.determinant
+    assert abs(det) < ZERO_NORM_ATOL
+    assert str(err.value) == f"projection is singular: det(D - Gamma_in) = {det:.3e}"
+
+
+def test_apply_channel_small_determinant_of_a_well_conditioned_matrix():
+    # 32 modes: det(D - Gamma_in) = det(-J/2) = 2^-64, far below
+    # ZERO_NORM_ATOL, while every singular value is 1/2; the output is
+    # (-J/2)^-1 = 2 J.  Large odd tori (17x19 and up) are such a case.
+    J = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(32))
+    ch = GaussianChannel(np.zeros((64, 64)), np.eye(64), np.zeros((64, 64)))
+    assert np.linalg.det(ch.D - 0.5 * J) == pytest.approx(2.0**-64)
+    assert np.array_equal(apply_channel(ch, MajoranaCM(0.5 * J)).matrix, 2 * J)
+
+
+@pytest.mark.parametrize("n_sites", [1, 3, 9, 25])
+def test_expand_to_lattice_is_the_permuted_kron(n_sites):
+    # P (I_N kron G) P^T, P sending (site, local component) to the global qp
+    # position; the result is built without validation, so validate it here
+    ch = example_channel()
+    p, q = ch.p_modes, ch.q_modes
+    local = np.arange(2 * (p + q))
+    out = local < 2 * p
+    width = np.where(out, p, q)
+    mtype, mode = np.divmod(np.where(out, local, local - 2 * p), width)
+    site = np.arange(n_sites)[:, None]
+    perm = np.where(out, 0, 2 * p * n_sites) + (mtype * n_sites + site) * width + mode
+    want = np.empty((2 * (p + q) * n_sites,) * 2)
+    want[np.ix_(perm.ravel(), perm.ravel())] = np.kron(np.eye(n_sites), ch.assembled())
+    big = ch.expand_to_lattice(n_sites)
+    assert np.array_equal(big.assembled(), want)
+    big.validate()
 
 
 def test_gamma_out_hat_reference_momenta():

@@ -145,6 +145,35 @@ def test_entry_index_must_be_zero_or_one(tmp_path, loader, value):
     assert "\n" not in str(info.value)
 
 
+TRUNCATION_MESSAGES = {
+    "site": r"site \[1\.9, True\] is not two integers",
+    "parity": r"parity 1\.7 of site \(1, 1\) is not an integer",
+    "entry": r"site \(1, 1\) lists entry \(\d(, \d)+\) twice",
+}
+
+
+@pytest.mark.parametrize("loader,fault", [
+    (load_tensor_set, "site"), (load_peps_set, "site"), (load_tensor_set, "parity"),
+    (load_tensor_set, "entry"), (load_peps_set, "entry"),
+], ids=["tensor-set-site", "peps-set-site", "tensor-set-parity",
+        "tensor-set-entry", "peps-set-entry"])
+def test_values_are_refused_not_truncated(tmp_path, loader, fault):
+    # these used to load as site (1, 1), parity 1 and the entry's last value
+    doc = json.loads(_dump_one_of(loader, LatticeSpec(1, 1), seed=2))
+    if fault == "site":
+        doc["tensors"][0]["site"] = [1.9, True]
+    elif fault == "parity":
+        doc["parity"] = [[1.7]]
+    else:
+        entries = doc["tensors"][0]["entries"]
+        entries.append({**entries[0], "re": 5.0, "im": 0.0})
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ContractViolationError, match=TRUNCATION_MESSAGES[fault]) as info:
+        loader(path)
+    assert "\n" not in str(info.value)
+
+
 DELETE = object()
 
 
