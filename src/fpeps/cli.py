@@ -39,12 +39,27 @@ from .tensors import FPEPSTensor
 
 MAPPING_LATTICES = (LatticeSpec(1, 2), LatticeSpec(2, 1), LatticeSpec(2, 2))
 
-# verify's gaussian suite holds at most four (8 N)^2 float arrays of the
-# dense lattice channel for N sites at once (D, the bond covariance, their
-# difference and one LU copy of it) next to smaller ones (B, A, B's solve);
-# measured from 15x15 to 21x21, its resident set grows like five such
-# arrays.  Above MAX_DENSE_FLOATS (1 GiB) it is refused.
+# A request whose arrays would pass MAX_DENSE_FLOATS (1 GiB) is refused
+# before anything is allocated.  What each command holds, measured:
+# * verify's gaussian suite: at most four (8 N)^2 float arrays of the dense
+#   lattice channel for N sites (D, the bond covariance, their difference
+#   and one LU copy of it) next to smaller ones (B, A, B's solve); from
+#   15x15 to 21x21 its resident set grows like five such arrays.
+# * spectrum: 52-53 floats per momentum of --lattice (the levels as Python
+#   tuples, and the text) and 34-35 per momentum of the largest of --sizes,
+#   traced from 101^2 to 401^2; charged 56 and 40.
+# * entropy: 24 floats per torus site, then 8 of them next to 2.26-2.31
+#   (2 L^2)^2 arrays for the largest block length L (the gathered block, its
+#   qp copy, the chiral blocks), traced up to torus 801 and L = 40; charged
+#   24 per site plus three such arrays.
 MAX_DENSE_FLOATS = 2**27
+
+
+def _refuse_over_limit(floats: int, request: str):
+    if floats > MAX_DENSE_FLOATS:
+        gib = 8 * floats / 2**30 if floats < 2**1000 else float("inf")  # a huge int overflows
+        raise ContractViolationError(f"{request} needs {gib:.1f} GiB of arrays, over the "
+                                     f"{8 * MAX_DENSE_FLOATS / 2**30:.0f} GiB limit")
 
 
 def _emit(text: str, out_path):
@@ -107,7 +122,7 @@ def _gaussian_checks(lattice: LatticeSpec, seed: int, tolerance: float):
             "state undefined: essential zero-norm momenta on this lattice"))
         return checks
 
-    out = gamma_out_hat(channel, np.array(lattice.momenta()))
+    out = gamma_out_hat(channel, lattice.momenta())
     defined = ~out.zero_norm
     g = g_hat(out.p[defined], out.q[defined], out.d[defined])
     purity = float(np.max(np.abs(g @ g + np.eye(2)), initial=0.0))
@@ -136,12 +151,8 @@ def cmd_verify(args) -> int:
         raise ContractViolationError(f"--tolerance must be positive, got {args.tolerance}")
     if args.suite in ("mapping", "all") and args.sets < 1:
         raise ContractViolationError(f"--sets must be at least 1, got {args.sets}")
-    dense = 5 * (8 * lattice.n_sites) ** 2
-    if args.suite in ("gaussian", "all") and dense > MAX_DENSE_FLOATS:
-        raise ContractViolationError(
-            f"--lattice {args.lattice} needs {8 * dense / 2**30:.1f} GiB of dense "
-            f"arrays, over the {8 * MAX_DENSE_FLOATS / 2**30:.0f} GiB limit"
-        )
+    if args.suite in ("gaussian", "all"):
+        _refuse_over_limit(5 * (8 * lattice.n_sites) ** 2, f"--lattice {lattice.n_h}x{lattice.n_v}")
     checks = []
     if args.suite in ("mapping", "all"):
         checks.extend(_mapping_checks(args.seed, args.sets, args.tolerance))
@@ -197,7 +208,10 @@ def cmd_hamiltonian(args) -> int:
 
 def cmd_spectrum(args) -> int:
     if args.sizes is not None:
-        rows = gap_scan(_int_list(args.sizes, "--sizes"))
+        sizes = _int_list(args.sizes, "--sizes")
+        largest = max(sizes, default=0)
+        _refuse_over_limit(40 * largest**2, f"the {largest}x{largest} torus of --sizes")
+        rows = gap_scan(sizes)
         text = "N,gap\n" + "".join(f"{n},{g!r}\n" for n, g in rows)
         _emit(text, args.out)
         print(f"spectrum: gap scan over {len(rows)} sizes", file=sys.stderr)
@@ -207,6 +221,7 @@ def cmd_spectrum(args) -> int:
     lattice = parse_lattice(args.lattice)
     if lattice.n_h % 2 == 0 or lattice.n_v % 2 == 0:
         raise FpepsError(f"spectrum needs odd torus dimensions, got {args.lattice}")
+    _refuse_over_limit(56 * lattice.n_sites, f"--lattice {lattice.n_h}x{lattice.n_v}")
     ham = parent_hamiltonian(example_channel(), radius_cap=2)
     spectrum, _gap = single_particle_spectrum(ham, lattice)
     text = "phi1,phi2,energy\n"
@@ -243,7 +258,11 @@ def _block_lengths(text: str, torus: int) -> list[int]:
 
 
 def cmd_entropy(args) -> int:
-    rows = entropy_scan(args.torus, _block_lengths(args.blocks, args.torus))
+    lengths = _block_lengths(args.blocks, args.torus)
+    length = max(lengths, default=0)
+    _refuse_over_limit(24 * args.torus**2 + 3 * (2 * length**2) ** 2,
+                       f"block length {length} on the {args.torus}-torus")
+    rows = entropy_scan(args.torus, lengths)
     text = "L,entropy_bits\n" + "".join(f"{l},{s!r}\n" for l, s in rows)
     _emit(text, args.out)
     print(f"entropy: scan over {len(rows)} block sizes", file=sys.stderr)

@@ -29,7 +29,7 @@ import scipy.linalg
 from .build import site_signs
 from .errors import ContractViolationError, NumericalValidityError, ZeroNormError
 from .fock import FockVector, ModeRegistry, OperatorPoly, apply_poly, vacuum
-from .gaussian import GaussianChannel, _circulant, g_hat, gamma_out_hat
+from .gaussian import GaussianChannel, _circulant, displacements, g_hat, gamma_out_hat
 from .lattice import LatticeSpec, Site
 from .quadratic import DiracQuadratic
 from .tensors import FPEPSTensor
@@ -180,8 +180,7 @@ def norm_zero_locator(lattice: LatticeSpec) -> NormZeroReport:
     removable ones (a momentum component on {0, pi}) are correlated-loop
     artifacts that leave the covariance data intact.
     """
-    momenta = lattice.momenta()
-    phis = np.array(momenta)
+    phis = lattice.momenta()
     zero = gamma_out_hat(example_channel(), phis).zero_norm
     essential = zero & (np.abs(np.sin(phis[:, 0]) * np.sin(phis[:, 1]) - 1.0) < 1e-9)
     to_line = np.abs(phis[..., None] - np.array([0.0, np.pi, 2 * np.pi])).min(axis=-1)
@@ -189,13 +188,10 @@ def norm_zero_locator(lattice: LatticeSpec) -> NormZeroReport:
     stray = zero & ~essential & ~removable
     if np.any(stray):
         raise NumericalValidityError(
-            f"unclassified determinant zero at momentum {momenta[np.argmax(stray)]}"
+            f"unclassified determinant zero at momentum {tuple(phis[np.argmax(stray)].tolist())}"
         )
-
-    def pick(mask):
-        return tuple(phi for phi, hit in zip(momenta, mask) if hit)
-
-    return NormZeroReport(lattice, pick(removable), pick(essential))
+    removable, essential = (tuple(map(tuple, phis[hit].tolist())) for hit in (removable, essential))
+    return NormZeroReport(lattice, removable, essential)
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +208,8 @@ def ground_state_blocks(torus: int) -> np.ndarray:
         raise ContractViolationError(
             f"torus size must be odd and positive (unique ground state), got {torus}"
         )
-    angles = 2.0 * np.pi * np.arange(torus) / torus
-    phis = np.stack(np.meshgrid(angles, angles, indexing="ij"), axis=-1)
-    T = np.fft.ifft2(g_hat(*closed_form_ratios(phis), 1.0), axes=(0, 1))
-    if np.max(np.abs(T.imag)) > 1e-12:
-        raise NumericalValidityError("ground-state blocks should be real")
-    return T.real
+    lattice = LatticeSpec(torus, torus)
+    return displacements(g_hat(*closed_form_ratios(lattice.momenta()), 1.0), lattice)
 
 
 def block_covariance(blocks: np.ndarray, torus: int, length: int) -> np.ndarray:

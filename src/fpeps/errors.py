@@ -17,13 +17,14 @@ class ZeroNormError(FpepsError):
     """The construction has zero norm (singular projection).
 
     Carries the offending determinant value and, when known, the list of
-    reciprocal momenta at which the norm vanishes.
+    reciprocal momenta at which the norm vanishes, as float tuples made from
+    the pairs or ``(n, 2)`` array rows it is given.
     """
 
-    def __init__(self, message, determinant=None, momenta=None):
+    def __init__(self, message, determinant=None, momenta=()):
         super().__init__(message)
         self.determinant = determinant
-        self.momenta = list(momenta) if momenta is not None else []
+        self.momenta = [tuple(map(float, phi)) for phi in momenta]
 
 
 class UndefinedStateError(FpepsError):

@@ -42,10 +42,7 @@ def parity_signs(n: int) -> np.ndarray:
     Entry i is the Jordan-Wigner sign a ladder operator on position n picks
     up from the occupations i of the positions below it.
     """
-    signs = np.ones(1)
-    for _ in range(n):
-        signs = np.concatenate([signs, -signs])
-    return signs
+    return 1.0 - 2.0 * (np.bitwise_count(np.arange(1 << n)) & 1)
 
 
 @dataclass(frozen=True)

@@ -118,8 +118,8 @@ class GaussianChannel:
     def expand_to_lattice(self, n_sites: int) -> "GaussianChannel":
         """Site-diagonal lattice channel in the global qp ordering.
 
-        Each per-site block with per-site type sub-blocks X_rs turns into
-        kron(I_N, X_rs) within the global type-(r, s) block.
+        Each per-site type sub-block X_rs is written on the diagonal of the
+        global type-(r, s) block, kron(I_N, X_rs), and nothing else is.
 
         The result is P (I_N kron G) P^T for a permutation P and this
         channel's matrix G: every entry is a copy of an entry of G or an
@@ -127,23 +127,14 @@ class GaussianChannel:
         when G is.  It is therefore not validated again; on a lattice the
         dense check costs about as much as the map it feeds.
         """
-
-        def expand(block: np.ndarray, rows: int, cols: int) -> np.ndarray:
-            out = np.zeros((2 * rows * n_sites, 2 * cols * n_sites))
-            for r in (0, 1):
-                for s in (0, 1):
-                    sub = block[r * rows:(r + 1) * rows, s * cols:(s + 1) * cols]
-                    out[
-                        r * rows * n_sites:(r + 1) * rows * n_sites,
-                        s * cols * n_sites:(s + 1) * cols * n_sites,
-                    ] = np.kron(np.eye(n_sites), sub)
-            return out
-
         p, q = self.p_modes, self.q_modes
+        site = np.arange(n_sites)
         expanded = copy.copy(self)
-        object.__setattr__(expanded, "A", expand(self.A, p, p))
-        object.__setattr__(expanded, "B", expand(self.B, p, q))
-        object.__setattr__(expanded, "D", expand(self.D, q, q))
+        for name, rows, cols in (("A", p, p), ("B", p, q), ("D", q, q)):
+            # [type, site, species] on both sides
+            out = np.zeros((2, n_sites, rows, 2, n_sites, cols))
+            out[:, site, :, :, site] = getattr(self, name).reshape(2, rows, 2, cols)
+            object.__setattr__(expanded, name, out.reshape(2 * n_sites * rows, -1))
         return expanded
 
 
@@ -273,12 +264,13 @@ def blocks_from_matrix(matrix: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
     return hat.swapaxes(0, 1).reshape(-1, 2 * s, 2 * s)
 
 
-def matrix_from_blocks(blocks: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
-    """Real inverse of :func:`blocks_from_matrix` (exact on the torus).
+def displacements(blocks: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
+    """Real displacement array ``T[dh, dv, a, b]`` of a momentum-block stack.
 
-    ``blocks`` is an ``(n_sites, w, w)`` stack in ``lattice.momenta()`` order.
-    The imaginary residue is checked on the displacement array, every entry
-    of which enters the matrix, and only the real part is gathered.
+    ``blocks`` is an ``(n_sites, w, w)`` stack in ``lattice.momenta()``
+    order; ``ifft2`` over the two momentum axes inverts the block
+    transform.  Every entry of ``T`` enters any matrix gathered from it, so
+    its imaginary residue is checked here and only the real part is kept.
     """
     blocks = np.asarray(blocks)
     width = blocks.shape[-1]
@@ -289,9 +281,14 @@ def matrix_from_blocks(blocks: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
     grid = blocks.reshape(lattice.n_v, lattice.n_h, width, width).swapaxes(0, 1)
     T = np.fft.ifft2(grid, axes=(0, 1))
     residue = np.max(np.abs(T.imag))
-    if residue > 1e-10:
-        raise NumericalValidityError(f"lattice matrix has imaginary residue {residue:.1e}")
-    return _circulant(T.real)
+    if residue > 1e-12:
+        raise NumericalValidityError(f"displacement array has imaginary residue {residue:.1e}")
+    return T.real
+
+
+def matrix_from_blocks(blocks: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
+    """Real inverse of :func:`blocks_from_matrix` (exact on the torus)."""
+    return _circulant(displacements(blocks, lattice))
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +371,8 @@ def gamma_out_hat(channel: GaussianChannel, phis) -> OutputTriple:
 def physical_cm_from_blocks(channel: GaussianChannel, lattice: LatticeSpec) -> MajoranaCM:
     """Real-space output covariance assembled from the momentum blocks."""
     momenta = lattice.momenta()
-    out = gamma_out_hat(channel, np.array(momenta))
+    out = gamma_out_hat(channel, momenta)
     if np.any(out.zero_norm):
-        zero_norm = [phi for phi, zero in zip(momenta, out.zero_norm) if zero]
-        raise ZeroNormError(
-            f"state undefined: zero-norm momenta {zero_norm}",
-            momenta=zero_norm,
-        )
+        zero_norm = [tuple(phi) for phi in momenta[out.zero_norm].tolist()]
+        raise ZeroNormError(f"state undefined: zero-norm momenta {zero_norm}", momenta=zero_norm)
     return MajoranaCM(matrix_from_blocks(g_hat(out.p, out.q, out.d), lattice))

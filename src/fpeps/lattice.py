@@ -63,13 +63,10 @@ class LatticeSpec:
         h, v = site
         return self.wrap((h, v - 1))
 
-    def momenta(self) -> list[tuple[float, float]]:
-        """Reciprocal-lattice angles (2*pi*k_h/n_h, 2*pi*k_v/n_v), k-major in M order."""
-        out = []
-        for kv in range(self.n_v):
-            for kh in range(self.n_h):
-                out.append((2.0 * np.pi * kh / self.n_h, 2.0 * np.pi * kv / self.n_v))
-        return out
+    def momenta(self) -> np.ndarray:
+        """Reciprocal-lattice angles (2*pi*k_h/n_h, 2*pi*k_v/n_v) as (n_sites, 2) rows in M order."""
+        kv, kh = np.divmod(np.arange(self.n_sites), self.n_h)
+        return np.stack([2.0 * np.pi * kh / self.n_h, 2.0 * np.pi * kv / self.n_v], axis=1)
 
 
 def parse_lattice(text: str) -> LatticeSpec:

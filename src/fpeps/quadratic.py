@@ -83,12 +83,12 @@ class QuadraticHamiltonian:
 
     def h_hat(self, phi) -> np.ndarray:
         """Momentum blocks at phi of shape (..., 2); returns (..., 2, 2)."""
-        phi = np.asarray(phi, dtype=float)
-        acc = np.zeros(phi.shape[:-1] + (2, 2), dtype=complex)
-        for (dh, dv), blk in self.blocks.items():
-            phase = np.exp(-1j * (phi[..., 0] * dh + phi[..., 1] * dv))
-            acc += blk * phase[..., None, None]
-        return acc
+        phi = np.asarray(phi, dtype=float)[..., None, :]
+        dh, dv = np.array(list(self.blocks), dtype=int).reshape(-1, 2).T
+        phase = np.exp(-1j * (phi[..., 0] * dh + phi[..., 1] * dv))
+        # einsum sums over the blocks in insertion order
+        blocks = np.array(list(self.blocks.values())).reshape(-1, 2, 2)
+        return np.einsum("...m,mab->...ab", phase, blocks)
 
     def locality_radius(self) -> int:
         if not self.blocks:
@@ -213,8 +213,13 @@ def parent_hamiltonian(channel: GaussianChannel, radius_cap: int = 2) -> Quadrat
 
 
 def _positive_branch(hh: np.ndarray) -> np.ndarray:
-    """Upper eigenvalue of i h_hat for a stack of momentum blocks."""
-    return np.linalg.eigvalsh(1j * hh)[..., -1]
+    """Upper eigenvalue of i h_hat for a stack of momentum blocks.
+
+    i h_hat is Hermitian 2x2 with the real diagonal (a, c) = -Im diag h_hat
+    and the off-diagonal modulus |h_hat[0, 1]|.
+    """
+    a, c = -hh[..., 0, 0].imag, -hh[..., 1, 1].imag
+    return (a + c) / 2 + np.hypot((a - c) / 2, np.abs(hh[..., 0, 1]))
 
 
 def single_particle_spectrum(
@@ -223,7 +228,7 @@ def single_particle_spectrum(
     """Positive branch of eigenvalues of i h_hat(phi) per momentum, and the gap."""
     momenta = lattice.momenta()
     eps = _positive_branch(ham.h_hat(momenta))
-    return list(zip(momenta, eps.tolist())), float(eps.min())
+    return list(zip(zip(*momenta.T.tolist()), eps.tolist())), float(eps.min())
 
 
 def filled_branch_energy(ham: QuadraticHamiltonian, lattice: LatticeSpec) -> float:
@@ -243,11 +248,8 @@ def ground_state_cm(ham: QuadraticHamiltonian, lattice: LatticeSpec) -> Majorana
     hh = ham.h_hat(momenta)
     eps = _positive_branch(hh)
     if np.any(eps < 1e-12):
-        phi = momenta[int(np.argmax(eps < 1e-12))]
-        raise ZeroNormError(
-            f"gapless momentum {phi}: ground covariance undefined",
-            momenta=[phi],
-        )
+        phi = tuple(momenta[np.argmax(eps < 1e-12)].tolist())
+        raise ZeroNormError(f"gapless momentum {phi}: ground covariance undefined", momenta=[phi])
     return MajoranaCM(matrix_from_blocks(-hh / eps[:, None, None], lattice))
 
 
@@ -259,13 +261,10 @@ def ground_state_cm_consistency(channel: GaussianChannel, lattice: LatticeSpec) 
     """
     ham = parent_hamiltonian(channel)
     momenta = lattice.momenta()
-    out = gamma_out_hat(channel, np.array(momenta))
+    out = gamma_out_hat(channel, momenta)
     if np.any(out.zero_norm):
-        zero_norm = [phi for phi, zero in zip(momenta, out.zero_norm) if zero]
-        raise ZeroNormError(
-            f"zero-norm momenta on this lattice: {zero_norm}",
-            momenta=zero_norm,
-        )
+        zero_norm = [tuple(phi) for phi in momenta[out.zero_norm].tolist()]
+        raise ZeroNormError(f"zero-norm momenta on this lattice: {zero_norm}", momenta=zero_norm)
     g = g_hat(out.p, out.q, out.d)
     hh = ham.h_hat(momenta)
     comm = np.max(np.abs(g @ hh - hh @ g))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fpeps import cli, correlators
+from fpeps import cli, correlators, quadratic
 from fpeps.cli import main
 from fpeps.errors import ContractViolationError
 from fpeps.io import dump_tensor_set, load_peps_set
@@ -250,6 +250,15 @@ def test_spectrum_bad_sizes_is_config_error(tmp_path, capsys):
     assert_config_error(["spectrum", "--sizes", "4,x", "--out", str(tmp_path / "x.csv")], capsys)
 
 
+def test_spectrum_oversized_torus_is_refused_before_allocating(tmp_path, capsys):
+    # 2001^2 momenta of levels, about 1.7 GiB (--lattice) and 1.2 GiB (--sizes)
+    with mock.patch.object(quadratic, "parent_hamiltonian", _must_not_run), \
+            mock.patch.object(quadratic, "single_particle_spectrum", _must_not_run), \
+            mock.patch.object(cli, "gap_scan", _must_not_run):
+        for flags in (["--lattice", "2001x2001"], ["--sizes", "5,2001"]):
+            assert_config_error(["spectrum", *flags, "--out", str(tmp_path / "x.csv")], capsys)
+
+
 def test_spectrum_even_lattice_is_config_error(tmp_path):
     assert run(["spectrum", "--lattice", "4x4",
                 "--out", str(tmp_path / "x.csv")]) == 2
@@ -263,6 +272,14 @@ def test_entropy_scan(tmp_path):
     assert [r["L"] for r in rows] == ["2", "3", "4"]
     values = [float(r["entropy_bits"]) for r in rows]
     assert values[0] < values[1] < values[2]
+
+
+def test_entropy_oversized_scan_is_refused_before_allocating(tmp_path, capsys):
+    # a 200 x 200 block gathers (80000)^2 floats; a 100001-torus has 1e10 sites
+    with mock.patch.object(cli, "entropy_scan", _must_not_run):
+        for torus, blocks in (("201", "200"), ("100001", "3..8")):
+            assert_config_error(["entropy", "--torus", torus, "--blocks", blocks,
+                                 "--out", str(tmp_path / "x.csv")], capsys)
 
 
 def test_entropy_bad_blocks_is_config_error(tmp_path, capsys):

@@ -18,6 +18,7 @@ from fpeps.fock import (
     exact_ground_state,
     majorana_vector,
     many_body_gap,
+    parity_signs,
     quadratic_operator,
     vacuum,
 )
@@ -29,6 +30,14 @@ def reg(n):
 
 def ladder(i, create, n=None):
     return OperatorPoly.from_terms([(1.0, ((("a", (i, 1)), create),))])
+
+
+def test_parity_signs_match_the_doubling_loop():
+    signs = np.ones(1)
+    for n in range(13):
+        assert parity_signs(n).dtype == np.float64
+        assert np.array_equal(parity_signs(n), signs)
+        signs = np.concatenate([signs, -signs])
 
 
 def test_vacuum_single_mode():

@@ -59,11 +59,22 @@ def test_fourier_bond_antihermitian_and_real_at_zero():
     assert np.max(np.abs(fourier_bond((0.0, 0.0)).imag)) < 1e-12
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (3, 2), (2, 3), (5, 5)])
+def test_momenta_are_float_rows_in_m_order(shape):
+    lattice = LatticeSpec(*shape)
+    momenta = lattice.momenta()
+    assert momenta.shape == (lattice.n_sites, 2) and momenta.dtype == np.float64
+    for h, v in lattice.sites():
+        k_h, k_v = h - 1, v - 1
+        want = [2.0 * np.pi * k_h / lattice.n_h, 2.0 * np.pi * k_v / lattice.n_v]
+        assert momenta[lattice.site_index((h, v))].tolist() == want
+
+
 @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (3, 2), (2, 3)])
 def test_fourier_bond_round_trip(shape):
     lattice = LatticeSpec(*shape)
     cm = lattice_bond_cm(lattice)
-    blocks = fourier_bond(np.array(lattice.momenta()))
+    blocks = fourier_bond(lattice.momenta())
     assert blocks.shape == (lattice.n_sites, 8, 8)
     rebuilt = matrix_from_blocks(blocks, lattice)
     assert rebuilt.dtype == np.float64
@@ -75,14 +86,14 @@ def test_fourier_bond_round_trip(shape):
 
 def test_matrix_from_blocks_refuses_an_imaginary_matrix():
     lattice = LatticeSpec(3, 2)
-    blocks = fourier_bond(np.array(lattice.momenta()))
+    blocks = fourier_bond(lattice.momenta())
     with pytest.raises(NumericalValidityError, match="imaginary residue"):
         matrix_from_blocks(1j * blocks, lattice)
 
 
 def test_matrix_from_blocks_rejects_wrong_stack():
     lattice = LatticeSpec(3, 2)
-    blocks = fourier_bond(np.array(lattice.momenta()))
+    blocks = fourier_bond(lattice.momenta())
     for bad in (blocks[:-1], blocks[:, :7, :7], blocks[:, :, :4]):
         with pytest.raises(ContractViolationError):
             matrix_from_blocks(bad, lattice)
