@@ -53,6 +53,7 @@ from .gaussian import (
     GaussianChannel,
     MajoranaCM,
     apply_channel,
+    channel_tensor,
     fourier_bond,
     g_hat,
     gamma_out_hat,

@@ -76,8 +76,7 @@ def entry_monomial(site: Site, index) -> tuple:
 
 
 def projector_q(site: Site, tensor: FPEPSTensor) -> OperatorPoly:
-    """Local projector built from a parity-valid coefficient tensor."""
-    tensor.validate()
+    """Local projector built from a coefficient tensor."""
     return OperatorPoly.from_terms(
         (coeff, entry_monomial(site, idx)) for idx, coeff in tensor.nonzero_items()
     )
@@ -203,8 +202,6 @@ def build_fpeps(
     missing = [s for s in sites if s not in tensors]
     if missing:
         raise ContractViolationError(f"missing tensors for sites {missing}")
-    for s in sites:
-        tensors[s].validate()
 
     state = _ActiveState()
     for site, bonds in steps:

@@ -22,9 +22,10 @@ from .critical import (
     gap_scan,
     hcrit_coefficients,
     norm_zero_locator,
+    odd_torus,
 )
 from .correlators import correlation_scan, quadrature_error
-from .errors import ContractViolationError, FpepsError, ZeroNormError
+from .errors import ContractViolationError, FpepsError, ZeroNormError, refuse_over_limit
 from .gaussian import (
     apply_channel,
     g_hat,
@@ -39,7 +40,7 @@ from .tensors import FPEPSTensor
 
 MAPPING_LATTICES = (LatticeSpec(1, 2), LatticeSpec(2, 1), LatticeSpec(2, 2))
 
-# A request whose arrays would pass MAX_DENSE_FLOATS (1 GiB) is refused
+# A request whose arrays would pass errors.MAX_FLOATS (1 GiB) is refused
 # before anything is allocated.  What each command holds, measured:
 # * verify's gaussian suite: at most four (8 N)^2 float arrays of the dense
 #   lattice channel for N sites (D, the bond covariance, their difference
@@ -52,14 +53,6 @@ MAPPING_LATTICES = (LatticeSpec(1, 2), LatticeSpec(2, 1), LatticeSpec(2, 2))
 #   (2 L^2)^2 arrays for the largest block length L (the gathered block, its
 #   qp copy, the chiral blocks), traced up to torus 801 and L = 40; charged
 #   24 per site plus three such arrays.
-MAX_DENSE_FLOATS = 2**27
-
-
-def _refuse_over_limit(floats: int, request: str):
-    if floats > MAX_DENSE_FLOATS:
-        gib = 8 * floats / 2**30 if floats < 2**1000 else float("inf")  # a huge int overflows
-        raise ContractViolationError(f"{request} needs {gib:.1f} GiB of arrays, over the "
-                                     f"{8 * MAX_DENSE_FLOATS / 2**30:.0f} GiB limit")
 
 
 def _emit(text: str, out_path):
@@ -149,10 +142,12 @@ def cmd_verify(args) -> int:
     lattice = parse_lattice(args.lattice)
     if not args.tolerance > 0.0:
         raise ContractViolationError(f"--tolerance must be positive, got {args.tolerance}")
+    if args.seed < 0:
+        raise ContractViolationError(f"--seed must be non-negative, got {args.seed}")
     if args.suite in ("mapping", "all") and args.sets < 1:
         raise ContractViolationError(f"--sets must be at least 1, got {args.sets}")
     if args.suite in ("gaussian", "all"):
-        _refuse_over_limit(5 * (8 * lattice.n_sites) ** 2, f"--lattice {lattice.n_h}x{lattice.n_v}")
+        refuse_over_limit(5 * (8 * lattice.n_sites) ** 2, f"--lattice {lattice.n_h}x{lattice.n_v}")
     checks = []
     if args.suite in ("mapping", "all"):
         checks.extend(_mapping_checks(args.seed, args.sets, args.tolerance))
@@ -210,7 +205,7 @@ def cmd_spectrum(args) -> int:
     if args.sizes is not None:
         sizes = _int_list(args.sizes, "--sizes")
         largest = max(sizes, default=0)
-        _refuse_over_limit(40 * largest**2, f"the {largest}x{largest} torus of --sizes")
+        refuse_over_limit(40 * largest**2, f"the {largest}x{largest} torus of --sizes")
         rows = gap_scan(sizes)
         text = "N,gap\n" + "".join(f"{n},{g!r}\n" for n, g in rows)
         _emit(text, args.out)
@@ -218,10 +213,8 @@ def cmd_spectrum(args) -> int:
         return 0
     from .quadratic import parent_hamiltonian, single_particle_spectrum
 
-    lattice = parse_lattice(args.lattice)
-    if lattice.n_h % 2 == 0 or lattice.n_v % 2 == 0:
-        raise FpepsError(f"spectrum needs odd torus dimensions, got {args.lattice}")
-    _refuse_over_limit(56 * lattice.n_sites, f"--lattice {lattice.n_h}x{lattice.n_v}")
+    lattice = odd_torus(parse_lattice(args.lattice))
+    refuse_over_limit(56 * lattice.n_sites, f"--lattice {lattice.n_h}x{lattice.n_v}")
     ham = parent_hamiltonian(example_channel(), radius_cap=2)
     spectrum, _gap = single_particle_spectrum(ham, lattice)
     text = "phi1,phi2,energy\n"
@@ -260,8 +253,8 @@ def _block_lengths(text: str, torus: int) -> list[int]:
 def cmd_entropy(args) -> int:
     lengths = _block_lengths(args.blocks, args.torus)
     length = max(lengths, default=0)
-    _refuse_over_limit(24 * args.torus**2 + 3 * (2 * length**2) ** 2,
-                       f"block length {length} on the {args.torus}-torus")
+    refuse_over_limit(24 * args.torus**2 + 3 * (2 * length**2) ** 2,
+                      f"block length {length} on the {args.torus}-torus")
     rows = entropy_scan(args.torus, lengths)
     text = "L,entropy_bits\n" + "".join(f"{l},{s!r}\n" for l, s in rows)
     _emit(text, args.out)

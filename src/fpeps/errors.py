@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one array-size limit."""
+
+# the most float64 values a request may hold at once (1 GiB); each caller
+# counts what its own request holds
+MAX_FLOATS = 2**27
 
 
 class FpepsError(Exception):
@@ -33,3 +37,11 @@ class UndefinedStateError(FpepsError):
 
 class NumericalValidityError(FpepsError):
     """A numerical result left its mathematically valid range beyond tolerance."""
+
+
+def refuse_over_limit(floats: int, request: str):
+    """Refuse a request whose arrays would hold more than MAX_FLOATS, unallocated."""
+    if floats > MAX_FLOATS:
+        gib = 8 * floats / 2**30 if floats < 2**1000 else float("inf")  # a huge int overflows
+        raise ContractViolationError(f"{request} needs {gib:.1f} GiB of arrays, over the "
+                                     f"{8 * MAX_FLOATS / 2**30:.0f} GiB limit")

@@ -35,7 +35,9 @@ from .errors import (
     NumericalValidityError,
     ZeroNormError,
 )
+from .fock import SPECIES, ModeRegistry, exact_ground_state
 from .lattice import LatticeSpec
+from .tensors import _PARITY, FPEPSTensor
 
 ANTISYM_ATOL = 1e-12
 ZERO_NORM_ATOL = 1e-9
@@ -292,7 +294,52 @@ def matrix_from_blocks(blocks: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# momentum-space output blocks
+# one-site channels: the site tensor and the momentum-space output blocks
+
+
+def _one_site(channel: GaussianChannel, use: str):
+    if channel.q_modes != 4 or channel.p_modes != 1:
+        raise ContractViolationError(
+            f"{use} expects a one-site channel (1 physical, 4 virtual modes)"
+        )
+
+
+# rows of the assembled channel in qp order over the site modes
+# (a, alpha, beta, gamma, delta): the type-1 rows, then the type-2 rows
+_SITE_QP = np.r_[0, 2:6, 1, 6:10]
+
+
+def channel_tensor(channel: GaussianChannel) -> FPEPSTensor:
+    """Site tensor A[k, l, r, u, d] of a one-site channel, read off its Choi state.
+
+    The assembled channel matrix G, taken over the five site modes, is the
+    covariance of a pure Gaussian state: the ground state of
+    ``H = -i sum G_kl c_k c_l``.  In registry order (a, alpha, beta, gamma,
+    delta) the basis word ``k + 2l + 4r + 8u + 16d`` is the creator word of
+    entry A[k, l, r, u, d], so the amplitudes are the entries, with no sign.
+    The state has one parity, which the tensor carries; the entry with all
+    bonds empty, ``A[parity, 0, 0, 0, 0]``, is normalised to 1.
+    """
+    _one_site(channel, "the site tensor")
+    G = channel.assembled()[np.ix_(_SITE_QP, _SITE_QP)]
+    registry = ModeRegistry(tuple((species, (1, 1)) for species in SPECIES))
+    _, state = exact_ground_state(-G, registry)
+    amps = state.amplitudes.reshape((2,) * 5).T  # bit i on axis i
+    norms = [np.linalg.norm(amps[_PARITY == p]) for p in (0, 1)]
+    parity = int(np.argmax(norms))
+    if norms[1 - parity] > 1e-12:
+        raise NumericalValidityError(
+            f"Choi state mixes parities: norm {norms[1 - parity]:.1e} in the other sector"
+        )
+    base = amps[parity, 0, 0, 0, 0]
+    if abs(base) < 1e-12:
+        raise ContractViolationError(
+            "the channel's site tensor has no bonds-empty entry to normalise by"
+        )
+    entries = amps / base
+    return FPEPSTensor(
+        np.where((_PARITY != parity) | (np.abs(entries) < 1e-14), 0.0, entries), parity
+    )
 
 
 class OutputTriple(NamedTuple):
@@ -347,11 +394,7 @@ def gamma_out_hat(channel: GaussianChannel, phis) -> OutputTriple:
     ``phis`` has shape (..., 2); each field of the result has shape ``...``,
     so a single momentum gives numpy scalars.
     """
-    if channel.q_modes != 4 or channel.p_modes != 1:
-        raise ContractViolationError(
-            "momentum-space evaluation expects a one-site channel "
-            "(1 physical, 4 virtual modes)"
-        )
+    _one_site(channel, "momentum-space evaluation")
     adj, det = _adjugate(channel.D - fourier_bond(phis))
     bad = abs(det.imag) > 1e-9 * np.maximum(1.0, abs(det))
     if bad.any():

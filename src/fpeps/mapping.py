@@ -27,13 +27,11 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .lattice import LatticeSpec, Site
-from .tensors import FPEPSTensor, PEPSTensor, SignFunction
+from .tensors import _PARITY, FPEPSTensor, PEPSTensor, SignFunction
 
-# table entries [k, u, d, l, r] as 32 columns; rows of _SLOT_VALUES are the
-# values of the local bonds in slot order (l, r, u, d)
-_GRID = np.indices((2,) * 5).reshape(5, 32)
-_SLOT_VALUES = _GRID[[3, 4, 1, 2]]
-_GRID_PARITY = _GRID.sum(axis=0) % 2
+# table entries [k, u, d, l, r] as 32 columns; rows are the values of the
+# local bonds in slot order (l, r, u, d)
+_SLOT_VALUES = np.indices((2,) * 5).reshape(5, 32)[[3, 4, 1, 2]]
 
 
 def _normalize_parity(lattice: LatticeSpec, parity) -> dict[Site, int]:
@@ -130,7 +128,8 @@ def derive_sign_functions(lattice: LatticeSpec, parity=None) -> dict[Site, SignF
     per_site = np.zeros((n, 4, 4), dtype=np.int64)
     np.add.at(per_site, (owner, slot_of(a), slot_of(b)), 1)
     tables = np.einsum("sij,ig,jg->sg", per_site, _SLOT_VALUES, _SLOT_VALUES) % 2
-    tables *= _GRID_PARITY == c[:, None]
+    # parity is a bit count, the same in the table's axis order
+    tables *= _PARITY.reshape(32) == c[:, None]
     return {
         s: SignFunction(t.reshape((2,) * 5)) for s, t in zip(lattice.sites(), tables)
     }
@@ -151,7 +150,6 @@ def map_to_peps(
     (-1)^((d + l) r'); bulk tensors enforce l' = (r' + u + d) mod 2 with
     phase (-1)^(d r'); the last column additionally pins r' = 0.
     """
-    tensor.validate()
     h, _ = lattice.wrap(site)
     nonzero = np.nonzero(tensor.entries)
     k, l, r, u, d = nonzero

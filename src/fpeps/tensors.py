@@ -1,9 +1,9 @@
 """Site tensors for the fermionic and spin descriptions.
 
 ``FPEPSTensor`` holds the coefficients A[k, l, r, u, d] of a local fermionic
-projector; nonzero entries require (k + l + r + u + d) mod 2 == parity.
-Index names: k physical, l left, r right, u up (bond toward v-1), d down
-(bond toward v+1).
+projector; nonzero entries require (k + l + r + u + d) mod 2 == parity, and
+construction refuses any other.  Index names: k physical, l left, r right,
+u up (bond toward v-1), d down (bond toward v+1).
 
 ``PEPSTensor`` is the mapped spin tensor B[k, l, l', r, r', u, d] with one
 extra two-valued horizontal index pair (l', r').  First-column tensors only
@@ -28,22 +28,22 @@ class FPEPSTensor:
     parity: int = 0
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=complex)
+        # a private read-only copy: the parity rule checked here stays true
+        arr = np.array(self.entries, dtype=complex)
         if arr.shape != (2,) * 5:
             raise ContractViolationError(
                 f"fPEPS tensor must have shape (2,)*5, got {arr.shape}"
             )
-        object.__setattr__(self, "entries", arr)
         if self.parity not in (0, 1):
             raise ContractViolationError(f"parity must be 0 or 1, got {self.parity}")
-
-    def validate(self, atol: float = 0.0):
-        forbidden = (_PARITY != self.parity) & (np.abs(self.entries) > atol)
+        forbidden = (_PARITY != self.parity) & (arr != 0)
         bad = [tuple(idx) for idx in np.argwhere(forbidden).tolist()]
         if bad:
             raise ContractViolationError(
                 f"parity-{self.parity} tensor has forbidden entries at {bad}"
             )
+        arr.flags.writeable = False
+        object.__setattr__(self, "entries", arr)
 
     def nonzero_items(self):
         """(index, value) of every nonzero entry, in C order."""

@@ -81,6 +81,25 @@ def test_projector_rejects_parity_violation():
         projector_q((1, 1), FPEPSTensor(arr, 0))
 
 
+def test_tensor_construction_refuses_any_forbidden_entry():
+    arr = np.zeros((2,) * 5, dtype=complex)
+    arr[0, 0, 0, 0, 0] = 1.0
+    arr[1, 0, 0, 0, 0] = 1e-300  # however small
+    with pytest.raises(ContractViolationError,
+                       match=r"parity-0 tensor has forbidden entries at \[\(1, 0, 0, 0, 0\)\]"):
+        FPEPSTensor(arr, 0)
+
+
+def test_tensor_entries_are_a_read_only_copy():
+    arr = np.zeros((2,) * 5, dtype=complex)
+    arr[0, 0, 0, 0, 0] = 1.0
+    tensor = FPEPSTensor(arr, 0)
+    arr[1, 0, 0, 0, 0] = 1.0  # the caller's array is not the tensor's
+    assert tensor.entries[1, 0, 0, 0, 0] == 0
+    with pytest.raises(ValueError, match="read-only"):
+        tensor.entries[1, 0, 0, 0, 0] = 1.0
+
+
 def test_build_1x1_identity_tensor_gives_vacuum():
     lattice = LatticeSpec(1, 1)
     state = build_fpeps(lattice, {(1, 1): one_entry(0, 0, 0, 0, 0)})

@@ -368,6 +368,16 @@ def test_sizes_grammar_fuzz(text):
 
 @settings(max_examples=200, deadline=None)
 @given(text=GRAMMAR_TEXT)
+@example("4\nx4")
+def test_spectrum_lattice_grammar_fuzz(text):
+    # only the grammar and the refusals: an accepted torus gets no levels
+    with mock.patch.object(quadratic, "parent_hamiltonian", lambda *args, **kw: None), \
+            mock.patch.object(quadratic, "single_particle_spectrum", lambda *args: ([], 0.0)):
+        assert_parsed_or_refused(["spectrum", "--lattice=" + text])
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=GRAMMAR_TEXT)
 @example("--")
 @example("")
 def test_blocks_grammar_fuzz(text):
@@ -380,13 +390,18 @@ def test_huge_block_range_is_refused_before_listing(tmp_path, capsys):
                          "--out", str(tmp_path / "x.csv")], capsys)
 
 
-def _value_flags():
-    """(argv prefix, flag) for every option of every subcommand that takes a value."""
+def _value_flags(of_type=None):
+    """(argv prefix, flag) for every option of every subcommand that takes a value.
+
+    With ``of_type``, only the options that convert their value with it.
+    """
     subparsers = next(a for a in cli.build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
     for command, parser in subparsers.choices.items():
         actions = [a for a in parser._actions if a.option_strings and a.nargs != 0]
         for action in actions:
+            if of_type is not None and action.type is not of_type:
+                continue
             # the other required options get a valid value: only the tested flag is empty
             prefix = [command]
             for other in actions:
@@ -400,6 +415,12 @@ def _value_flags():
 def test_double_dash_value_is_config_error(prefix, flag, capsys):
     # argparse passes `--opt=--` on as an empty list, skipping type and choices
     assert_config_error([*prefix, flag + "=--"], capsys)
+
+
+@pytest.mark.parametrize("prefix, flag", _value_flags(int))
+def test_negative_integer_is_accepted_or_refused(prefix, flag):
+    # --seed -1 used to end in numpy's ValueError
+    assert_parsed_or_refused([*prefix, flag + "=-1"])
 
 
 @pytest.mark.parametrize("argv", [["spectrum", "--sizes="], ["hamiltonian", "--lattice="]])

@@ -1,8 +1,9 @@
 """The critical model: channel, projector tensor, zero census, scans."""
 import numpy as np
 import pytest
+import scipy.linalg
 
-from fpeps.build import build_fpeps
+from fpeps.build import build_fpeps, site_signs
 from fpeps.contraction import contract_peps
 from fpeps.critical import (
     block_covariance,
@@ -17,8 +18,15 @@ from fpeps.critical import (
     norm_zero_locator,
 )
 from fpeps.errors import ContractViolationError, ZeroNormError
-from fpeps.fock import covariance_matrix
-from fpeps.gaussian import apply_channel, gamma_out_hat, lattice_bond_cm
+from fpeps.fock import (
+    SPECIES,
+    FockVector,
+    ModeRegistry,
+    OperatorPoly,
+    apply_poly,
+    covariance_matrix,
+)
+from fpeps.gaussian import apply_channel, channel_tensor, gamma_out_hat, lattice_bond_cm
 from fpeps.lattice import LatticeSpec
 from fpeps.mapping import map_tensor_set
 
@@ -61,8 +69,60 @@ def test_ratios_match_channel_at_random_momenta():
 def test_projector_tensor_structure():
     tensor = example_projector_tensor()
     assert tensor.entries[0, 0, 0, 0, 0] == pytest.approx(1.0)
-    tensor.validate(atol=1e-12)  # even parity
+    assert tensor.parity == 0
     assert sum(1 for _ in tensor.nonzero_items()) == 16
+
+
+# The paper's printed generator of the example projector Q = exp(sum c w):
+# (c, w) with w a word of (species, creates) factors on one site.
+PRINTED_GENERATOR = [
+    (-1j, (("alpha", False), ("gamma", False))),
+    (-1.0, (("alpha", False), ("delta", False))),
+    (-1.0, (("beta", False), ("gamma", False))),
+    (+1j, (("beta", False), ("delta", False))),
+    (+1.0, (("alpha", False), ("beta", False))),
+    (+1.0, (("gamma", False), ("delta", False))),
+    (-1j, (("a", True), ("alpha", False))),
+    (-1.0, (("a", True), ("beta", False))),
+    (-1.0, (("a", True), ("gamma", False))),
+    (+1j, (("a", True), ("delta", False))),
+]
+
+
+def printed_projector_entries():
+    """A[k, l, r, u, d] of exp(generator), expanded in the five-mode Fock space."""
+    site = (1, 1)
+    reg = ModeRegistry(tuple((species, site) for species in SPECIES))
+    gen = OperatorPoly.from_terms(
+        (c, tuple(((species, site), creates) for species, creates in word))
+        for c, word in PRINTED_GENERATOR
+    )
+    mat = np.stack([apply_poly(FockVector(reg, basis), gen).amplitudes
+                    for basis in np.eye(32, dtype=complex)], axis=1)
+    Q = scipy.linalg.expm(mat)
+    # <k 0000| Q |0 l r u d>: rows k (a on bit 0), columns l + 2r + 4u + 8d
+    amps = Q[:2, 0::2].reshape(2, 2, 2, 2, 2).transpose(0, 4, 3, 2, 1) / site_signs()
+    return np.where(np.abs(amps) < 1e-14, 0.0, amps)
+
+
+def test_example_tensor_matches_the_printed_generator():
+    printed = printed_projector_entries()
+    assert np.max(np.abs(example_projector_tensor().entries - printed)) <= 2e-15
+    # the channel's own tensor is its particle-hole image k -> 1 - k
+    own = channel_tensor(example_channel())
+    assert own.parity == 1 and own.entries[1, 0, 0, 0, 0] == 1.0
+    assert np.max(np.abs(own.entries[::-1] - printed)) <= 2e-15
+
+
+def test_channel_tensor_of_the_vacuum_map(vacuum_site_channel):
+    tensor = channel_tensor(vacuum_site_channel)
+    assert tensor.parity == 0
+    assert list(tensor.nonzero_items()) == [((0, 0, 0, 0, 0), 1.0)]
+
+
+def test_channel_tensor_needs_a_one_site_channel(vacuum_channel):
+    with pytest.raises(ContractViolationError, match="one-site channel"):
+        channel_tensor(vacuum_channel)
 
 
 def test_projector_state_matches_channel_up_to_mode_conjugation():

@@ -174,6 +174,18 @@ def test_values_are_refused_not_truncated(tmp_path, loader, fault):
     assert "\n" not in str(info.value)
 
 
+def test_entry_forbidden_by_parity_is_refused_at_load(tmp_path):
+    # used to load, and only the mapping refused the tensor
+    doc = json.loads(_dump_one_of(load_tensor_set, LatticeSpec(1, 1), seed=2))
+    doc["tensors"][0]["entries"].append(
+        {"k": 1, "l": 0, "r": 0, "u": 0, "d": 0, "re": 1.0, "im": 0.0})
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ContractViolationError,
+                       match=r"parity-0 tensor has forbidden entries at \[\(1, 0, 0, 0, 0\)\]"):
+        load_tensor_set(path)
+
+
 DELETE = object()
 
 
