@@ -140,8 +140,9 @@ def _gaussian_checks(lattice: LatticeSpec, seed: int, tolerance: float):
 
 def cmd_verify(args) -> int:
     lattice = parse_lattice(args.lattice)
-    if not args.tolerance > 0.0:
-        raise ContractViolationError(f"--tolerance must be positive, got {args.tolerance}")
+    if not 0.0 < args.tolerance < np.inf:
+        raise ContractViolationError(
+            f"--tolerance must be positive and finite, got {args.tolerance}")
     if args.seed < 0:
         raise ContractViolationError(f"--seed must be non-negative, got {args.seed}")
     if args.suite in ("mapping", "all") and args.sets < 1:
@@ -251,6 +252,7 @@ def _block_lengths(text: str, torus: int) -> list[int]:
 
 
 def cmd_entropy(args) -> int:
+    odd_torus(LatticeSpec(args.torus, args.torus))  # before --blocks is read against it
     lengths = _block_lengths(args.blocks, args.torus)
     length = max(lengths, default=0)
     refuse_over_limit(24 * args.torus**2 + 3 * (2 * length**2) ** 2,

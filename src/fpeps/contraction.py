@@ -6,12 +6,16 @@ the upper neighbor's u, both with periodic wraparound.  The extra primed
 bond also wraps, but mapped tensor sets pin it to 0 on the boundary column,
 which reproduces the open transport chain through a uniform code path.
 
-The contraction is dense and column by column.  Each column collapses to a
-transfer tensor [L, phys, R] over its physical legs and the combined
-(l, l') / (r, r') row indices.  The environment keeps the same layout
-[L_open, phys, R], so absorbing a column is one BLAS ``tensordot`` over R and
-a reshape.  The last column is contracted together with the periodic trace
-over (R, L_open), so the full environment including it is never formed.
+The contraction is dense and row by row.  The extra bond lives inside its
+row, so each row chains horizontally into a transfer tensor [U, D, phys]
+whose combined vertical legs are 2^n_h wide, and the periodic
+(l, l') / (r, r') bond closes inside the row.  The environment [D, phys, U]
+absorbs a row with one BLAS ``tensordot`` over D and a reshape; the last row
+is contracted together with the periodic vertical trace over (D, U).  Every
+new site and row is merged as the more significant index, so the amplitudes
+come out in site M order without a permutation.  When n_v == 1 each site's
+vertical self-loop is traced before chaining.  The worst case under the cap
+is 6x2, whose row chain peaks at about 132 MiB.
 """
 from __future__ import annotations
 
@@ -25,22 +29,19 @@ from .tensors import PEPSTensor
 MAX_SITES = 12
 
 
-def _column_tensor(lattice: LatticeSpec, tensors, h: int) -> np.ndarray:
-    """Contract the vertical chain of column h into [L, phys, R]."""
-    blocks = []
-    for v in range(1, lattice.n_v + 1):
-        # [k, L, R, u, d] -> [u, L, k, R, d], contiguous for einsum's inner loop
-        blocks.append(np.ascontiguousarray(
-            tensors[(h, v)].entries.reshape(2, 4, 4, 2, 2).transpose(3, 1, 0, 2, 4)))
-
-    col = blocks[0]
+def _row_tensor(lattice: LatticeSpec, tensors, v: int) -> np.ndarray:
+    """Contract the horizontal chain of row v into [U, D, phys]."""
+    # [k, L, R, u, d]; a one-row lattice closes each vertical bond on its site
+    blocks = [tensors[(h, v)].entries.reshape(2, 4, 4, 2, 2) for h in range(1, lattice.n_h + 1)]
+    if lattice.n_v == 1:
+        blocks = [np.einsum("kLRuu->kLR", b)[..., None, None] for b in blocks]
+    row = blocks[0].transpose(1, 3, 4, 0, 2)  # [L_open, U, D, phys, R]
     for block in blocks[1:]:
-        # merge: L, phys and R row-major (row 1 most significant)
-        col = np.einsum("ulprx,xakbd->ulapkrbd", col, block)
-        u, l, a, p, k, r, b, d = col.shape
-        col = col.reshape(u, l * a, p * k, r * b, d)
-    # periodic vertical bond (the self-loop when n_v == 1)
-    return np.einsum("ulpru->lpr", col)
+        row = np.tensordot(row, block, axes=([4], [1]))  # [L_open, U, D, phys, k, R, u, d]
+        a, U, D, P, k, R, u, d = row.shape
+        # the new site's u, d and k become the more significant half of U, D and phys
+        row = row.transpose(0, 6, 1, 7, 2, 4, 3, 5).reshape(a, u * U, d * D, k * P, R)
+    return np.einsum("aUDPa->UDP", row)
 
 
 def contract_peps(lattice: LatticeSpec, tensors: dict[Site, PEPSTensor]) -> FockVector:
@@ -53,29 +54,13 @@ def contract_peps(lattice: LatticeSpec, tensors: dict[Site, PEPSTensor]) -> Fock
     if missing:
         raise ContractViolationError(f"missing tensors for sites {missing}")
 
-    cols = [_column_tensor(lattice, tensors, h) for h in range(1, lattice.n_h + 1)]
-
-    env = cols[0]  # [L_open, phys, R_current]
-    for col in cols[1:-1]:
-        env = np.tensordot(env, col, axes=([2], [0]))
-        l, p, q, s = env.shape
-        env = env.reshape(l, p * q, s)
-    if lattice.n_h == 1:
-        amps = np.einsum("lpl->p", env)
-    else:
-        # last column and the periodic horizontal trace in one contraction
-        amps = np.tensordot(env, cols[-1], axes=([0, 2], [2, 0])).reshape(-1)
-
-    # phys bits are column-major (column 1 most significant, rows inner);
-    # reorder to the M-order Fock convention (site M on bit M-1).
-    n = lattice.n_sites
-    nd = amps.reshape((2,) * n)
-    # source axis for site (h, v): (h-1)*n_v + (v-1); axis 0 most significant
-    perm = []
-    for t_axis in range(n):
-        m = n - t_axis  # site with flat-index bit m-1
-        h = (m - 1) % lattice.n_h + 1
-        v = (m - 1) // lattice.n_h + 1
-        perm.append((h - 1) * lattice.n_v + (v - 1))
-    nd = np.transpose(nd, axes=perm)
-    return FockVector(physical_registry(lattice), nd.reshape(-1))
+    rows = [_row_tensor(lattice, tensors, v) for v in range(1, lattice.n_v + 1)]
+    width = rows[0].shape[0]
+    env = np.eye(width).reshape(width, 1, width)  # [D_current, phys, U_open]
+    for row in rows[:-1]:
+        env = np.tensordot(row, env, axes=([0], [0]))
+        d, p, q, u = env.shape
+        env = env.reshape(d, p * q, u)
+    # last row and the periodic vertical trace in one contraction
+    amps = np.tensordot(rows[-1], env, axes=([0, 1], [0, 2])).reshape(-1)
+    return FockVector(physical_registry(lattice), amps)

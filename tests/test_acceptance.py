@@ -59,11 +59,12 @@ def report(number, name, ok, detail):
 
 def test_criterion_01_mapping_equivalence():
     start = time.time()
-    lattices = [LatticeSpec(1, 2), LatticeSpec(2, 1), LatticeSpec(2, 2)]
+    # 3x3 and 3x4 run the bulk parity transport, which needs three columns
+    lattices = [LatticeSpec(*shape) for shape in ((1, 2), (2, 1), (2, 2), (3, 3), (3, 4))]
     worst = 0.0
     n_sets = 51
     for i in range(n_sets):
-        lattice = lattices[i % 3]
+        lattice = lattices[i % len(lattices)]
         rng = np.random.default_rng(1000 + i)
         tensors = {s: FPEPSTensor.random(rng, parity=0) for s in lattice.sites()}
         oracle = build_fpeps(lattice, tensors)

@@ -82,7 +82,8 @@ def test_verify_gaussian_4x4_fails_with_momenta(tmp_path):
     assert any("zero_norm_momenta" in c and c["zero_norm_momenta"] for c in failing)
 
 
-@pytest.mark.parametrize("flags", [["--sets", "0"], ["--tolerance", "nan"]])
+@pytest.mark.parametrize("flags", [["--sets", "0"], ["--tolerance", "nan"],
+                                   ["--tolerance", "inf"], ["--tolerance", "1e400"]])
 def test_verify_bad_flag_is_config_error(tmp_path, capsys, flags):
     assert_config_error(["verify", "--suite", "mapping", *flags,
                          "--out", str(tmp_path / "x.json")], capsys)
@@ -280,6 +281,15 @@ def test_entropy_oversized_scan_is_refused_before_allocating(tmp_path, capsys):
         for torus, blocks in (("201", "200"), ("100001", "3..8")):
             assert_config_error(["entropy", "--torus", torus, "--blocks", blocks,
                                  "--out", str(tmp_path / "x.csv")], capsys)
+
+
+@pytest.mark.parametrize("torus", ["-1", "0", "2", "4"])
+def test_entropy_bad_torus_is_blamed_on_the_torus(tmp_path, capsys, torus):
+    with mock.patch.object(cli, "entropy_scan", _must_not_run):
+        assert run(["entropy", "--torus", torus, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--blocks" not in err and f"{torus}x{torus}" in err
 
 
 def test_entropy_bad_blocks_is_config_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Exact spin-PEPS contraction."""
 import string
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,9 +86,11 @@ def full_einsum(lattice, tensors):
     return np.einsum(spec, *operands[0::2], optimize=True).reshape(-1)
 
 
-@pytest.mark.parametrize("shape", [(2, 2), (3, 1), (3, 2)])
+@pytest.mark.parametrize("shape", [(2, 2), (3, 1), (3, 2), (1, 4), (2, 4), (3, 4),
+                                   (1, 12), (12, 1)])
 def test_matches_full_einsum_on_random_tensors(shape):
-    # unmapped tensors: l' and r' carry weight on every column, including the wrap
+    # unmapped tensors: l' and r' carry weight on every column, including the wrap;
+    # n_h = 1 and n_v = 1 close the horizontal and vertical bonds on one site
     lattice = LatticeSpec(*shape)
     rng = np.random.default_rng(sum(shape))
     tensors = {
@@ -95,5 +98,12 @@ def test_matches_full_einsum_on_random_tensors(shape):
         for s in lattice.sites()
     }
     expected = full_einsum(lattice, tensors)
-    state = contract_peps(lattice, tensors)
+    tracemalloc.start()
+    try:
+        state = contract_peps(lattice, tensors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert np.max(np.abs(state.amplitudes - expected)) < 1e-10 * np.max(np.abs(expected))
+    # only the 2^n_h-wide vertical bonds cross the row sweep: 3x4 and 1x12 stay small
+    assert peak < 32 * 2**20

@@ -165,8 +165,8 @@ def test_parity_assignment_must_cover_every_site():
 
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["even", "mixed"])
-@pytest.mark.parametrize("shape", [(3, 1), (3, 2), (3, 3), (4, 3)],
-                         ids=["3x1", "3x2", "3x3", "4x3"])
+@pytest.mark.parametrize("shape", [(3, 1), (3, 2), (3, 3), (4, 3), (3, 4)],
+                         ids=["3x1", "3x2", "3x3", "4x3", "3x4"])
 def test_oracle_equivalence_with_bulk_columns(shape, mixed):
     # bulk columns run the branch l' = r' + u + d with r' = 1
     lattice = LatticeSpec(*shape)
