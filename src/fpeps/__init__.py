@@ -61,7 +61,7 @@ from .gaussian import (
     physical_cm_from_blocks,
 )
 from .lattice import LatticeSpec
-from .mapping import derive_sign_functions, map_tensor_set, map_to_peps
+from .mapping import derive_sign_functions, map_tensor_set
 from .quadratic import (
     DiracQuadratic,
     QuadraticHamiltonian,
@@ -73,6 +73,6 @@ from .quadratic import (
     parent_hamiltonian,
     single_particle_spectrum,
 )
-from .tensors import FPEPSTensor, PEPSTensor, SignFunction
+from .tensors import FPEPSTensor, PEPSTensor
 
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -253,6 +254,9 @@ def _block_lengths(text: str, torus: int) -> list[int]:
 
 def cmd_entropy(args) -> int:
     odd_torus(LatticeSpec(args.torus, args.torus))  # before --blocks is read against it
+    if args.torus < 3:
+        raise ContractViolationError(
+            f"a {args.torus}x{args.torus} torus has no block length; entropy needs at least 3x3")
     lengths = _block_lengths(args.blocks, args.torus)
     length = max(lengths, default=0)
     refuse_over_limit(24 * args.torus**2 + 3 * (2 * length**2) ** 2,
@@ -278,6 +282,11 @@ def cmd_convert(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Raises its command-line errors, so that main reports them in one line."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a word such as -1e-3 or -inf is a value for its flag's own check, not an option
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         raise ContractViolationError(f"{self.prog}: {message}")

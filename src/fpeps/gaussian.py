@@ -182,32 +182,22 @@ def apply_channel(channel: GaussianChannel, gamma_in: MajoranaCM) -> MajoranaCM:
 # lattice bond covariance matrix and its momentum blocks
 
 
-def virtual_majorana_index(lattice: LatticeSpec, site, species: int, mtype: int) -> int:
-    """Global qp index of a virtual Majorana component."""
-    n = lattice.n_sites
-    return mtype * 4 * n + 4 * lattice.site_index(site) + species
-
-
 def lattice_bond_cm(lattice: LatticeSpec) -> MajoranaCM:
-    """Covariance matrix of all horizontal and vertical entangled bonds."""
+    """Covariance matrix of all horizontal and vertical entangled bonds.
+
+    Each bond pairs a first component a (beta, or delta) of a site with a
+    second component b (alpha of its right neighbour, or gamma of its
+    north neighbour): Gamma[c1_a, c2_b] = 1 and Gamma[c1_b, c2_a] = -1,
+    plus the antisymmetric partners; qp index = mtype * 4N + 4 * site + species.
+    """
     n = lattice.n_sites
+    a = 4 * np.arange(n) + np.array([[BETA], [DELTA]])
+    b = 4 * np.stack([lattice.shifted(1, 0), lattice.shifted(0, 1)]) + np.array([[ALPHA], [GAMMA]])
     gamma = np.zeros((8 * n, 8 * n))
-
-    def stamp(site_a, species_a, site_b, species_b):
-        # bond pair (first = a, second = b): Gamma[c1_a, c2_b] = 1,
-        # Gamma[c1_b, c2_a] = -1, plus antisymmetric partners.
-        i1 = virtual_majorana_index(lattice, site_a, species_a, 0)
-        j2 = virtual_majorana_index(lattice, site_b, species_b, 1)
-        gamma[i1, j2] = 1.0
-        gamma[j2, i1] = -1.0
-        i2 = virtual_majorana_index(lattice, site_b, species_b, 0)
-        j1 = virtual_majorana_index(lattice, site_a, species_a, 1)
-        gamma[i2, j1] = -1.0
-        gamma[j1, i2] = 1.0
-
-    for s in lattice.sites():
-        stamp(s, BETA, lattice.right(s), ALPHA)
-        stamp(s, DELTA, lattice.north(s), GAMMA)
+    gamma[a, 4 * n + b] = 1.0
+    gamma[4 * n + b, a] = -1.0
+    gamma[b, 4 * n + a] = -1.0
+    gamma[4 * n + a, b] = 1.0
     return MajoranaCM(gamma)
 
 

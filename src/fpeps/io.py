@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .lattice import LatticeSpec, Site
+from .mapping import tensor_parity
 from .tensors import FPEPSTensor, PEPSTensor
 
 # entry index names of the two file formats, in array axis order
@@ -114,6 +115,8 @@ def load_tensor_set(path) -> tuple[LatticeSpec, dict[Site, int], dict[Site, FPEP
 def dump_tensor_set(
     lattice: LatticeSpec, parity: dict[Site, int], tensors: dict[Site, FPEPSTensor]
 ) -> str:
+    """The tensor-set file; ``parity`` must agree with the tensors' own."""
+    parity = tensor_parity(lattice, tensors, parity)
     rows = [[parity[(h, v)] for h in range(1, lattice.n_h + 1)]
             for v in range(1, lattice.n_v + 1)]
     arrays = {s: tensors[s].entries for s in lattice.sites()}

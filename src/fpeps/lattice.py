@@ -63,6 +63,11 @@ class LatticeSpec:
         h, v = site
         return self.wrap((h, v - 1))
 
+    def shifted(self, dh: int, dv: int) -> np.ndarray:
+        """Zero-based indices of the sites displaced by ``(dh, dv)``, as an (N,) array in M order."""
+        v, h = np.divmod(np.arange(self.n_sites), self.n_h)
+        return (v + dv) % self.n_v * self.n_h + (h + dh) % self.n_h
+
     def momenta(self) -> np.ndarray:
         """Reciprocal-lattice angles (2*pi*k_h/n_h, 2*pi*k_v/n_v) as (n_sites, 2) rows in M order."""
         kv, kh = np.divmod(np.arange(self.n_sites), self.n_h)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .lattice import LatticeSpec, Site
-from .tensors import _PARITY, FPEPSTensor, PEPSTensor, SignFunction
+from .tensors import _PARITY, FPEPSTensor, PEPSTensor
 
 # table entries [k, u, d, l, r] as 32 columns; rows are the values of the
 # local bonds in slot order (l, r, u, d)
@@ -57,9 +57,11 @@ def _transport_form(lattice: LatticeSpec, slots: np.ndarray) -> np.ndarray:
     return (slots[:, 3] + first * slots[:, 0]).T @ pi
 
 
-def derive_sign_functions(lattice: LatticeSpec, parity=None) -> dict[Site, SignFunction]:
-    """Local sign tables for every site of the lattice.
+def derive_sign_functions(lattice: LatticeSpec, parity=None) -> np.ndarray:
+    """Local sign tables of every site, as one read-only stack.
 
+    The stack is a ``(N, 2, 2, 2, 2, 2)`` uint8 array of values 0 or 1,
+    indexed ``[site, k, u, d, l, r]`` with sites in M order.
     ``parity`` is None (all even) or a per-site mapping.  The
     residual quadratic form after removing the transported pieces must split
     site-locally; a cross-site leftover raises ``ContractViolationError``.
@@ -73,9 +75,7 @@ def derive_sign_functions(lattice: LatticeSpec, parity=None) -> dict[Site, SignF
     c = np.array([parity[s] for s in lattice.sites()])
     n = lattice.n_sites
     site = np.arange(n)
-    h, v = site % lattice.n_h, site // lattice.n_h
-    left = v * lattice.n_h + (h - 1) % lattice.n_h
-    south = (v - 1) % lattice.n_v * lattice.n_h + h
+    left, south = lattice.shifted(-1, 0), lattice.shifted(0, -1)
     local = np.stack([left, site, n + south, n + site], axis=1)  # slots l, r, u, d
     # one-hot (N, 4, 2N); the integer counts are held as floats so that the
     # products run in BLAS, exact far beyond any lattice that fits in memory
@@ -130,50 +130,17 @@ def derive_sign_functions(lattice: LatticeSpec, parity=None) -> dict[Site, SignF
     tables = np.einsum("sij,ig,jg->sg", per_site, _SLOT_VALUES, _SLOT_VALUES) % 2
     # parity is a bit count, the same in the table's axis order
     tables *= _PARITY.reshape(32) == c[:, None]
-    return {
-        s: SignFunction(t.reshape((2,) * 5)) for s, t in zip(lattice.sites(), tables)
-    }
+    tables = tables.reshape((n,) + (2,) * 5).astype(np.uint8)
+    tables.flags.writeable = False
+    return tables
 
 
-# ---------------------------------------------------------------------------
+def tensor_parity(
+    lattice: LatticeSpec, tensors: dict[Site, FPEPSTensor], parity=None
+) -> dict[Site, int]:
+    """The parity each site's tensor carries.
 
-
-def map_to_peps(
-    tensor: FPEPSTensor,
-    site: Site,
-    sign: SignFunction,
-    lattice: LatticeSpec,
-) -> PEPSTensor:
-    """Spin tensor B[k, l, l', r, r', u, d] of one site.
-
-    First-column tensors only populate l' = 0 and carry the boundary phase
-    (-1)^((d + l) r'); bulk tensors enforce l' = (r' + u + d) mod 2 with
-    phase (-1)^(d r'); the last column additionally pins r' = 0.
-    """
-    h, _ = lattice.wrap(site)
-    nonzero = np.nonzero(tensor.entries)
-    k, l, r, u, d = nonzero
-    # the sign table is indexed [k, u, d, l, r]
-    base = (tensor.entries * (-1.0) ** sign.table.transpose(0, 3, 4, 1, 2))[nonzero]
-    out = np.zeros((2,) * 7, dtype=complex)
-    for rp in (0,) if h == lattice.n_h else (0, 1):
-        if h == 1:
-            lp, phase = 0, (-1.0) ** ((d + l) * rp)
-        else:
-            lp, phase = (rp + u + d) % 2, (-1.0) ** (d * rp)
-        out[k, l, lp, r, rp, u, d] = base * phase
-    return PEPSTensor(out)
-
-
-def map_tensor_set(
-    lattice: LatticeSpec,
-    tensors: dict[Site, FPEPSTensor],
-    parity=None,
-) -> dict[Site, PEPSTensor]:
-    """Map every site tensor with sign tables derived for the tensors' parities.
-
-    ``parity``, if given, is a per-site mapping that must agree with the
-    ``parity`` each tensor carries.
+    ``parity``, if given, is a per-site mapping that must agree with it.
     """
     own = {s: tensors[s].parity for s in lattice.sites()}
     if parity is not None:
@@ -183,7 +150,32 @@ def map_tensor_set(
             raise ContractViolationError(
                 f"parity argument disagrees with the tensors' parity at sites {wrong}"
             )
-    signs = derive_sign_functions(lattice, own)
-    return {
-        s: map_to_peps(tensors[s], s, signs[s], lattice) for s in lattice.sites()
-    }
+    return own
+
+
+def map_tensor_set(
+    lattice: LatticeSpec,
+    tensors: dict[Site, FPEPSTensor],
+    parity=None,
+) -> dict[Site, PEPSTensor]:
+    """Spin tensors B[k, l, l', r, r', u, d] of every site, in one pass.
+
+    The sign tables are derived for the tensors' own parities; ``parity``,
+    if given, must agree with them.  First-column tensors only populate
+    l' = 0 and carry the boundary phase (-1)^((d + l) r'); bulk tensors
+    enforce l' = (r' + u + d) mod 2 with phase (-1)^(d r'); the last column
+    additionally pins r' = 0.
+    """
+    signs = derive_sign_functions(lattice, tensor_parity(lattice, tensors, parity))
+    entries = np.stack([tensors[s].entries for s in lattice.sites()])
+    nonzero = np.nonzero(entries)
+    m, k, l, r, u, d = nonzero
+    # the sign tables are indexed [site, k, u, d, l, r]
+    base = (entries * (-1.0) ** signs.transpose(0, 1, 4, 5, 2, 3))[nonzero]
+    first = m % lattice.n_h == 0
+    out = np.zeros((lattice.n_sites,) + (2,) * 7, dtype=complex)
+    for rp in (0, 1):
+        lp = np.where(first, 0, (rp + u + d) % 2)
+        out[m, k, l, lp, r, rp, u, d] = base * (-1.0) ** (np.where(first, d + l, d) * rp)
+    out[lattice.n_h - 1::lattice.n_h, ..., 1, :, :] = 0.0
+    return {s: PEPSTensor(b) for s, b in zip(lattice.sites(), out)}

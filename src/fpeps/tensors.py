@@ -77,19 +77,3 @@ class PEPSTensor:
             )
         object.__setattr__(self, "entries", arr)
 
-
-@dataclass(frozen=True)
-class SignFunction:
-    """Per-site local sign table f(k, u, d, l, r) in {0, 1}."""
-
-    table: np.ndarray  # uint8, shape (2,)*5, indexed [k, u, d, l, r]
-
-    def __post_init__(self):
-        arr = np.asarray(self.table, dtype=np.uint8)
-        if arr.shape != (2,) * 5:
-            raise ContractViolationError(
-                f"sign table must have shape (2,)*5, got {arr.shape}"
-            )
-        if (arr > 1).any():  # uint8: 0 or 1
-            raise ContractViolationError("sign table values must be 0 or 1")
-        object.__setattr__(self, "table", arr)

@@ -89,6 +89,15 @@ def test_verify_bad_flag_is_config_error(tmp_path, capsys, flags):
                          "--out", str(tmp_path / "x.json")], capsys)
 
 
+@pytest.mark.parametrize("value", ["-1e-3", "-inf"])
+def test_verify_negative_tolerance_word_reaches_its_check(tmp_path, capsys, value):
+    # argparse used to read the leading '-' as an option: "expected one argument"
+    assert run(["verify", "--suite", "mapping", "--tolerance", value,
+                "--out", str(tmp_path / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --tolerance must be positive and finite, got {float(value)}\n"
+
+
 def _must_not_run(*args, **kwargs):
     raise AssertionError("an oversized request reached the numerics")
 
@@ -283,7 +292,7 @@ def test_entropy_oversized_scan_is_refused_before_allocating(tmp_path, capsys):
                                  "--out", str(tmp_path / "x.csv")], capsys)
 
 
-@pytest.mark.parametrize("torus", ["-1", "0", "2", "4"])
+@pytest.mark.parametrize("torus", ["-1", "0", "1", "2", "4"])
 def test_entropy_bad_torus_is_blamed_on_the_torus(tmp_path, capsys, torus):
     with mock.patch.object(cli, "entropy_scan", _must_not_run):
         assert run(["entropy", "--torus", torus, "--out", str(tmp_path / "x.csv")]) == 2

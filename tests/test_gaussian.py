@@ -70,6 +70,14 @@ def test_momenta_are_float_rows_in_m_order(shape):
         assert momenta[lattice.site_index((h, v))].tolist() == want
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1, 3), (3, 1), (2, 2), (4, 3), (5, 2)])
+def test_shifted_is_the_wrapped_neighbour_in_m_order(shape):
+    lattice = LatticeSpec(*shape)
+    for dh, dv in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        want = [lattice.site_index(lattice.wrap((h + dh, v + dv))) for h, v in lattice.sites()]
+        assert lattice.shifted(dh, dv).tolist() == want
+
+
 @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (3, 2), (2, 3)])
 def test_fourier_bond_round_trip(shape):
     lattice = LatticeSpec(*shape)

@@ -40,6 +40,14 @@ def test_tensor_set_round_trip(tmp_path):
     assert dump_tensor_set(lat2, parity2, tensors2) == text
 
 
+def test_dump_refuses_a_parity_that_disagrees_with_the_tensors():
+    # used to write parity rows that load_tensor_set then refused
+    lattice = LatticeSpec(2, 1)
+    _, tensors = random_set(lattice, seed=5)
+    with pytest.raises(ContractViolationError, match=r"disagrees .* sites \[\(1, 1\), \(2, 1\)\]"):
+        dump_tensor_set(lattice, {s: 1 for s in lattice.sites()}, tensors)
+
+
 def test_tensor_set_missing_site(tmp_path):
     payload = {
         "lattice": {"nh": 2, "nv": 1},

@@ -9,12 +9,17 @@ from fpeps.contraction import contract_peps
 from fpeps.errors import ContractViolationError
 from fpeps.lattice import LatticeSpec
 from fpeps import mapping
-from fpeps.mapping import derive_sign_functions, map_tensor_set, map_to_peps
-from fpeps.tensors import FPEPSTensor, SignFunction
+from fpeps.mapping import derive_sign_functions, map_tensor_set
+from fpeps.tensors import FPEPSTensor
 
 
-def zero_sign():
-    return SignFunction(np.zeros((2,) * 5, dtype=np.uint8))
+def map_with_zero_signs(monkeypatch, lattice, site, tensor):
+    """The spin tensor of ``site`` mapped with all-zero sign tables, every other site empty."""
+    monkeypatch.setattr(mapping, "derive_sign_functions",
+                        lambda lattice, parity: np.zeros((lattice.n_sites,) + (2,) * 5, np.uint8))
+    tensors = {s: FPEPSTensor(np.zeros((2,) * 5, dtype=complex)) for s in lattice.sites()}
+    tensors[site] = tensor
+    return map_tensor_set(lattice, tensors)[site].entries
 
 
 def one_entry(k, l, r, u, d, value=1.0):
@@ -23,61 +28,63 @@ def one_entry(k, l, r, u, d, value=1.0):
     return FPEPSTensor(arr, (k + l + r + u + d) % 2)
 
 
-def test_map_identity_entry_first_column():
+def test_map_identity_entry_first_column(monkeypatch):
     lattice = LatticeSpec(3, 3)
-    B = map_to_peps(one_entry(0, 0, 0, 0, 0), (1, 1), zero_sign(), lattice).entries
+    B = map_with_zero_signs(monkeypatch, lattice, (1, 1), one_entry(0, 0, 0, 0, 0))
     # d + l = 0: both r' slots carry +1, l' pinned to 0
     assert B[0, 0, 0, 0, 0, 0, 0] == 1.0
     assert B[0, 0, 0, 0, 1, 0, 0] == 1.0
     assert np.count_nonzero(B) == 2
 
 
-def test_map_first_column_boundary_phase():
+def test_map_first_column_boundary_phase(monkeypatch):
     lattice = LatticeSpec(3, 3)
-    B = map_to_peps(one_entry(0, 0, 1, 0, 1), (1, 1), zero_sign(), lattice).entries
+    B = map_with_zero_signs(monkeypatch, lattice, (1, 1), one_entry(0, 0, 1, 0, 1))
     # r = d = 1, l = 0: the r' = 1 slot picks up (-1)^(d + l) = -1
     assert B[0, 0, 0, 1, 0, 0, 1] == 1.0
     assert B[0, 0, 0, 1, 1, 0, 1] == -1.0
 
 
-def test_map_bulk_delta_constraint():
+def test_map_bulk_delta_constraint(monkeypatch):
     lattice = LatticeSpec(3, 3)
     rng = np.random.default_rng(0)
     tensor = FPEPSTensor.random(rng, parity=0)
-    B = map_to_peps(tensor, (2, 1), zero_sign(), lattice).entries
+    B = map_with_zero_signs(monkeypatch, lattice, (2, 1), tensor)
     for (k, l, lp, r, rp, u, d) in np.argwhere(np.abs(B) > 0):
         assert lp == (rp + u + d) % 2
     # exactly half the (l', r') slots can be populated
     assert np.count_nonzero(B) == 2 * np.count_nonzero(tensor.entries)
 
 
-def test_map_last_column_pins_rprime():
+def test_map_last_column_pins_rprime(monkeypatch):
     lattice = LatticeSpec(3, 3)
     rng = np.random.default_rng(1)
     tensor = FPEPSTensor.random(rng, parity=0)
-    B = map_to_peps(tensor, (3, 2), zero_sign(), lattice).entries
+    B = map_with_zero_signs(monkeypatch, lattice, (3, 2), tensor)
     assert np.count_nonzero(B[:, :, :, :, 1, :, :]) == 0
 
 
 def test_map_rejects_invalid_tensor():
+    # construction refuses the tensor, so no invalid tensor reaches the mapping
     arr = np.zeros((2,) * 5, dtype=complex)
     arr[1, 0, 0, 0, 0] = 1.0
     with pytest.raises(ContractViolationError):
-        map_to_peps(FPEPSTensor(arr, 0), (1, 1), zero_sign(), LatticeSpec(2, 2))
+        FPEPSTensor(arr, 0)
 
 
-def test_zero_tensor_maps_to_zero():
+def test_zero_tensor_maps_to_zero(monkeypatch):
     lattice = LatticeSpec(2, 2)
     zero = FPEPSTensor(np.zeros((2,) * 5, dtype=complex), 0)
-    B = map_to_peps(zero, (2, 2), zero_sign(), lattice)
-    assert np.count_nonzero(B.entries) == 0
+    B = map_with_zero_signs(monkeypatch, lattice, (2, 2), zero)
+    assert np.count_nonzero(B) == 0
 
 
 def test_sign_function_depends_only_on_local_indices():
-    # table shape and binary values are enforced by construction
-    table = derive_sign_functions(LatticeSpec(2, 2))[(2, 1)]
-    assert table.table.shape == (2,) * 5
-    assert set(np.unique(table.table)) <= {0, 1}
+    # one read-only uint8 table of 0 and 1 per site, indexed [site, k, u, d, l, r]
+    tables = derive_sign_functions(LatticeSpec(2, 2))
+    assert tables.shape == (4,) + (2,) * 5
+    assert tables.dtype == np.uint8 and not tables.flags.writeable
+    assert set(np.unique(tables)) <= {0, 1}
 
 
 def assert_oracle_matches_contraction(lattice, tensors, parity=None):
@@ -155,8 +162,7 @@ def test_sign_tables_are_pinned(shape, mixed):
     lattice = LatticeSpec(*shape)
     parity = {(h, v): (h + v) % 2 for h, v in lattice.sites()} if mixed else None
     tables = derive_sign_functions(lattice, parity)
-    data = b"".join(tables[s].table.tobytes() for s in lattice.sites())
-    assert hashlib.sha256(data).hexdigest() == SIGN_TABLE_DIGESTS[(shape, mixed)]
+    assert hashlib.sha256(tables.tobytes()).hexdigest() == SIGN_TABLE_DIGESTS[(shape, mixed)]
 
 
 def test_parity_assignment_must_cover_every_site():
@@ -201,7 +207,7 @@ def test_parity_transport_telescopes():
 def test_sign_tables_cover_all_sites():
     lattice = LatticeSpec(3, 3)
     tables = derive_sign_functions(lattice)
-    assert set(tables) == set(lattice.sites())
+    assert tables.shape == (lattice.n_sites,) + (2,) * 5
 
 
 def _drawn_set(lattice, seed, parity=None):
