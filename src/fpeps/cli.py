@@ -175,6 +175,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_correlations(args) -> int:
+    repeated = [d for i, d in enumerate(args.dir) if d in args.dir[:i]]
+    if repeated:
+        raise ContractViolationError(f"--dir {repeated[0]} is given more than once")
     rows, error = [], 0.0
     for direction in args.dir:
         scan = correlation_scan(direction, args.max_n, args.grid)

@@ -18,7 +18,11 @@ coarse panels on axis i shrink like 1/max|n_i| so that e^{i n.phi} stays
 resolved.  The integrand is evaluated in a form without cancellation,
 1 - sin a sin b = sin^2((a-b)/2) + cos^2((a+b)/2), and every requested entry
 comes out of one separable product E1 (W o F) E2^T (a non-uniform DFT over
-the nodes), streamed over chunks of rows so that no full grid is held.
+the nodes), streamed over chunks of rows so that no full grid is held.  The
+rule and the integrand are symmetric under phi -> phi + pi and
+phi -> 2 pi - phi, so the product runs over one quarter of the phi1 nodes
+and adds their three images: allowed entries get four times the quarter's
+sum and forbidden-parity entries are exactly 0.0.
 ``grid_size`` is the minimum number of nodes per axis.
 ``quadrature_error`` repeats the product with a higher Gauss order on the
 same panels.  A plain uniform grid sum would instead give the finite-torus
@@ -36,6 +40,7 @@ large-distance behavior follows K(n1, n2) = (n1+3+i n2)/(n1+1+i n2)^3:
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -60,9 +65,12 @@ GRADING_LEVELS = 8
 COARSE_PHASE = 10.0
 ROW_CHUNK = 16
 
-# A rule over k1 x k2 distinct separations holds its Fourier rows (3 k x
-# nodes floats per axis while built), two nodes1 x 2 k2 half sums and two
-# 2 k1 x 2 k2 sums; above errors.MAX_FLOATS (1 GiB) it is refused unallocated.
+# A rule over k1 x k2 distinct separations holds both axis rules (2 nodes
+# floats per axis), its Fourier rows (3 k x nodes floats per axis while
+# built, over the nodes1 / 4 rows of the folded phi1 axis), two
+# nodes1 / 4 x 2 k2 half sums, at most 8 ROW_CHUNK x nodes2 floats of one
+# chunk of the integrand, and two 2 k1 x 2 k2 sums; above errors.MAX_FLOATS
+# (1 GiB) it is refused unallocated.
 
 
 def _check_grid(grid_size: int):
@@ -84,10 +92,12 @@ def _coarse_panels(n_max: int, grid_size: int) -> tuple[float, int]:
 def _check_rule_size(axes, grid_size: int, order: int):
     """Refuse a rule over ``axes``, (distinct separations, largest |n|) per axis."""
     (k1, n1_max), (k2, n2_max) = axes
-    nodes1, nodes2 = (4 * order * (GRADING_LEVELS + _coarse_panels(n_max, grid_size)[1])
+    # a quarter axis has the innermost panel, GRADING_LEVELS graded and the coarse panels
+    nodes1, nodes2 = (4 * order * (1 + GRADING_LEVELS + _coarse_panels(n_max, grid_size)[1])
                       for n_max in (n1_max, n2_max))
-    refuse_over_limit(3 * (k1 * nodes1 + k2 * nodes2) + 4 * nodes1 * k2 + 8 * k1 * k2,
-                      "quadrature rule")
+    rows1 = nodes1 // 4
+    refuse_over_limit(2 * (nodes1 + nodes2) + 3 * (k1 * rows1 + k2 * nodes2) + 4 * rows1 * k2
+                      + 8 * ROW_CHUNK * nodes2 + 8 * k1 * k2, "quadrature rule")
 
 
 def _quarter_edges(n_max: int, grid_size: int) -> np.ndarray:
@@ -103,15 +113,24 @@ def _quarter_edges(n_max: int, grid_size: int) -> np.ndarray:
     return np.concatenate(([0.0], graded, np.linspace(h, HALF_PI, n_coarse + 1)))
 
 
+@functools.cache
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _axis_rule(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [pi/2, 5 pi/2] from the quarter-axis panel edges.
 
     The quarter is mirrored into the segment [pi/2, 3 pi/2], graded at both
     ends, and the segment is repeated shifted by pi, so the rule is
-    invariant under phi -> phi + pi, the symmetry behind the parity
-    selection rules.
+    invariant under phi -> phi + pi and phi -> 2 pi - phi (mod 2 pi), the
+    symmetries behind the parity selection rules and the fold of
+    ``_rule_values``.
     """
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _gauss_legendre(order)
     half = 0.5 * np.diff(edges)[:, None]
     offsets = (half * x + edges[:-1, None] + half).ravel()
     weights = (half * w).ravel()
@@ -137,11 +156,16 @@ def _ratios(phi1: np.ndarray, phi2: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     With den = 1 - sin a sin b = sin^2((a-b)/2) + cos^2((a+b)/2), which is
     a sum of squares and stays positive off the two corners,
     p/d = -2 cos((a+b)/2) sin((a-b)/2) / den and q/d = -cos a cos b / den.
+    The half angles of the grid come from those of each axis by angle
+    addition, so no trigonometric function is evaluated per grid point.
     """
-    half_sum = np.cos(0.5 * (phi1[:, None] + phi2))
-    half_diff = np.sin(0.5 * (phi1[:, None] - phi2))
-    den = half_diff * half_diff + half_sum * half_sum
-    return -2.0 * half_sum * half_diff / den, -np.outer(np.cos(phi1), np.cos(phi2)) / den
+    c1, s1 = np.cos(0.5 * phi1)[:, None], np.sin(0.5 * phi1)[:, None]
+    c2, s2 = np.cos(0.5 * phi2), np.sin(0.5 * phi2)
+    half_sum = c1 * c2 - s1 * s2
+    half_diff = s1 * c2 - c1 * s2
+    inv_den = 1.0 / (half_diff * half_diff + half_sum * half_sum)
+    return (-2.0 * half_sum * half_diff * inv_den,
+            np.outer(-np.cos(phi1), np.cos(phi2)) * inv_den)
 
 
 def _rule_values(entries, grid_size: int, order: int) -> np.ndarray:
@@ -155,6 +179,12 @@ def _rule_values(entries, grid_size: int, order: int) -> np.ndarray:
     _check_rule_size([(len(ns), np.max(np.abs(ns))) for ns in (n1s, n2s)], grid_size, order)
     phi1, w1 = _axis_rule(_quarter_edges(np.max(np.abs(n1s)), grid_size), order)
     phi2, w2 = _axis_rule(_quarter_edges(np.max(np.abs(n2s)), grid_size), order)
+    # fold: both axis rules are invariant under phi -> phi + pi and
+    # phi -> 2 pi - phi (mod 2 pi), so every phi1 row is one of the four
+    # images of a row pi/2 + offsets of the first quarter; only those rows
+    # are evaluated
+    quarter = len(phi1) // 4
+    phi1, w1 = phi1[:quarter], w1[:quarter]
     e1 = _fourier_rows(n1s, phi1, w1)
     e2 = _fourier_rows(n2s, phi2, w2)
     # (W o F) E2^T one chunk of phi1 rows at a time, so that no full grid
@@ -162,17 +192,22 @@ def _rule_values(entries, grid_size: int, order: int) -> np.ndarray:
     half_p = np.empty((len(phi1), e2.shape[0]))
     half_q = np.empty((len(phi1), e2.shape[0]))
     for lo in range(0, len(phi1), ROW_CHUNK):
-        f_p, f_q = _ratios(phi1[lo:lo + ROW_CHUNK], phi2)
-        half_p[lo:lo + ROW_CHUNK] = f_p @ e2.T
-        half_q[lo:lo + ROW_CHUNK] = f_q @ e2.T
+        rows = slice(lo, lo + ROW_CHUNK)
+        half_p[rows], half_q[rows] = (f @ e2.T for f in _ratios(phi1[rows], phi2))
     sums_p, sums_q = e1 @ half_p, e1 @ half_q
     # blocks [cos; sin](n1) x [cos; sin](n2): corr_p = -Im and corr_q = Re
     # of Int (ratio) e^{i n.phi}
     k1, k2 = len(n1s), len(n2s)
     im_p = (sums_p[k1:, :k2] + sums_p[:k1, k2:])[at1, at2]
     re_q = (sums_q[:k1, :k2] - sums_q[k1:, k2:])[at1, at2]
+    # the images add up: (a, b) -> (a + pi, b + pi) multiplies p/d by -1,
+    # q/d by +1 and e^{i n.phi} by (-1)^(n1+n2); (a, b) -> (2 pi - a, 2 pi - b)
+    # does the same to p/d and q/d and conjugates e^{i n.phi}.  So the four
+    # images give 4 Im for p with odd n1 + n2 and 4 Re for q with even
+    # n1 + n2, and exactly 0 for the other, forbidden, parity
     is_p = np.array([e[2] == "p" for e in entries])
-    return np.where(is_p, -im_p, re_q) / (2.0 * math.pi) ** 2
+    allowed = (n1s[at1] + n2s[at2]) % 2 == is_p
+    return np.where(allowed, 4.0 * np.where(is_p, -im_p, re_q), 0.0) / (2.0 * math.pi) ** 2
 
 
 def correlator_numeric(n1: int, n2: int, kind: str, grid_size: int = 401) -> float:

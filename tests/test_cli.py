@@ -189,6 +189,17 @@ def test_correlations_out_is_deterministic(tmp_path, capsys):
     assert capsys.readouterr().err.count("quadrature error estimate") == 2
 
 
+@pytest.mark.parametrize("dirs", [["axis", "axis"], ["diagonal", "n-2n", "diagonal"]])
+def test_correlations_repeated_direction_is_config_error(tmp_path, capsys, dirs):
+    # a repeated direction used to write its table twice
+    out = tmp_path / "x.csv"
+    flags = [word for d in dirs for word in ("--dir", d)]
+    with mock.patch.object(cli, "correlation_scan", side_effect=AssertionError("scanned")):
+        assert run(["correlations", *flags, "--max-n", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --dir {dirs[0]} is given more than once\n"
+    assert not out.exists()
+
+
 def test_correlations_zero_rows_is_config_error(tmp_path, capsys):
     assert_config_error(["correlations", "--dir", "axis", "--max-n", "0",
                          "--out", str(tmp_path / "x.csv")], capsys)

@@ -17,9 +17,11 @@ from fpeps.correlators import (
     quadrature_error,
     torus_correlator,
     _axis_rule,
+    _fourier_rows,
     _inner_residue,
     _quarter_edges,
     _ratios,
+    _rule_values,
 )
 from fpeps.errors import ContractViolationError
 
@@ -89,6 +91,36 @@ def test_scan_matches_residue_on_readme_rows(direction, max_n):
     assert quadrature_error(rows) <= 1e-12
 
 
+def unfolded_rule(entries, grid_size):
+    """The rule summed over every node of its grid, with no symmetry used."""
+    n1s, n2s = (np.array([e[i] for e in entries]) for i in (0, 1))
+    (phi1, w1), (phi2, w2) = (_axis_rule(_quarter_edges(np.max(np.abs(ns)), grid_size),
+                                         GAUSS_ORDER) for ns in (n1s, n2s))
+    k = len(entries)
+    rows1, rows2 = _fourier_rows(n1s, phi1, w1), _fourier_rows(n2s, phi2, w2)
+    z1, z2 = rows1[:k] + 1j * rows1[k:], rows2[:k] + 1j * rows2[k:]
+    sums_p, sums_q = (np.sum((z1 @ f) * z2, axis=1) for f in _ratios(phi1, phi2))
+    is_p = np.array([e[2] == "p" for e in entries])
+    return np.where(is_p, -sums_p.imag, sums_q.real) / (2 * math.pi) ** 2
+
+
+@pytest.mark.parametrize("grid", [101, 401])
+def test_folded_rule_equals_the_full_grid(grid):
+    # the rule evaluates a quarter of the phi1 rows and adds their images;
+    # the full grid must give the same allowed values and forbidden values
+    # that vanish by themselves, not by construction
+    separations = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (-3, 2), (3, -2), (-2, -2),
+                   (5, 0), (0, -6), (-4, 7), (6, 6), (9, -10)]
+    entries = [(n1, n2, kind) for n1, n2 in separations for kind in ("p", "q")]
+    folded = _rule_values(entries, grid, GAUSS_ORDER)
+    full = unfolded_rule(entries, grid)
+    assert np.max(np.abs(folded - full)) <= 1e-14
+    forbidden = np.array([(n1 + n2) % 2 == (0 if kind == "p" else 1)
+                          for n1, n2, kind in entries])
+    assert np.all(folded[forbidden] == 0.0)
+    assert np.max(np.abs(full[forbidden])) <= 1e-12
+
+
 @pytest.mark.parametrize("entry", [(1, 0, "p"), (1, 1, "q"), (0, 0, "q")])
 def test_rule_matches_nested_quad(entry):
     # (0, 0) has no contour reduction, so only the nested quad can check it
@@ -132,11 +164,11 @@ def test_rule_size_limit_covers_scan_and_error_estimate(monkeypatch):
     rows = [(n, n, kind) for n in range(1, 2001) for kind in ("p", "q")]
     with pytest.raises(ContractViolationError, match="GiB"):
         quadrature_error(rows)
-    # 1150 diagonal separations fit the scan's own rule but not the finer
+    # 1600 diagonal separations fit the scan's own rule but not the finer
     # one of its error estimate, so the scan refuses them up front
-    correlators._check_rule_size([(1150, 1150)] * 2, 401, correlators.GAUSS_ORDER)
+    correlators._check_rule_size([(1600, 1600)] * 2, 401, correlators.GAUSS_ORDER)
     with pytest.raises(ContractViolationError, match="GiB"):
-        correlation_scan("diagonal", 1150)
+        correlation_scan("diagonal", 1600)
 
 
 def test_exchange_structure():
