@@ -20,12 +20,18 @@ two variables), adds the boundary and vertical pieces, reduces mod 2 and
 checks that every remaining monomial sits on one site.  A failure to split
 raises, so any convention drift between this module and the dense oracle is
 loud.
+
+The tables depend on nothing but the lattice and each site's parity, so each
+lattice and parity pattern is derived once per process and kept in a bounded
+cache; callers share the read-only stack.  A failed derivation is not cached.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, refuse_over_limit
 from .lattice import LatticeSpec, Site
 from .tensors import _PARITY, FPEPSTensor, PEPSTensor
 
@@ -64,7 +70,9 @@ def derive_sign_functions(lattice: LatticeSpec, parity=None) -> np.ndarray:
     indexed ``[site, k, u, d, l, r]`` with sites in M order.
     ``parity`` is None (all even) or a per-site mapping.  The
     residual quadratic form after removing the transported pieces must split
-    site-locally; a cross-site leftover raises ``ContractViolationError``.
+    site-locally; a cross-site leftover raises ``ContractViolationError``,
+    as does a lattice whose derivation would pass ``errors.MAX_FLOATS``.
+    Repeated calls with the same lattice and parities return the same stack.
 
     Bond variable ``m`` is the horizontal bond leaving site ``m`` rightward
     and ``N + m`` the vertical bond leaving it toward ``v + 1``.  The
@@ -72,8 +80,16 @@ def derive_sign_functions(lattice: LatticeSpec, parity=None) -> np.ndarray:
     constraint ``k = (l + r + u + d + c) mod 2``.
     """
     parity = _normalize_parity(lattice, parity)
-    c = np.array([parity[s] for s in lattice.sites()])
+    return _sign_tables(lattice, tuple(parity[s] for s in lattice.sites()))
+
+
+# an entry is one lattice's (N, 2, 2, 2, 2, 2) stack for one parity pattern
+@functools.lru_cache(maxsize=128)
+def _sign_tables(lattice: LatticeSpec, parities: tuple[int, ...]) -> np.ndarray:
     n = lattice.n_sites
+    # tracemalloc peaks of 42.0-42.3 floats per N^2, 10x10 to 30x30
+    refuse_over_limit(43 * n**2, f"the sign derivation of the {lattice.n_h}x{lattice.n_v} lattice")
+    c = np.array(parities)
     site = np.arange(n)
     left, south = lattice.shifted(-1, 0), lattice.shifted(0, -1)
     local = np.stack([left, site, n + south, n + site], axis=1)  # slots l, r, u, d

@@ -354,6 +354,18 @@ def test_convert_file_with_duplicate_site_is_config_error(tmp_path, capsys):
                          "--output", str(tmp_path / "out.json")], capsys)
 
 
+def test_convert_oversized_set_is_config_error(tmp_path, capsys):
+    # the sign derivation of 43x43 sites would pass the 1 GiB limit
+    lattice = LatticeSpec(43, 43)
+    zero = FPEPSTensor(np.zeros((2,) * 5, dtype=complex), 0)
+    src = tmp_path / "big.json"
+    src.write_text(dump_tensor_set(lattice, None, {s: zero for s in lattice.sites()}))
+    assert run(["convert", "--input", str(src), "--output", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "43x43" in err
+    assert not (tmp_path / "out.json").exists()
+
+
 # --- fuzzing the argument grammars: parse, or exit 2 with one error line ----
 
 GRAMMAR_TEXT = st.text(max_size=12) | st.text(alphabet="0123456789xX.,-+ _\n", max_size=12)

@@ -1,10 +1,13 @@
 """Sign derivation and the fermionic-to-spin tensor translation."""
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fpeps import errors
 from fpeps.build import build_fpeps
+from fpeps.cli import MAPPING_LATTICES
 from fpeps.contraction import contract_peps
 from fpeps.errors import ContractViolationError
 from fpeps.lattice import LatticeSpec
@@ -133,6 +136,15 @@ def test_oracle_equivalence_on_self_loop_lattices(shape, mixed):
         assert_oracle_matches_contraction(lattice, tensors, parity)
 
 
+@pytest.fixture
+def fresh_sign_cache():
+    """An empty sign-table cache, emptied again afterwards."""
+    mapping._sign_tables.cache_clear()
+    yield
+    mapping._sign_tables.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_sign_cache")
 @pytest.mark.parametrize("shape", [(2, 2), (3, 2)], ids=["2x2", "3x2"])
 def test_sign_derivation_without_transport_is_not_site_local(monkeypatch, shape):
     # the boundary and vertical pieces are what makes the residual local
@@ -163,6 +175,71 @@ def test_sign_tables_are_pinned(shape, mixed):
     parity = {(h, v): (h + v) % 2 for h, v in lattice.sites()} if mixed else None
     tables = derive_sign_functions(lattice, parity)
     assert hashlib.sha256(tables.tobytes()).hexdigest() == SIGN_TABLE_DIGESTS[(shape, mixed)]
+
+
+def _parity_patterns(lattice):
+    """All even (None) and the checkerboard (h + v) mod 2."""
+    return None, {(h, v): (h + v) % 2 for h, v in lattice.sites()}
+
+
+def test_sign_tables_are_derived_once_and_shared():
+    lattice = LatticeSpec(2, 2)
+    first = derive_sign_functions(lattice)
+    # an explicit all-even mapping is the same key as None
+    assert derive_sign_functions(LatticeSpec(2, 2), {s: 0 for s in lattice.sites()}) is first
+    with pytest.raises(ValueError, match="read-only"):
+        first[0, 0, 0, 0, 0, 0] = 1
+
+
+def test_cached_sign_tables_equal_a_fresh_derivation(fresh_sign_cache):
+    lattices = list(MAPPING_LATTICES) + [LatticeSpec(*shape) for shape, _ in SIGN_TABLE_DIGESTS]
+    keys = [(lattice, parity) for lattice in lattices for parity in _parity_patterns(lattice)]
+    cached = [derive_sign_functions(lattice, parity) for lattice, parity in keys]
+    mapping._sign_tables.cache_clear()
+    for (lattice, parity), table in zip(keys, cached):
+        fresh = derive_sign_functions(lattice, parity)
+        assert fresh is not table and fresh.tobytes() == table.tobytes()
+
+
+@pytest.mark.parametrize("even_first", [True, False], ids=["even-first", "checkerboard-first"])
+def test_sign_cache_key_holds_the_parity(fresh_sign_cache, even_first):
+    lattice = LatticeSpec(4, 4)
+    even, checkerboard = _parity_patterns(lattice)
+    order = [(False, even), (True, checkerboard)]
+    for mixed, parity in order if even_first else order[::-1]:
+        tables = derive_sign_functions(lattice, parity)
+        assert hashlib.sha256(tables.tobytes()).hexdigest() == SIGN_TABLE_DIGESTS[((4, 4), mixed)]
+
+
+def _peak_bytes(call):
+    """The tracemalloc peak of ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sign_derivation_is_refused_over_the_size_limit(fresh_sign_cache):
+    # 43 x 43 sites would hold 43 N^2 = 1.1 GiB of floats
+    def refused_twice():  # a refusal is not cached
+        for _ in range(2):
+            with pytest.raises(ContractViolationError,
+                               match=r"sign derivation of the 43x43 lattice needs .* GiB"):
+                derive_sign_functions(LatticeSpec(43, 43))
+
+    assert _peak_bytes(refused_twice) < 2**20
+
+
+def test_sign_derivation_charge_covers_its_peak(fresh_sign_cache, monkeypatch):
+    lattice = LatticeSpec(10, 10)
+    assert _peak_bytes(lambda: derive_sign_functions(lattice)) <= 8 * 43 * lattice.n_sites**2
+    # the charge is exactly 43 floats per N^2: a limit at 6x6's charge admits 6x6
+    monkeypatch.setattr(errors, "MAX_FLOATS", 43 * 36**2)
+    derive_sign_functions(LatticeSpec(6, 6))
+    with pytest.raises(ContractViolationError, match="37x1"):
+        derive_sign_functions(LatticeSpec(37, 1))
 
 
 def test_parity_assignment_must_cover_every_site():
