@@ -14,8 +14,8 @@ import sys
 import numpy as np
 
 from . import io as fio
-from .build import build_fpeps
-from .contraction import contract_peps
+from .build import build_stack
+from .contraction import contract_stack
 from .critical import (
     closed_form_ratios,
     entropy_scan,
@@ -27,6 +27,7 @@ from .critical import (
 )
 from .correlators import correlation_scan, quadrature_error
 from .errors import ContractViolationError, FpepsError, ZeroNormError, refuse_over_limit
+from .fock import normalized_overlaps
 from .gaussian import (
     apply_channel,
     g_hat,
@@ -35,11 +36,12 @@ from .gaussian import (
     physical_cm_from_blocks,
 )
 from .lattice import LatticeSpec, parse_lattice
-from .mapping import map_tensor_set
+from .mapping import map_stack, map_tensor_set
 from .quadratic import ground_state_cm_consistency
-from .tensors import FPEPSTensor
+from .tensors import FPEPSTensor, stack_sets
 
 MAPPING_LATTICES = (LatticeSpec(1, 2), LatticeSpec(2, 1), LatticeSpec(2, 2))
+MAPPING_STACK = 64  # the most tensor sets checked as one stack; see the charges below
 
 # A request whose arrays would pass errors.MAX_FLOATS (1 GiB) is refused
 # before anything is allocated.  What each command holds, measured:
@@ -58,6 +60,11 @@ MAPPING_LATTICES = (LatticeSpec(1, 2), LatticeSpec(2, 1), LatticeSpec(2, 2))
 #   lattice peaks at 42.0-42.3 floats per N^2 (the one-hot bond slots, the
 #   (4 N)^2 pass matrix and its products), traced from 10x10 to 30x30;
 #   charged 43 per N^2 by mapping on each derivation it has not cached.
+# * verify's mapping suite: one stack of tensor sets (drawn tensors, oracle,
+#   spin tensors, contraction) peaks at 10.7 KiB per set on 1x2 and 2x1 and
+#   34.6-34.7 KiB on 2x2, traced with stacks of 64 and 256; MAPPING_STACK
+#   sets per stack keep it under 2.2 MiB whatever --sets is, so it is not
+#   charged.
 
 
 def _emit(text: str, out_path):
@@ -83,17 +90,29 @@ def _zero_norm_check(name: str, momenta, error: str) -> dict:
 
 
 def _mapping_checks(seed: int, n_sets: int, tolerance: float):
-    checks = []
-    for i in range(n_sets):
-        lattice = MAPPING_LATTICES[i % len(MAPPING_LATTICES)]
-        rng = np.random.default_rng(seed + i)
-        tensors = {s: FPEPSTensor.random(rng, parity=0) for s in lattice.sites()}
-        oracle = build_fpeps(lattice, tensors)
-        mapped = map_tensor_set(lattice, tensors)
-        contracted = contract_peps(lattice, mapped)
-        residual = abs(oracle.normalized_overlap(contracted) - 1.0)
-        checks.append(_residual_check(f"mapping-overlap-{lattice.n_h}x{lattice.n_v}-{i}",
-                                      residual, tolerance, seed=seed + i))
+    """Set i is drawn from ``default_rng(seed + i)`` on ``MAPPING_LATTICES[i % 3]``.
+
+    The sets of one lattice are checked as stacks of at most
+    ``MAPPING_STACK``: one oracle build, one mapping, one contraction and
+    one normalized overlap per stack.  A set's residual does not depend on
+    the stack it is in.
+    """
+    checks = [None] * n_sets
+    for j, lattice in enumerate(MAPPING_LATTICES):
+        indices = range(j, n_sets, len(MAPPING_LATTICES))
+        for start in range(0, len(indices), MAPPING_STACK):
+            chunk = indices[start:start + MAPPING_STACK]
+            sets = []
+            for i in chunk:
+                rng = np.random.default_rng(seed + i)
+                sets.append({s: FPEPSTensor.random(rng, parity=0) for s in lattice.sites()})
+            entries, parity = stack_sets(lattice.sites(), sets)
+            oracle = build_stack(lattice, entries, parity)
+            contracted = contract_stack(lattice, map_stack(lattice, entries, parity))
+            residuals = np.abs(normalized_overlaps(oracle, contracted) - 1.0)
+            for i, residual in zip(chunk, residuals.tolist()):
+                checks[i] = _residual_check(f"mapping-overlap-{lattice.n_h}x{lattice.n_v}-{i}",
+                                            residual, tolerance, seed=seed + i)
     return checks
 
 

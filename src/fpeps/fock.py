@@ -109,17 +109,25 @@ class FockVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def overlap(self, other: "FockVector") -> complex:
-        if self.registry != other.registry:
-            raise ContractViolationError("overlap between different registries")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def normalized_overlap(self, other: "FockVector") -> float:
         """|<self|other>| / (|self| |other|); the phase-free comparison."""
-        na, nb = self.norm(), other.norm()
-        if na == 0.0 or nb == 0.0:
-            raise UndefinedStateError("normalized overlap with a zero vector")
-        return abs(self.overlap(other)) / (na * nb)
+        if self.registry != other.registry:
+            raise ContractViolationError("overlap between different registries")
+        return float(normalized_overlaps(self.amplitudes[None], other.amplitudes[None])[0])
+
+
+def normalized_overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|<a_i|b_i>| / (|a_i| |b_i|) of the rows of two ``(S, n)`` amplitude stacks.
+
+    Each row is computed as ``np.vdot`` and ``np.linalg.norm`` compute one
+    vector, so a row's value does not depend on the stack it is in.  A zero
+    row is refused.
+    """
+    na = np.sqrt(np.vecdot(a.real, a.real) + np.vecdot(a.imag, a.imag))
+    nb = np.sqrt(np.vecdot(b.real, b.real) + np.vecdot(b.imag, b.imag))
+    if not (na.all() and nb.all()):
+        raise UndefinedStateError("normalized overlap with a zero vector")
+    return np.abs(np.vecdot(a, b)) / (na * nb)
 
 
 @dataclass(frozen=True)

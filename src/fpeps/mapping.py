@@ -24,6 +24,8 @@ loud.
 The tables depend on nothing but the lattice and each site's parity, so each
 lattice and parity pattern is derived once per process and kept in a bounded
 cache; callers share the read-only stack.  A failed derivation is not cached.
+``map_stack`` maps a stack of tensor sets that share one parity pattern
+with one table stack; ``map_tensor_set`` is a stack of one.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ import numpy as np
 
 from .errors import ContractViolationError, refuse_over_limit
 from .lattice import LatticeSpec, Site
-from .tensors import _PARITY, FPEPSTensor, PEPSTensor
+from .tensors import _PARITY, FPEPSTensor, PEPSTensor, stack_sets
 
 # table entries [k, u, d, l, r] as 32 columns; rows are the values of the
 # local bonds in slot order (l, r, u, d)
@@ -43,6 +45,9 @@ _SLOT_VALUES = np.indices((2,) * 5).reshape(5, 32)[[3, 4, 1, 2]]
 def _normalize_parity(lattice: LatticeSpec, parity) -> dict[Site, int]:
     if parity is None:
         return {s: 0 for s in lattice.sites()}
+    wrong = {s: c for s, c in dict(parity).items() if c not in (0, 1)}
+    if wrong:
+        raise ContractViolationError(f"site parities must be 0 or 1, got {wrong}")
     out = {lattice.wrap(s): int(c) for s, c in dict(parity).items()}
     missing = [s for s in lattice.sites() if s not in out]
     if missing:
@@ -169,6 +174,31 @@ def tensor_parity(
     return own
 
 
+def map_stack(lattice: LatticeSpec, entries: np.ndarray, parity: tuple[int, ...]) -> np.ndarray:
+    """Spin tensors of a stack of tensor sets, as one ``(S, N, 2, 2, 2, 2, 2, 2, 2)`` array.
+
+    ``entries`` and ``parity`` are a stack from :func:`fpeps.tensors.stack_sets`:
+    ``(S, N, 2, 2, 2, 2, 2)`` tensors in site M order sharing one parity
+    pattern, so one sign-table stack serves every set.  Entry ``[i, m]`` is
+    B[k, l, l', r, r', u, d] of site ``m`` of set ``i``.  First-column
+    tensors only populate l' = 0 and carry the boundary phase
+    (-1)^((d + l) r'); bulk tensors enforce l' = (r' + u + d) mod 2 with
+    phase (-1)^(d r'); the last column additionally pins r' = 0.
+    """
+    signs = derive_sign_functions(lattice, dict(zip(lattice.sites(), parity)))
+    nonzero = np.nonzero(entries)
+    i, m, k, l, r, u, d = nonzero
+    # the sign tables are indexed [site, k, u, d, l, r]
+    base = (entries * (-1.0) ** signs.transpose(0, 1, 4, 5, 2, 3))[nonzero]
+    first = m % lattice.n_h == 0
+    out = np.zeros(entries.shape[:2] + (2,) * 7, dtype=complex)
+    for rp in (0, 1):
+        lp = np.where(first, 0, (rp + u + d) % 2)
+        out[i, m, k, l, lp, r, rp, u, d] = base * (-1.0) ** (np.where(first, d + l, d) * rp)
+    out[:, lattice.n_h - 1::lattice.n_h, ..., 1, :, :] = 0.0
+    return out
+
+
 def map_tensor_set(
     lattice: LatticeSpec,
     tensors: dict[Site, FPEPSTensor],
@@ -177,21 +207,9 @@ def map_tensor_set(
     """Spin tensors B[k, l, l', r, r', u, d] of every site, in one pass.
 
     The sign tables are derived for the tensors' own parities; ``parity``,
-    if given, must agree with them.  First-column tensors only populate
-    l' = 0 and carry the boundary phase (-1)^((d + l) r'); bulk tensors
-    enforce l' = (r' + u + d) mod 2 with phase (-1)^(d r'); the last column
-    additionally pins r' = 0.
+    if given, must agree with them.  A stack of one for :func:`map_stack`.
     """
-    signs = derive_sign_functions(lattice, tensor_parity(lattice, tensors, parity))
-    entries = np.stack([tensors[s].entries for s in lattice.sites()])
-    nonzero = np.nonzero(entries)
-    m, k, l, r, u, d = nonzero
-    # the sign tables are indexed [site, k, u, d, l, r]
-    base = (entries * (-1.0) ** signs.transpose(0, 1, 4, 5, 2, 3))[nonzero]
-    first = m % lattice.n_h == 0
-    out = np.zeros((lattice.n_sites,) + (2,) * 7, dtype=complex)
-    for rp in (0, 1):
-        lp = np.where(first, 0, (rp + u + d) % 2)
-        out[m, k, l, lp, r, rp, u, d] = base * (-1.0) ** (np.where(first, d + l, d) * rp)
-    out[lattice.n_h - 1::lattice.n_h, ..., 1, :, :] = 0.0
+    entries, own = stack_sets(lattice.sites(), [tensors])
+    tensor_parity(lattice, tensors, parity)
+    out = map_stack(lattice, entries, own)[0]
     return {s: PEPSTensor(b) for s, b in zip(lattice.sites(), out)}

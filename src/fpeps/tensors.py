@@ -37,8 +37,8 @@ class FPEPSTensor:
         if self.parity not in (0, 1):
             raise ContractViolationError(f"parity must be 0 or 1, got {self.parity}")
         forbidden = (_PARITY != self.parity) & (arr != 0)
-        bad = [tuple(idx) for idx in np.argwhere(forbidden).tolist()]
-        if bad:
+        if forbidden.any():
+            bad = [tuple(idx) for idx in np.argwhere(forbidden).tolist()]
             raise ContractViolationError(
                 f"parity-{self.parity} tensor has forbidden entries at {bad}"
             )
@@ -63,6 +63,25 @@ class FPEPSTensor:
         z = rng.standard_normal((int(allowed.sum()), 2))
         arr[allowed] = z[:, 0] + 1j * z[:, 1]
         return cls(arr, parity)
+
+
+def stack_sets(sites, sets) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The entries of tensor sets keyed by site, and the parity pattern they share.
+
+    Returns one ``(S, N, 2, 2, 2, 2, 2)`` complex array, sets in the given
+    order and sites in ``sites`` order, and each site's parity as an
+    ``(N,)`` tuple.  A set missing a site, and a stack whose sets disagree
+    on a site's parity, are refused.
+    """
+    missing = sorted({s for tensors in sets for s in sites if s not in tensors})
+    if missing:
+        raise ContractViolationError(f"missing tensors for sites {missing}")
+    patterns = {tuple(tensors[s].parity for s in sites) for tensors in sets}
+    if len(patterns) > 1:
+        split = [s for j, s in enumerate(sites) if len({p[j] for p in patterns}) > 1]
+        raise ContractViolationError(f"tensor sets disagree on the parity of sites {split}")
+    entries = np.array([[tensors[s].entries for s in sites] for tensors in sets])
+    return entries, patterns.pop()
 
 
 @dataclass(frozen=True)

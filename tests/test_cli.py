@@ -12,10 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fpeps import cli, correlators, quadratic
+from fpeps.build import build_fpeps
 from fpeps.cli import main
+from fpeps.contraction import contract_peps
 from fpeps.errors import ContractViolationError
 from fpeps.io import dump_tensor_set, load_peps_set
 from fpeps.lattice import LatticeSpec, parse_lattice
+from fpeps.mapping import map_tensor_set
 from fpeps.tensors import FPEPSTensor
 
 
@@ -47,6 +50,27 @@ def test_verify_mapping_default_has_at_least_fifty_checks(tmp_path):
     report = json.loads(out.read_text())
     assert len(report["checks"]) >= 50
     assert all(abs(c["residual"]) <= 1e-10 for c in report["checks"])
+
+
+def test_verify_mapping_checks_follow_the_set_index(tmp_path, monkeypatch):
+    out, pairs = tmp_path / "report.json", tmp_path / "pairs.json"
+    argv = ["verify", "--suite", "mapping", "--seed", "5", "--sets", "7", "--out"]
+    assert run(argv + [str(out)]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    shapes = [f"{lat.n_h}x{lat.n_v}" for lat in cli.MAPPING_LATTICES]
+    assert [c["name"] for c in checks] == [f"mapping-overlap-{shapes[i % 3]}-{i}" for i in range(7)]
+    assert [c["seed"] for c in checks] == [5 + i for i in range(7)]
+    # set i checked alone through the per-set wrappers gives the same residual
+    for i, check in enumerate(checks):
+        lattice = cli.MAPPING_LATTICES[i % 3]
+        rng = np.random.default_rng(5 + i)
+        tensors = {s: FPEPSTensor.random(rng, parity=0) for s in lattice.sites()}
+        state = contract_peps(lattice, map_tensor_set(lattice, tensors))
+        assert check["residual"] == abs(build_fpeps(lattice, tensors).normalized_overlap(state) - 1.0)
+    # stacks of two: a set's residual does not depend on the stack it is in
+    monkeypatch.setattr(cli, "MAPPING_STACK", 2)
+    assert run(argv + [str(pairs)]) == 0
+    assert pairs.read_bytes() == out.read_bytes()
 
 
 def test_verify_gaussian_3x3(tmp_path):

@@ -18,6 +18,7 @@ from fpeps.fock import (
     exact_ground_state,
     majorana_vector,
     many_body_gap,
+    normalized_overlaps,
     parity_signs,
     quadratic_operator,
     vacuum,
@@ -126,6 +127,20 @@ def test_covariance_zero_state():
     z = FockVector(reg(1), np.zeros(2, dtype=complex))
     with pytest.raises(UndefinedStateError):
         covariance_matrix(z)
+
+
+def test_normalized_overlaps_are_the_one_vector_values_and_refuse_a_zero_row():
+    rng = np.random.default_rng(2)
+    a, b = rng.standard_normal((2, 3, 8)) + 1j * rng.standard_normal((2, 3, 8))
+    got = normalized_overlaps(a, b)
+    for i in range(3):  # bit for bit, whatever the stack
+        assert got[i] == abs(np.vdot(a[i], b[i])) / (np.linalg.norm(a[i]) * np.linalg.norm(b[i]))
+    b[1] = 0.0
+    with pytest.raises(UndefinedStateError, match="zero vector"):
+        normalized_overlaps(a, b)
+    other = ModeRegistry(tuple(("b", (i, 1)) for i in range(1, 4)))
+    with pytest.raises(ContractViolationError, match="different registries"):
+        FockVector(reg(3), a[0]).normalized_overlap(FockVector(other, b[0]))
 
 
 def test_covariance_pure_state_squares_to_minus_one():

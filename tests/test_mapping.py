@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from fpeps import errors
-from fpeps.build import build_fpeps
+from fpeps.build import build_fpeps, build_stack
 from fpeps.cli import MAPPING_LATTICES
-from fpeps.contraction import contract_peps
+from fpeps.contraction import contract_peps, contract_stack
 from fpeps.errors import ContractViolationError
 from fpeps.lattice import LatticeSpec
 from fpeps import mapping
-from fpeps.mapping import derive_sign_functions, map_tensor_set
-from fpeps.tensors import FPEPSTensor
+from fpeps.mapping import derive_sign_functions, map_stack, map_tensor_set
+from fpeps.tensors import FPEPSTensor, stack_sets
 
 
 def map_with_zero_signs(monkeypatch, lattice, site, tensor):
@@ -247,6 +247,16 @@ def test_parity_assignment_must_cover_every_site():
         derive_sign_functions(LatticeSpec(2, 1), {(1, 1): 0})
 
 
+@pytest.mark.parametrize("value", [2, -1, 1.7])
+def test_site_parity_other_than_0_or_1_is_refused(value):
+    # 2 and -1 used to give an all-zero sign table, and 1.7 the cached
+    # table of parity 1
+    lattice = LatticeSpec(2, 1)
+    derive_sign_functions(lattice, {(1, 1): 1, (2, 1): 0})
+    with pytest.raises(ContractViolationError, match=r"must be 0 or 1, got \{\(1, 1\): "):
+        derive_sign_functions(lattice, {(1, 1): value, (2, 1): 0})
+
+
 @pytest.mark.parametrize("mixed", [False, True], ids=["even", "mixed"])
 @pytest.mark.parametrize("shape", [(3, 1), (3, 2), (3, 3), (4, 3), (3, 4)],
                          ids=["3x1", "3x2", "3x3", "4x3", "3x4"])
@@ -319,3 +329,46 @@ def test_map_tensor_set_refuses_a_disagreeing_parity_argument():
     with_arg = map_tensor_set(lattice, tensors, parity)
     without = map_tensor_set(lattice, tensors)
     assert all(np.array_equal(with_arg[s].entries, without[s].entries) for s in lattice.sites())
+
+
+def _mixed_stack(lattice, n_sets, seed):
+    """Random tensor sets sharing one parity pattern that holds both parities."""
+    rng = np.random.default_rng(seed)
+    bits = rng.permutation(np.arange(lattice.n_sites) % 2)
+    parity = {s: int(b) for s, b in zip(lattice.sites(), bits)}
+    return [{s: FPEPSTensor.random(rng, parity[s]) for s in lattice.sites()}
+            for _ in range(n_sets)]
+
+
+@pytest.mark.parametrize("shape, n_sets", [
+    ((1, 2), 4), ((2, 1), 4), ((2, 2), 4), ((2, 2), 1), ((3, 1), 3), ((3, 2), 3),
+    ((3, 3), 2), ((3, 4), 2),
+], ids=["1x2", "2x1", "2x2", "2x2-one", "3x1", "3x2", "3x3", "3x4"])
+def test_stack_cores_match_the_per_set_route(shape, n_sets):
+    lattice = LatticeSpec(*shape)
+    sets = _mixed_stack(lattice, n_sets, 700 + 10 * shape[0] + shape[1] + n_sets)
+    entries, parity = stack_sets(lattice.sites(), sets)
+    oracle = build_stack(lattice, entries, parity)
+    spin = map_stack(lattice, entries, parity)
+    amps = contract_stack(lattice, spin)
+    assert oracle.shape == amps.shape == (n_sets, 2**lattice.n_sites)
+    for i, tensors in enumerate(sets):
+        assert np.array_equal(oracle[i], build_fpeps(lattice, tensors).amplitudes)
+        mapped = map_tensor_set(lattice, tensors)
+        assert all(np.array_equal(spin[i, m], mapped[s].entries)
+                   for m, s in enumerate(lattice.sites()))
+        single = contract_peps(lattice, mapped).amplitudes
+        assert np.max(np.abs(amps[i] - single)) <= 1e-14 * np.max(np.abs(single))
+        # and the stack is the exact translation of its oracle, phase included
+        assert np.max(np.abs(amps[i] - 2.0**lattice.n_sites * oracle[i])) < (
+            1e-10 * max(1.0, np.max(np.abs(amps[i]))))
+
+
+def test_stack_of_disagreeing_parity_patterns_is_refused():
+    lattice = LatticeSpec(2, 2)
+    first, second = _mixed_stack(lattice, 2, 5)
+    flipped = {**second, (2, 1): FPEPSTensor.random(np.random.default_rng(6),
+                                                     1 - second[(2, 1)].parity)}
+    with pytest.raises(ContractViolationError) as refused:
+        stack_sets(lattice.sites(), [first, second, flipped])
+    assert str(refused.value) == "tensor sets disagree on the parity of sites [(2, 1)]"
