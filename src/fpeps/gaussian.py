@@ -24,6 +24,7 @@ where "first" is the mode whose creator appears left in the bond operator
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -339,7 +340,8 @@ class OutputTriple(NamedTuple):
     :func:`g_hat`); ``q`` is complex in general and real for
     reflection-symmetric channels.  ``zero_norm`` marks momenta where d
     vanishes (state undefined there), while p and q (adjugate data) remain
-    well defined.
+    well defined.  All three are trigonometric polynomials of degree at most
+    2 in each momentum component, read off the channel's harmonic table.
     """
 
     p: np.ndarray
@@ -349,7 +351,11 @@ class OutputTriple(NamedTuple):
 
 
 def _adjugate(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(adj(M), det(M)) of a stack (..., n, n) via the Faddeev-LeVerrier recursion."""
+    """(adj(M), det(M)) of a stack (..., n, n) via the Faddeev-LeVerrier recursion.
+
+    The per-momentum reference of the output triple: the harmonic table of
+    :func:`gamma_out_hat` is built from it on the 5x5 grid only.
+    """
     n = M.shape[-1]
     eye = np.eye(n, dtype=M.dtype)
     Bk = eye
@@ -359,6 +365,43 @@ def _adjugate(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         Bk = Mk + ck[..., None, None] * eye
     cn = -(M @ Bk).trace(0, -2, -1) / n
     return (-1.0) ** (n - 1) * Bk, (-1.0) ** n * cn
+
+
+# Each momentum component enters D - fourier_bond(phi) in four entries, one
+# per row and column: e^{-i phi} twice and e^{+i phi} twice.  A cofactor
+# expansion takes at most one entry from each row, so d, every cofactor and
+# with them p and q (through B adj B^T + d A) are Laurent polynomials in
+# e^{i phi1}, e^{i phi2} with exponents in [-2, 2].  Five equally spaced
+# samples per axis determine them exactly: a 5-point DFT aliases only
+# exponents 5 apart.  The residues of the three validity checks (Im d,
+# Re R00, R10 + conj R01) are polynomials of the same kind, so a residue
+# that vanishes on the 5x5 grid vanishes at every momentum.
+_HARMONICS = np.fft.fftfreq(5, 1 / 5)  # exponents 0, 1, 2, -2, -1: fft order
+_GRID = 2 * np.pi * np.stack(np.meshgrid(np.arange(5), np.arange(5), indexing="ij"), axis=-1) / 5
+
+
+# an entry is one channel's read-only (3, 5, 5) table of the harmonic
+# coefficients of (p, q, d); the key is the bytes of A, B and D, so a channel
+# whose arrays change in place gets a fresh table
+@functools.lru_cache(maxsize=64)
+def _harmonic_table(A: bytes, B: bytes, D: bytes) -> np.ndarray:
+    A, B, D = (np.frombuffer(x).reshape(n, -1) for x, n in ((A, 2), (B, 2), (D, 8)))
+    adj, det = _adjugate(D - fourier_bond(_GRID))
+    bad = abs(det.imag) > 1e-9 * np.maximum(1.0, abs(det))
+    if bad.any():
+        raise NumericalValidityError(f"determinant not real: {det[bad][0]}")
+    d = det.real
+    R = B @ adj @ B.T + d[..., None, None] * A
+    r00 = R[..., 0, 0]
+    bad = abs(r00.real) > 1e-9 * np.maximum(1.0, abs(r00))
+    if bad.any():
+        raise NumericalValidityError(f"diagonal block entry not imaginary: {r00[bad][0]}")
+    q = R[..., 0, 1]
+    if (abs(R[..., 1, 0] + q.conj()) > 1e-9).any():
+        raise NumericalValidityError("momentum block lost its antisymmetry pattern")
+    table = np.fft.fft2(np.stack([r00.imag, q, d])) / 25
+    table.flags.writeable = False
+    return table
 
 
 def eq9_gamma_hat(p: float, q: complex, d: float) -> np.ndarray:
@@ -381,24 +424,23 @@ def g_hat(p, q, d) -> np.ndarray:
 def gamma_out_hat(channel: GaussianChannel, phis) -> OutputTriple:
     """Output momentum data of a one-site channel fed by the lattice bonds.
 
-    ``phis`` has shape (..., 2); each field of the result has shape ``...``,
-    so a single momentum gives numpy scalars.
+    ``phis`` is a finite array of shape (..., 2); each field of the result
+    has shape ``...``, so a single momentum gives numpy scalars.  The values
+    come from the channel's exact harmonic table (built once per channel from
+    :func:`_adjugate` on 25 grid momenta and checked there), so no momentum
+    costs any linear algebra.
     """
     _one_site(channel, "momentum-space evaluation")
-    adj, det = _adjugate(channel.D - fourier_bond(phis))
-    bad = abs(det.imag) > 1e-9 * np.maximum(1.0, abs(det))
-    if bad.any():
-        raise NumericalValidityError(f"determinant not real: {det[bad][0]}")
-    d = det.real
-    R = channel.B @ adj @ channel.B.T + d[..., None, None] * channel.A
-    r00 = R[..., 0, 0]
-    bad = abs(r00.real) > 1e-9 * np.maximum(1.0, abs(r00))
-    if bad.any():
-        raise NumericalValidityError(f"diagonal block entry not imaginary: {r00[bad][0]}")
-    q = R[..., 0, 1]
-    if (abs(R[..., 1, 0] + q.conj()) > 1e-9).any():
-        raise NumericalValidityError("momentum block lost its antisymmetry pattern")
-    return OutputTriple(r00.imag[()], q[()], d[()], (abs(d) <= ZERO_NORM_ATOL)[()])
+    phis = np.asarray(phis, dtype=float)
+    if phis.ndim == 0 or phis.shape[-1] != 2:
+        raise ContractViolationError(f"momenta must have shape (..., 2), not {phis.shape}")
+    if not np.isfinite(phis).all():
+        raise ContractViolationError("momenta must be finite")
+    table = _harmonic_table(channel.A.tobytes(), channel.B.tobytes(), channel.D.tobytes())
+    waves = np.exp(1j * phis[..., None] * _HARMONICS)
+    p, q, d = np.einsum("...m,...n,tmn->t...", waves[..., 0, :], waves[..., 1, :], table)
+    d = d.real
+    return OutputTriple(p.real[()], q[()], d[()], (abs(d) <= ZERO_NORM_ATOL)[()])
 
 
 def physical_cm_from_blocks(channel: GaussianChannel, lattice: LatticeSpec) -> MajoranaCM:

@@ -12,9 +12,12 @@ The parent Hamiltonian of a channel output is h_hat(phi) = d(phi) *
 gamma_hat(phi) with (p, q, d) the minimal-degree trigonometric polynomial
 triple compatible with the channel's momentum-space ratios.  The minimal
 triple is found as the one-dimensional nullspace of a linear system sampled
-at random momenta, growing the harmonic support until it exists; this
-cancels whatever common polynomial factor the raw adjugate data carries and
-keeps the Hamiltonian as local as the state allows.
+at random momenta (the cross-multiplied identities d p' = p d', never the
+quotients), growing the harmonic support until it exists; this
+cancels whatever common polynomial factor the channel's exact harmonic
+table (see :func:`fpeps.gaussian.gamma_out_hat`: degree at most 2 in each
+momentum component) carries and keeps the Hamiltonian as local as the state
+allows.
 """
 from __future__ import annotations
 
@@ -135,20 +138,24 @@ def minimal_triple(
             f"projection determinant nearly vanishes at {draws - len(keep)} of {draws} momenta"
         )
     phis, d = phis[keep], out.d[keep]
-    ratios = np.stack([out.p[keep] / d, out.q.real[keep] / d, out.q.imag[keep] / d], axis=1)
+    values = np.stack([out.p[keep], out.q.real[keep], out.q.imag[keep]], axis=1)
 
     for radius in range(radius_cap + 1):
         deltas = np.array(_half_space(radius))
         m = len(deltas)
         angle = phis[:, :1] * deltas[:, 0] + phis[:, 1:] * deltas[:, 1]
         sin, cos = np.sin(angle[:, 1:]), np.cos(angle)
-        # rows (p, Re q, Im q) of each sample; columns p | Re q | Im q | d,
+        # rows (p, Re q, Im q) of each sample, cross-multiplied: d p' - p d'
+        # for the fitted p', d'.  Quotients p / d would carry the absolute
+        # rounding of p and d divided by a small d, near the lines where the
+        # common factor of the channel's triple vanishes, into the nullspace
+        # at the 1e-12 level of HARMONIC_ATOL.  Columns p | Re q | Im q | d,
         # with no sine column at Delta = (0, 0)
         mat = np.zeros((len(phis), 3, 4 * m - 2))
-        mat[:, 0, :m - 1] = sin
-        mat[:, 1, m - 1:2 * m - 1] = cos
-        mat[:, 2, 2 * m - 1:3 * m - 2] = sin
-        mat[:, :, 3 * m - 2:] = -ratios[:, :, None] * cos[:, None, :]
+        mat[:, 0, :m - 1] = d[:, None] * sin
+        mat[:, 1, m - 1:2 * m - 1] = d[:, None] * cos
+        mat[:, 2, 2 * m - 1:3 * m - 2] = d[:, None] * sin
+        mat[:, :, 3 * m - 2:] = -values[:, :, None] * cos[:, None, :]
         mat = mat.reshape(3 * len(phis), -1)
         n_unknowns = mat.shape[1]
         _, svals, vt = np.linalg.svd(mat, full_matrices=False)

@@ -1,6 +1,7 @@
 """Covariance matrices, Gaussian channels, and momentum-space blocks."""
 import numpy as np
 import pytest
+from scipy.stats import ortho_group
 
 from fpeps.critical import example_channel
 from fpeps.errors import ContractViolationError, NumericalValidityError, ZeroNormError
@@ -8,6 +9,8 @@ from fpeps.gaussian import (
     ZERO_NORM_ATOL,
     GaussianChannel,
     MajoranaCM,
+    _adjugate,
+    _harmonic_table,
     apply_channel,
     blocks_from_matrix,
     eq9_gamma_hat,
@@ -210,6 +213,86 @@ def test_gamma_out_hat_stack_matches_single_momenta():
             assert np.array_equal(field.reshape(-1), np.array(values))
     zero = gamma_out_hat(ch, stack).zero_norm.reshape(-1)
     assert [tuple(phi) for phi in flat[zero]] == [(np.pi / 2, np.pi / 2), (np.pi, 1.3)]
+
+
+def random_site_channel(seed):
+    """Pure one-site channel G = O J O^T, split into A (2x2), B and D (8x8)."""
+    O = ortho_group.rvs(10, random_state=seed)
+    J = np.kron(np.eye(5), [[0.0, 1.0], [-1.0, 0.0]])
+    G = O @ J @ O.T
+    return GaussianChannel(G[:2, :2], G[:2, 2:], G[2:, 2:])
+
+
+def direct_triple(ch, phis):
+    """(p, q, d) from the per-momentum adjugate of D - omega_hat."""
+    adj, det = _adjugate(ch.D - fourier_bond(phis))
+    R = ch.B @ adj @ ch.B.T + det[..., None, None] * ch.A
+    return R[..., 0, 0].imag, R[..., 0, 1], det.real
+
+
+def table_keys(ch):
+    return ch.A.tobytes(), ch.B.tobytes(), ch.D.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_harmonic_table_is_exact_on_random_channels(seed):
+    ch = random_site_channel(seed)
+    rng = np.random.default_rng(seed)
+    stacks = [rng.uniform(-3.0, 10.0, (500, 2))]
+    stacks += [LatticeSpec(n, n).momenta() for n in (7, 9)]
+    for phis in stacks:
+        out = gamma_out_hat(ch, phis)
+        for got, want in zip(out[:3], direct_triple(ch, phis)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_harmonic_table_is_exact_on_the_example():
+    ch = example_channel()
+    phis = np.random.default_rng(4).uniform(-3.0, 10.0, (1000, 2))
+    out = gamma_out_hat(ch, phis)
+    for got, want in zip(out[:3], direct_triple(ch, phis)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    s1, s2 = np.sin(phis.T)
+    c1, c2 = np.cos(phis.T / 2)
+    assert np.max(np.abs(out.d - 16 * (1 - s1 * s2) * c1**2 * c2**2)) < 1e-12
+
+
+def test_harmonic_table_is_shared_and_read_only():
+    table = _harmonic_table(*table_keys(example_channel()))
+    assert _harmonic_table(*table_keys(example_channel())) is table
+    assert table.shape == (3, 5, 5)
+    with pytest.raises(ValueError):
+        table[0, 0, 0] = 1.0
+
+
+def test_harmonic_table_follows_an_in_place_change():
+    ch = random_site_channel(3)
+    phis = np.random.default_rng(3).uniform(0, 2 * np.pi, (20, 2))
+    before = gamma_out_hat(ch, phis)
+    ch.D[...] = -ch.D  # still antisymmetric, so d stays real
+    after = gamma_out_hat(ch, phis)
+    assert np.max(np.abs(after.d - before.d)) > 1e-3
+    for got, want in zip(after[:3], direct_triple(ch, phis)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_gamma_out_hat_refuses_a_lattice_channel():
+    with pytest.raises(ContractViolationError, match="one-site channel"):
+        gamma_out_hat(example_channel().expand_to_lattice(2), (0.1, 0.2))
+
+
+@pytest.mark.parametrize("phis", [np.array([0.3]), np.zeros(3), np.zeros((4, 3)), np.float64(0.3)])
+def test_gamma_out_hat_refuses_momenta_without_two_components(phis):
+    with pytest.raises(ContractViolationError, match=r"shape \(\.\.\., 2\)"):
+        gamma_out_hat(example_channel(), phis)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gamma_out_hat_refuses_non_finite_momenta(bad):
+    phis = np.full((3, 2), 0.4)
+    phis[1, 0] = bad
+    with pytest.raises(ContractViolationError, match="finite"):
+        gamma_out_hat(example_channel(), phis)
 
 
 def purity_defect(g):

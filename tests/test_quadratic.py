@@ -31,6 +31,7 @@ from fpeps.quadratic import (
     ground_state_cm,
     ground_state_cm_consistency,
     majorana_to_dirac,
+    minimal_triple,
     parent_hamiltonian,
     single_particle_spectrum,
 )
@@ -121,6 +122,14 @@ def test_parent_matches_coupling_table_with_positive_scale():
     assert scale > 0
     assert np.max(np.abs(vec_got - scale * vec_want)) < 1e-10
     assert abs(dirac.mu) < 1e-12
+
+
+def test_minimal_triple_of_the_example_is_exact():
+    # cross-multiplied rows keep the rounding of small-d samples out of the
+    # nullspace: the triple is the quarter table to rounding, not to 1e-12
+    deltas, coef = minimal_triple(example_channel())
+    assert np.count_nonzero(coef) == 7
+    assert np.max(np.abs(coef - np.round(4 * coef) / 4)) < 1e-13
 
 
 def test_triple_search_refuses_a_vanishing_determinant(monkeypatch):
