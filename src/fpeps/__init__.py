@@ -11,6 +11,11 @@ Layers:
 * :mod:`fpeps.critical` / :mod:`fpeps.correlators` -- the critical
   free-fermion model with its correlation asymptotics;
 * :mod:`fpeps.cli` -- the ``fpeps`` command.
+
+SciPy is imported only inside the few functions that call it (the sparse
+many-body solver, ``covariance_matrix``, the condition estimate of
+``apply_channel`` and ``correlator_residue``), so importing the package
+loads none of it.
 """
 
 from .build import bond_h, bond_v, build_fpeps, projector_q

@@ -44,7 +44,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from .critical import ground_state_blocks
 from .errors import ContractViolationError, refuse_over_limit
@@ -262,6 +261,8 @@ def _inner_residue(n1: int, phi2: float) -> complex:
 
 def correlator_residue(n1: int, n2: int, kind: str) -> float:
     """Residue-reduced evaluation of the same correlator."""
+    from scipy.integrate import quad
+
     if kind not in ("p", "q"):
         raise ContractViolationError(f"kind must be 'p' or 'q', got {kind!r}")
     if n1 < 0 or n2 < 0:

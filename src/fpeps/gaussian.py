@@ -29,14 +29,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg.lapack
 
 from .errors import (
     ContractViolationError,
     NumericalValidityError,
     ZeroNormError,
 )
-from .fock import SPECIES, ModeRegistry, exact_ground_state
+from .fock import SPECIES, ModeRegistry, antisymmetry_defect, exact_ground_state
 from .lattice import LatticeSpec
 from .tensors import _PARITY, FPEPSTensor
 
@@ -57,7 +56,7 @@ class MajoranaCM:
         mat = np.asarray(self.matrix, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2:
             raise ContractViolationError(f"covariance matrix shape {mat.shape} invalid")
-        if np.max(np.abs(mat + mat.T)) > ANTISYM_ATOL:
+        if antisymmetry_defect(mat) > ANTISYM_ATOL:
             raise ContractViolationError("covariance matrix must be antisymmetric")
         object.__setattr__(self, "matrix", mat)
 
@@ -113,7 +112,7 @@ class GaussianChannel:
         n = G.shape[0]
         if not np.all(np.isfinite(G)):
             raise ContractViolationError("channel matrix must be finite")
-        if np.max(np.abs(G + G.T)) > ANTISYM_ATOL:
+        if antisymmetry_defect(G) > ANTISYM_ATOL:
             raise ContractViolationError("channel matrix must be antisymmetric")
         if np.max(np.abs(G @ G.T - np.eye(n))) > ANTISYM_ATOL:
             raise ContractViolationError("channel matrix must be orthogonal")
@@ -143,6 +142,8 @@ class GaussianChannel:
 
 def _rcond(M: np.ndarray) -> float:
     """LAPACK's 1-norm estimate of 1 / cond(M) from one LU; 0 for a zero pivot."""
+    import scipy.linalg.lapack
+
     norm = np.linalg.norm(M, 1)  # before the LU copy exists, to keep the peak
     lu, _, info = scipy.linalg.lapack.dgetrf(M)
     if info > 0:
@@ -173,7 +174,7 @@ def apply_channel(channel: GaussianChannel, gamma_in: MajoranaCM) -> MajoranaCM:
             determinant=det,
         )
     out = B @ np.linalg.solve(M, B.T) + A
-    defect = np.max(np.abs(out + out.T))
+    defect = antisymmetry_defect(out)
     if defect > 1e-9:
         raise NumericalValidityError(f"channel output antisymmetry defect {defect:.2e}")
     return MajoranaCM((out - out.T) / 2.0)

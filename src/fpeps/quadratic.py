@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolationError, NumericalValidityError, ZeroNormError
+from .fock import antisymmetry_defect
 from .gaussian import (
     GaussianChannel,
     MajoranaCM,
@@ -107,7 +108,7 @@ class QuadraticHamiltonian:
             values = np.array(list(self.blocks.values()))
             np.add.at(T, (dh % lattice.n_h, dv % lattice.n_v), values)
         h = _circulant(T)
-        if np.max(np.abs(h + h.T)) > 1e-9:
+        if antisymmetry_defect(h) > 1e-9:
             raise NumericalValidityError("materialized Hamiltonian not antisymmetric")
         return (h - h.T) / 2.0
 

@@ -36,7 +36,7 @@ class FPEPSTensor:
             )
         if self.parity not in (0, 1):
             raise ContractViolationError(f"parity must be 0 or 1, got {self.parity}")
-        forbidden = (_PARITY != self.parity) & (arr != 0)
+        forbidden = forbidden_entries(arr, self.parity)
         if forbidden.any():
             bad = [tuple(idx) for idx in np.argwhere(forbidden).tolist()]
             raise ContractViolationError(
@@ -55,14 +55,41 @@ class FPEPSTensor:
     def random(cls, rng: np.random.Generator, parity: int = 0) -> "FPEPSTensor":
         """Standard complex normal entries on the 16 parity-allowed indices.
 
-        One (16, 2) draw, rows in C order of the indices and columns (re, im),
-        consumes the generator exactly as one scalar draw per component would.
+        The one-tensor set of :func:`random_stack`: one (16, 2) draw, rows in
+        C order of the indices and columns (re, im).
         """
-        arr = np.zeros((2,) * 5, dtype=complex)
-        allowed = _PARITY == parity  # empty for an invalid parity, refused below
-        z = rng.standard_normal((int(allowed.sum()), 2))
-        arr[allowed] = z[:, 0] + 1j * z[:, 1]
-        return cls(arr, parity)
+        return cls(random_stack([rng], (parity,))[0, 0], parity)
+
+
+def forbidden_entries(entries: np.ndarray, parity) -> np.ndarray:
+    """Mask of the nonzero entries of ``(..., 2, 2, 2, 2, 2)`` tensors that break
+    the parity rule; ``parity`` broadcasts against the leading axes."""
+    return (_PARITY != np.reshape(parity, np.shape(parity) + (1,) * 5)) & (entries != 0)
+
+
+def random_stack(rngs, parity: tuple[int, ...]) -> np.ndarray:
+    """Random tensor sets as one ``(S, N, 2, 2, 2, 2, 2)`` stack, set i drawn from ``rngs[i]``.
+
+    Site m has parity ``parity[m]``.  Each set is one ``(N, 16, 2)`` standard
+    normal draw, written into the allowed entries in site and C order, so
+    it consumes its generator exactly as :meth:`FPEPSTensor.random` on each
+    site in turn would, and gives the same entries.  The parity rule is
+    checked once for the whole stack.
+    """
+    bad = [p for p in parity if p not in (0, 1)]
+    if bad:
+        raise ContractViolationError(f"parity must be 0 or 1, got {bad[0]}")
+    parity = np.array(parity)
+    allowed = _PARITY.reshape(-1) == parity[:, None]  # [site, entry]
+    draws = np.empty((len(rngs), allowed.sum(), 2))
+    for rng, out in zip(rngs, draws):
+        rng.standard_normal(out=out)
+    entries = np.zeros((len(rngs),) + allowed.shape, dtype=complex)
+    entries.view(float).reshape(entries.shape + (2,))[:, allowed] = draws
+    entries = entries.reshape(entries.shape[:2] + (2,) * 5)
+    if forbidden_entries(entries, parity).any():
+        raise ContractViolationError("random tensor stack has forbidden-parity entries")
+    return entries
 
 
 def stack_sets(sites, sets) -> tuple[np.ndarray, tuple[int, ...]]:

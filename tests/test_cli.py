@@ -2,8 +2,12 @@
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -104,6 +108,17 @@ def test_verify_gaussian_4x4_fails_with_momenta(tmp_path):
     report = json.loads(out.read_text())
     failing = [c for c in report["checks"] if not c["passed"]]
     assert any("zero_norm_momenta" in c and c["zero_norm_momenta"] for c in failing)
+
+
+def test_verify_gaussian_2x1_names_removable_zero_momenta(tmp_path):
+    # 2x1 has only the removable zero (pi, 0); the dense route would see a
+    # rounding-level det(D - Gamma_in) and name no momentum
+    out = tmp_path / "report.json"
+    assert run(["verify", "--suite", "gaussian", "--lattice", "2x1", "--out", str(out)]) == 1
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    for name in ("fourier-equivalence-2x1", "parent-consistency-2x1"):
+        assert not checks[name]["passed"]
+        assert checks[name]["zero_norm_momenta"] == [[np.pi, 0.0]]
 
 
 @pytest.mark.parametrize("flags", [["--sets", "0"], ["--tolerance", "nan"],
@@ -492,3 +507,45 @@ def test_negative_integer_is_accepted_or_refused(prefix, flag):
 @pytest.mark.parametrize("argv", [["spectrum", "--sizes="], ["hamiltonian", "--lattice="]])
 def test_empty_value_is_config_error(argv, capsys):
     assert_config_error(argv, capsys)
+
+
+_SCIPY_FREE = """
+import sys
+import fpeps.cli
+
+out, convert_input = sys.argv[1:]
+for argv in (["verify", "--suite", "mapping", "--sets", "6"],
+             ["verify", "--suite", "gaussian", "--lattice", "3x3"],
+             ["verify", "--suite", "all", "--sets", "3", "--lattice", "3x3"],
+             ["hamiltonian", "--model", "example"],
+             ["spectrum", "--lattice", "5x5"],
+             ["spectrum", "--sizes", "5,7"],
+             ["entropy", "--torus", "11", "--blocks", "2..3"]):
+    assert fpeps.cli.main(argv + ["--out", out]) == 0, argv
+assert fpeps.cli.main(["convert", "--input", convert_input, "--output", out]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_commands_other_than_correlations_load_no_scipy(tmp_path):
+    # scipy is imported inside the few functions that call it; a fresh
+    # interpreter running these commands, and `python -m fpeps`, stay without it
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    lattice = LatticeSpec(2, 1)
+    rng = np.random.default_rng(3)
+    src = tmp_path / "fpeps.json"
+    src.write_text(dump_tensor_set(lattice, {s: 0 for s in lattice.sites()},
+                                   {s: FPEPSTensor.random(rng) for s in lattice.sites()}))
+    done = subprocess.run([sys.executable, "-c", _SCIPY_FREE, str(tmp_path / "out"), str(src)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+    out = tmp_path / "h.csv"
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "fpeps", "hamiltonian",
+                           "--out", str(out)], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert out.read_text().startswith("term,dh,dv,re,im\n")
+    imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "fpeps.cli" in imported
+    assert not [m for m in imported if m.split(".")[0] == "scipy"]

@@ -10,7 +10,9 @@ from fpeps.errors import (
     UndefinedStateError,
 )
 from fpeps.fock import (
+    ANTISYM_TILE,
     FockVector,
+    antisymmetry_defect,
     ModeRegistry,
     OperatorPoly,
     apply_poly,
@@ -221,3 +223,14 @@ def test_quadratic_requires_antisymmetry():
 def test_diagonalization_cap():
     with pytest.raises(ResourceLimitError):
         exact_ground_state(np.zeros((26, 26)), reg(13))
+
+
+@pytest.mark.parametrize("n", [1, 2, ANTISYM_TILE - 1, ANTISYM_TILE, ANTISYM_TILE + 1, 300])
+def test_antisymmetry_defect_is_the_dense_value(n):
+    # the tiled scan forms the entry sums M + M.T forms, so the value is the same bits
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n))
+    m = a - a.T + 1e-13 * rng.standard_normal((n, n))
+    assert antisymmetry_defect(m) == np.max(np.abs(m + m.T))
+    m[n - 1, 0] = np.nan
+    assert np.isnan(antisymmetry_defect(m))

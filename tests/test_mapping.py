@@ -13,7 +13,7 @@ from fpeps.errors import ContractViolationError
 from fpeps.lattice import LatticeSpec
 from fpeps import mapping
 from fpeps.mapping import derive_sign_functions, map_stack, map_tensor_set
-from fpeps.tensors import FPEPSTensor, stack_sets
+from fpeps.tensors import FPEPSTensor, forbidden_entries, random_stack, stack_sets
 
 
 def map_with_zero_signs(monkeypatch, lattice, site, tensor):
@@ -372,3 +372,30 @@ def test_stack_of_disagreeing_parity_patterns_is_refused():
     with pytest.raises(ContractViolationError) as refused:
         stack_sets(lattice.sites(), [first, second, flipped])
     assert str(refused.value) == "tensor sets disagree on the parity of sites [(2, 1)]"
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (2, 2), (3, 2)])
+def test_random_stack_draws_one_16_by_2_block_per_tensor(shape):
+    # set i consumes rngs[i] as one (16, 2) draw per site in turn, written
+    # (re, im) into the parity-allowed entries in C order
+    lattice = LatticeSpec(*shape)
+    parity = tuple(i % 2 for i in range(lattice.n_sites))[::-1]
+    rngs = [np.random.default_rng(40 + i) for i in range(3)]
+    entries = random_stack(rngs, parity)
+    assert entries.shape == (3, lattice.n_sites) + (2,) * 5
+    assert not forbidden_entries(entries, parity).any()
+    index_parity = np.indices((2,) * 5).sum(axis=0) % 2
+    for i in range(3):
+        rng = np.random.default_rng(40 + i)
+        for m, p in enumerate(parity):
+            z = rng.standard_normal((16, 2))
+            expected = np.zeros((2,) * 5, dtype=complex)
+            expected[index_parity == p] = z[:, 0] + 1j * z[:, 1]
+            assert np.array_equal(entries[i, m], expected)
+        # and leaves the generator where those draws leave it
+        assert rngs[i].random() == rng.random()
+
+
+def test_random_stack_refuses_a_parity_other_than_0_or_1():
+    with pytest.raises(ContractViolationError, match="parity must be 0 or 1, got 2"):
+        random_stack([np.random.default_rng(0)], (0, 2))
