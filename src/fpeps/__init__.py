@@ -12,10 +12,10 @@ Layers:
   free-fermion model with its correlation asymptotics;
 * :mod:`fpeps.cli` -- the ``fpeps`` command.
 
-SciPy is imported only inside the few functions that call it (the sparse
-many-body solver, ``covariance_matrix``, the condition estimate of
-``apply_channel`` and ``correlator_residue``), so importing the package
-loads none of it.
+SciPy is imported only where numpy has no equivalent (``quadratic_operator``'s
+sparse matrix, ARPACK for many-body spaces above 512 states, the condition
+estimate of ``apply_channel`` and ``correlator_residue``), so importing the
+package, the exact-mapping pipeline and the 3x3 ground state load none of it.
 """
 
 from .build import bond_h, bond_v, build_fpeps, projector_q

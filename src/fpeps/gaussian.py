@@ -54,7 +54,7 @@ class MajoranaCM:
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2:
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2 or not mat.size:
             raise ContractViolationError(f"covariance matrix shape {mat.shape} invalid")
         if antisymmetry_defect(mat) > ANTISYM_ATOL:
             raise ContractViolationError("covariance matrix must be antisymmetric")

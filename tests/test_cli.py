@@ -523,13 +523,28 @@ for argv in (["verify", "--suite", "mapping", "--sets", "6"],
              ["entropy", "--torus", "11", "--blocks", "2..3"]):
     assert fpeps.cli.main(argv + ["--out", out]) == 0, argv
 assert fpeps.cli.main(["convert", "--input", convert_input, "--output", out]) == 0
+
+from fpeps import build, contraction, critical, fock, mapping, quadratic
+from fpeps.lattice import LatticeSpec
+
+lattice = LatticeSpec(3, 3)
+tensors = critical.example_tensor_set(lattice)
+oracle = build.build_fpeps(lattice, tensors)
+state = contraction.contract_peps(lattice, mapping.map_tensor_set(lattice, tensors))
+assert abs(oracle.normalized_overlap(state) - 1.0) < 1e-12
+fock.covariance_matrix(state)
+h = quadratic.parent_hamiltonian(critical.example_channel()).materialize(lattice)
+assert h.shape == (18, 18)  # 512 states, on the parity-sector solver
+fock.exact_ground_state(h, fock.physical_registry(lattice))
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
 def test_commands_other_than_correlations_load_no_scipy(tmp_path):
     # scipy is imported inside the few functions that call it; a fresh
-    # interpreter running these commands, and `python -m fpeps`, stay without it
+    # interpreter running these commands, then the 3x3 example's build, mapping,
+    # contraction, covariance and parent ground state, and `python -m fpeps`,
+    # stay without it
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     lattice = LatticeSpec(2, 1)
     rng = np.random.default_rng(3)

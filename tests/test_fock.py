@@ -11,10 +11,12 @@ from fpeps.errors import (
 )
 from fpeps.fock import (
     ANTISYM_TILE,
+    SECTOR_DIM_CAP,
     FockVector,
     antisymmetry_defect,
     ModeRegistry,
     OperatorPoly,
+    _parity_sectors,
     apply_poly,
     covariance_matrix,
     exact_ground_state,
@@ -207,17 +209,79 @@ def test_quadratic_operator_is_the_sum_of_majorana_products(n, seed):
 
 
 def test_sparse_eigensolves_repeat_exactly():
-    # 9 modes take the eigsh path of both solvers
-    h = np.random.default_rng(4).standard_normal((18, 18))
+    # 10 modes take the eigsh path of both solvers
+    assert 1 << 10 > SECTOR_DIM_CAP
+    h = np.random.default_rng(4).standard_normal((20, 20))
     h = h - h.T
-    energies = {exact_ground_state(h, reg(9))[0] for _ in range(3)}
-    gaps = {many_body_gap(h, reg(9)) for _ in range(3)}
+    energies = {exact_ground_state(h, reg(10))[0] for _ in range(3)}
+    gaps = {many_body_gap(h, reg(10)) for _ in range(3)}
     assert len(energies) == 1 and len(gaps) == 1
+
+
+def random_quadratic(n, seed):
+    h = np.random.default_rng(seed).standard_normal((2 * n, 2 * n))
+    return h - h.T
+
+
+def check_eigenpair(h, n, e0, gs, want):
+    tol = 1e-12 * max(1.0, abs(e0))
+    assert abs(e0 - want) <= tol
+    psi = gs.amplitudes
+    assert np.linalg.norm(quadratic_operator(h, n) @ psi - e0 * psi) <= 1e-10
+    return tol
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_parity_sector_solvers_match_the_dense_spectrum(n):
+    # up to SECTOR_DIM_CAP states both solvers diagonalise the two parity
+    # blocks, which hold the sparse operator's entries bit for bit
+    assert 1 << n <= SECTOR_DIM_CAP
+    h = random_quadratic(n, 20 + n)
+    dense = quadratic_operator(h, n).toarray()
+    for states, block in _parity_sectors(h, n):
+        assert np.array_equal(block, dense[np.ix_(states, states)])
+        assert np.all(parity_signs(n)[states] == parity_signs(n)[states[0]])
+    levels = np.linalg.eigvalsh(dense)
+    e0, gs = exact_ground_state(h, reg(n))
+    tol = check_eigenpair(h, n, e0, gs, levels[0])
+    odd = parity_signs(n) < 0
+    assert not gs.amplitudes[odd].any() or not gs.amplitudes[~odd].any()
+    assert abs(many_body_gap(h, reg(n)) - (levels[1] - levels[0])) <= tol
+
+
+def test_arpack_path_matches_the_free_fermion_levels():
+    # above SECTOR_DIM_CAP states ARPACK runs; with +-i eps_j the eigenvalues
+    # of h, H = i sum h_kl c_k c_l has E_0 = -2 sum eps_j and gap 4 min eps_j
+    n = 10
+    assert 1 << n > SECTOR_DIM_CAP
+    h = random_quadratic(n, 30)
+    eps = np.linalg.eigvalsh(1j * h)[n:]
+    e0, gs = exact_ground_state(h, reg(n))
+    tol = check_eigenpair(h, n, e0, gs, -2 * eps.sum())
+    assert abs(many_body_gap(h, reg(n)) - 4 * eps[0]) <= tol
+
+
+def test_exact_ground_state_takes_the_even_sector_on_a_tie():
+    # h = [[0, t], [-t, 0]] on mode 0 of two leaves mode 1 free: the even
+    # and odd ground states are degenerate
+    h = np.zeros((4, 4))
+    h[0, 2], h[2, 0] = 0.7, -0.7
+    e, gs = exact_ground_state(h, reg(2))
+    assert e == pytest.approx(-1.4, abs=1e-12)
+    assert not gs.amplitudes[parity_signs(2) < 0].any()
 
 
 def test_quadratic_requires_antisymmetry():
     with pytest.raises(ContractViolationError):
         quadratic_operator(np.eye(2), 1) @ vacuum(reg(1)).amplitudes
+
+
+def test_quadratic_refuses_zero_modes():
+    # an empty h used to end in numpy's zero-size reduction ValueError
+    with pytest.raises(ContractViolationError, match="0 modes"):
+        quadratic_operator(np.zeros((0, 0)), 0)
+    with pytest.raises(ContractViolationError, match="0 modes"):
+        many_body_gap(np.zeros((0, 0)), ModeRegistry(()))
 
 
 def test_diagonalization_cap():

@@ -31,6 +31,14 @@ def test_cm_validation():
         MajoranaCM(np.eye(2))
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (0, 2), (0,)])
+def test_cm_validation_refuses_an_empty_matrix(shape):
+    # (0, 0) passed the shape check and then ended in numpy's zero-size
+    # reduction ValueError
+    with pytest.raises(ContractViolationError, match="shape"):
+        MajoranaCM(np.zeros(shape))
+
+
 def test_channel_validation_rejects_bad_blocks():
     with pytest.raises(ContractViolationError):
         GaussianChannel(np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2))
