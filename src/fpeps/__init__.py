@@ -12,10 +12,9 @@ Layers:
   free-fermion model with its correlation asymptotics;
 * :mod:`fpeps.cli` -- the ``fpeps`` command.
 
-SciPy is imported only where numpy has no equivalent (``quadratic_operator``'s
-sparse matrix, ARPACK for many-body spaces above 512 states, the condition
-estimate of ``apply_channel`` and ``correlator_residue``), so importing the
-package, the exact-mapping pipeline and the 3x3 ground state load none of it.
+SciPy is imported only where numpy has no equivalent (the condition estimate
+of ``apply_channel`` and ``correlator_residue``), so importing the package,
+the exact-mapping pipeline and the many-body solvers load none of it.
 """
 
 from .build import bond_h, bond_v, build_fpeps, projector_q

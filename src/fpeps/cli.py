@@ -37,7 +37,7 @@ from .gaussian import (
 )
 from .lattice import LatticeSpec, parse_lattice
 from .mapping import map_stack, map_tensor_set
-from .quadratic import ground_state_cm_consistency
+from .quadratic import ground_state_cm_consistency, parent_hamiltonian, single_particle_spectrum
 from .tensors import random_stack
 
 MAPPING_LATTICES = (LatticeSpec(1, 2), LatticeSpec(2, 1), LatticeSpec(2, 2))
@@ -239,7 +239,6 @@ def cmd_spectrum(args) -> int:
         _emit(text, args.out)
         print(f"spectrum: gap scan over {len(rows)} sizes", file=sys.stderr)
         return 0
-    from .quadratic import parent_hamiltonian, single_particle_spectrum
 
     lattice = odd_torus(parse_lattice(args.lattice))
     refuse_over_limit(56 * lattice.n_sites, f"--lattice {lattice.n_h}x{lattice.n_v}")

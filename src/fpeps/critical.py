@@ -36,7 +36,7 @@ from .gaussian import (
     gamma_out_hat,
 )
 from .lattice import LatticeSpec, Site
-from .quadratic import DiracQuadratic
+from .quadratic import DiracQuadratic, block_entropy, parent_hamiltonian, single_particle_spectrum
 from .tensors import FPEPSTensor
 
 EXAMPLE_B = 0.5 * np.array([
@@ -186,8 +186,6 @@ def block_covariance(blocks: np.ndarray, torus: int, length: int) -> np.ndarray:
 
 def entropy_scan(torus: int, lengths) -> list[tuple[int, float]]:
     """Block entanglement entropy S(L) in bits on an odd torus."""
-    from .quadratic import block_entropy
-
     lengths = list(lengths)
     if not lengths:
         raise ContractViolationError("entropy scan needs at least one block length")
@@ -205,8 +203,6 @@ def entropy_scan(torus: int, lengths) -> list[tuple[int, float]]:
 
 def gap_scan(sizes) -> list[tuple[int, float]]:
     """Single-particle gap of the parent model on odd N x N tori."""
-    from .quadratic import parent_hamiltonian, single_particle_spectrum
-
     lattices = [odd_torus(LatticeSpec(n, n)) for n in sizes]
     if not lattices:
         raise ContractViolationError("gap scan needs at least one torus size")

@@ -317,12 +317,7 @@ def channel_tensor(channel: GaussianChannel) -> FPEPSTensor:
     registry = ModeRegistry(tuple((species, (1, 1)) for species in SPECIES))
     _, state = exact_ground_state(-G, registry)
     amps = state.amplitudes.reshape((2,) * 5).T  # bit i on axis i
-    norms = [np.linalg.norm(amps[_PARITY == p]) for p in (0, 1)]
-    parity = int(np.argmax(norms))
-    if norms[1 - parity] > 1e-12:
-        raise NumericalValidityError(
-            f"Choi state mixes parities: norm {norms[1 - parity]:.1e} in the other sector"
-        )
+    parity = int(np.any(amps[_PARITY == 1]))  # the state lies in one sector
     base = amps[parity, 0, 0, 0, 0]
     if abs(base) < 1e-12:
         raise ContractViolationError(

@@ -511,6 +511,7 @@ def test_empty_value_is_config_error(argv, capsys):
 
 _SCIPY_FREE = """
 import sys
+import numpy as np
 import fpeps.cli
 
 out, convert_input = sys.argv[1:]
@@ -536,6 +537,10 @@ fock.covariance_matrix(state)
 h = quadratic.parent_hamiltonian(critical.example_channel()).materialize(lattice)
 assert h.shape == (18, 18)  # 512 states, on the parity-sector solver
 fock.exact_ground_state(h, fock.physical_registry(lattice))
+h = np.random.default_rng(5).standard_normal((20, 20))
+registry = fock.physical_registry(LatticeSpec(5, 2))  # 10 modes, 1024 states
+fock.exact_ground_state(h - h.T, registry)
+fock.many_body_gap(h - h.T, registry)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
@@ -543,8 +548,8 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 def test_commands_other_than_correlations_load_no_scipy(tmp_path):
     # scipy is imported inside the few functions that call it; a fresh
     # interpreter running these commands, then the 3x3 example's build, mapping,
-    # contraction, covariance and parent ground state, and `python -m fpeps`,
-    # stay without it
+    # contraction, covariance and parent ground state, a 10-mode ground state
+    # and gap, and `python -m fpeps`, stay without it
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     lattice = LatticeSpec(2, 1)
     rng = np.random.default_rng(3)

@@ -11,7 +11,6 @@ from fpeps.errors import (
 )
 from fpeps.fock import (
     ANTISYM_TILE,
-    SECTOR_DIM_CAP,
     FockVector,
     antisymmetry_defect,
     ModeRegistry,
@@ -205,17 +204,16 @@ def test_quadratic_operator_is_the_sum_of_majorana_products(n, seed):
     want = np.zeros((1 << n, 1 << n), dtype=complex)
     for k, l in zip(*np.nonzero(np.triu(h, 1))):
         want += (2j * h[k, l]) * (c[k] @ c[l])
-    assert np.array_equal(quadratic_operator(h, n).toarray(), want)
+    assert np.array_equal(quadratic_operator(h, n), want)
 
 
-def test_sparse_eigensolves_repeat_exactly():
-    # 10 modes take the eigsh path of both solvers
-    assert 1 << 10 > SECTOR_DIM_CAP
-    h = np.random.default_rng(4).standard_normal((20, 20))
+def test_eigensolves_repeat_exactly():
+    h = np.random.default_rng(4).standard_normal((18, 18))
     h = h - h.T
-    energies = {exact_ground_state(h, reg(10))[0] for _ in range(3)}
-    gaps = {many_body_gap(h, reg(10)) for _ in range(3)}
-    assert len(energies) == 1 and len(gaps) == 1
+    solves = [exact_ground_state(h, reg(9)) for _ in range(3)]
+    assert len({e for e, _ in solves}) == 1
+    assert all(np.array_equal(gs.amplitudes, solves[0][1].amplitudes) for _, gs in solves)
+    assert len({many_body_gap(h, reg(9)) for _ in range(3)}) == 1
 
 
 def random_quadratic(n, seed):
@@ -233,11 +231,9 @@ def check_eigenpair(h, n, e0, gs, want):
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_parity_sector_solvers_match_the_dense_spectrum(n):
-    # up to SECTOR_DIM_CAP states both solvers diagonalise the two parity
-    # blocks, which hold the sparse operator's entries bit for bit
-    assert 1 << n <= SECTOR_DIM_CAP
+    # both solvers diagonalise the two parity blocks of the dense operator
     h = random_quadratic(n, 20 + n)
-    dense = quadratic_operator(h, n).toarray()
+    dense = quadratic_operator(h, n)
     for states, block in _parity_sectors(h, n):
         assert np.array_equal(block, dense[np.ix_(states, states)])
         assert np.all(parity_signs(n)[states] == parity_signs(n)[states[0]])
@@ -249,11 +245,10 @@ def test_parity_sector_solvers_match_the_dense_spectrum(n):
     assert abs(many_body_gap(h, reg(n)) - (levels[1] - levels[0])) <= tol
 
 
-def test_arpack_path_matches_the_free_fermion_levels():
-    # above SECTOR_DIM_CAP states ARPACK runs; with +-i eps_j the eigenvalues
-    # of h, H = i sum h_kl c_k c_l has E_0 = -2 sum eps_j and gap 4 min eps_j
+def test_parity_sectors_match_the_free_fermion_levels():
+    # with +-i eps_j the eigenvalues of h, H = i sum h_kl c_k c_l has
+    # E_0 = -2 sum eps_j and gap 4 min eps_j
     n = 10
-    assert 1 << n > SECTOR_DIM_CAP
     h = random_quadratic(n, 30)
     eps = np.linalg.eigvalsh(1j * h)[n:]
     e0, gs = exact_ground_state(h, reg(n))
@@ -287,6 +282,8 @@ def test_quadratic_refuses_zero_modes():
 def test_diagonalization_cap():
     with pytest.raises(ResourceLimitError):
         exact_ground_state(np.zeros((26, 26)), reg(13))
+    with pytest.raises(ResourceLimitError):
+        quadratic_operator(np.zeros((26, 26)), 13)
 
 
 @pytest.mark.parametrize("n", [1, 2, ANTISYM_TILE - 1, ANTISYM_TILE, ANTISYM_TILE + 1, 300])
