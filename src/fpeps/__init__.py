@@ -12,9 +12,9 @@ Layers:
   free-fermion model with its correlation asymptotics;
 * :mod:`fpeps.cli` -- the ``fpeps`` command.
 
-SciPy is imported only where numpy has no equivalent (the condition estimate
-of ``apply_channel`` and ``correlator_residue``), so importing the package,
-the exact-mapping pipeline and the many-body solvers load none of it.
+The package runs on numpy alone and imports no SciPy.  The tests use SciPy
+for independent references, adaptive ``quad`` of the correlator integrals
+among them.
 """
 
 from .build import bond_h, bond_v, build_fpeps, projector_q

@@ -29,9 +29,15 @@ same panels.  A plain uniform grid sum would instead give the finite-torus
 correlator (``torus_correlator``), whose image corrections decay only like
 1/grid^2.
 
-``correlator_residue`` closes the inner integral around the single pole
-inside the unit circle and integrates the remaining angle adaptively with
-scipy ``quad``; it shares no code with the rule and is its reference.
+``correlator_residue`` and the ``residue`` column of ``correlation_scan``
+close the inner integral around the single pole inside the unit circle and
+integrate the remaining angle, tan(phi/2)^n1 cot(phi) e^{i n2 phi} on
+[0, pi/2], with equal Gauss-Legendre panels whose number grows with
+max(n1, n2).  The integrand is analytic there (its point at 0 is
+removable), so the fixed rule converges exponentially.  The rows that
+share a panel count are one array evaluation, and a higher order on the
+same panels guards the column.  The route shares no integrand, panel or
+fold code with the rule and is its reference.
 
 Selection rules: "p" vanishes for even n1 + n2 and is antisymmetric under
 exchange of (n1, n2); "q" vanishes for odd n1 + n2 and is symmetric.  The
@@ -46,7 +52,7 @@ import math
 import numpy as np
 
 from .critical import ground_state_blocks
-from .errors import ContractViolationError, refuse_over_limit
+from .errors import ContractViolationError, NumericalValidityError, refuse_over_limit
 
 MIN_GRID = 101
 HALF_PI = math.pi / 2.0
@@ -63,6 +69,26 @@ GRADING_RATIO = 0.2
 GRADING_LEVELS = 8
 COARSE_PHASE = 10.0
 ROW_CHUNK = 16
+
+# The residue rule: RESIDUE_ORDER Gauss-Legendre nodes on each of
+# max(RESIDUE_MIN_PANELS, ceil(max(n1, n2) / RESIDUE_PANEL_SPAN)) equal panels
+# of [0, pi/2], each at most 9.4 / max(n1, n2) wide: 9.4 radians of
+# e^{i n2 phi}, about nine widths 1 / n1 of the peak of tan(phi/2)^n1 cot(phi)
+# next to pi/2.  The guard order on the same panels differs by at most 1.1e-16
+# on the README rows, axis max-n 120 and n-2n 60, and by 2.2e-16 at (1, 300):
+# RESIDUE_TOL is 45 times that.  With RESIDUE_PANEL_SPAN = 20 and one panel at
+# least, the difference on those scans is 3.2e-14 and the guard fires.
+RESIDUE_ORDER = 20
+RESIDUE_GUARD_ORDER = 28
+RESIDUE_MIN_PANELS = 4
+RESIDUE_PANEL_SPAN = 6
+RESIDUE_TOL = 1e-14
+
+# Charging 8 floats per node of the widest array at the guard order and 24
+# per row gives 1.1-1.3 times the tracemalloc peak of scans from README sizes
+# to axis max-n 1000 and of single rows from max(n1, n2) = 600 up.
+RESIDUE_NODE_FLOATS = 8
+RESIDUE_ROW_FLOATS = 24
 
 # A rule over k1 x k2 distinct separations holds both axis rules (2 nodes
 # floats per axis), its Fourier rows (3 k x nodes floats per axis while
@@ -88,15 +114,20 @@ def _coarse_panels(n_max: int, grid_size: int) -> tuple[float, int]:
     )
 
 
-def _check_rule_size(axes, grid_size: int, order: int):
-    """Refuse a rule over ``axes``, (distinct separations, largest |n|) per axis."""
+def _rule_floats(axes, grid_size: int, order: int) -> int:
+    """Floats held by a rule over ``axes``, (distinct separations, largest |n|) per axis."""
     (k1, n1_max), (k2, n2_max) = axes
     # a quarter axis has the innermost panel, GRADING_LEVELS graded and the coarse panels
     nodes1, nodes2 = (4 * order * (1 + GRADING_LEVELS + _coarse_panels(n_max, grid_size)[1])
                       for n_max in (n1_max, n2_max))
     rows1 = nodes1 // 4
-    refuse_over_limit(2 * (nodes1 + nodes2) + 3 * (k1 * rows1 + k2 * nodes2) + 4 * rows1 * k2
-                      + 8 * ROW_CHUNK * nodes2 + 8 * k1 * k2, "quadrature rule")
+    return (2 * (nodes1 + nodes2) + 3 * (k1 * rows1 + k2 * nodes2) + 4 * rows1 * k2
+            + 8 * ROW_CHUNK * nodes2 + 8 * k1 * k2)
+
+
+def _check_rule_size(axes, grid_size: int, order: int):
+    """Refuse a rule over ``axes`` whose arrays would pass errors.MAX_FLOATS."""
+    refuse_over_limit(_rule_floats(axes, grid_size, order), "quadrature rule")
 
 
 def _quarter_edges(n_max: int, grid_size: int) -> np.ndarray:
@@ -245,65 +276,108 @@ def torus_correlator(n1: int, n2: int, kind: str, grid_size: int = 401) -> float
     return float(block[0, 0] if kind == "p" else block[0, 1])
 
 
-def _inner_residue(n1: int, phi2: float) -> complex:
-    """Inner contour integral from the single pole inside |z| = 1.
+def _residue_panels(n_max):
+    """Panels of the residue rule for rows whose larger separation is ``n_max``."""
+    return np.maximum(RESIDUE_MIN_PANELS, -(-n_max // RESIDUE_PANEL_SPAN))
 
-    The pole z = i (1 - |cos phi2|) / sin phi2 contributes
-    i^(n1+1) (1 - |cos|)^n1 |cos| / sin^(n1+1); the companion pole with
-    1 + |cos| lies outside the unit circle for every angle.  It is evaluated
-    as ((1 - |cos|)/sin)^n1 (|cos|/sin), whose factors stay finite where
-    sin^(n1+1) alone would underflow to zero at large n1, and with the
-    power of i reduced mod 4, which keeps it exact.
+
+def _residue_floats(count: int, step: int) -> int:
+    """Floats held by the residue column of rows with larger separation step, .., count step.
+
+    The widest array holds the rows of one panel count: at most
+    RESIDUE_MIN_PANELS RESIDUE_PANEL_SPAN / step rows on the fewest panels,
+    ceil(RESIDUE_PANEL_SPAN / step) on any other count.
     """
-    c, s = abs(math.cos(phi2)), math.sin(phi2)
-    return (1j ** ((n1 + 1) % 4)) * ((1.0 - c) / s) ** n1 * (c / s)
+    widest = max(
+        RESIDUE_MIN_PANELS * min(count, RESIDUE_MIN_PANELS * RESIDUE_PANEL_SPAN // step),
+        int(_residue_panels(count * step)) * min(count, -(-RESIDUE_PANEL_SPAN // step)),
+    )
+    return RESIDUE_NODE_FLOATS * widest * RESIDUE_GUARD_ORDER + RESIDUE_ROW_FLOATS * count
 
 
-def correlator_residue(n1: int, n2: int, kind: str) -> float:
-    """Residue-reduced evaluation of the same correlator."""
-    from scipy.integrate import quad
+def _residue_integrals(n1, n2, cos_coef, sin_coef, order: int) -> np.ndarray:
+    """Int_0^{pi/2} tan(phi/2)^n1 cot(phi) (cos_coef cos(n2 phi) + sin_coef sin(n2 phi)).
 
-    if kind not in ("p", "q"):
-        raise ContractViolationError(f"kind must be 'p' or 'q', got {kind!r}")
-    if n1 < 0 or n2 < 0:
+    Each row gets _residue_panels(max(n1, n2)) equal Gauss-Legendre panels.
+    The rows that share a panel count share their nodes and are evaluated
+    as one array; every operation is elementwise or a sum along a row, so
+    a row's value does not depend on which rows share its array.
+    """
+    x, w = _gauss_legendre(order)
+    panels = _residue_panels(np.maximum(n1, n2))
+    sums = np.empty(len(n1))
+    for count in sorted(set(panels.tolist())):
+        rows = panels == count
+        h = HALF_PI / count
+        phi = (h * np.arange(count)[:, None] + 0.5 * h * (x + 1.0)).ravel()
+        angle = np.outer(n2[rows], phi)
+        bracket = (cos_coef[rows, None] * np.cos(angle)
+                   + sin_coef[rows, None] * np.sin(angle))
+        # the pole factor: tan(phi/2) = (1 - cos)/sin without the cancellation
+        # near phi = 0, and tan^n1 cot stays finite where sin^(n1+1) underflows
+        pole = np.tan(0.5 * phi) ** n1[rows, None] / np.tan(phi)
+        sums[rows] = np.sum(pole * bracket * np.tile(0.5 * h * w, count), axis=1)
+    return sums
+
+
+def _residue_values(entries) -> np.ndarray:
+    """Residue-reduced correlators of every (n1, n2, kind) entry.
+
+    The inner integral over phi1 closes around the single pole inside the
+    unit circle, z = i (1 - |cos phi2|) / sin phi2 (its companion with
+    1 + |cos| lies outside), which contributes i^(n1+1) ((1 - |cos|)/sin)^n1
+    |cos|/sin, the power of i reduced mod 4.  That changes by (-1)^(n1+1)
+    under phi2 -> phi2 + pi and not under phi2 -> pi - phi2, so the outer
+    integral folds onto [0, pi/2] with the bracket (1 +- (-1)^n2) cos(n2 phi2)
+    + i (1 -+ (-1)^n2) sin(n2 phi2) and the prefactor (1 -+ (-1)^(n1+n2))/(2 pi),
+    zero for the forbidden parity.  A change above RESIDUE_TOL between
+    RESIDUE_ORDER and RESIDUE_GUARD_ORDER raises NumericalValidityError.
+    """
+    for _n1, _n2, kind in entries:
+        if kind not in ("p", "q"):
+            raise ContractViolationError(f"kind must be 'p' or 'q', got {kind!r}")
+    n1, n2 = (np.array([int(e[i]) for e in entries], dtype=np.int64) for i in (0, 1))
+    if np.any(n1 < 0) or np.any(n2 < 0):
         raise ContractViolationError("residue form expects non-negative separations")
-    parity = (n1 + n2) % 2
-    if kind == "p" and parity == 0:
-        return 0.0
-    if kind == "q" and parity == 1:
-        return 0.0
-    swap_sign = 1.0
-    if n1 == 0:
-        # exchange of (n1, n2): "p" is antisymmetric, "q" symmetric
-        n1, n2 = n2, n1
-        if kind == "p":
-            swap_sign = -1.0
-    if n1 == 0:
+    is_p = np.array([e[2] == "p" for e in entries])
+    allowed = (n1 + n2) % 2 == is_p
+    if np.any(allowed & (n1 == 0) & (n2 == 0)):
         raise ContractViolationError(
             "(0, 0) has no contour reduction; use correlator_numeric"
         )
+    n1, n2, is_p = n1[allowed], n2[allowed], is_p[allowed]
+    # exchange of (n1, n2): "p" is antisymmetric, "q" symmetric
+    swap = n1 == 0
+    n1, n2 = np.where(swap, n2, n1), np.where(swap, n1, n2)
+    parity_sign = (-1.0) ** (n1 + n2)
+    prefactor = (np.where(is_p, -(1.0 - parity_sign), 1.0 + parity_sign)
+                 * np.where(swap & is_p, -1.0, 1.0) * (1.0 / (2.0 * math.pi)))
+    # Re[i^(n1+1) bracket]: "p" carries 1 + (-1)^n2 on the cosine and
+    # 1 - (-1)^n2 on the sine, "q" the other way round
+    sign_n2 = np.where(is_p, 1.0, -1.0) * (-1.0) ** n2
+    power = (n1 + 1) % 4
+    cos_coef = np.array([1.0, 0.0, -1.0, 0.0])[power] * (1.0 + sign_n2)
+    sin_coef = np.array([0.0, -1.0, 0.0, 1.0])[power] * (1.0 - sign_n2)
+    values, finer = (prefactor * _residue_integrals(n1, n2, cos_coef, sin_coef, order)
+                     for order in (RESIDUE_ORDER, RESIDUE_GUARD_ORDER))
+    change = float(np.max(np.abs(finer - values), initial=0.0))
+    if change > RESIDUE_TOL:
+        raise NumericalValidityError(
+            f"residue quadrature changed by {change:.1e} at order {RESIDUE_GUARD_ORDER}, "
+            f"over {RESIDUE_TOL:.0e}"
+        )
+    out = np.zeros(len(entries))
+    out[allowed] = values
+    return out
 
-    sign_n2 = (-1.0) ** n2
-    if kind == "p":
-        def bracket(phi2):
-            return complex(
-                math.cos(n2 * phi2) * (1.0 + sign_n2),
-                math.sin(n2 * phi2) * (1.0 - sign_n2),
-            )
-        prefactor = -(1.0 / (2.0 * math.pi)) * (1.0 - (-1.0) ** (n1 + n2))
-    else:
-        def bracket(phi2):
-            return complex(
-                math.cos(n2 * phi2) * (1.0 - sign_n2),
-                math.sin(n2 * phi2) * (1.0 + sign_n2),
-            )
-        prefactor = (1.0 / (2.0 * math.pi)) * (1.0 + (-1.0) ** (n1 + n2))
 
-    def integrand_re(phi2):
-        return (_inner_residue(n1, phi2) * bracket(phi2)).real
+def correlator_residue(n1: int, n2: int, kind: str) -> float:
+    """Residue-reduced evaluation of the same correlator, for n1, n2 >= 0.
 
-    val, _err = quad(integrand_re, 0.0, HALF_PI, limit=400, epsabs=1e-13, epsrel=0.0)
-    return float(swap_sign * prefactor * val)
+    This is ``correlation_scan``'s residue column with one entry.
+    """
+    refuse_over_limit(_residue_floats(1, max(int(n1), int(n2), 1)), "residue quadrature")
+    return float(_residue_values([(n1, n2, kind)])[0])
 
 
 def asymptotic_k(n1: int, n2: int, kind: str) -> float:
@@ -349,15 +423,17 @@ def correlation_scan(direction: str, max_n: int, grid_size: int = 401):
         raise ContractViolationError(f"max_n must be at least 1, got {max_n}")
     a, b = DIRECTIONS[direction]
     # sized for the higher order of quadrature_error, so that a scan is never
-    # run only to have its error estimate refused
-    _check_rule_size([(max_n, a * max_n), (max_n if b else 1, b * max_n)],
-                     grid_size, ERROR_ORDER)
+    # run only to have its error estimate refused; the residue column runs
+    # after the rule has freed its arrays
+    refuse_over_limit(max(_rule_floats([(max_n, a * max_n), (max_n if b else 1, b * max_n)],
+                                       grid_size, ERROR_ORDER),
+                          _residue_floats(max_n, max(a, b))), "quadrature rule")
     entries = [(a * n, b * n, kind) for n in range(1, max_n + 1) for kind in ("p", "q")]
     numeric = _rule_values(entries, grid_size, GAUSS_ORDER)
+    residue = _residue_values(entries)
     return [
-        (n1, n2, kind, float(value), correlator_residue(n1, n2, kind),
-         asymptotic_k(n1, n2, kind))
-        for (n1, n2, kind), value in zip(entries, numeric)
+        (n1, n2, kind, float(value), float(res), asymptotic_k(n1, n2, kind))
+        for (n1, n2, kind), value, res in zip(entries, numeric, residue)
     ]
 
 

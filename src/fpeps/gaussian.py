@@ -141,14 +141,20 @@ class GaussianChannel:
 
 
 def _rcond(M: np.ndarray) -> float:
-    """LAPACK's 1-norm estimate of 1 / cond(M) from one LU; 0 for a zero pivot."""
-    import scipy.linalg.lapack
+    """Exact 1-norm reciprocal condition number 1 / (|M|_1 |M^-1|_1); 0 when M is singular.
 
-    norm = np.linalg.norm(M, 1)  # before the LU copy exists, to keep the peak
-    lu, _, info = scipy.linalg.lapack.dgetrf(M)
-    if info > 0:
+    The value of ``1 / np.linalg.cond(M, 1)``, which would hold one more
+    matrix-sized temporary: here both norms take their absolute values
+    while no inverse exists or in place.  A zero pivot, or an inverse
+    that overflowed to nan, means M is singular to rounding.
+    """
+    norm = np.linalg.norm(M, 1)
+    try:
+        inverse = np.linalg.inv(M)
+    except np.linalg.LinAlgError:
         return 0.0
-    return float(scipy.linalg.lapack.dgecon(lu, norm)[0])
+    cond = norm * np.max(np.sum(np.abs(inverse, out=inverse), axis=0))
+    return 0.0 if np.isnan(cond) else float(1.0 / cond)
 
 
 def apply_channel(channel: GaussianChannel, gamma_in: MajoranaCM) -> MajoranaCM:

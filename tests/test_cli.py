@@ -250,7 +250,7 @@ def test_correlations_zero_rows_is_config_error(tmp_path, capsys):
                          ids=["diagonal-5000", "axis-1e10", "grid-1e8"])
 def test_correlations_oversized_rule_is_refused_before_allocating(tmp_path, capsys, flags):
     with mock.patch.object(correlators, "_fourier_rows", _must_not_run), \
-            mock.patch.object(correlators, "correlator_residue", _must_not_run):
+            mock.patch.object(correlators, "_residue_values", _must_not_run):
         assert_config_error(["correlations", *flags,
                              "--out", str(tmp_path / "x.csv")], capsys)
 
@@ -521,12 +521,29 @@ for argv in (["verify", "--suite", "mapping", "--sets", "6"],
              ["hamiltonian", "--model", "example"],
              ["spectrum", "--lattice", "5x5"],
              ["spectrum", "--sizes", "5,7"],
-             ["entropy", "--torus", "11", "--blocks", "2..3"]):
+             ["entropy", "--torus", "11", "--blocks", "2..3"],
+             ["correlations", "--dir", "axis", "--max-n", "40", "--grid", "401"],
+             ["correlations", "--dir", "diagonal", "--dir", "n-2n", "--max-n", "20"]):
     assert fpeps.cli.main(argv + ["--out", out]) == 0, argv
 assert fpeps.cli.main(["convert", "--input", convert_input, "--output", out]) == 0
 
-from fpeps import build, contraction, critical, fock, mapping, quadratic
+from fpeps import build, contraction, critical, fock, gaussian, mapping, quadratic
+from fpeps.errors import ZeroNormError
 from fpeps.lattice import LatticeSpec
+
+# apply_channel's small-determinant branch: the singular 4x4 torus and a
+# well-conditioned matrix with determinant 2^-64
+lattice = LatticeSpec(4, 4)
+try:
+    gaussian.apply_channel(critical.example_channel().expand_to_lattice(lattice.n_sites),
+                           gaussian.lattice_bond_cm(lattice))
+except ZeroNormError:
+    pass
+else:
+    raise AssertionError("the 4x4 torus is singular")
+J = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(32))
+ch = gaussian.GaussianChannel(np.zeros((64, 64)), np.eye(64), np.zeros((64, 64)))
+assert np.array_equal(gaussian.apply_channel(ch, gaussian.MajoranaCM(0.5 * J)).matrix, 2 * J)
 
 lattice = LatticeSpec(3, 3)
 tensors = critical.example_tensor_set(lattice)
@@ -545,11 +562,12 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-def test_commands_other_than_correlations_load_no_scipy(tmp_path):
-    # scipy is imported inside the few functions that call it; a fresh
-    # interpreter running these commands, then the 3x3 example's build, mapping,
-    # contraction, covariance and parent ground state, a 10-mode ground state
-    # and gap, and `python -m fpeps`, stay without it
+def test_commands_load_no_scipy(tmp_path):
+    # the package imports no scipy: a fresh interpreter running every command,
+    # the README correlation tables among them, both sides of apply_channel's
+    # small-determinant branch, the 3x3 example's build, mapping, contraction,
+    # covariance and parent ground state, a 10-mode ground state and gap, and
+    # `python -m fpeps`, stays without it
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     lattice = LatticeSpec(2, 1)
     rng = np.random.default_rng(3)

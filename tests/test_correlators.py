@@ -1,5 +1,6 @@
 """Correlator quadratures, residue reduction, asymptotics."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,12 +19,11 @@ from fpeps.correlators import (
     torus_correlator,
     _axis_rule,
     _fourier_rows,
-    _inner_residue,
     _quarter_edges,
     _ratios,
     _rule_values,
 )
-from fpeps.errors import ContractViolationError
+from fpeps.errors import ContractViolationError, NumericalValidityError
 
 README_SCANS = (("axis", 40), ("diagonal", 20), ("n-2n", 20))
 
@@ -48,6 +48,32 @@ def nested_quad(n1, n2, kind):
     total = quad(outer, 0.0, 2 * math.pi, points=split, limit=401,
                  epsabs=1e-11, epsrel=0.0)[0]
     return total / (2 * math.pi) ** 2
+
+
+def inner_residue(n1, phi2):
+    """The pole term i^(n1+1) ((1 - |cos|)/sin)^n1 |cos|/sin at any angle phi2."""
+    c, s = abs(math.cos(phi2)), math.sin(phi2)
+    return (1j ** ((n1 + 1) % 4)) * ((1.0 - c) / s) ** n1 * (c / s)
+
+
+def contour_quad(n1, n2, kind):
+    """Independent reference: the contour-reduced integral by adaptive scipy quad."""
+    if (n1 + n2) % 2 == (0 if kind == "p" else 1):
+        return 0.0
+    swap_sign = 1.0
+    if n1 == 0:
+        n1, n2 = n2, n1
+        swap_sign = -1.0 if kind == "p" else 1.0
+    sign_n2 = (-1.0) ** n2 * (1.0 if kind == "p" else -1.0)
+    prefactor = (-(1.0 - (-1.0) ** (n1 + n2)) if kind == "p" else 1.0 + (-1.0) ** (n1 + n2))
+
+    def integrand(phi2):
+        bracket = complex(math.cos(n2 * phi2) * (1.0 + sign_n2),
+                          math.sin(n2 * phi2) * (1.0 - sign_n2))
+        return (inner_residue(n1, phi2) * bracket).real
+
+    val = quad(integrand, 0.0, math.pi / 2, limit=400, epsabs=1e-13, epsrel=0.0)[0]
+    return swap_sign * prefactor / (2.0 * math.pi) * val
 
 
 def test_grid_preconditions():
@@ -89,6 +115,52 @@ def test_scan_matches_residue_on_readme_rows(direction, max_n):
         if (n1 + n2) % 2 == (0 if kind == "p" else 1):
             assert abs(numeric) <= 1e-12, (n1, n2, kind)
     assert quadrature_error(rows) <= 1e-12
+
+
+@pytest.mark.parametrize("direction,max_n", README_SCANS + (("axis", 120), ("n-2n", 60)))
+def test_residue_matches_quad_of_the_contour_integrand(direction, max_n):
+    a, b = correlators.DIRECTIONS[direction]
+    for n in range(1, max_n + 1):
+        for kind in ("p", "q"):
+            value = correlator_residue(a * n, b * n, kind)
+            assert abs(value - contour_quad(a * n, b * n, kind)) <= 1e-13, (n, kind)
+
+
+def test_scan_residue_column_is_the_per_row_value():
+    for direction, max_n in README_SCANS:
+        for n1, n2, kind, _numeric, residue, _asym in correlation_scan(direction, max_n, 101):
+            value = correlator_residue(n1, n2, kind)
+            assert (value, math.copysign(1.0, value)) == (residue, math.copysign(1.0, residue))
+
+
+def test_residue_guard_fires_on_too_few_panels(monkeypatch):
+    # three panels for (119, 0), where orders 20 and 28 differ by 3.7e-13
+    monkeypatch.setattr(correlators, "RESIDUE_MIN_PANELS", 1)
+    monkeypatch.setattr(correlators, "RESIDUE_PANEL_SPAN", 40)
+    with pytest.raises(NumericalValidityError, match="residue quadrature changed"):
+        correlator_residue(119, 0, "p")
+
+
+@pytest.mark.parametrize("entries,count,step", [
+    ([(n, 0, kind) for n in range(1, 301) for kind in ("p", "q")], 300, 1),
+    ([(n, 2 * n, kind) for n in range(1, 151) for kind in ("p", "q")], 150, 2),
+    ([(6000, 1, "p")], 1, 6000),
+], ids=["axis-300", "n-2n-150", "single"])
+def test_residue_charge_covers_its_peak(entries, count, step):
+    correlators._residue_values(entries[:2])
+    tracemalloc.start()
+    try:
+        correlators._residue_values(entries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * correlators._residue_floats(count, step)
+
+
+def test_residue_refuses_an_oversized_separation(monkeypatch):
+    monkeypatch.setattr(correlators, "_residue_integrals", lambda *args: pytest.fail("allocated"))
+    with pytest.raises(ContractViolationError, match="GiB"):
+        correlator_residue(10**8, 1, "p")
 
 
 def unfolded_rule(entries, grid_size):
@@ -186,14 +258,17 @@ def test_exchange_structure():
 
 
 def test_inner_residue_symmetry():
-    # I(phi2 + pi) = (-1)^(n1 + 1) I(phi2)
+    # I(phi2 + pi) = (-1)^(n1 + 1) I(phi2) and I(pi - phi2) = I(phi2): the
+    # fold of the contour integral onto [0, pi/2]
     rng = np.random.default_rng(0)
     for n1 in (1, 2, 5):
         for _ in range(5):
             phi2 = rng.uniform(0.05, np.pi / 2 - 0.05)
-            lhs = _inner_residue(n1, phi2 + np.pi)
-            rhs = (-1.0) ** (n1 + 1) * _inner_residue(n1, phi2)
+            lhs = inner_residue(n1, phi2 + np.pi)
+            rhs = (-1.0) ** (n1 + 1) * inner_residue(n1, phi2)
             assert lhs == pytest.approx(rhs, rel=1e-12)
+            assert inner_residue(n1, np.pi - phi2) == pytest.approx(inner_residue(n1, phi2),
+                                                                    rel=1e-12)
 
 
 def test_only_inner_pole_is_inside_unit_circle():

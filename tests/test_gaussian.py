@@ -11,6 +11,7 @@ from fpeps.gaussian import (
     MajoranaCM,
     _adjugate,
     _harmonic_table,
+    _rcond,
     apply_channel,
     blocks_from_matrix,
     eq9_gamma_hat,
@@ -160,6 +161,13 @@ def test_apply_channel_small_determinant_of_a_well_conditioned_matrix():
     ch = GaussianChannel(np.zeros((64, 64)), np.eye(64), np.zeros((64, 64)))
     assert np.linalg.det(ch.D - 0.5 * J) == pytest.approx(2.0**-64)
     assert np.array_equal(apply_channel(ch, MajoranaCM(0.5 * J)).matrix, 2 * J)
+
+
+def test_rcond_is_the_exact_reciprocal_condition_number():
+    M = np.random.default_rng(2).standard_normal((40, 40))
+    assert _rcond(M) == pytest.approx(1.0 / np.linalg.cond(M, 1), rel=1e-12)
+    assert _rcond(np.ones((3, 3))) == 0.0  # a zero pivot
+    assert _rcond(np.diag([1e-320, 1e-320])) == 0.0  # the inverse overflows to nan
 
 
 @pytest.mark.parametrize("n_sites", [1, 3, 9, 25])
