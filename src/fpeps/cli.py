@@ -25,7 +25,7 @@ from .critical import (
     norm_zero_locator,
     odd_torus,
 )
-from .correlators import correlation_scan, quadrature_error
+from .correlators import correlation_scan
 from .errors import ContractViolationError, FpepsError, ZeroNormError, refuse_over_limit
 from .fock import normalized_overlaps
 from .gaussian import (
@@ -201,11 +201,11 @@ def cmd_correlations(args) -> int:
     repeated = [d for i, d in enumerate(args.dir) if d in args.dir[:i]]
     if repeated:
         raise ContractViolationError(f"--dir {repeated[0]} is given more than once")
-    rows, error = [], 0.0
+    rows = []
     for direction in args.dir:
-        scan = correlation_scan(direction, args.max_n, args.grid)
-        error = max(error, quadrature_error(scan, args.grid))
-        rows.extend(scan)
+        rows.extend(correlation_scan(direction, args.max_n, args.grid))
+    # the residue column is the independent reference of the numeric one
+    error = max(abs(numeric - residue) for _n1, _n2, _kind, numeric, residue, _asym in rows)
     text = "n1,n2,kind,numeric,residue,asymptotic\n"
     for n1, n2, kind, numeric, residue, asym in rows:
         text += f"{n1},{n2},{kind},{numeric!r},{residue!r},{asym!r}\n"

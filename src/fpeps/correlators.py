@@ -23,11 +23,9 @@ rule and the integrand are symmetric under phi -> phi + pi and
 phi -> 2 pi - phi, so the product runs over one quarter of the phi1 nodes
 and adds their three images: allowed entries get four times the quarter's
 sum and forbidden-parity entries are exactly 0.0.
-``grid_size`` is the minimum number of nodes per axis.
-``quadrature_error`` repeats the product with a higher Gauss order on the
-same panels.  A plain uniform grid sum would instead give the finite-torus
-correlator (``torus_correlator``), whose image corrections decay only like
-1/grid^2.
+``grid_size`` is the minimum number of nodes per axis.  A plain uniform
+grid sum would instead give the finite-torus correlator
+(``torus_correlator``), whose image corrections decay only like 1/grid^2.
 
 ``correlator_residue`` and the ``residue`` column of ``correlation_scan``
 close the inner integral around the single pole inside the unit circle and
@@ -37,7 +35,8 @@ max(n1, n2).  The integrand is analytic there (its point at 0 is
 removable), so the fixed rule converges exponentially.  The rows that
 share a panel count are one array evaluation, and a higher order on the
 same panels guards the column.  The route shares no integrand, panel or
-fold code with the rule and is its reference.
+fold code with the rule and is its reference: the error estimate of a
+scan is the largest difference between its two columns.
 
 Selection rules: "p" vanishes for even n1 + n2 and is antisymmetric under
 exchange of (n1, n2); "q" vanishes for odd n1 + n2 and is symmetric.  The
@@ -57,14 +56,12 @@ from .errors import ContractViolationError, NumericalValidityError, refuse_over_
 MIN_GRID = 101
 HALF_PI = math.pi / 2.0
 
-# The composite rule: Gauss order per panel (and the higher order of the
-# error estimate), geometric grading ratio and number of graded panels on
-# each side of a kink line, and the largest coarse panel,
-# h <= min(pi/4, COARSE_PHASE / max|n|), which keeps the phase change across
-# one panel at most COARSE_PHASE radians.  ROW_CHUNK rows of the grid are
+# The composite rule: Gauss order per panel, geometric grading ratio and
+# number of graded panels on each side of a kink line, and the largest
+# coarse panel, h <= min(pi/4, COARSE_PHASE / max|n|), which keeps the phase
+# change across one panel at most COARSE_PHASE radians.  ROW_CHUNK rows of the grid are
 # evaluated at a time.
 GAUSS_ORDER = 12
-ERROR_ORDER = 16
 GRADING_RATIO = 0.2
 GRADING_LEVELS = 8
 COARSE_PHASE = 10.0
@@ -95,7 +92,15 @@ RESIDUE_ROW_FLOATS = 24
 # built, over the nodes1 / 4 rows of the folded phi1 axis), two
 # nodes1 / 4 x 2 k2 half sums, at most 8 ROW_CHUNK x nodes2 floats of one
 # chunk of the integrand, and two 2 k1 x 2 k2 sums; above errors.MAX_FLOATS
-# (1 GiB) it is refused unallocated.
+# (1 GiB) it is refused unallocated.  Next to those arrays each entry holds
+# its tuple in the caller's list (12.8-16.5 floats by tracemalloc on the
+# three scan directions) and two int64 indices: charged RULE_ENTRY_FLOATS.
+RULE_ENTRY_FLOATS = 20
+
+
+def _check_kind(kind: str):
+    if kind not in ("p", "q"):
+        raise ContractViolationError(f"kind must be 'p' or 'q', got {kind!r}")
 
 
 def _check_grid(grid_size: int):
@@ -114,20 +119,18 @@ def _coarse_panels(n_max: int, grid_size: int) -> tuple[float, int]:
     )
 
 
-def _rule_floats(axes, grid_size: int, order: int) -> int:
-    """Floats held by a rule over ``axes``, (distinct separations, largest |n|) per axis."""
+def _rule_floats(axes, entries: int, grid_size: int) -> int:
+    """Floats held by a rule over ``entries`` entries and ``axes``.
+
+    ``axes`` gives (distinct separations, largest |n|) per axis.
+    """
     (k1, n1_max), (k2, n2_max) = axes
     # a quarter axis has the innermost panel, GRADING_LEVELS graded and the coarse panels
-    nodes1, nodes2 = (4 * order * (1 + GRADING_LEVELS + _coarse_panels(n_max, grid_size)[1])
+    nodes1, nodes2 = (4 * GAUSS_ORDER * (1 + GRADING_LEVELS + _coarse_panels(n_max, grid_size)[1])
                       for n_max in (n1_max, n2_max))
     rows1 = nodes1 // 4
     return (2 * (nodes1 + nodes2) + 3 * (k1 * rows1 + k2 * nodes2) + 4 * rows1 * k2
-            + 8 * ROW_CHUNK * nodes2 + 8 * k1 * k2)
-
-
-def _check_rule_size(axes, grid_size: int, order: int):
-    """Refuse a rule over ``axes`` whose arrays would pass errors.MAX_FLOATS."""
-    refuse_over_limit(_rule_floats(axes, grid_size, order), "quadrature rule")
+            + 8 * ROW_CHUNK * nodes2 + 8 * k1 * k2 + RULE_ENTRY_FLOATS * entries)
 
 
 def _quarter_edges(n_max: int, grid_size: int) -> np.ndarray:
@@ -151,7 +154,7 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _axis_rule(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+def _axis_rule(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [pi/2, 5 pi/2] from the quarter-axis panel edges.
 
     The quarter is mirrored into the segment [pi/2, 3 pi/2], graded at both
@@ -160,7 +163,7 @@ def _axis_rule(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     symmetries behind the parity selection rules and the fold of
     ``_rule_values``.
     """
-    x, w = _gauss_legendre(order)
+    x, w = _gauss_legendre(GAUSS_ORDER)
     half = 0.5 * np.diff(edges)[:, None]
     offsets = (half * x + edges[:-1, None] + half).ravel()
     weights = (half * w).ravel()
@@ -198,17 +201,17 @@ def _ratios(phi1: np.ndarray, phi2: np.ndarray) -> tuple[np.ndarray, np.ndarray]
             np.outer(-np.cos(phi1), np.cos(phi2)) * inv_den)
 
 
-def _rule_values(entries, grid_size: int, order: int) -> np.ndarray:
+def _rule_values(entries, grid_size: int) -> np.ndarray:
     """Continuum correlators of every (n1, n2, kind) entry from one rule."""
     _check_grid(grid_size)
     for _n1, _n2, kind in entries:
-        if kind not in ("p", "q"):
-            raise ContractViolationError(f"kind must be 'p' or 'q', got {kind!r}")
+        _check_kind(kind)
     n1s, at1 = np.unique([int(e[0]) for e in entries], return_inverse=True)
     n2s, at2 = np.unique([int(e[1]) for e in entries], return_inverse=True)
-    _check_rule_size([(len(ns), np.max(np.abs(ns))) for ns in (n1s, n2s)], grid_size, order)
-    phi1, w1 = _axis_rule(_quarter_edges(np.max(np.abs(n1s)), grid_size), order)
-    phi2, w2 = _axis_rule(_quarter_edges(np.max(np.abs(n2s)), grid_size), order)
+    refuse_over_limit(_rule_floats([(len(ns), np.max(np.abs(ns))) for ns in (n1s, n2s)],
+                                   len(entries), grid_size), "quadrature rule")
+    phi1, w1 = _axis_rule(_quarter_edges(np.max(np.abs(n1s)), grid_size))
+    phi2, w2 = _axis_rule(_quarter_edges(np.max(np.abs(n2s)), grid_size))
     # fold: both axis rules are invariant under phi -> phi + pi and
     # phi -> 2 pi - phi (mod 2 pi), so every phi1 row is one of the four
     # images of a row pi/2 + offsets of the first quarter; only those rows
@@ -248,19 +251,7 @@ def correlator_numeric(n1: int, n2: int, kind: str, grid_size: int = 401) -> flo
     that many.  This is ``correlation_scan``'s table evaluation with one
     entry.
     """
-    return float(_rule_values([(n1, n2, kind)], grid_size, GAUSS_ORDER)[0])
-
-
-def quadrature_error(rows, grid_size: int = 401) -> float:
-    """Error estimate for the ``numeric`` column of ``correlation_scan`` rows.
-
-    The largest difference between those values and a rule of Gauss order
-    ERROR_ORDER on the same panels; the panels follow from the rows'
-    separations and ``grid_size``, so they are those of the scan that
-    produced ``rows``.
-    """
-    finer = _rule_values([row[:3] for row in rows], grid_size, ERROR_ORDER)
-    return float(np.max(np.abs(finer - np.array([row[3] for row in rows]))))
+    return float(_rule_values([(n1, n2, kind)], grid_size)[0])
 
 
 def torus_correlator(n1: int, n2: int, kind: str, grid_size: int = 401) -> float:
@@ -272,6 +263,7 @@ def torus_correlator(n1: int, n2: int, kind: str, grid_size: int = 401) -> float
     singular set.
     """
     _check_grid(grid_size)
+    _check_kind(kind)
     block = ground_state_blocks(grid_size)[n1 % grid_size, n2 % grid_size]
     return float(block[0, 0] if kind == "p" else block[0, 1])
 
@@ -334,8 +326,7 @@ def _residue_values(entries) -> np.ndarray:
     RESIDUE_ORDER and RESIDUE_GUARD_ORDER raises NumericalValidityError.
     """
     for _n1, _n2, kind in entries:
-        if kind not in ("p", "q"):
-            raise ContractViolationError(f"kind must be 'p' or 'q', got {kind!r}")
+        _check_kind(kind)
     n1, n2 = (np.array([int(e[i]) for e in entries], dtype=np.int64) for i in (0, 1))
     if np.any(n1 < 0) or np.any(n2 < 0):
         raise ContractViolationError("residue form expects non-negative separations")
@@ -382,14 +373,13 @@ def correlator_residue(n1: int, n2: int, kind: str) -> float:
 
 def asymptotic_k(n1: int, n2: int, kind: str) -> float:
     """Large-distance kernel with the parity prefactor."""
+    _check_kind(kind)
     if (n1, n2) == (-1, 0):
         raise ContractViolationError("kernel pole at (-1, 0)")
     K = (n1 + 3 + 1j * n2) / (n1 + 1 + 1j * n2) ** 3
     if kind == "p":
         return float((1.0 - (-1.0) ** (n1 + n2)) * K.real)
-    if kind == "q":
-        return float((1.0 + (-1.0) ** (n1 + n2)) * K.imag)
-    raise ContractViolationError(f"kind must be 'p' or 'q', got {kind!r}")
+    return float((1.0 + (-1.0) ** (n1 + n2)) * K.imag)
 
 
 def asymptotic_scaled(n1: int, n2: int, kind: str) -> float:
@@ -410,6 +400,15 @@ def asymptotic_scaled(n1: int, n2: int, kind: str) -> float:
 DIRECTIONS = {"axis": (1, 0), "diagonal": (1, 1), "n-2n": (1, 2)}
 
 
+def _scan_floats(direction: str, max_n: int, grid_size: int) -> int:
+    """Floats held by a scan, the larger of its rule and its residue column."""
+    # the residue column runs after the rule has freed its arrays
+    a, b = DIRECTIONS[direction]
+    return max(_rule_floats([(max_n, a * max_n), (max_n if b else 1, b * max_n)], 2 * max_n,
+                            grid_size),
+               _residue_floats(max_n, max(a, b)))
+
+
 def correlation_scan(direction: str, max_n: int, grid_size: int = 401):
     """Rows (n1, n2, kind, numeric, residue, asymptotic) for one direction.
 
@@ -422,14 +421,9 @@ def correlation_scan(direction: str, max_n: int, grid_size: int = 401):
     if max_n < 1:
         raise ContractViolationError(f"max_n must be at least 1, got {max_n}")
     a, b = DIRECTIONS[direction]
-    # sized for the higher order of quadrature_error, so that a scan is never
-    # run only to have its error estimate refused; the residue column runs
-    # after the rule has freed its arrays
-    refuse_over_limit(max(_rule_floats([(max_n, a * max_n), (max_n if b else 1, b * max_n)],
-                                       grid_size, ERROR_ORDER),
-                          _residue_floats(max_n, max(a, b))), "quadrature rule")
+    refuse_over_limit(_scan_floats(direction, max_n, grid_size), "quadrature rule")
     entries = [(a * n, b * n, kind) for n in range(1, max_n + 1) for kind in ("p", "q")]
-    numeric = _rule_values(entries, grid_size, GAUSS_ORDER)
+    numeric = _rule_values(entries, grid_size)
     residue = _residue_values(entries)
     return [
         (n1, n2, kind, float(value), float(res), asymptotic_k(n1, n2, kind))

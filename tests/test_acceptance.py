@@ -273,6 +273,8 @@ def test_criterion_09_criticality_and_area_law():
     logs_n = np.log([n for n, _ in gaps])
     logs_g = np.log(gap_values)
     corr = abs(np.corrcoef(logs_n, logs_g)[0, 1])
+    # the gap closes like 1/N^2
+    slope = np.polyfit(logs_n, logs_g, 1)[0]
 
     entropy = entropy_scan(41, range(3, 9))
     lengths = np.array([l for l, _ in entropy], dtype=float)
@@ -280,9 +282,10 @@ def test_criterion_09_criticality_and_area_law():
     coeffs = np.polyfit(lengths, bits, 1)
     rel_resid = float(np.max(np.abs(bits - np.polyval(coeffs, lengths)) / bits))
     elapsed = time.time() - start
-    ok = (decreasing and corr > 0.99 and rel_resid < 0.05 and elapsed < 120.0)
+    ok = (decreasing and corr > 0.99 and abs(slope + 2.0) <= 0.02 and rel_resid < 0.05
+          and elapsed < 120.0)
     assert report(9, "criticality and area law", ok,
-                  f"gap corr = {corr:.5f}, decreasing = {decreasing}, "
+                  f"gap corr = {corr:.5f}, gap exponent = {slope:.4f}, decreasing = {decreasing}, "
                   f"S(L) residual = {rel_resid:.3%}, {elapsed:.1f} s")
 
 

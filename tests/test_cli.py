@@ -228,6 +228,20 @@ def test_correlations_out_is_deterministic(tmp_path, capsys):
     assert capsys.readouterr().err.count("quadrature error estimate") == 2
 
 
+@pytest.mark.parametrize("argv", [["--dir", "axis", "--max-n", "40", "--grid", "401"],
+                                  ["--dir", "diagonal", "--dir", "n-2n", "--max-n", "20"]],
+                         ids=["axis-40", "diagonal-n-2n-20"])
+def test_correlations_error_estimate_is_the_largest_column_gap(tmp_path, capsys, argv):
+    # the residue column is the reference: the estimate is the table's own
+    # largest |numeric - residue|, not a second quadrature
+    out = tmp_path / "corr.csv"
+    assert run(["correlations", *argv, "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    gap = max(abs(float(r["numeric"]) - float(r["residue"])) for r in rows)
+    assert capsys.readouterr().err == (f"correlations: wrote {len(rows)} rows, "
+                                       f"quadrature error estimate {gap:.1e}\n")
+
+
 @pytest.mark.parametrize("dirs", [["axis", "axis"], ["diagonal", "n-2n", "diagonal"]])
 def test_correlations_repeated_direction_is_config_error(tmp_path, capsys, dirs):
     # a repeated direction used to write its table twice

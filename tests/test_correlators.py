@@ -7,15 +7,14 @@ import pytest
 from scipy.integrate import quad
 
 from fpeps import correlators
+from fpeps.cli import main
 from fpeps.correlators import (
-    GAUSS_ORDER,
     asymptotic_k,
     asymptotic_scaled,
     correlation_scan,
     correlator_numeric,
     correlator_residue,
     fitted_scale,
-    quadrature_error,
     torus_correlator,
     _axis_rule,
     _fourier_rows,
@@ -23,7 +22,7 @@ from fpeps.correlators import (
     _ratios,
     _rule_values,
 )
-from fpeps.errors import ContractViolationError, NumericalValidityError
+from fpeps.errors import MAX_FLOATS, ContractViolationError, NumericalValidityError
 
 README_SCANS = (("axis", 40), ("diagonal", 20), ("n-2n", 20))
 
@@ -114,7 +113,8 @@ def test_scan_matches_residue_on_readme_rows(direction, max_n):
         assert abs(numeric - residue) <= 1e-10, (n1, n2, kind)
         if (n1 + n2) % 2 == (0 if kind == "p" else 1):
             assert abs(numeric) <= 1e-12, (n1, n2, kind)
-    assert quadrature_error(rows) <= 1e-12
+    # the error estimate that `fpeps correlations` prints
+    assert max(abs(row[3] - row[4]) for row in rows) <= 1e-12
 
 
 @pytest.mark.parametrize("direction,max_n", README_SCANS + (("axis", 120), ("n-2n", 60)))
@@ -166,8 +166,8 @@ def test_residue_refuses_an_oversized_separation(monkeypatch):
 def unfolded_rule(entries, grid_size):
     """The rule summed over every node of its grid, with no symmetry used."""
     n1s, n2s = (np.array([e[i] for e in entries]) for i in (0, 1))
-    (phi1, w1), (phi2, w2) = (_axis_rule(_quarter_edges(np.max(np.abs(ns)), grid_size),
-                                         GAUSS_ORDER) for ns in (n1s, n2s))
+    (phi1, w1), (phi2, w2) = (_axis_rule(_quarter_edges(np.max(np.abs(ns)), grid_size))
+                              for ns in (n1s, n2s))
     k = len(entries)
     rows1, rows2 = _fourier_rows(n1s, phi1, w1), _fourier_rows(n2s, phi2, w2)
     z1, z2 = rows1[:k] + 1j * rows1[k:], rows2[:k] + 1j * rows2[k:]
@@ -184,7 +184,7 @@ def test_folded_rule_equals_the_full_grid(grid):
     separations = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (-3, 2), (3, -2), (-2, -2),
                    (5, 0), (0, -6), (-4, 7), (6, 6), (9, -10)]
     entries = [(n1, n2, kind) for n1, n2 in separations for kind in ("p", "q")]
-    folded = _rule_values(entries, grid, GAUSS_ORDER)
+    folded = _rule_values(entries, grid)
     full = unfolded_rule(entries, grid)
     assert np.max(np.abs(folded - full)) <= 1e-14
     forbidden = np.array([(n1 + n2) % 2 == (0 if kind == "p" else 1)
@@ -205,7 +205,7 @@ def test_ratios_finite_and_on_unit_circle_at_every_node():
     # error ~1e-16/r (nodes come within ~2e-9 here).  The plain form
     # -1 + s1 s2 errs by ~1e-16/r^2: O(1) there, and 0/0 at some nodes.
     for n_max in (0, 40, 120):
-        phi, _w = _axis_rule(_quarter_edges(n_max, 401), GAUSS_ORDER)
+        phi, _w = _axis_rule(_quarter_edges(n_max, 401))
         f_p, f_q = _ratios(phi, phi)
         assert np.all(np.isfinite(f_p)) and np.all(np.isfinite(f_q))
         assert np.max(np.abs(f_p ** 2 + f_q ** 2 - 1.0)) < 1e-6
@@ -214,7 +214,7 @@ def test_ratios_finite_and_on_unit_circle_at_every_node():
 def test_grid_is_minimum_nodes_per_axis():
     for n_max in (0, 10, 40):
         for grid in (101, 401, 1001):
-            phi, w = _axis_rule(_quarter_edges(n_max, grid), GAUSS_ORDER)
+            phi, w = _axis_rule(_quarter_edges(n_max, grid))
             assert len(phi) >= grid
             assert np.sum(w) == pytest.approx(2 * math.pi, abs=1e-13)
     # more nodes than needed leave the values unchanged
@@ -222,25 +222,41 @@ def test_grid_is_minimum_nodes_per_axis():
                - correlator_numeric(7, 2, "p")) < 1e-12
 
 
-def test_error_estimate_tracks_an_underresolved_rule(monkeypatch):
+def test_error_estimate_tracks_an_underresolved_rule(tmp_path, capsys, monkeypatch):
     # coarse panels far too long for e^{i n phi}: the estimate must see it
     monkeypatch.setattr(correlators, "COARSE_PHASE", 60.0)
-    rows = correlation_scan("axis", 40, grid_size=101)
-    actual = max(abs(r[3] - r[4]) for r in rows)
-    assert actual > 1e-8
-    assert quadrature_error(rows, grid_size=101) > 0.5 * actual
+    assert main(["correlations", "--dir", "axis", "--max-n", "40", "--grid", "101",
+                 "--out", str(tmp_path / "axis.csv")]) == 0
+    estimate = float(capsys.readouterr().err.split()[-1])
+    assert estimate > 1e-8
 
 
-def test_rule_size_limit_covers_scan_and_error_estimate(monkeypatch):
-    monkeypatch.setattr(correlators, "_fourier_rows", lambda *args: pytest.fail("allocated"))
-    rows = [(n, n, kind) for n in range(1, 2001) for kind in ("p", "q")]
-    with pytest.raises(ContractViolationError, match="GiB"):
-        quadrature_error(rows)
-    # 1600 diagonal separations fit the scan's own rule but not the finer
-    # one of its error estimate, so the scan refuses them up front
-    correlators._check_rule_size([(1600, 1600)] * 2, 401, correlators.GAUSS_ORDER)
-    with pytest.raises(ContractViolationError, match="GiB"):
-        correlation_scan("diagonal", 1600)
+@pytest.mark.parametrize("direction,limit", [("axis", 4838), ("diagonal", 1716), ("n-2n", 1391)])
+def test_scan_size_limit(direction, limit, monkeypatch):
+    # the largest --max-n that README gives for --grid 401
+    charge = correlators._scan_floats(direction, limit, 401)
+    assert charge <= MAX_FLOATS
+    with monkeypatch.context() as patch:
+        patch.setattr(correlators, "_fourier_rows", lambda *args: pytest.fail("allocated"))
+        patch.setattr(correlators, "_residue_values", lambda *args: pytest.fail("allocated"))
+        with pytest.raises(ContractViolationError, match="GiB"):
+            correlation_scan(direction, limit + 1)
+    correlation_scan(direction, 2)  # numpy's first calls allocate once per process
+    tracemalloc.start()
+    try:
+        correlation_scan(direction, limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * charge
+
+
+def test_unknown_kind_is_refused():
+    # torus_correlator used to return the "q" entry for any kind but "p"
+    for call in (lambda: torus_correlator(1, 0, "x", 101), lambda: correlator_numeric(1, 0, "x"),
+                 lambda: correlator_residue(1, 0, "x"), lambda: asymptotic_k(1, 0, "x")):
+        with pytest.raises(ContractViolationError, match="kind must be"):
+            call()
 
 
 def test_exchange_structure():
