@@ -25,7 +25,7 @@ from .critical import (
     norm_zero_locator,
     odd_torus,
 )
-from .correlators import correlation_scan
+from .correlators import _scan_floats, correlation_scan
 from .errors import ContractViolationError, FpepsError, ZeroNormError, refuse_over_limit
 from .fock import normalized_overlaps
 from .gaussian import (
@@ -62,9 +62,9 @@ MAPPING_STACK = 64  # the most tensor sets checked as one stack; see the charges
 #   charged 43 per N^2 by mapping on each derivation it has not cached.
 # * verify's mapping suite: one stack of tensor sets (drawn tensors, oracle,
 #   spin tensors, contraction) peaks at 10.7 KiB per set on 1x2 and 2x1 and
-#   34.6-34.7 KiB on 2x2, traced with stacks of 64 and 256; MAPPING_STACK
-#   sets per stack keep it under 2.2 MiB whatever --sets is, so it is not
-#   charged.
+#   34.6-34.7 KiB on 2x2, traced with stacks of 64 and 256, and MAPPING_STACK
+#   sets per stack keep it under 2.2 MiB; the report's check and JSON text
+#   add 168-170 floats per set, traced from 2000 to 16000 sets: charged 176.
 
 
 def _emit(text: str, out_path):
@@ -169,8 +169,10 @@ def cmd_verify(args) -> int:
             f"--tolerance must be positive and finite, got {args.tolerance}")
     if args.seed < 0:
         raise ContractViolationError(f"--seed must be non-negative, got {args.seed}")
-    if args.suite in ("mapping", "all") and args.sets < 1:
-        raise ContractViolationError(f"--sets must be at least 1, got {args.sets}")
+    if args.suite in ("mapping", "all"):
+        if args.sets < 1:
+            raise ContractViolationError(f"--sets must be at least 1, got {args.sets}")
+        refuse_over_limit(176 * args.sets, f"--sets {args.sets}")
     if args.suite in ("gaussian", "all"):
         refuse_over_limit(5 * (8 * lattice.n_sites) ** 2, f"--lattice {lattice.n_h}x{lattice.n_v}")
     checks = []
@@ -201,6 +203,8 @@ def cmd_correlations(args) -> int:
     repeated = [d for i, d in enumerate(args.dir) if d in args.dir[:i]]
     if repeated:
         raise ContractViolationError(f"--dir {repeated[0]} is given more than once")
+    for direction in args.dir:  # every scan is charged before the first one runs
+        refuse_over_limit(_scan_floats(direction, args.max_n, args.grid), "quadrature rule")
     rows = []
     for direction in args.dir:
         rows.extend(correlation_scan(direction, args.max_n, args.grid))

@@ -51,7 +51,7 @@ import math
 import numpy as np
 
 from .critical import ground_state_blocks
-from .errors import ContractViolationError, NumericalValidityError, refuse_over_limit
+from .errors import MAX_FLOATS, ContractViolationError, NumericalValidityError, refuse_over_limit
 
 MIN_GRID = 101
 HALF_PI = math.pi / 2.0
@@ -115,7 +115,7 @@ def _coarse_panels(n_max: int, grid_size: int) -> tuple[float, int]:
     h = min(HALF_PI / 2.0, COARSE_PHASE / max(n_max, 1))
     return h, max(
         math.ceil((HALF_PI - h) / h),
-        math.ceil(grid_size / (4 * GAUSS_ORDER)) - GRADING_LEVELS,
+        -(-grid_size // (4 * GAUSS_ORDER)) - GRADING_LEVELS,
     )
 
 
@@ -282,7 +282,8 @@ def _residue_floats(count: int, step: int) -> int:
     """
     widest = max(
         RESIDUE_MIN_PANELS * min(count, RESIDUE_MIN_PANELS * RESIDUE_PANEL_SPAN // step),
-        int(_residue_panels(count * step)) * min(count, -(-RESIDUE_PANEL_SPAN // step)),
+        max(RESIDUE_MIN_PANELS, -(-count * step // RESIDUE_PANEL_SPAN))
+        * min(count, -(-RESIDUE_PANEL_SPAN // step)),
     )
     return RESIDUE_NODE_FLOATS * widest * RESIDUE_GUARD_ORDER + RESIDUE_ROW_FLOATS * count
 
@@ -402,11 +403,14 @@ DIRECTIONS = {"axis": (1, 0), "diagonal": (1, 1), "n-2n": (1, 2)}
 
 def _scan_floats(direction: str, max_n: int, grid_size: int) -> int:
     """Floats held by a scan, the larger of its rule and its residue column."""
-    # the residue column runs after the rule has freed its arrays
+    # the residue column runs after the rule has freed its arrays; its integer
+    # charge refuses a huge max_n before the rule's panel width makes it a float
     a, b = DIRECTIONS[direction]
+    residue = _residue_floats(max_n, max(a, b))
+    if residue > MAX_FLOATS:
+        return residue
     return max(_rule_floats([(max_n, a * max_n), (max_n if b else 1, b * max_n)], 2 * max_n,
-                            grid_size),
-               _residue_floats(max_n, max(a, b)))
+                            grid_size), residue)
 
 
 def correlation_scan(direction: str, max_n: int, grid_size: int = 401):

@@ -11,8 +11,8 @@ antisymmetry of h reads T(-Delta) = -T(Delta)^T.
 The parent Hamiltonian of a channel output is h_hat(phi) = d(phi) *
 gamma_hat(phi) with (p, q, d) the minimal-degree trigonometric polynomial
 triple compatible with the channel's momentum-space ratios.  The minimal
-triple is found as the one-dimensional nullspace of a linear system sampled
-at random momenta (the cross-multiplied identities d p' = p d', never the
+triple is found as the one-dimensional nullspace of a linear system on an
+exact momentum grid (the cross-multiplied identities d p' = p d', never the
 quotients), growing the harmonic support until it exists; this
 cancels whatever common polynomial factor the channel's exact harmonic
 table (see :func:`fpeps.gaussian.gamma_out_hat`: degree at most 2 in each
@@ -39,10 +39,7 @@ from .lattice import LatticeSpec
 
 Displacement = tuple[int, int]
 
-# minimal_triple samples the channel at TRIPLE_SAMPLES momenta drawn from
-# TRIPLE_SEED; a singular value below TRIPLE_RTOL times the largest is zero
-TRIPLE_SAMPLES = 240
-TRIPLE_SEED = 20240
+# in minimal_triple a singular value below TRIPLE_RTOL times the largest is zero
 TRIPLE_RTOL = 1e-9
 # harmonic coefficients and Hamiltonian block entries this small are zero
 HARMONIC_ATOL = 1e-12
@@ -128,52 +125,46 @@ def minimal_triple(
     Im q = sum coef[2] sin(phi.Delta) and d = sum coef[3] cos(phi.Delta);
     coefficients of at most ``HARMONIC_ATOL`` are zero.
     """
-    # a quarter more draws than samples covers the momenta where d nearly
-    # vanishes, which are skipped
-    draws = TRIPLE_SAMPLES + TRIPLE_SAMPLES // 4
-    phis = np.random.default_rng(TRIPLE_SEED).uniform(0.0, 2.0 * np.pi, (draws, 2))
+    # p, q and d have exponents in [-2, 2] in each momentum component, so at a
+    # radius r <= radius_cap every row below, such as d p' - p d', has them in
+    # [-(r + 2), r + 2].  The odd grid of 2 radius_cap + 5 points per axis
+    # aliases no two of those: a row that vanishes on it vanishes everywhere
+    side = 2 * radius_cap + 5
+    phis = LatticeSpec(side, side).momenta()
     out = gamma_out_hat(channel, phis)
-    keep = np.flatnonzero(np.abs(out.d) >= 1e-6)[:TRIPLE_SAMPLES]
-    if len(keep) < TRIPLE_SAMPLES:
-        raise NumericalValidityError(
-            f"projection determinant nearly vanishes at {draws - len(keep)} of {draws} momenta"
-        )
-    phis, d = phis[keep], out.d[keep]
-    values = np.stack([out.p[keep], out.q.real[keep], out.q.imag[keep]], axis=1)
+    d, values = out.d, np.stack([out.p, out.q.real, out.q.imag], axis=1)
 
     for radius in range(radius_cap + 1):
         deltas = np.array(_half_space(radius))
         m = len(deltas)
         angle = phis[:, :1] * deltas[:, 0] + phis[:, 1:] * deltas[:, 1]
         sin, cos = np.sin(angle[:, 1:]), np.cos(angle)
-        # rows (p, Re q, Im q) of each sample, cross-multiplied: d p' - p d'
+        # rows (p, Re q, Im q) of each momentum, cross-multiplied: d p' - p d'
         # for the fitted p', d'.  Quotients p / d would carry the absolute
         # rounding of p and d divided by a small d, near the lines where the
         # common factor of the channel's triple vanishes, into the nullspace
         # at the 1e-12 level of HARMONIC_ATOL.  Columns p | Re q | Im q | d,
-        # with no sine column at Delta = (0, 0)
+        # with no sine column at Delta = (0, 0): fewer than the 3 side^2 rows
         mat = np.zeros((len(phis), 3, 4 * m - 2))
         mat[:, 0, :m - 1] = d[:, None] * sin
         mat[:, 1, m - 1:2 * m - 1] = d[:, None] * cos
         mat[:, 2, 2 * m - 1:3 * m - 2] = d[:, None] * sin
         mat[:, :, 3 * m - 2:] = -values[:, :, None] * cos[:, None, :]
-        mat = mat.reshape(3 * len(phis), -1)
-        n_unknowns = mat.shape[1]
-        _, svals, vt = np.linalg.svd(mat, full_matrices=False)
-        # with more unknowns than rows the padded zeros make the triple non-unique
-        svals = np.concatenate([svals, np.zeros(max(0, n_unknowns - len(svals)))])
+        _, svals, vt = np.linalg.svd(mat.reshape(3 * len(phis), -1), full_matrices=False)
         if svals[-1] > TRIPLE_RTOL * svals[0]:
             continue  # no exact triple at this radius
-        if n_unknowns >= 2 and svals[-2] <= TRIPLE_RTOL * svals[0]:
+        if svals[-2] <= TRIPLE_RTOL * svals[0]:
             raise NumericalValidityError(
                 f"polynomial triple at radius {radius} is not unique"
             )
         coef = np.insert(vt[-1], [0, 2 * m - 1], 0.0).reshape(4, m)
         coef[np.abs(coef) <= HARMONIC_ATOL] = 0.0
-        # orient: d <= 0 where defined, so gamma_hat is the ground state
-        if np.mean(cos[:32] @ coef[3]) > 0:
-            coef = -coef
-        return deltas, coef
+        # orient: d' = -eps <= 0 where the state is defined, so gamma_hat is
+        # the ground state.  Its constant coefficient is its mean over the grid,
+        # and a d' <= 0 of mean zero vanishes: it defines no Hamiltonian
+        if coef[3, 0] == 0.0:
+            raise NumericalValidityError(f"the fitted d' has no constant term at radius {radius}")
+        return deltas, coef * -np.sign(coef[3, 0])
     raise ContractViolationError(
         f"no polynomial triple within displacement radius {radius_cap}; "
         "the parent Hamiltonian would violate the locality cap"
@@ -207,8 +198,9 @@ def parent_hamiltonian(channel: GaussianChannel, radius_cap: int = 2) -> Quadrat
             blocks[(-dh, -dv)] = minus[j]
     ham = QuadraticHamiltonian(blocks)
 
-    # cross-check: h_hat must reproduce d * g_hat at random momenta
-    phis = np.random.default_rng(99).uniform(0, 2 * np.pi, (16, 2))
+    # cross-check: h_hat must reproduce d * g_hat; both have exponents in
+    # [-radius_cap, radius_cap], so the (2 radius_cap + 1)^2 grid is exact
+    phis = LatticeSpec(2 * radius_cap + 1, 2 * radius_cap + 1).momenta()
     sin, cos = np.sin(phis @ deltas.T), np.cos(phis @ deltas.T)
     want = g_hat(sin @ p, cos @ qr + 1j * (sin @ qi), 1.0)
     if np.max(np.abs(ham.h_hat(phis) - want)) > 1e-9:

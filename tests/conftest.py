@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import ortho_group
 
 from fpeps.gaussian import GaussianChannel
 
@@ -22,6 +23,18 @@ def vacuum_site_channel():
         [-np.eye(4), np.zeros((4, 4))],
     ])
     return GaussianChannel(VACUUM_CM.copy(), np.zeros((2, 8)), D)
+
+
+@pytest.fixture
+def random_site_channel():
+    """Pure one-site channel G = O J O^T of a seed, split into A (2x2), B and D (8x8)."""
+    def make(seed):
+        O = ortho_group.rvs(10, random_state=seed)
+        J = np.kron(np.eye(5), [[0.0, 1.0], [-1.0, 0.0]])
+        G = O @ J @ O.T
+        return GaussianChannel(G[:2, :2], G[:2, 2:], G[2:, 2:])
+
+    return make
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -19,7 +20,7 @@ from fpeps import cli, correlators, quadratic
 from fpeps.build import build_fpeps
 from fpeps.cli import main
 from fpeps.contraction import contract_peps
-from fpeps.errors import ContractViolationError
+from fpeps.errors import MAX_FLOATS, ContractViolationError
 from fpeps.io import dump_tensor_set, load_peps_set
 from fpeps.lattice import LatticeSpec, parse_lattice
 from fpeps.mapping import map_tensor_set
@@ -260,13 +261,56 @@ def test_correlations_zero_rows_is_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [["--dir", "diagonal", "--max-n", "5000"],
                                    ["--dir", "axis", "--max-n", "10000000000"],
-                                   ["--dir", "axis", "--max-n", "1", "--grid", "100000001"]],
-                         ids=["diagonal-5000", "axis-1e10", "grid-1e8"])
+                                   ["--dir", "axis", "--max-n", "1", "--grid", "100000001"],
+                                   ["--dir", "axis", "--dir", "diagonal", "--max-n", "1800"]],
+                         ids=["diagonal-5000", "axis-1e10", "grid-1e8", "axis-then-diagonal-1800"])
 def test_correlations_oversized_rule_is_refused_before_allocating(tmp_path, capsys, flags):
+    # axis at 1800 is within the limit and diagonal is not: no scan may start
     with mock.patch.object(correlators, "_fourier_rows", _must_not_run), \
             mock.patch.object(correlators, "_residue_values", _must_not_run):
         assert_config_error(["correlations", *flags,
                              "--out", str(tmp_path / "x.csv")], capsys)
+
+
+HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv", [
+    ["correlations", "--dir", "axis", "--max-n", "1" + "0" * 20],
+    ["correlations", "--dir", "axis", "--max-n", "1", "--grid", HUGE],
+    ["correlations", "--dir", "axis", "--max-n", HUGE],
+    ["verify", "--suite", "mapping", "--sets", HUGE],
+], ids=["max-n-1e20", "grid-1e400", "max-n-1e400", "sets-1e400"])
+def test_huge_integer_flags_are_refused_before_allocating(tmp_path, capsys, argv):
+    # charged in integer arithmetic: no float or int64 conversion overflows
+    with mock.patch.object(correlators, "_fourier_rows", _must_not_run), \
+            mock.patch.object(correlators, "_residue_values", _must_not_run), \
+            mock.patch.object(cli, "random_stack", _must_not_run):
+        assert_config_error([*argv, "--out", str(tmp_path / "x.out")], capsys)
+
+
+def test_verify_sets_limit(tmp_path, capsys):
+    limit = MAX_FLOATS // 176
+    with mock.patch.object(cli, "random_stack", _must_not_run):
+        assert_config_error(["verify", "--suite", "mapping", "--sets", str(limit + 1),
+                             "--out", str(tmp_path / "x.json")], capsys)
+    with mock.patch.object(cli, "_mapping_checks", lambda *args: []):
+        assert run(["verify", "--suite", "mapping", "--sets", str(limit),
+                    "--out", str(tmp_path / "x.json")]) == 0
+
+
+def test_verify_sets_charge_covers_the_report(tmp_path):
+    # the report grows by at most the 176 floats charged per set
+    peaks = []
+    for sets in (1000, 3000):
+        tracemalloc.start()
+        try:
+            assert run(["verify", "--suite", "mapping", "--sets", str(sets),
+                        "--out", str(tmp_path / "x.json")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert 0 < peaks[1] - peaks[0] <= 8 * 176 * 2000
 
 
 def test_correlations_bad_grid_is_config_error(tmp_path):

@@ -1,7 +1,6 @@
 """Covariance matrices, Gaussian channels, and momentum-space blocks."""
 import numpy as np
 import pytest
-from scipy.stats import ortho_group
 
 from fpeps.critical import example_channel
 from fpeps.errors import ContractViolationError, NumericalValidityError, ZeroNormError
@@ -231,14 +230,6 @@ def test_gamma_out_hat_stack_matches_single_momenta():
     assert [tuple(phi) for phi in flat[zero]] == [(np.pi / 2, np.pi / 2), (np.pi, 1.3)]
 
 
-def random_site_channel(seed):
-    """Pure one-site channel G = O J O^T, split into A (2x2), B and D (8x8)."""
-    O = ortho_group.rvs(10, random_state=seed)
-    J = np.kron(np.eye(5), [[0.0, 1.0], [-1.0, 0.0]])
-    G = O @ J @ O.T
-    return GaussianChannel(G[:2, :2], G[:2, 2:], G[2:, 2:])
-
-
 def direct_triple(ch, phis):
     """(p, q, d) from the per-momentum adjugate of D - omega_hat."""
     adj, det = _adjugate(ch.D - fourier_bond(phis))
@@ -251,7 +242,7 @@ def table_keys(ch):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_harmonic_table_is_exact_on_random_channels(seed):
+def test_harmonic_table_is_exact_on_random_channels(seed, random_site_channel):
     ch = random_site_channel(seed)
     rng = np.random.default_rng(seed)
     stacks = [rng.uniform(-3.0, 10.0, (500, 2))]
@@ -281,7 +272,7 @@ def test_harmonic_table_is_shared_and_read_only():
         table[0, 0, 0] = 1.0
 
 
-def test_harmonic_table_follows_an_in_place_change():
+def test_harmonic_table_follows_an_in_place_change(random_site_channel):
     ch = random_site_channel(3)
     phis = np.random.default_rng(3).uniform(0, 2 * np.pi, (20, 2))
     before = gamma_out_hat(ch, phis)

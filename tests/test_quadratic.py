@@ -18,7 +18,7 @@ from fpeps.fock import (
     physical_registry,
     quadratic_operator,
 )
-from fpeps.gaussian import MajoranaCM, apply_channel, lattice_bond_cm
+from fpeps.gaussian import MajoranaCM, apply_channel, gamma_out_hat, lattice_bond_cm
 from fpeps.lattice import LatticeSpec
 from fpeps.quadratic import (
     DiracQuadratic,
@@ -125,22 +125,51 @@ def test_parent_matches_coupling_table_with_positive_scale():
 
 
 def test_minimal_triple_of_the_example_is_exact():
-    # cross-multiplied rows keep the rounding of small-d samples out of the
+    # cross-multiplied rows keep the rounding of small-d momenta out of the
     # nullspace: the triple is the quarter table to rounding, not to 1e-12
     deltas, coef = minimal_triple(example_channel())
     assert np.count_nonzero(coef) == 7
-    assert np.max(np.abs(coef - np.round(4 * coef) / 4)) < 1e-13
+    assert np.max(np.abs(coef - np.round(4 * coef) / 4)) < 1e-14
 
 
 def test_triple_search_refuses_a_vanishing_determinant(monkeypatch):
-    # d below 1e-6 at every sampled momentum leaves nothing to fit
+    # with d = 0 at every momentum, d' = 0 and q' = 1 fit the rows: a d' with
+    # no constant term is refused, not taken for a Hamiltonian
     import fpeps.quadratic as quadratic
 
     real = quadratic.gamma_out_hat
     monkeypatch.setattr(quadratic, "gamma_out_hat",
                         lambda ch, phis: real(ch, phis)._replace(d=np.zeros(len(phis))))
-    with pytest.raises(NumericalValidityError, match="300 of 300"):
+    with pytest.raises(NumericalValidityError, match="no constant term"):
         parent_hamiltonian(example_channel())
+
+
+def test_parent_search_draws_no_random_numbers(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the parent search drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    assert parent_hamiltonian(example_channel()).locality_radius() == 1
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_radius_two_parents_of_random_channels(seed, random_site_channel):
+    # radius 2 is the edge of the grid's degree bound: rows of exponents up to 4
+    ch = random_site_channel(seed)
+    deltas, coef = minimal_triple(ch)
+    assert np.max(np.abs(deltas)) == 2
+    # the cross-multiplied identities hold off the fitting grid
+    phis = np.random.default_rng(seed).uniform(0, 2 * np.pi, (500, 2))
+    out = gamma_out_hat(ch, phis)
+    sin, cos = np.sin(phis @ deltas.T), np.cos(phis @ deltas.T)
+    fitted = np.stack([sin @ coef[0], cos @ coef[1], sin @ coef[2]], axis=1)
+    values = np.stack([out.p, out.q.real, out.q.imag], axis=1)
+    cross = values * (cos @ coef[3])[:, None]
+    assert np.max(np.abs(out.d[:, None] * fitted - cross)) <= 1e-13 * np.max(np.abs(cross))
+    for n in (5, 7):
+        assert ground_state_cm_consistency(ch, LatticeSpec(n, n)) <= 1e-12
+    with pytest.raises(ContractViolationError, match="no polynomial triple"):
+        minimal_triple(ch, radius_cap=1)
 
 
 def test_parent_of_vacuum_channel_is_onsite(vacuum_site_channel):
