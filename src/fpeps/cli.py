@@ -42,6 +42,7 @@ from .tensors import random_stack
 
 MAPPING_LATTICES = (LatticeSpec(1, 2), LatticeSpec(2, 1), LatticeSpec(2, 2))
 MAPPING_STACK = 64  # the most tensor sets checked as one stack; see the charges below
+CONVERT_SITE_FLOATS = 8700  # charged per site of a convert; see the charges below
 
 # A request whose arrays would pass errors.MAX_FLOATS (1 GiB) is refused
 # before anything is allocated.  What each command holds, measured:
@@ -56,10 +57,9 @@ MAPPING_STACK = 64  # the most tensor sets checked as one stack; see the charges
 #   (2 L^2)^2 arrays for the largest block length L (the gathered block, its
 #   qp copy, the chiral blocks), traced up to torus 801 and L = 40; charged
 #   24 per site plus three such arrays.
-# * convert (and verify's mapping suite): the sign derivation of an N-site
-#   lattice peaks at 42.0-42.3 floats per N^2 (the one-hot bond slots, the
-#   (4 N)^2 pass matrix and its products), traced from 10x10 to 30x30;
-#   charged 43 per N^2 by mapping on each derivation it has not cached.
+# * convert: 7,970-8,410 floats per site of a set with every allowed entry
+#   nonzero, mostly the JSON document read and the one written, traced from
+#   10x10 to 100x100; charged CONVERT_SITE_FLOATS once the lattice is read.
 # * verify's mapping suite: one stack of tensor sets (drawn tensors, oracle,
 #   spin tensors, contraction) peaks at 10.7 KiB per set on 1x2 and 2x1 and
 #   34.6-34.7 KiB on 2x2, traced with stacks of 64 and 256, and MAPPING_STACK
@@ -299,6 +299,8 @@ def cmd_entropy(args) -> int:
 
 def cmd_convert(args) -> int:
     lattice, _, tensors = fio.load_tensor_set(args.input)
+    refuse_over_limit(CONVERT_SITE_FLOATS * lattice.n_sites,
+                      f"convert of the {lattice.n_h}x{lattice.n_v} lattice")
     mapped = map_tensor_set(lattice, tensors)
     text = fio.dump_peps_set(lattice, mapped) + "\n"
     _emit(text, args.output)

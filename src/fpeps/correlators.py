@@ -112,7 +112,9 @@ def _check_grid(grid_size: int):
 
 def _coarse_panels(n_max: int, grid_size: int) -> tuple[float, int]:
     """Largest coarse panel h and the number of coarse panels per quarter axis."""
-    h = min(HALF_PI / 2.0, COARSE_PHASE / max(n_max, 1))
+    # a larger n_max takes the step of 2**53, whose panels are far over any
+    # limit, so a 400-digit n_max never becomes a float
+    h = min(HALF_PI / 2.0, COARSE_PHASE / min(max(n_max, 1), 2**53))
     return h, max(
         math.ceil((HALF_PI - h) / h),
         -(-grid_size // (4 * GAUSS_ORDER)) - GRADING_LEVELS,

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fpeps import cli, correlators, quadratic
+from fpeps import cli, correlators, errors, quadratic
 from fpeps.build import build_fpeps
 from fpeps.cli import main
 from fpeps.contraction import contract_peps
@@ -451,16 +451,48 @@ def test_convert_file_with_duplicate_site_is_config_error(tmp_path, capsys):
                          "--output", str(tmp_path / "out.json")], capsys)
 
 
-def test_convert_oversized_set_is_config_error(tmp_path, capsys):
-    # the sign derivation of 43x43 sites would pass the 1 GiB limit
-    lattice = LatticeSpec(43, 43)
+def _zero_set(tmp_path, shape):
+    """The path of a tensor-set file of zero tensors on an ``shape`` lattice."""
+    lattice = LatticeSpec(*shape)
     zero = FPEPSTensor(np.zeros((2,) * 5, dtype=complex), 0)
-    src = tmp_path / "big.json"
+    src = tmp_path / f"{shape[0]}x{shape[1]}.json"
     src.write_text(dump_tensor_set(lattice, None, {s: zero for s in lattice.sites()}))
+    return src
+
+
+def test_convert_oversized_set_is_config_error(tmp_path, capsys, monkeypatch):
+    # the charge is exactly CONVERT_SITE_FLOATS per site: a limit at 6x6's
+    # charge admits 6x6 and refuses 37x1, before any mapping
+    monkeypatch.setattr(errors, "MAX_FLOATS", cli.CONVERT_SITE_FLOATS * 36)
+    assert run(["convert", "--input", str(_zero_set(tmp_path, (6, 6))),
+                "--output", str(tmp_path / "6x6-out.json")]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "map_tensor_set", _must_not_run)
+    src = _zero_set(tmp_path, (37, 1))
     assert run(["convert", "--input", str(src), "--output", str(tmp_path / "out.json")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "43x43" in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "37x1" in err
     assert not (tmp_path / "out.json").exists()
+
+
+def test_convert_charge_covers_its_peak(tmp_path):
+    # every allowed entry of a drawn tensor is nonzero, both parities, and
+    # ten columns put most sites in the bulk, which holds both r' slots
+    lattice = LatticeSpec(10, 10)
+    rng = np.random.default_rng(12)
+    parity = {s: int(rng.integers(0, 2)) for s in lattice.sites()}
+    src = tmp_path / "set.json"
+    src.write_text(dump_tensor_set(lattice, parity, {s: FPEPSTensor.random(rng, parity[s])
+                                                     for s in lattice.sites()}))
+    argv = ["convert", "--input", str(src), "--output", str(tmp_path / "out.json")]
+    assert run(argv) == 0  # numpy's first calls allocate once per process
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * cli.CONVERT_SITE_FLOATS * lattice.n_sites
 
 
 # --- fuzzing the argument grammars: parse, or exit 2 with one error line ----

@@ -163,6 +163,14 @@ def test_residue_refuses_an_oversized_separation(monkeypatch):
         correlator_residue(10**8, 1, "p")
 
 
+@pytest.mark.parametrize("entry", [(10**400, 0, "p"), (0, -10**400, "q"), (2**53 + 1, 1, "p")])
+def test_rule_refuses_a_huge_separation(monkeypatch, entry):
+    # the panel step of a 400-digit separation used to raise OverflowError
+    monkeypatch.setattr(correlators, "_fourier_rows", lambda *args: pytest.fail("allocated"))
+    with pytest.raises(ContractViolationError, match="GiB"):
+        correlator_numeric(*entry)
+
+
 def unfolded_rule(entries, grid_size):
     """The rule summed over every node of its grid, with no symmetry used."""
     n1s, n2s = (np.array([e[i] for e in entries]) for i in (0, 1))

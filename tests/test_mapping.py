@@ -1,11 +1,9 @@
 """Sign derivation and the fermionic-to-spin tensor translation."""
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from fpeps import errors
 from fpeps.build import build_fpeps, build_stack
 from fpeps.cli import MAPPING_LATTICES
 from fpeps.contraction import contract_peps, contract_stack
@@ -14,6 +12,8 @@ from fpeps.lattice import LatticeSpec
 from fpeps import mapping
 from fpeps.mapping import derive_sign_functions, map_stack, map_tensor_set
 from fpeps.tensors import FPEPSTensor, forbidden_entries, random_stack, stack_sets
+
+import sign_reference
 
 
 def map_with_zero_signs(monkeypatch, lattice, site, tensor):
@@ -144,13 +144,31 @@ def fresh_sign_cache():
     mapping._sign_tables.cache_clear()
 
 
-@pytest.mark.usefixtures("fresh_sign_cache")
 @pytest.mark.parametrize("shape", [(2, 2), (3, 2)], ids=["2x2", "3x2"])
 def test_sign_derivation_without_transport_is_not_site_local(monkeypatch, shape):
     # the boundary and vertical pieces are what makes the residual local
-    monkeypatch.setattr(mapping, "_transport_form", lambda *args: 0.0)
+    monkeypatch.setattr(sign_reference, "_transport_form", lambda *args: 0.0)
+    lattice = LatticeSpec(*shape)
     with pytest.raises(ContractViolationError, match="not site-local"):
-        derive_sign_functions(LatticeSpec(*shape))
+        sign_reference.normal_ordered_sign_tables(lattice, (0,) * lattice.n_sites)
+
+
+def _reference_patterns(lattice):
+    """All even, the checkerboard (h + v) mod 2 and two random site parities, in M order."""
+    rng = np.random.default_rng(900 + 10 * lattice.n_h + lattice.n_v)
+    return [(0,) * lattice.n_sites, tuple((h + v) % 2 for h, v in lattice.sites()),
+            *(tuple(rng.integers(0, 2, lattice.n_sites).tolist()) for _ in range(2))]
+
+
+@pytest.mark.parametrize("shape", [(h, v) for h in range(1, 8) for v in range(1, 8)],
+                         ids=lambda shape: f"{shape[0]}x{shape[1]}")
+def test_closed_form_equals_the_normal_ordering_reference(fresh_sign_cache, shape):
+    # 1xN, Nx1 and 2xN alias or double up bonds; three or more columns run the bulk
+    lattice = LatticeSpec(*shape)
+    for parities in _reference_patterns(lattice):
+        tables = derive_sign_functions(lattice, dict(zip(lattice.sites(), parities)))
+        reference = sign_reference.normal_ordered_sign_tables(lattice, parities)
+        assert tables.tobytes() == reference.tobytes()
 
 
 # sha256 of the concatenated tables in M order, even and with the
@@ -209,37 +227,6 @@ def test_sign_cache_key_holds_the_parity(fresh_sign_cache, even_first):
     for mixed, parity in order if even_first else order[::-1]:
         tables = derive_sign_functions(lattice, parity)
         assert hashlib.sha256(tables.tobytes()).hexdigest() == SIGN_TABLE_DIGESTS[((4, 4), mixed)]
-
-
-def _peak_bytes(call):
-    """The tracemalloc peak of ``call()``."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_sign_derivation_is_refused_over_the_size_limit(fresh_sign_cache):
-    # 43 x 43 sites would hold 43 N^2 = 1.1 GiB of floats
-    def refused_twice():  # a refusal is not cached
-        for _ in range(2):
-            with pytest.raises(ContractViolationError,
-                               match=r"sign derivation of the 43x43 lattice needs .* GiB"):
-                derive_sign_functions(LatticeSpec(43, 43))
-
-    assert _peak_bytes(refused_twice) < 2**20
-
-
-def test_sign_derivation_charge_covers_its_peak(fresh_sign_cache, monkeypatch):
-    lattice = LatticeSpec(10, 10)
-    assert _peak_bytes(lambda: derive_sign_functions(lattice)) <= 8 * 43 * lattice.n_sites**2
-    # the charge is exactly 43 floats per N^2: a limit at 6x6's charge admits 6x6
-    monkeypatch.setattr(errors, "MAX_FLOATS", 43 * 36**2)
-    derive_sign_functions(LatticeSpec(6, 6))
-    with pytest.raises(ContractViolationError, match="37x1"):
-        derive_sign_functions(LatticeSpec(37, 1))
 
 
 def test_parity_assignment_must_cover_every_site():
