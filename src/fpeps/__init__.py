@@ -14,10 +14,15 @@ Layers:
 
 The package runs on numpy alone and imports no SciPy.  The tests use SciPy
 for independent references, adaptive ``quad`` of the correlator integrals
-among them.
+among them.  The package holds only what the ``fpeps`` command and its
+library callers run; the independent reference routes live with the tests:
+the operator-polynomial oracle over the full mode registry in
+``tests/fock_reference.py``, the normal-ordering sign derivation in
+``tests/sign_reference.py`` and the Gaussian-side helpers (ground-state
+covariances, finite-torus correlators) in ``tests/gaussian_reference.py``.
 """
 
-from .build import bond_h, bond_v, build_fpeps, projector_q
+from .build import build_fpeps
 from .contraction import contract_peps
 from .correlators import (
     asymptotic_k,
@@ -45,13 +50,9 @@ from .errors import (
 from .fock import (
     FockVector,
     ModeRegistry,
-    OperatorPoly,
-    apply_poly,
     covariance_matrix,
     exact_ground_state,
     physical_registry,
-    standard_registry,
-    vacuum,
 )
 from .gaussian import (
     GaussianChannel,
@@ -71,7 +72,6 @@ from .quadratic import (
     QuadraticHamiltonian,
     block_entropy,
     dirac_to_majorana,
-    ground_state_cm,
     ground_state_cm_consistency,
     majorana_to_dirac,
     parent_hamiltonian,

@@ -24,8 +24,13 @@ and adds the axis of ``a(site)``; the Jordan-Wigner signs from the other
 live modes enter as a +-1 mask.  Each set's products are the ones it would
 get alone, so a row does not depend on its stack.  ``build_fpeps`` is a
 stack of one.  The cap limits the peak live width, not the total mode
-count: 13 modes at 3x2, 16 at 3x3, 20 at 4x3.  The result equals composing
-``apply_poly`` over the full registry (``build_fpeps_reference``).
+count: 13 modes at 3x2, 16 at 3x3, 20 at 4x3.
+
+Mode positions follow one registry of ``5N`` modes: ``a`` of site m at
+position m, then each site's auxiliary quadruple (alpha, beta, gamma,
+delta) at ``N + 4m + s``.  The tests compose operator polynomials over that
+whole registry as the reference (``tests/fock_reference.py``); the result
+is the same state.
 """
 from __future__ import annotations
 
@@ -35,53 +40,11 @@ from functools import cache, lru_cache
 import numpy as np
 
 from .errors import ResourceLimitError
-from .fock import (
-    DEFAULT_MODE_CAP,
-    SPECIES,
-    FockVector,
-    OperatorPoly,
-    apply_poly,
-    parity_signs,
-    physical_registry,
-    standard_registry,
-    vacuum,
-)
+from .fock import DEFAULT_MODE_CAP, FockVector, parity_signs, physical_registry
 from .lattice import LatticeSpec, Site
 from .tensors import FPEPSTensor, stack_sets
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
-
-
-def bond_h(site: Site, lattice: LatticeSpec) -> OperatorPoly:
-    """Horizontal entangling bond leaving ``site`` to the right."""
-    s = lattice.wrap(site)
-    t = lattice.right(s)
-    return OperatorPoly.from_terms([
-        (SQRT_HALF, ()),
-        (SQRT_HALF, ((("beta", s), True), (("alpha", t), True))),
-    ])
-
-
-def bond_v(site: Site, lattice: LatticeSpec) -> OperatorPoly:
-    """Vertical entangling bond leaving ``site`` upward (v + 1)."""
-    s = lattice.wrap(site)
-    t = lattice.north(s)
-    return OperatorPoly.from_terms([
-        (SQRT_HALF, ()),
-        (SQRT_HALF, ((("delta", s), True), (("gamma", t), True))),
-    ])
-
-
-def entry_monomial(site: Site, index) -> tuple:
-    """The word a^dag^k alpha^l beta^r gamma^u delta^d of entry A[k, l, r, u, d]."""
-    return tuple(((sp_, site), sp_ == "a") for sp_, bit in zip(SPECIES, index) if bit)
-
-
-def projector_q(site: Site, tensor: FPEPSTensor) -> OperatorPoly:
-    """Local projector built from a coefficient tensor."""
-    return OperatorPoly.from_terms(
-        (coeff, entry_monomial(site, idx)) for idx, coeff in tensor.nonzero_items()
-    )
 
 
 @cache
@@ -89,7 +52,7 @@ def site_signs() -> np.ndarray:
     """Signs s[k, l, r, u, d] = <k 0000| monomial |0 l r u d> on one site.
 
     The five modes are ordered (a, alpha, beta, gamma, delta), as in the
-    standard registry, so ``A * s`` are the matrix elements of ``Q``
+    registry, so ``A * s`` are the matrix elements of ``Q``
     between the site's auxiliary occupations and its physical one.  The
     ``n = l + r + u + d`` annihilators empty the creators in creation order,
     which reverses a word of ``n`` fermion operators: ``(-1)^(n(n-1)/2)``.
@@ -161,32 +124,31 @@ class _ActiveState:
 def _plan(lattice: LatticeSpec):
     """Each site's projector step in action order, and the peak live width.
 
-    A step is the site's index in M order, the registry positions of its
-    ``a`` and ``alpha`` modes, and the bonds to open before its projector.
+    A step is the site's index m in M order, the registry positions of its
+    ``a`` and ``alpha`` modes (m and N + 4m), and the bonds to open before
+    its projector.  A bond is opened by the first of its two sites to act.
+    A horizontal bond pairs ``beta`` (quadruple offset 1) of its source
+    with ``alpha`` (offset 0) of its target, a vertical one ``delta`` (3)
+    with ``gamma`` (2).
     """
-    registry = standard_registry(lattice)
+    n = lattice.n_sites
+    right, left = lattice.shifted(1, 0).tolist(), lattice.shifted(-1, 0).tolist()
+    north, south = lattice.shifted(0, 1).tolist(), lattice.shifted(0, -1).tolist()
     opened: set = set()
     steps = []
     live = width = 0
-    for site in reversed(lattice.sites()):
+    for m in reversed(range(n)):
         bonds = []
-        for kind, source, target in (
-            ("h", site, lattice.right(site)),              # provides beta(site)
-            ("h", lattice.left(site), site),               # provides alpha(site)
-            ("v", site, lattice.north(site)),              # provides delta(site)
-            ("v", lattice.south(site), site),              # provides gamma(site)
-        ):
-            if (kind, source) in opened:
-                continue
-            opened.add((kind, source))
-            first, second = ("beta", "alpha") if kind == "h" else ("delta", "gamma")
-            bonds.append((registry.position((first, source)),
-                          registry.position((second, target))))
+        # (alpha or gamma offset of the bond kind, source site, target site)
+        for o, source, target in ((0, m, right[m]), (0, left[m], m),
+                                  (2, m, north[m]), (2, south[m], m)):
+            if (o, source) not in opened:
+                opened.add((o, source))
+                bonds.append((n + 4 * source + o + 1, n + 4 * target + o))
         live += 2 * len(bonds)
         width = max(width, live)
         live -= 3  # four auxiliary modes leave, the physical one joins
-        steps.append((lattice.site_index(site), registry.position(("a", site)),
-                      registry.position(("alpha", site)), tuple(bonds)))
+        steps.append((m, m, n + 4 * m, tuple(bonds)))
     return tuple(steps), width
 
 
@@ -236,25 +198,3 @@ def build_fpeps(
     amps = build_stack(lattice, *stack_sets(lattice.sites(), [tensors]), cap)
     return FockVector(physical_registry(lattice), amps[0])
 
-
-def build_fpeps_reference(
-    lattice: LatticeSpec,
-    tensors: dict[Site, FPEPSTensor],
-    cap: int = DEFAULT_MODE_CAP,
-) -> FockVector:
-    """Slow full-registry construction used to cross-check ``build_fpeps``."""
-    total_modes = 5 * lattice.n_sites
-    if total_modes > cap:
-        raise ResourceLimitError(
-            f"{total_modes} combined modes exceed the dense cap of {cap}"
-        )
-    registry = standard_registry(lattice)
-    state = vacuum(registry, cap=cap)
-    for site in lattice.sites():
-        state = apply_poly(state, bond_h(site, lattice))
-        state = apply_poly(state, bond_v(site, lattice))
-    for site in reversed(lattice.sites()):
-        state = apply_poly(state, projector_q(site, tensors[site]))
-    n_phys = lattice.n_sites
-    phys_amps = state.amplitudes[: 1 << n_phys].copy()
-    return FockVector(physical_registry(lattice), phys_amps)

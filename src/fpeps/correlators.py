@@ -24,8 +24,10 @@ phi -> 2 pi - phi, so the product runs over one quarter of the phi1 nodes
 and adds their three images: allowed entries get four times the quarter's
 sum and forbidden-parity entries are exactly 0.0.
 ``grid_size`` is the minimum number of nodes per axis.  A plain uniform
-grid sum would instead give the finite-torus correlator
-(``torus_correlator``), whose image corrections decay only like 1/grid^2.
+grid sum would instead give the finite-torus correlator, whose image
+corrections decay only like 1/grid^2; the tests read it off the ground-state
+displacement array of ``fpeps.critical.ground_state_blocks``
+(``torus_correlator`` in ``tests/gaussian_reference.py``).
 
 ``correlator_residue`` and the ``residue`` column of ``correlation_scan``
 close the inner integral around the single pole inside the unit circle and
@@ -50,7 +52,6 @@ import math
 
 import numpy as np
 
-from .critical import ground_state_blocks
 from .errors import MAX_FLOATS, ContractViolationError, NumericalValidityError, refuse_over_limit
 
 MIN_GRID = 101
@@ -254,20 +255,6 @@ def correlator_numeric(n1: int, n2: int, kind: str, grid_size: int = 401) -> flo
     entry.
     """
     return float(_rule_values([(n1, n2, kind)], grid_size)[0])
-
-
-def torus_correlator(n1: int, n2: int, kind: str, grid_size: int = 401) -> float:
-    """Exact correlator of a finite grid x grid torus (via FFT).
-
-    It differs from the continuum value by image sums of order 1/grid^2.
-    Kinds ``p`` and ``q`` are the type-(1, 1) and type-(1, 2) entries of the
-    ground-state displacement array, so an odd grid never meets the
-    singular set.
-    """
-    _check_grid(grid_size)
-    _check_kind(kind)
-    block = ground_state_blocks(grid_size)[n1 % grid_size, n2 % grid_size]
-    return float(block[0, 0] if kind == "p" else block[0, 1])
 
 
 def _residue_panels(n_max):

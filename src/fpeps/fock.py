@@ -8,11 +8,14 @@ Jordan-Wigner sign ``(-1)^(number of occupied modes before j)``.
 
 Everything here is exact dense linear algebra on ``complex128`` amplitude
 vectors; it is the ground truth the tensor-network and covariance-matrix
-code is tested against.
+code is tested against.  Operator polynomials over the full mode registry,
+the vacuum they act on, single Majorana vectors and the many-body gap are
+used by the tests alone and live in ``tests/fock_reference.py``, on the
+same ladder kernel ``_flip``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,11 +28,12 @@ from .errors import (
 from .lattice import LatticeSpec, Site
 
 DEFAULT_MODE_CAP = 24
-# The many-body solvers hold H as a dense matrix and diagonalise its two
-# parity sectors.  At this cap, 4096 states on 2 cores, a solve takes 10-11 s
-# and 500-515 MiB RSS (ARPACK took 0.4 s and 105 MiB); 10 modes take 0.2 s,
-# and the package itself solves at most the 3x3 parent's 9 modes.
-DEFAULT_DIAG_CAP = 12
+# The many-body solver holds H as a dense matrix and diagonalises its two
+# parity sectors.  The cap is the largest size anything runs: the package
+# solves at most the 3x3 parent's 9 modes and the tests 10 modes (1024
+# states, 0.2 s on 2 cores).  12 modes, 4096 states, took 10-11 s and
+# 500-515 MiB RSS.
+DEFAULT_DIAG_CAP = 10
 ANTISYM_TILE = 128
 
 SPECIES = ("a", "alpha", "beta", "gamma", "delta")
@@ -65,40 +69,18 @@ class ModeRegistry:
     """Fixed total ordering of labeled fermionic modes."""
 
     labels: tuple[ModeLabel, ...]
-    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        idx = {label: i for i, label in enumerate(self.labels)}
-        if len(idx) != len(self.labels):
+        if len(set(self.labels)) != len(self.labels):
             raise ContractViolationError("duplicate mode labels in registry")
-        object.__setattr__(self, "_index", idx)
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def position(self, label: ModeLabel) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise ContractViolationError(f"unknown mode label {label!r}") from None
 
 
 def physical_registry(lattice: LatticeSpec) -> ModeRegistry:
     """Physical modes only, ordered by M(h, v)."""
     return ModeRegistry(tuple(("a", s) for s in lattice.sites()))
-
-
-def standard_registry(lattice: LatticeSpec) -> ModeRegistry:
-    """Physical modes first (by M), then per-site auxiliary quadruples.
-
-    The auxiliary groups are site-major in M order with the fixed internal
-    order (alpha, beta, gamma, delta), so projecting all auxiliary modes onto
-    the empty occupation is a contiguous slice of the amplitude array.
-    """
-    labels: list[ModeLabel] = [("a", s) for s in lattice.sites()]
-    for s in lattice.sites():
-        labels.extend((sp_, s) for sp_ in ("alpha", "beta", "gamma", "delta"))
-    return ModeRegistry(tuple(labels))
 
 
 @dataclass
@@ -145,33 +127,6 @@ def normalized_overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(np.vecdot(a, b)) / (na * nb)
 
 
-@dataclass(frozen=True)
-class OperatorPoly:
-    """Sum of scalar-weighted monomials in creation/annihilation operators.
-
-    Each monomial is a tuple of ``(label, is_creation)`` factors; factors act
-    right to left exactly as written, with no implicit normal ordering.
-    """
-
-    terms: tuple[tuple[complex, tuple[tuple[ModeLabel, bool], ...]], ...]
-
-    @classmethod
-    def from_terms(cls, terms) -> "OperatorPoly":
-        return cls(tuple((complex(c), tuple(m)) for c, m in terms))
-
-
-def vacuum(registry: ModeRegistry, cap: int = DEFAULT_MODE_CAP) -> FockVector:
-    """All-modes-empty state."""
-    n = len(registry)
-    if n == 0:
-        raise ContractViolationError("empty registry")
-    if n > cap:
-        raise ResourceLimitError(f"{n} modes exceed the dense-vector cap of {cap}")
-    amps = np.zeros(1 << n, dtype=complex)
-    amps[0] = 1.0
-    return FockVector(registry, amps)
-
-
 # (up, down) of c^(1) = a^dag + a and c^(2) = -i (a^dag - a) for _flip;
 # a^dag is (1, 0) and a is (0, 1)
 _MAJORANA = ((1, 1), (-1j, 1j))
@@ -191,30 +146,6 @@ def _flip(amps: np.ndarray, pos: int, up, down) -> np.ndarray:
     if down:
         out[:, 0] = down * signs * view[:, 1]
     return out.reshape(-1)
-
-
-def apply_poly(state: FockVector, op: OperatorPoly) -> FockVector:
-    """Linear action of an operator polynomial on a state."""
-    reg = state.registry
-    result = np.zeros_like(state.amplitudes)
-    for coeff, monomial in op.terms:
-        work = state.amplitudes
-        for label, create in reversed(monomial):
-            work = _flip(work, reg.position(label), *((1, 0) if create else (0, 1)))
-            if not work.any():
-                break
-        result += coeff * work
-    return FockVector(reg, result)
-
-
-def majorana_vector(state: FockVector, pos: int, which: int) -> np.ndarray:
-    """Amplitudes of c^(which)_pos |state>, which in {1, 2}.
-
-    c^(1) = a^dag + a and c^(2) = -i (a^dag - a).
-    """
-    if which not in (1, 2):
-        raise ContractViolationError(f"Majorana type must be 1 or 2, got {which}")
-    return _flip(state.amplitudes, pos, *_MAJORANA[which - 1])
 
 
 def covariance_matrix(state: FockVector) -> np.ndarray:
@@ -301,10 +232,3 @@ def exact_ground_state(h: np.ndarray, registry: ModeRegistry) -> tuple[float, Fo
     amps[states] = v[:, 0]
     return float(w[0]), FockVector(registry, amps)
 
-
-def many_body_gap(h: np.ndarray, registry: ModeRegistry) -> float:
-    """E_1 - E_0 of the dense quadratic Hamiltonian, from the two lowest
-    levels of each parity sector."""
-    w = np.sort(np.concatenate([np.linalg.eigvalsh(block)[:2]
-                                for _, block in _parity_sectors(h, len(registry))]))
-    return float(w[1] - w[0])

@@ -60,11 +60,6 @@ class MajoranaCM:
             raise ContractViolationError("covariance matrix must be antisymmetric")
         object.__setattr__(self, "matrix", mat)
 
-    def purity_defect(self) -> float:
-        """max |Gamma^2 + 1|; ~0 for pure Gaussian states."""
-        mat = self.matrix
-        return float(np.max(np.abs(mat @ mat + np.eye(mat.shape[0]))))
-
 
 @dataclass(frozen=True)
 class GaussianChannel:
@@ -246,24 +241,6 @@ def _circulant(T: np.ndarray, shape: tuple[int, int] | None = None) -> np.ndarra
     return pair.transpose(2, 0, 3, 4, 1, 5).reshape(width * m, width * m)
 
 
-def blocks_from_matrix(matrix: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
-    """Momentum blocks of a circulant qp-ordered lattice matrix.
-
-    Returns a complex ``(n_sites, w, w)`` stack in ``lattice.momenta()``
-    order, ``w`` being the number of Majorana components per site.  The
-    input must be translationally invariant; displacement data is read off
-    site (1, 1).
-    """
-    n_h, n_v = lattice.n_h, lattice.n_v
-    matrix = np.asarray(matrix)
-    s = matrix.shape[0] // (2 * n_h * n_v)
-    # row of site (1, 1): [r, mu, c, (dv, dh), nu] -> T[dh, dv, (r, mu), (c, nu)]
-    row = matrix.reshape(2, n_h * n_v, s, 2, n_h * n_v, s)[:, 0]
-    T = row.reshape(2, s, 2, n_v, n_h, s).transpose(4, 3, 0, 1, 2, 5)
-    hat = np.fft.fft2(T.reshape(n_h, n_v, 2 * s, 2 * s), axes=(0, 1))
-    return hat.swapaxes(0, 1).reshape(-1, 2 * s, 2 * s)
-
-
 def displacements(blocks: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
     """Real displacement array ``T[dh, dv, a, b]`` of a momentum-block stack.
 
@@ -287,7 +264,8 @@ def displacements(blocks: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
 
 
 def matrix_from_blocks(blocks: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
-    """Real inverse of :func:`blocks_from_matrix` (exact on the torus)."""
+    """Real qp-ordered lattice matrix of an ``(n_sites, w, w)`` momentum-block
+    stack: the inverse block Fourier transform, exact on the torus."""
     return _circulant(displacements(blocks, lattice))
 
 
@@ -404,17 +382,6 @@ def _harmonic_table(A: bytes, B: bytes, D: bytes) -> np.ndarray:
     table = np.fft.fft2(np.stack([r00.imag, q, d])) / 25
     table.flags.writeable = False
     return table
-
-
-def eq9_gamma_hat(p: float, q: complex, d: float) -> np.ndarray:
-    """Real 4x4 momentum block over the paired (phi, -phi) real modes."""
-    a, b, c = q.real / d, q.imag / d, p / d
-    return np.array([
-        [0.0, a, -b, c],
-        [-a, 0.0, c, b],
-        [b, -c, 0.0, a],
-        [-c, -b, -a, 0.0],
-    ])
 
 
 def g_hat(p, q, d) -> np.ndarray:

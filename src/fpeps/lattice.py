@@ -33,11 +33,6 @@ class LatticeSpec:
     def n_sites(self) -> int:
         return self.n_h * self.n_v
 
-    def site_index(self, site: Site) -> int:
-        """Zero-based linear index of ``site`` (M(h, v) - 1)."""
-        h, v = self.wrap(site)
-        return (v - 1) * self.n_h + (h - 1)
-
     def wrap(self, site: Site) -> Site:
         h, v = site
         return ((h - 1) % self.n_h + 1, (v - 1) % self.n_v + 1)
@@ -45,23 +40,6 @@ class LatticeSpec:
     def sites(self) -> list[Site]:
         """All sites in M order."""
         return [(h, v) for v in range(1, self.n_v + 1) for h in range(1, self.n_h + 1)]
-
-    def right(self, site: Site) -> Site:
-        h, v = site
-        return self.wrap((h + 1, v))
-
-    def left(self, site: Site) -> Site:
-        h, v = site
-        return self.wrap((h - 1, v))
-
-    def north(self, site: Site) -> Site:
-        """Neighbor reached by the vertical bond leaving ``site`` (v + 1)."""
-        h, v = site
-        return self.wrap((h, v + 1))
-
-    def south(self, site: Site) -> Site:
-        h, v = site
-        return self.wrap((h, v - 1))
 
     def shifted(self, dh: int, dv: int) -> np.ndarray:
         """Zero-based indices of the sites displaced by ``(dh, dv)``, as an (N,) array in M order."""

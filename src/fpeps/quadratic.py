@@ -33,7 +33,6 @@ from .gaussian import (
     _circulant,
     g_hat,
     gamma_out_hat,
-    matrix_from_blocks,
 )
 from .lattice import LatticeSpec
 
@@ -90,11 +89,6 @@ class QuadraticHamiltonian:
         # einsum sums over the blocks in insertion order
         blocks = np.array(list(self.blocks.values())).reshape(-1, 2, 2)
         return np.einsum("...m,mab->...ab", phase, blocks)
-
-    def locality_radius(self) -> int:
-        if not self.blocks:
-            return 0
-        return max(max(abs(dh), abs(dv)) for dh, dv in self.blocks)
 
     def materialize(self, lattice: LatticeSpec) -> np.ndarray:
         """Full real antisymmetric coefficient matrix on a torus (qp order)."""
@@ -231,26 +225,9 @@ def single_particle_spectrum(
     return list(zip(zip(*momenta.T.tolist()), eps.tolist())), float(eps.min())
 
 
-def filled_branch_energy(ham: QuadraticHamiltonian, lattice: LatticeSpec) -> float:
-    """Sum over momenta of the negative single-particle branch."""
-    spectrum, _ = single_particle_spectrum(ham, lattice)
-    return -sum(e for _, e in spectrum)
-
-
 def energy_expectation(h_full: np.ndarray, gamma: MajoranaCM) -> float:
     """<H> of a Gaussian state: -tr(h Gamma)."""
     return float(-np.trace(h_full @ gamma.matrix))
-
-
-def ground_state_cm(ham: QuadraticHamiltonian, lattice: LatticeSpec) -> MajoranaCM:
-    """Covariance matrix of the filled negative branch, g_hat = -h_hat/eps."""
-    momenta = lattice.momenta()
-    hh = ham.h_hat(momenta)
-    eps = _positive_branch(hh)
-    if np.any(eps < 1e-12):
-        phi = tuple(momenta[np.argmax(eps < 1e-12)].tolist())
-        raise ZeroNormError(f"gapless momentum {phi}: ground covariance undefined", momenta=[phi])
-    return MajoranaCM(matrix_from_blocks(-hh / eps[:, None, None], lattice))
 
 
 def ground_state_cm_consistency(channel: GaussianChannel, lattice: LatticeSpec) -> float:

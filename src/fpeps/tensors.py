@@ -45,12 +45,6 @@ class FPEPSTensor:
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
 
-    def nonzero_items(self):
-        """(index, value) of every nonzero entry, in C order."""
-        nonzero = self.entries != 0
-        for idx, val in zip(np.argwhere(nonzero).tolist(), self.entries[nonzero].tolist()):
-            yield tuple(idx), val
-
     @classmethod
     def random(cls, rng: np.random.Generator, parity: int = 0) -> "FPEPSTensor":
         """Standard complex normal entries on the 16 parity-allowed indices.

@@ -1,0 +1,198 @@
+"""The Fock-space oracle route: the reference of ``fpeps.build``.
+
+Operator polynomials act on dense vectors over the full mode registry, with
+the package's one ladder kernel ``fpeps.fock._flip``.  ``standard_registry``
+puts the physical modes first, in M order, then one auxiliary quadruple
+(alpha, beta, gamma, delta) per site in M order: ``a`` of site m at position
+m and species s of its quadruple at ``N + 4m + s``, the layout that
+``fpeps.build._plan`` computes directly.  ``label_plan`` is that plan read
+off the registry by label, and ``build_fpeps_reference`` composes every
+bond, then every projector in descending M, and projects the auxiliary modes
+onto empty, a contiguous slice of the amplitudes.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from fpeps.errors import ContractViolationError, ResourceLimitError
+from fpeps.fock import (
+    _MAJORANA,
+    DEFAULT_MODE_CAP,
+    SPECIES,
+    FockVector,
+    ModeLabel,
+    ModeRegistry,
+    _flip,
+    _parity_sectors,
+    physical_registry,
+)
+from fpeps.lattice import LatticeSpec, Site
+from fpeps.tensors import FPEPSTensor
+
+SQRT_HALF = 1.0 / np.sqrt(2.0)
+
+
+def standard_registry(lattice: LatticeSpec) -> ModeRegistry:
+    """Physical modes first (by M), then per-site auxiliary quadruples.
+
+    The auxiliary groups are site-major in M order with the fixed internal
+    order (alpha, beta, gamma, delta), so projecting all auxiliary modes onto
+    the empty occupation is a contiguous slice of the amplitude array.
+    """
+    labels: list[ModeLabel] = [("a", s) for s in lattice.sites()]
+    for s in lattice.sites():
+        labels.extend((sp_, s) for sp_ in ("alpha", "beta", "gamma", "delta"))
+    return ModeRegistry(tuple(labels))
+
+
+def position(registry: ModeRegistry, label: ModeLabel) -> int:
+    """Registry position of a mode label; an unknown label is refused."""
+    try:
+        return registry.labels.index(label)
+    except ValueError:
+        raise ContractViolationError(f"unknown mode label {label!r}") from None
+
+
+@dataclass(frozen=True)
+class OperatorPoly:
+    """Sum of scalar-weighted monomials in creation/annihilation operators.
+
+    Each monomial is a tuple of ``(label, is_creation)`` factors; factors act
+    right to left exactly as written, with no implicit normal ordering.
+    """
+
+    terms: tuple[tuple[complex, tuple[tuple[ModeLabel, bool], ...]], ...]
+
+    @classmethod
+    def from_terms(cls, terms) -> "OperatorPoly":
+        return cls(tuple((complex(c), tuple(m)) for c, m in terms))
+
+
+def vacuum(registry: ModeRegistry) -> FockVector:
+    """All-modes-empty state; more than DEFAULT_MODE_CAP modes are refused."""
+    n = len(registry)
+    if n == 0:
+        raise ContractViolationError("empty registry")
+    if n > DEFAULT_MODE_CAP:
+        raise ResourceLimitError(f"{n} modes exceed the dense-vector cap of {DEFAULT_MODE_CAP}")
+    amps = np.zeros(1 << n, dtype=complex)
+    amps[0] = 1.0
+    return FockVector(registry, amps)
+
+
+def apply_poly(state: FockVector, op: OperatorPoly) -> FockVector:
+    """Linear action of an operator polynomial on a state."""
+    reg = state.registry
+    result = np.zeros_like(state.amplitudes)
+    for coeff, monomial in op.terms:
+        work = state.amplitudes
+        for label, create in reversed(monomial):
+            work = _flip(work, position(reg, label), *((1, 0) if create else (0, 1)))
+            if not work.any():
+                break
+        result += coeff * work
+    return FockVector(reg, result)
+
+
+def majorana_vector(state: FockVector, pos: int, which: int) -> np.ndarray:
+    """Amplitudes of c^(which)_pos |state>, which in {1, 2}.
+
+    c^(1) = a^dag + a and c^(2) = -i (a^dag - a).
+    """
+    if which not in (1, 2):
+        raise ContractViolationError(f"Majorana type must be 1 or 2, got {which}")
+    return _flip(state.amplitudes, pos, *_MAJORANA[which - 1])
+
+
+def many_body_gap(h: np.ndarray, registry: ModeRegistry) -> float:
+    """E_1 - E_0 of the dense quadratic Hamiltonian, from the two lowest
+    levels of each parity sector."""
+    w = np.sort(np.concatenate([np.linalg.eigvalsh(block)[:2]
+                                for _, block in _parity_sectors(h, len(registry))]))
+    return float(w[1] - w[0])
+
+
+def nonzero_items(tensor: FPEPSTensor):
+    """(index, value) of every nonzero entry of a site tensor, in C order."""
+    nonzero = tensor.entries != 0
+    for idx, val in zip(np.argwhere(nonzero).tolist(), tensor.entries[nonzero].tolist()):
+        yield tuple(idx), val
+
+
+def bond_h(site: Site, lattice: LatticeSpec) -> OperatorPoly:
+    """Horizontal entangling bond leaving ``site`` to the right."""
+    h, v = lattice.wrap(site)
+    return OperatorPoly.from_terms([
+        (SQRT_HALF, ()),
+        (SQRT_HALF, ((("beta", (h, v)), True), (("alpha", lattice.wrap((h + 1, v))), True))),
+    ])
+
+
+def bond_v(site: Site, lattice: LatticeSpec) -> OperatorPoly:
+    """Vertical entangling bond leaving ``site`` upward (v + 1)."""
+    h, v = lattice.wrap(site)
+    return OperatorPoly.from_terms([
+        (SQRT_HALF, ()),
+        (SQRT_HALF, ((("delta", (h, v)), True), (("gamma", lattice.wrap((h, v + 1))), True))),
+    ])
+
+
+def entry_monomial(site: Site, index) -> tuple:
+    """The word a^dag^k alpha^l beta^r gamma^u delta^d of entry A[k, l, r, u, d]."""
+    return tuple(((sp_, site), sp_ == "a") for sp_, bit in zip(SPECIES, index) if bit)
+
+
+def projector_q(site: Site, tensor: FPEPSTensor) -> OperatorPoly:
+    """Local projector built from a coefficient tensor."""
+    return OperatorPoly.from_terms(
+        (coeff, entry_monomial(site, idx)) for idx, coeff in nonzero_items(tensor)
+    )
+
+
+def build_fpeps_reference(lattice: LatticeSpec, tensors: dict[Site, FPEPSTensor]) -> FockVector:
+    """Slow full-registry construction used to cross-check ``build_fpeps``."""
+    state = vacuum(standard_registry(lattice))
+    for site in lattice.sites():
+        state = apply_poly(state, bond_h(site, lattice))
+        state = apply_poly(state, bond_v(site, lattice))
+    for site in reversed(lattice.sites()):
+        state = apply_poly(state, projector_q(site, tensors[site]))
+    phys_amps = state.amplitudes[: 1 << lattice.n_sites].copy()
+    return FockVector(physical_registry(lattice), phys_amps)
+
+
+def label_plan(lattice: LatticeSpec):
+    """``fpeps.build._plan`` with every position looked up by mode label.
+
+    Each site's step, in action order, is its index in M order, the
+    positions of its ``a`` and ``alpha`` modes and the bonds to open before
+    its projector; the second value is the peak live width.
+    """
+    registry = standard_registry(lattice)
+    sites = lattice.sites()
+    opened: set = set()
+    steps = []
+    live = width = 0
+    for site in reversed(sites):
+        h, v = site
+        bonds = []
+        for kind, source, target in (
+            ("h", site, lattice.wrap((h + 1, v))),         # provides beta(site)
+            ("h", lattice.wrap((h - 1, v)), site),         # provides alpha(site)
+            ("v", site, lattice.wrap((h, v + 1))),         # provides delta(site)
+            ("v", lattice.wrap((h, v - 1)), site),         # provides gamma(site)
+        ):
+            if (kind, source) in opened:
+                continue
+            opened.add((kind, source))
+            first, second = ("beta", "alpha") if kind == "h" else ("delta", "gamma")
+            bonds.append((position(registry, (first, source)),
+                          position(registry, (second, target))))
+        live += 2 * len(bonds)
+        width = max(width, live)
+        live -= 3  # four auxiliary modes leave, the physical one joins
+        steps.append((sites.index(site), position(registry, ("a", site)),
+                      position(registry, ("alpha", site)), tuple(bonds)))
+    return tuple(steps), width

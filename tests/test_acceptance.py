@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+from gaussian_reference import filled_branch_energy
 from fpeps.build import build_fpeps
 from fpeps.contraction import contract_peps
 from fpeps.correlators import (
@@ -43,7 +44,6 @@ from fpeps.mapping import map_tensor_set
 from fpeps.quadratic import (
     dirac_to_majorana,
     energy_expectation,
-    filled_branch_energy,
     ground_state_cm_consistency,
     majorana_to_dirac,
     parent_hamiltonian,

@@ -2,15 +2,19 @@
 import numpy as np
 import pytest
 
-from fpeps.build import (
+from fock_reference import (
+    apply_poly,
     bond_h,
     bond_v,
-    build_fpeps,
     build_fpeps_reference,
+    label_plan,
     projector_q,
+    standard_registry,
+    vacuum,
 )
+from fpeps.build import _plan, build_fpeps
 from fpeps.errors import ContractViolationError, ResourceLimitError
-from fpeps.fock import ModeRegistry, apply_poly, covariance_matrix, vacuum
+from fpeps.fock import ModeRegistry, covariance_matrix
 from fpeps.lattice import LatticeSpec
 from fpeps.tensors import FPEPSTensor
 
@@ -141,8 +145,6 @@ def test_parity_superselection():
 
 def test_even_projectors_commute():
     # applying the site projectors in two different orders gives equal states
-    from fpeps.fock import standard_registry
-
     lattice = LatticeSpec(1, 2)
     rng = np.random.default_rng(9)
     tensors = {s: FPEPSTensor.random(rng, parity=0) for s in lattice.sites()}
@@ -160,6 +162,15 @@ def test_even_projectors_commute():
         projector_q((1, 1), tensors[(1, 1)]),
     )
     assert np.max(np.abs(order_a.amplitudes - order_b.amplitudes)) < 1e-12
+
+
+def test_plan_is_the_label_based_plan():
+    # registry positions by layout arithmetic: the same steps and peak width
+    # as label lookups, so build_stack runs the same products
+    for n_h in range(1, 7):
+        for n_v in range(1, 7):
+            lattice = LatticeSpec(n_h, n_v)
+            assert _plan(lattice) == label_plan(lattice)
 
 
 def test_missing_site_raises():

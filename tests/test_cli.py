@@ -617,6 +617,7 @@ for argv in (["verify", "--suite", "mapping", "--sets", "6"],
     assert fpeps.cli.main(argv + ["--out", out]) == 0, argv
 assert fpeps.cli.main(["convert", "--input", convert_input, "--output", out]) == 0
 
+import fock_reference
 from fpeps import build, contraction, critical, fock, gaussian, mapping, quadratic
 from fpeps.errors import ZeroNormError
 from fpeps.lattice import LatticeSpec
@@ -647,7 +648,7 @@ fock.exact_ground_state(h, fock.physical_registry(lattice))
 h = np.random.default_rng(5).standard_normal((20, 20))
 registry = fock.physical_registry(LatticeSpec(5, 2))  # 10 modes, 1024 states
 fock.exact_ground_state(h - h.T, registry)
-fock.many_body_gap(h - h.T, registry)
+fock_reference.many_body_gap(h - h.T, registry)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
@@ -657,8 +658,11 @@ def test_commands_load_no_scipy(tmp_path):
     # the README correlation tables among them, both sides of apply_channel's
     # small-determinant branch, the 3x3 example's build, mapping, contraction,
     # covariance and parent ground state, a 10-mode ground state and gap, and
-    # `python -m fpeps`, stays without it
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    # `python -m fpeps`, stays without it; the gap solve is the tests' own
+    # (fock_reference), so tests/ joins the path
+    tests = Path(__file__).parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(cli.__file__).parents[1]),
+                                                        str(tests)])}
     lattice = LatticeSpec(2, 1)
     rng = np.random.default_rng(3)
     src = tmp_path / "fpeps.json"

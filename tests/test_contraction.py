@@ -77,7 +77,8 @@ def full_einsum(lattice, tensors):
     north = {s: next(letters) for s in lattice.sites()}
     operands = []
     for s in lattice.sites():
-        left, south = right[lattice.left(s)], north[lattice.south(s)]
+        h, v = s
+        left, south = right[lattice.wrap((h - 1, v))], north[lattice.wrap((h, v - 1))]
         operands += [tensors[s].entries,
                      phys[s] + left + right[s] + south + north[s]]
     # amplitude index: site M on bit M - 1, so the last site is the first axis

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from gaussian_reference import torus_correlator
 from fpeps import correlators
 from fpeps.cli import main
 from fpeps.correlators import (
@@ -15,7 +16,6 @@ from fpeps.correlators import (
     correlator_numeric,
     correlator_residue,
     fitted_scale,
-    torus_correlator,
     _axis_rule,
     _fourier_rows,
     _quarter_edges,

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fock_reference import OperatorPoly, apply_poly, majorana_vector, many_body_gap, vacuum
 from fpeps.errors import (
     ContractViolationError,
     ResourceLimitError,
@@ -14,17 +15,12 @@ from fpeps.fock import (
     FockVector,
     antisymmetry_defect,
     ModeRegistry,
-    OperatorPoly,
     _parity_sectors,
-    apply_poly,
     covariance_matrix,
     exact_ground_state,
-    majorana_vector,
-    many_body_gap,
     normalized_overlaps,
     parity_signs,
     quadratic_operator,
-    vacuum,
 )
 
 
@@ -280,10 +276,12 @@ def test_quadratic_refuses_zero_modes():
 
 
 def test_diagonalization_cap():
-    with pytest.raises(ResourceLimitError):
-        exact_ground_state(np.zeros((26, 26)), reg(13))
-    with pytest.raises(ResourceLimitError):
-        quadratic_operator(np.zeros((26, 26)), 13)
+    # one mode over the cap, and more
+    for n in (11, 13):
+        with pytest.raises(ResourceLimitError):
+            exact_ground_state(np.zeros((2 * n, 2 * n)), reg(n))
+        with pytest.raises(ResourceLimitError):
+            quadratic_operator(np.zeros((2 * n, 2 * n)), n)
 
 
 @pytest.mark.parametrize("n", [1, 2, ANTISYM_TILE - 1, ANTISYM_TILE, ANTISYM_TILE + 1, 300])

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from gaussian_reference import blocks_from_matrix, eq9_gamma_hat, purity_defect
 from fpeps.critical import example_channel
 from fpeps.errors import ContractViolationError, NumericalValidityError, ZeroNormError
 from fpeps.gaussian import (
@@ -12,8 +13,6 @@ from fpeps.gaussian import (
     _harmonic_table,
     _rcond,
     apply_channel,
-    blocks_from_matrix,
-    eq9_gamma_hat,
     fourier_bond,
     g_hat,
     gamma_out_hat,
@@ -47,7 +46,7 @@ def test_channel_validation_rejects_bad_blocks():
 def test_lattice_bond_cm_is_pure_and_antisymmetric():
     for shape in [(1, 1), (2, 1), (2, 2), (3, 3)]:
         cm = lattice_bond_cm(LatticeSpec(*shape))
-        assert cm.purity_defect() < 1e-12
+        assert purity_defect(cm.matrix) < 1e-12
 
 
 def test_lattice_bond_cm_single_bond_block():
@@ -75,17 +74,19 @@ def test_momenta_are_float_rows_in_m_order(shape):
     lattice = LatticeSpec(*shape)
     momenta = lattice.momenta()
     assert momenta.shape == (lattice.n_sites, 2) and momenta.dtype == np.float64
-    for h, v in lattice.sites():
+    sites = lattice.sites()
+    for h, v in sites:
         k_h, k_v = h - 1, v - 1
         want = [2.0 * np.pi * k_h / lattice.n_h, 2.0 * np.pi * k_v / lattice.n_v]
-        assert momenta[lattice.site_index((h, v))].tolist() == want
+        assert momenta[sites.index((h, v))].tolist() == want
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 3), (3, 1), (2, 2), (4, 3), (5, 2)])
 def test_shifted_is_the_wrapped_neighbour_in_m_order(shape):
     lattice = LatticeSpec(*shape)
+    sites = lattice.sites()
     for dh, dv in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        want = [lattice.site_index(lattice.wrap((h + dh, v + dv))) for h, v in lattice.sites()]
+        want = [sites.index(lattice.wrap((h + dh, v + dv))) for h, v in sites]
         assert lattice.shifted(dh, dv).tolist() == want
 
 
@@ -129,7 +130,7 @@ def test_apply_channel_purity_propagation():
     lattice = LatticeSpec(3, 3)
     ch = example_channel().expand_to_lattice(lattice.n_sites)
     out = apply_channel(ch, lattice_bond_cm(lattice))
-    assert out.purity_defect() < 1e-10
+    assert purity_defect(out.matrix) < 1e-10
 
 
 def test_apply_channel_singular_input(vacuum_channel):
@@ -300,10 +301,6 @@ def test_gamma_out_hat_refuses_non_finite_momenta(bad):
     phis[1, 0] = bad
     with pytest.raises(ContractViolationError, match="finite"):
         gamma_out_hat(example_channel(), phis)
-
-
-def purity_defect(g):
-    return np.max(np.abs(g @ g + np.eye(2)))
 
 
 def test_purity_check_valid_and_corrupted():

@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 
+from fock_reference import OperatorPoly, apply_poly, many_body_gap
+from gaussian_reference import filled_branch_energy, ground_state_cm, locality_radius
 from fpeps.critical import (
     block_covariance,
     example_channel,
@@ -12,8 +14,6 @@ from fpeps.errors import ContractViolationError, NumericalValidityError, ZeroNor
 from fpeps.fock import (
     FockVector,
     ModeRegistry,
-    OperatorPoly,
-    apply_poly,
     exact_ground_state,
     physical_registry,
     quadratic_operator,
@@ -27,8 +27,6 @@ from fpeps.quadratic import (
     block_entropy,
     dirac_to_majorana,
     energy_expectation,
-    filled_branch_energy,
-    ground_state_cm,
     ground_state_cm_consistency,
     majorana_to_dirac,
     minimal_triple,
@@ -100,7 +98,7 @@ def test_positive_branch_matches_the_eigensolve():
 
 def test_parent_is_local_radius_one():
     ham = parent_hamiltonian(example_channel(), radius_cap=2)
-    assert ham.locality_radius() == 1
+    assert locality_radius(ham) == 1
     assert set(ham.blocks) == {
         (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1),
     }
@@ -149,7 +147,7 @@ def test_parent_search_draws_no_random_numbers(monkeypatch):
         raise AssertionError("the parent search drew random numbers")
 
     monkeypatch.setattr(np.random, "default_rng", no_draws)
-    assert parent_hamiltonian(example_channel()).locality_radius() == 1
+    assert locality_radius(parent_hamiltonian(example_channel())) == 1
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -289,8 +287,6 @@ def test_ground_state_energy_relations():
 
 def test_one_dimensional_cut_is_gapped():
     # the parent model reduced to a 3x1 ring: too small to be gapless
-    from fpeps.fock import many_body_gap
-
     lattice = LatticeSpec(3, 1)
     ham = parent_hamiltonian(example_channel())
     h_full = ham.materialize(lattice)
