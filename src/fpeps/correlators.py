@@ -20,9 +20,14 @@ resolved.  The integrand is evaluated in a form without cancellation,
 comes out of one separable product E1 (W o F) E2^T (a non-uniform DFT over
 the nodes), streamed over chunks of rows so that no full grid is held.  The
 rule and the integrand are symmetric under phi -> phi + pi and
-phi -> 2 pi - phi, so the product runs over one quarter of the phi1 nodes
-and adds their three images: allowed entries get four times the quarter's
-sum and forbidden-parity entries are exactly 0.0.
+phi -> 2 pi - phi, and for fixed phi1 the phi2 rule maps onto itself under
+phi2 -> pi - phi2, which keeps p/d and flips the sign of q/d: a symmetry
+group of order 8.  So the product runs over one quarter of the phi1 nodes
+and one half of the phi2 nodes, one eighth of the grid, against one
+Fourier row per n2 and kind (the one that does not cancel between the two
+phi2 images), and each allowed entry is eight times its sum.
+Forbidden-parity entries, and "q" entries with n1 or n2 zero, are exactly
+0.0.
 ``grid_size`` is the minimum number of nodes per axis.  A plain uniform
 grid sum would instead give the finite-torus correlator, whose image
 corrections decay only like 1/grid^2; the tests read it off the ground-state
@@ -90,12 +95,17 @@ RESIDUE_ROW_FLOATS = 24
 
 # A rule over k1 x k2 distinct separations holds both axis rules (2 nodes
 # floats per axis), its Fourier rows (3 k x nodes floats per axis while
-# built, over the nodes1 / 4 rows of the folded phi1 axis), two
-# nodes1 / 4 x 2 k2 half sums, at most 8 ROW_CHUNK x nodes2 floats of one
-# chunk of the integrand, and two 2 k1 x 2 k2 sums; above errors.MAX_FLOATS
-# (1 GiB) it is refused unallocated.  Next to those arrays each entry holds
-# its tuple in the caller's list (12.8-16.5 floats by tracemalloc on the
-# three scan directions) and two int64 indices: charged RULE_ENTRY_FLOATS.
+# built or, on the phi2 axis, while the rows of odd n2 swap, over the
+# nodes1 / 4 rows and nodes2 / 2 columns of the folded grid), two
+# nodes1 / 4 x k2 half sums, at most 8 ROW_CHUNK x nodes2 / 2 floats of one
+# chunk of the integrand, and two 2 k1 x k2 sums with the k1 x k2 terms
+# picked from them (6 k1 k2 in all); above errors.MAX_FLOATS (1 GiB) it is
+# refused unallocated.  Next to those arrays each entry holds its tuple in
+# the caller's list (12.8-16.5 floats by tracemalloc on the three scan
+# directions) and two int64 indices: charged RULE_ENTRY_FLOATS.  By
+# tracemalloc the charge is 1.01-1.07 times the peak of _rule_values on the
+# README scans and on axis 1000, and 1.19-1.41 times on diagonal 300 and
+# 800 and n-2n 300.
 RULE_ENTRY_FLOATS = 20
 
 
@@ -131,9 +141,9 @@ def _rule_floats(axes, entries: int, grid_size: int) -> int:
     # a quarter axis has the innermost panel, GRADING_LEVELS graded and the coarse panels
     nodes1, nodes2 = (4 * GAUSS_ORDER * (1 + GRADING_LEVELS + _coarse_panels(n_max, grid_size)[1])
                       for n_max in (n1_max, n2_max))
-    rows1 = nodes1 // 4
-    return (2 * (nodes1 + nodes2) + 3 * (k1 * rows1 + k2 * nodes2) + 4 * rows1 * k2
-            + 8 * ROW_CHUNK * nodes2 + 8 * k1 * k2 + RULE_ENTRY_FLOATS * entries)
+    rows1, cols2 = nodes1 // 4, nodes2 // 2
+    return (2 * (nodes1 + nodes2) + 3 * (k1 * rows1 + k2 * cols2) + 2 * rows1 * k2
+            + 8 * ROW_CHUNK * cols2 + 6 * k1 * k2 + RULE_ENTRY_FLOATS * entries)
 
 
 def _quarter_edges(n_max: int, grid_size: int) -> np.ndarray:
@@ -217,33 +227,55 @@ def _rule_values(entries, grid_size: int) -> np.ndarray:
     phi2, w2 = _axis_rule(_quarter_edges(np.max(np.abs(n2s)), grid_size))
     # fold: both axis rules are invariant under phi -> phi + pi and
     # phi -> 2 pi - phi (mod 2 pi), so every phi1 row is one of the four
-    # images of a row pi/2 + offsets of the first quarter; only those rows
-    # are evaluated
+    # images of a row pi/2 + offsets of the first quarter; the phi2 rule is
+    # also invariant under phi2 -> pi - phi2, which maps its first half, the
+    # segment [pi/2, 3 pi/2], onto the second.  Only those rows and columns,
+    # one eighth of the grid, are evaluated
     quarter = len(phi1) // 4
     phi1, w1 = phi1[:quarter], w1[:quarter]
+    half = len(phi2) // 2
+    phi2, w2 = phi2[:half], w2[:half]
     e1 = _fourier_rows(n1s, phi1, w1)
-    e2 = _fourier_rows(n2s, phi2, w2)
+    # for fixed phi1, phi2 -> pi - phi2 keeps p/d, flips q/d and takes
+    # e^{i n2 phi2} to (-1)^n2 e^{-i n2 phi2}.  So over the full phi2 rule
+    # the p sums against cos(n2 phi2) vanish for odd n2 and those against
+    # sin(n2 phi2) for even n2, the others are twice the half sums, and q is
+    # the other way round.  p takes one row per n2, the cos row of an even
+    # n2 and the sin row of an odd one, and q the other row: the rows of the
+    # odd n2 swap blocks in place
+    odd = n2s % 2 == 1
+    e2 = _fourier_rows(n2s, phi2, w2).reshape(2, len(n2s), -1)
+    swapped = e2[1, odd]
+    np.copyto(e2[1], e2[0], where=odd[:, None])
+    e2[0, odd] = swapped
     # (W o F) E2^T one chunk of phi1 rows at a time, so that no full grid
     # is ever held; then E1 on the left
-    half_p = np.empty((len(phi1), e2.shape[0]))
-    half_q = np.empty((len(phi1), e2.shape[0]))
+    half_p = np.empty((len(phi1), len(n2s)))
+    half_q = np.empty((len(phi1), len(n2s)))
     for lo in range(0, len(phi1), ROW_CHUNK):
         rows = slice(lo, lo + ROW_CHUNK)
-        half_p[rows], half_q[rows] = (f @ e2.T for f in _ratios(phi1[rows], phi2))
+        f_p, f_q = _ratios(phi1[rows], phi2)
+        half_p[rows] = f_p @ e2[0].T
+        half_q[rows] = f_q @ e2[1].T
     sums_p, sums_q = e1 @ half_p, e1 @ half_q
-    # blocks [cos; sin](n1) x [cos; sin](n2): corr_p = -Im and corr_q = Re
-    # of Int (ratio) e^{i n.phi}
-    k1, k2 = len(n1s), len(n2s)
-    im_p = (sums_p[k1:, :k2] + sums_p[:k1, k2:])[at1, at2]
-    re_q = (sums_q[:k1, :k2] - sums_q[k1:, k2:])[at1, at2]
-    # the images add up: (a, b) -> (a + pi, b + pi) multiplies p/d by -1,
+    # rows [cos; sin](n1): corr_p = -Im, from sin(n1) cos(n2) + cos(n1) sin(n2),
+    # and corr_q = Re, from cos(n1) cos(n2) - sin(n1) sin(n2), of
+    # Int (ratio) e^{i n.phi}; one of the two terms is left
+    k1 = len(n1s)
+    im_p = np.where(odd, sums_p[:k1], sums_p[k1:])[at1, at2]
+    re_q = np.where(odd, sums_q[:k1], -sums_q[k1:])[at1, at2]
+    # the phi1 images add up: (a, b) -> (a + pi, b + pi) multiplies p/d by -1,
     # q/d by +1 and e^{i n.phi} by (-1)^(n1+n2); (a, b) -> (2 pi - a, 2 pi - b)
     # does the same to p/d and q/d and conjugates e^{i n.phi}.  So the four
     # images give 4 Im for p with odd n1 + n2 and 4 Re for q with even
-    # n1 + n2, and exactly 0 for the other, forbidden, parity
+    # n1 + n2, and exactly 0 for the other, forbidden, parity.  With the two
+    # phi2 images each allowed entry is 8 times its sum over the eighth.  q/d
+    # is odd under phi2 -> pi - phi2 and under phi1 -> pi - phi1, both
+    # symmetries of the rule, so q is exactly 0 as well where n2 or n1 is 0
     is_p = np.array([e[2] == "p" for e in entries])
-    allowed = (n1s[at1] + n2s[at2]) % 2 == is_p
-    return np.where(allowed, 4.0 * np.where(is_p, -im_p, re_q), 0.0) / (2.0 * math.pi) ** 2
+    n1, n2 = n1s[at1], n2s[at2]
+    allowed = ((n1 + n2) % 2 == is_p) & (is_p | ((n1 != 0) & (n2 != 0)))
+    return np.where(allowed, 8.0 * np.where(is_p, -im_p, re_q), 0.0) / (2.0 * math.pi) ** 2
 
 
 def correlator_numeric(n1: int, n2: int, kind: str, grid_size: int = 401) -> float:
@@ -280,25 +312,27 @@ def _residue_floats(count: int, step: int) -> int:
 def _residue_integrals(n1, n2, cos_coef, sin_coef, order: int) -> np.ndarray:
     """Int_0^{pi/2} tan(phi/2)^n1 cot(phi) (cos_coef cos(n2 phi) + sin_coef sin(n2 phi)).
 
-    Each row gets _residue_panels(max(n1, n2)) equal Gauss-Legendre panels.
+    At most one of cos_coef and sin_coef is nonzero on a row, and only its
+    function is evaluated.  Each row gets _residue_panels(max(n1, n2)) equal Gauss-Legendre panels.
     The rows that share a panel count share their nodes and are evaluated
     as one array; every operation is elementwise or a sum along a row, so
     a row's value does not depend on which rows share its array.
     """
     x, w = _gauss_legendre(order)
     panels = _residue_panels(np.maximum(n1, n2))
+    uses_cos = cos_coef != 0.0
+    coef = np.where(uses_cos, cos_coef, sin_coef)
     sums = np.empty(len(n1))
     for count in sorted(set(panels.tolist())):
-        rows = panels == count
         h = HALF_PI / count
         phi = (h * np.arange(count)[:, None] + 0.5 * h * (x + 1.0)).ravel()
-        angle = np.outer(n2[rows], phi)
-        bracket = (cos_coef[rows, None] * np.cos(angle)
-                   + sin_coef[rows, None] * np.sin(angle))
-        # the pole factor: tan(phi/2) = (1 - cos)/sin without the cancellation
-        # near phi = 0, and tan^n1 cot stays finite where sin^(n1+1) underflows
-        pole = np.tan(0.5 * phi) ** n1[rows, None] / np.tan(phi)
-        sums[rows] = np.sum(pole * bracket * np.tile(0.5 * h * w, count), axis=1)
+        for trig, rows in ((np.cos, (panels == count) & uses_cos),
+                           (np.sin, (panels == count) & ~uses_cos)):
+            bracket = coef[rows, None] * trig(np.outer(n2[rows], phi))
+            # the pole factor: tan(phi/2) = (1 - cos)/sin without the cancellation
+            # near phi = 0, and tan^n1 cot stays finite where sin^(n1+1) underflows
+            pole = np.tan(0.5 * phi) ** n1[rows, None] / np.tan(phi)
+            sums[rows] = np.sum(pole * bracket * np.tile(0.5 * h * w, count), axis=1)
     return sums
 
 

@@ -25,6 +25,7 @@ from fpeps.io import dump_tensor_set, load_peps_set
 from fpeps.lattice import LatticeSpec, parse_lattice
 from fpeps.mapping import map_tensor_set
 from fpeps.tensors import FPEPSTensor
+from test_golden import COMMANDS, GOLDEN
 
 
 def run(argv):
@@ -254,6 +255,35 @@ def test_correlations_repeated_direction_is_config_error(tmp_path, capsys, dirs)
     assert not out.exists()
 
 
+def test_parser_built_once_carries_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    # main parses every command of a process with the one parser
+    assert cli.build_parser() is cli.build_parser()
+    # --dir appends: a second command must not see the first one's --dir
+    axis, diagonal = tmp_path / "axis.csv", tmp_path / "diagonal.csv"
+    assert run(["correlations", "--dir", "axis", "--max-n", "2", "--grid", "101",
+                "--out", str(axis)]) == 0
+    assert run(["correlations", "--dir", "diagonal", "--max-n", "2", "--grid", "101",
+                "--out", str(diagonal)]) == 0
+    rows = list(csv.DictReader(diagonal.read_text().splitlines()))
+    assert {(r["n1"], r["n2"]) for r in rows} == {("1", "1"), ("2", "2")}
+    capsys.readouterr()
+    # a parse refused half way, after one --dir was taken, leaves nothing behind
+    assert_config_error(["correlations", "--dir", "axis", "--dir", "sideways"], capsys)
+    out = tmp_path / "rest.csv"
+    assert run([*COMMANDS["rest.csv"], "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "rest.csv").read_bytes()
+    # an option left out takes its default again
+    seeded, default = tmp_path / "seeded.json", tmp_path / "default.json"
+    for argv, path in ((["--seed", "3"], seeded), ([], default)):
+        assert run(["verify", "--suite", "mapping", "--sets", "3", *argv,
+                    "--out", str(path)]) == 0
+    assert json.loads(seeded.read_text())["seed"] == 3
+    assert json.loads(default.read_text())["seed"] == 7
+    # a command wrapped after the parser was built is the one that runs
+    monkeypatch.setattr(cli, "cmd_hamiltonian", lambda args: 3)
+    assert run(["hamiltonian"]) == 3
+
+
 def test_correlations_zero_rows_is_config_error(tmp_path, capsys):
     assert_config_error(["correlations", "--dir", "axis", "--max-n", "0",
                          "--out", str(tmp_path / "x.csv")], capsys)
@@ -262,10 +292,10 @@ def test_correlations_zero_rows_is_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("flags", [["--dir", "diagonal", "--max-n", "5000"],
                                    ["--dir", "axis", "--max-n", "10000000000"],
                                    ["--dir", "axis", "--max-n", "1", "--grid", "100000001"],
-                                   ["--dir", "axis", "--dir", "diagonal", "--max-n", "1800"]],
-                         ids=["diagonal-5000", "axis-1e10", "grid-1e8", "axis-then-diagonal-1800"])
+                                   ["--dir", "axis", "--dir", "diagonal", "--max-n", "2400"]],
+                         ids=["diagonal-5000", "axis-1e10", "grid-1e8", "axis-diagonal-2400"])
 def test_correlations_oversized_rule_is_refused_before_allocating(tmp_path, capsys, flags):
-    # axis at 1800 is within the limit and diagonal is not: no scan may start
+    # axis at 2400 is within the limit and diagonal is not: no scan may start
     with mock.patch.object(correlators, "_fourier_rows", _must_not_run), \
             mock.patch.object(correlators, "_residue_values", _must_not_run):
         assert_config_error(["correlations", *flags,

@@ -186,19 +186,36 @@ def unfolded_rule(entries, grid_size):
 
 @pytest.mark.parametrize("grid", [101, 401])
 def test_folded_rule_equals_the_full_grid(grid):
-    # the rule evaluates a quarter of the phi1 rows and adds their images;
-    # the full grid must give the same allowed values and forbidden values
-    # that vanish by themselves, not by construction
+    # the rule evaluates a quarter of the phi1 rows against half of the phi2
+    # columns and adds their images; the full grid must give the same allowed
+    # values, and the values that the fold sets to 0.0 must vanish by
+    # themselves, not by construction
     separations = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (-3, 2), (3, -2), (-2, -2),
-                   (5, 0), (0, -6), (-4, 7), (6, 6), (9, -10)]
+                   (5, 0), (0, -6), (-4, 7), (6, 6), (9, -10), (2, 0), (4, 0), (0, 4),
+                   (2, -1), (-1, -3), (4, -5), (-7, 8), (3, 11)]
     entries = [(n1, n2, kind) for n1, n2 in separations for kind in ("p", "q")]
+    # the premise of the phi2 fold: phi2 -> pi - phi2 maps the first half of
+    # the nodes onto the second, in reverse order, with the same weights
+    phi2, w2 = _axis_rule(_quarter_edges(10, grid))
+    first, second = np.split(phi2, 2)
+    assert np.max(np.abs(np.mod(math.pi - first, 2 * math.pi)
+                         - np.mod(second[::-1], 2 * math.pi))) <= 1e-15
+    assert np.array_equal(w2[len(first):][::-1], w2[:len(first)])
     folded = _rule_values(entries, grid)
     full = unfolded_rule(entries, grid)
     assert np.max(np.abs(folded - full)) <= 1e-14
     forbidden = np.array([(n1 + n2) % 2 == (0 if kind == "p" else 1)
                           for n1, n2, kind in entries])
-    assert np.all(folded[forbidden] == 0.0)
-    assert np.max(np.abs(full[forbidden])) <= 1e-12
+    # parity-allowed q with n1 or n2 zero: q/d is odd under phi2 -> pi - phi2
+    # and under phi1 -> pi - phi1, e^{i n.phi} even under one of them
+    odd_under_map = np.array([kind == "q" and n1 * n2 == 0 for n1, n2, kind in entries])
+    odd_under_map &= ~forbidden
+    assert {entries[i] for i in np.flatnonzero(odd_under_map)} == {
+        (0, 0, "q"), (0, -6, "q"), (2, 0, "q"), (4, 0, "q"), (0, 4, "q")}
+    zero = forbidden | odd_under_map
+    assert np.all(folded[zero] == 0.0) and not np.any(np.signbit(folded[zero]))
+    assert np.max(np.abs(full[zero])) <= 1e-12
+    assert np.min(np.abs(folded[~zero])) > 1e-4
 
 
 @pytest.mark.parametrize("entry", [(1, 0, "p"), (1, 1, "q"), (0, 0, "q")])
@@ -239,7 +256,7 @@ def test_error_estimate_tracks_an_underresolved_rule(tmp_path, capsys, monkeypat
     assert estimate > 1e-8
 
 
-@pytest.mark.parametrize("direction,limit", [("axis", 4838), ("diagonal", 1716), ("n-2n", 1391)])
+@pytest.mark.parametrize("direction,limit", [("axis", 4838), ("diagonal", 2209), ("n-2n", 1849)])
 def test_scan_size_limit(direction, limit, monkeypatch):
     # the largest --max-n that README gives for --grid 401
     charge = correlators._scan_floats(direction, limit, 401)
