@@ -54,10 +54,12 @@ CONVERT_SITE_FLOATS = 8700  # charged per site of a convert; see the charges bel
 # * spectrum: 52-53 floats per momentum of --lattice (the levels as Python
 #   tuples, and the text) and 34-35 per momentum of the largest of --sizes,
 #   traced from 101^2 to 401^2; charged 56 and 40.
-# * entropy: 24 floats per torus site, then 8 of them next to 2.26-2.31
-#   (2 L^2)^2 arrays for the largest block length L (the gathered block, its
-#   qp copy, the chiral blocks), traced up to torus 801 and L = 40; charged
-#   24 per site plus three such arrays.
+# * entropy: 24 floats per torus site, then 8 of them next to 1.50
+#   (2 L^2)^2 arrays for the largest block length L (the block's covariance,
+#   copied once from a window of the displacement array, and two L^2 x L^2
+#   temporaries of the chirality checks and R = A - C; A, C and B are slices
+#   of the covariance), traced up to torus 801 and L = 50; charged 24 per site
+#   plus two such arrays.
 # * convert: 7,970-8,410 floats per site of a set with every allowed entry
 #   nonzero, mostly the JSON document read and the one written, traced from
 #   10x10 to 100x100; charged CONVERT_SITE_FLOATS once the lattice is read.
@@ -289,7 +291,7 @@ def cmd_entropy(args) -> int:
             f"a {args.torus}x{args.torus} torus has no block length; entropy needs at least 3x3")
     lengths = _block_lengths(args.blocks, args.torus)
     length = max(lengths, default=0)
-    refuse_over_limit(24 * args.torus**2 + 3 * (2 * length**2) ** 2,
+    refuse_over_limit(24 * args.torus**2 + 2 * (2 * length**2) ** 2,
                       f"block length {length} on the {args.torus}-torus")
     rows = entropy_scan(args.torus, lengths)
     text = "L,entropy_bits\n" + "".join(f"{l},{s!r}\n" for l, s in rows)

@@ -228,17 +228,23 @@ def _circulant(T: np.ndarray, shape: tuple[int, int] | None = None) -> np.ndarra
     species) couples component a of a site to component b of the site
     displaced by (dh, dv).  The matrix covers the ``shape = (L_h, L_v)``
     rectangle of sites at the origin (default: the whole torus), in M order.
+
+    ``E[x, y] = T[y - L_h + 1, x - L_v + 1]`` is gathered once on the window
+    of displacements between the rectangle's sites; its reversed sliding
+    windows, ``[v_i, h_i, a, b, v_j, h_j] = T[h_j - h_i, v_j - v_i, a, b]``,
+    are the two-level Toeplitz matrix, a view copied once into qp order.
     """
     n_h, n_v, width = T.shape[:3]
     l_h, l_v = shape or (n_h, n_v)
-    h, v = np.arange(l_h), np.arange(l_v)
-    dh = (h[None, :] - h[:, None]) % n_h
-    dv = (v[None, :] - v[:, None]) % n_v
-    # pair[v_i, h_i, v_j, h_j] = T[h_j - h_i, v_j - v_i]
-    pair = T[dh[None, :, None, :], dv[:, None, :, None]]
-    m, s = l_h * l_v, width // 2
-    pair = pair.reshape(m, m, 2, s, 2, s)
-    return pair.transpose(2, 0, 3, 4, 1, 5).reshape(width * m, width * m)
+    dh = (np.arange(2 * l_h - 1) - (l_h - 1)) % n_h
+    dv = (np.arange(2 * l_v - 1) - (l_v - 1)) % n_v
+    E = T[dh[None, :], dv[:, None]]
+    window = np.lib.stride_tricks.sliding_window_view(E, (l_v, l_h), axis=(0, 1))[::-1, ::-1]
+    s = width // 2
+    out = np.empty((2, l_v, l_h, s, 2, l_v, l_h, s), dtype=E.dtype)
+    # [v_i, h_i, (r, mu), (c, nu), v_j, h_j] -> [r, v_i, h_i, mu, c, v_j, h_j, nu]
+    out[...] = window.reshape(l_v, l_h, 2, s, 2, s, l_v, l_h).transpose(2, 0, 1, 3, 4, 6, 7, 5)
+    return out.reshape(width * l_h * l_v, -1)
 
 
 def displacements(blocks: np.ndarray, lattice: LatticeSpec) -> np.ndarray:

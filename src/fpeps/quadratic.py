@@ -259,13 +259,25 @@ def block_entropy(gamma, modes) -> float:
     as for the critical model.  In the basis (c1 +/- c2)/sqrt(2) it becomes
     [[0, R], [-R^T, 0]] with R = A - C: the covariance eigenvalues nu are the
     singular values of the n x n matrix R.
+
+    ``modes`` lists distinct mode indices below the number of modes.  A
+    ``range`` of step 1 reads A, C and B as basic slices, with no copy; any
+    other list gathers them.
     """
     mat = gamma.matrix if isinstance(gamma, MajoranaCM) else np.asarray(gamma)
-    q = list(modes)
-    if not q:
+    n = mat.shape[0] // 2
+    q = np.asarray(list(modes))
+    if not q.size:
         raise ContractViolationError("block must contain at least one mode")
-    p = [mat.shape[0] // 2 + k for k in q]
-    a, c, b = mat[np.ix_(q, q)], mat[np.ix_(q, p)], mat[np.ix_(p, p)]
+    if (q.ndim != 1 or q.dtype.kind not in "iu" or q.min() < 0 or q.max() >= n
+            or len(np.unique(q)) != len(q)):
+        raise ContractViolationError(f"block modes must be distinct integers in 0..{n - 1}")
+    if isinstance(modes, range) and modes.step == 1:
+        q, p = slice(modes.start, modes.stop), slice(n + modes.start, n + modes.stop)
+        a, c, b = mat[q, q], mat[q, p], mat[p, p]
+    else:
+        p = n + q
+        a, c, b = mat[np.ix_(q, q)], mat[np.ix_(q, p)], mat[np.ix_(p, p)]
     defects = np.max(np.abs(a + b)), np.max(np.abs(c - c.T))
     if max(defects) > ENTROPY_ATOL:
         raise ContractViolationError(

@@ -1,8 +1,10 @@
 """Gaussian-side helpers that only the tests call.
 
-The forward block Fourier transform of a lattice matrix (the package needs
-only its inverse), the paper's real 4x4 momentum block, the purity defect
-of covariance matrices and momentum blocks, the locality radius of a
+The gather-and-transpose circulant matrix of a displacement array (the
+reference for the package's windowed copy), the forward block Fourier
+transform of a lattice matrix (the package needs only its inverse), the
+paper's real 4x4 momentum block, the purity defect of covariance matrices
+and momentum blocks, the locality radius of a
 parent Hamiltonian, the filled-branch ground state of a quadratic
 Hamiltonian (its covariance and energy from the single-particle spectrum),
 and the finite-torus correlator read off the ground-state displacement
@@ -23,6 +25,24 @@ def purity_defect(g: np.ndarray) -> float:
     """max |G^2 + 1| of a covariance matrix or a ``(..., w, w)`` block stack;
     about 0 for pure Gaussian states."""
     return float(np.max(np.abs(g @ g + np.eye(g.shape[-1]))))
+
+
+def circulant_reference(T: np.ndarray, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """The matrix of ``fpeps.gaussian._circulant``, gathered pair by pair.
+
+    Each site pair reads ``T[h_j - h_i, v_j - v_i]`` through one fancy
+    index, and a six-axis transpose puts the result in qp order.
+    """
+    n_h, n_v, width = T.shape[:3]
+    l_h, l_v = shape or (n_h, n_v)
+    h, v = np.arange(l_h), np.arange(l_v)
+    dh = (h[None, :] - h[:, None]) % n_h
+    dv = (v[None, :] - v[:, None]) % n_v
+    # pair[v_i, h_i, v_j, h_j] = T[h_j - h_i, v_j - v_i]
+    pair = T[dh[None, :, None, :], dv[:, None, :, None]]
+    m, s = l_h * l_v, width // 2
+    pair = pair.reshape(m, m, 2, s, 2, s)
+    return pair.transpose(2, 0, 3, 4, 1, 5).reshape(width * m, width * m)
 
 
 def blocks_from_matrix(matrix: np.ndarray, lattice: LatticeSpec) -> np.ndarray:

@@ -430,6 +430,20 @@ def test_entropy_oversized_scan_is_refused_before_allocating(tmp_path, capsys):
                                  "--out", str(tmp_path / "x.csv")], capsys)
 
 
+def test_entropy_charge_covers_its_peak(tmp_path):
+    argv = ["entropy", "--torus", "61", "--blocks", "20", "--out", str(tmp_path / "x.csv")]
+    assert run(argv) == 0  # numpy's first calls allocate once per process
+    charged = []
+    with mock.patch.object(cli, "refuse_over_limit", lambda floats, _: charged.append(floats)):
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 8 * charged[0]
+
+
 @pytest.mark.parametrize("torus", ["-1", "0", "1", "2", "4"])
 def test_entropy_bad_torus_is_blamed_on_the_torus(tmp_path, capsys, torus):
     with mock.patch.object(cli, "entropy_scan", _must_not_run):

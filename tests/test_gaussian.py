@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from gaussian_reference import blocks_from_matrix, eq9_gamma_hat, purity_defect
+from gaussian_reference import blocks_from_matrix, circulant_reference, eq9_gamma_hat, purity_defect
 from fpeps.critical import example_channel
 from fpeps.errors import ContractViolationError, NumericalValidityError, ZeroNormError
 from fpeps.gaussian import (
@@ -10,6 +10,7 @@ from fpeps.gaussian import (
     GaussianChannel,
     MajoranaCM,
     _adjugate,
+    _circulant,
     _harmonic_table,
     _rcond,
     apply_channel,
@@ -117,6 +118,26 @@ def test_matrix_from_blocks_rejects_wrong_stack():
     for bad in (blocks[:-1], blocks[:, :7, :7], blocks[:, :, :4]):
         with pytest.raises(ContractViolationError):
             matrix_from_blocks(bad, lattice)
+
+
+# (torus, block shape, width): whole tori (no shape), then L x L blocks of the
+# 61-torus and two non-square blocks; width 8 is that of fourier_bond blocks
+CIRCULANT_CASES = [
+    *[(torus, None, width) for torus in [(1, 1), (1, 3), (4, 2), (3, 5), (15, 15)]
+      for width in (2, 8)],
+    *[((61, 61), (length, length), 2) for length in (1, 7, 30)],
+    ((61, 61), (1, 1), 8), ((61, 61), (7, 7), 8),
+    ((9, 7), (5, 3), 2), ((9, 7), (2, 6), 8),
+]
+
+
+@pytest.mark.parametrize("torus, shape, width", CIRCULANT_CASES)
+def test_circulant_is_bit_equal_to_the_gather(torus, shape, width):
+    T = np.random.default_rng(sum(torus) + width).standard_normal(torus + (width, width))
+    got, want = _circulant(T, shape), circulant_reference(T, shape)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert got.flags.c_contiguous and got.flags.writeable
 
 
 def test_apply_channel_b_zero_returns_a(vacuum_channel):

@@ -369,12 +369,16 @@ def test_block_entropy_rejects_invalid_eigenvalues():
         block_entropy(bad, [0])
 
 
-def test_entropy_complement_symmetry():
+def _example_3x3_cm():
     lattice = LatticeSpec(3, 3)
-    gamma = apply_channel(
+    return apply_channel(
         example_channel().expand_to_lattice(lattice.n_sites),
         lattice_bond_cm(lattice),
     )
+
+
+def test_entropy_complement_symmetry():
+    gamma = _example_3x3_cm()
     block = [0, 1, 3]
     complement = [m for m in range(9) if m not in block]
     s_block = block_entropy(gamma, block)
@@ -400,14 +404,35 @@ def test_block_entropy_matches_complex_eigensolve():
         modes = range(length * length)
         want = _entropy_by_complex_eigvalsh(gamma, list(modes))
         assert abs(block_entropy(gamma, modes) - want) <= 1e-10
-    lattice = LatticeSpec(3, 3)
-    gamma = apply_channel(
-        example_channel().expand_to_lattice(lattice.n_sites),
-        lattice_bond_cm(lattice),
-    ).matrix
+    gamma = _example_3x3_cm().matrix
     for modes in ([0], [4], [0, 1, 2], [0, 1, 3], [2, 4, 5, 6, 7, 8], list(range(9))):
         want = _entropy_by_complex_eigvalsh(gamma, modes)
         assert abs(block_entropy(gamma, modes) - want) <= 1e-10
+
+
+@pytest.mark.parametrize("modes", [
+    pytest.param([[0.5], [1.0], [0, 2.0], [True]], id="non-integer"),
+    pytest.param([[-1], [3, -2], range(-1, 2)], id="negative"),
+    pytest.param([[9], [0, 12], range(7, 10)], id="not-below-n"),
+    pytest.param([[0, 0], [2, 5, 2], (4, 4, 4)], id="repeated"),
+])
+def test_block_entropy_refuses_bad_modes(modes):
+    # [-1] read type-1 mode 8 as the type-2 partner of mode 0 and returned
+    # bits; [0, 0] counted mode 0 twice; [9] ended in a bare IndexError
+    gamma = _example_3x3_cm()
+    for bad in modes:
+        with pytest.raises(ContractViolationError, match="block modes"):
+            block_entropy(gamma, bad)
+
+
+def test_block_entropy_reads_a_range_as_its_list():
+    # a step-1 range is read by slicing, a list by gathering: the same bits
+    gamma = _example_3x3_cm()
+    for modes in (range(0, 1), range(0, 9), range(3, 7), range(8, 9), range(1, 9, 2)):
+        assert block_entropy(gamma, modes) == block_entropy(gamma, list(modes))
+    gamma = block_covariance(ground_state_blocks(61), 61, 10)
+    for modes in (range(100), range(17, 83)):
+        assert block_entropy(gamma, modes) == block_entropy(gamma, list(modes))
 
 
 def test_block_entropy_refuses_a_non_chiral_block():
