@@ -21,10 +21,12 @@ array with a row per set.  A bond is two slice writes.  A site is one
 batched ``matmul`` with one 2x16 matrix ``<k 0000| Q |0 l r u d>`` per set,
 which contracts the site's four auxiliary axes (projecting them onto empty)
 and adds the axis of ``a(site)``; the Jordan-Wigner signs from the other
-live modes enter as a +-1 mask.  Each set's products are the ones it would
-get alone, so a row does not depend on its stack.  ``build_fpeps`` is a
-stack of one.  The cap limits the peak live width, not the total mode
-count: 13 modes at 3x2, 16 at 3x3, 20 at 4x3.
+live modes enter as a +-1 mask.  The slots every bond and projector act on,
+and their sign vectors, depend on the lattice alone: ``_schedule`` derives
+them once per lattice, so a build does array operations only.  Each set's
+products are the ones it would get alone, so a row does not depend on its
+stack.  ``build_fpeps`` is a stack of one.  The cap limits the peak live
+width, not the total mode count: 13 modes at 3x2, 16 at 3x3, 20 at 4x3.
 
 Mode positions follow one registry of ``5N`` modes: ``a`` of site m at
 position m, then each site's auxiliary quadruple (alpha, beta, gamma,
@@ -34,14 +36,13 @@ is the same state.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import cache, lru_cache
 
 import numpy as np
 
 from .errors import ResourceLimitError
 from .fock import DEFAULT_MODE_CAP, FockVector, parity_signs, physical_registry
-from .lattice import LatticeSpec, Site
+from .lattice import LatticeSpec, Site, site_order
 from .tensors import FPEPSTensor, stack_sets
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -61,62 +62,6 @@ def site_signs() -> np.ndarray:
     signs = (-1.0) ** (n * (n - 1) // 2)
     signs.flags.writeable = False  # one cached table for every caller
     return signs
-
-
-class _ActiveState:
-    """A stack of dense amplitudes over the live modes, bit i of an index on slot i.
-
-    ``amps`` has one row per tensor set.  Live modes are kept sorted by
-    registry position, so Jordan-Wigner signs agree with the full-registry
-    computation (every other mode is empty and contributes no parity).  A
-    physical mode goes live when its projector creates it.  Projectors act
-    in descending M and the physical modes come first in the registry, so
-    the new ``a(site)`` is always slot 0: no live mode precedes it, and
-    ``a^dag`` picks up no sign.
-    """
-
-    def __init__(self, n_sets: int):
-        self.positions: list[int] = []
-        self.amps = np.ones((n_sets, 1), dtype=complex)
-
-    def open_bond(self, pos_first: int, pos_second: int):
-        """Apply (1 + c^dag_first c^dag_second) / sqrt(2) on two fresh modes.
-
-        Live modes below both new ones are counted twice and cancel, so the
-        pair picks up the parity of the live modes between them, and -1 when
-        the second mode precedes the first.
-        """
-        pos_lo, pos_hi = sorted((pos_first, pos_second))
-        below = bisect_left(self.positions, pos_lo)
-        between = bisect_left(self.positions, pos_hi) - below
-        n_sets = self.amps.shape[0]
-        old = self.amps.reshape(n_sets, -1, 1 << between, 1 << below)
-        new = np.zeros((n_sets, old.shape[1], 2, 1 << between, 2, 1 << below), dtype=complex)
-        np.multiply(old, SQRT_HALF, out=new[:, :, 0, :, 0, :])
-        sign = -SQRT_HALF if pos_second < pos_first else SQRT_HALF
-        np.multiply(old, (sign * parity_signs(between))[:, None], out=new[:, :, 1, :, 1, :])
-        self.positions.insert(below, pos_lo)
-        self.positions.insert(below + between + 1, pos_hi)
-        self.amps = new.reshape(n_sets, -1)
-
-    def project_site(self, pos_a: int, pos_alpha: int, matrices: np.ndarray, parity: int):
-        """Apply the site projector of every set; its auxiliary modes leave, ``a`` joins.
-
-        ``matrices`` holds one ``(2, 16)`` matrix ``<k 0000| Q |0 l r u d>``
-        per set.  The four auxiliary modes are contiguous from
-        ``pos_alpha``.  The annihilators pass the live modes below
-        ``alpha``, so a term picks up their parity when ``l + r + u + d`` is
-        odd, that is when ``k`` differs from the site's ``parity``.
-        """
-        first = self.positions.index(pos_alpha)
-        n_sets = self.amps.shape[0]
-        amps = self.amps.reshape(n_sets, -1, 16, 1 << first)  # [set, above, d u r l, below]
-        # one (below, 16) x (16, 2) product per set and value of the modes above
-        out = amps.transpose(0, 1, 3, 2) @ matrices.transpose(0, 2, 1)[:, None]
-        out[..., 1 - parity] *= parity_signs(first)  # [set, above, below, k]
-        self.positions[first:first + 4] = []
-        self.positions.insert(0, pos_a)
-        self.amps = out.reshape(n_sets, -1)
 
 
 # an entry is one lattice's plan: a few small tuples
@@ -152,6 +97,51 @@ def _plan(lattice: LatticeSpec):
     return tuple(steps), width
 
 
+# an entry is one lattice's schedule; its sign vectors hold fewer than 2^w
+# floats (1.95 million at 4x4, w = 24), less than one set's amplitudes
+@lru_cache(maxsize=32)
+def _schedule(lattice: LatticeSpec):
+    """The slots of :func:`_plan`: each step as ``(m, bonds, first, signs)``.
+
+    Bit i of an amplitude index is slot i, the i-th live mode by registry
+    position, so Jordan-Wigner signs agree with the full-registry
+    computation (every other mode is empty and contributes no parity).  A
+    bond is ``(below, between, pair)``: the number of live modes below its
+    lower mode and between its two modes, and the signs of the occupied
+    pair, ``+-sqrt(1/2) parity_signs(between)``.  Live modes below both new
+    ones are counted twice and cancel, so the pair picks up the parity of
+    the modes between them, and -1 when the second mode precedes the first.
+    ``first`` is the slot of the site's ``alpha``, the lowest of its four
+    contiguous auxiliary slots; the projector's annihilators pass the
+    ``first`` modes below it, whose parity ``signs`` is.  Projectors act in
+    descending M and the physical modes come first in the registry, so a new
+    ``a(site)`` is always slot 0 and ``a^dag`` picks up no sign.  Read-only.
+    """
+    live = 0  # bit p is set while registry position p is live
+
+    def count_below(pos):
+        return (live & ((1 << pos) - 1)).bit_count()
+
+    pairs = {}  # one read-only vector per (between, order), shared by its bonds
+    steps = []
+    for m, pos_a, pos_alpha, bonds in _plan(lattice)[0]:
+        opened = []
+        for pos_first, pos_second in bonds:
+            pos_lo, pos_hi = sorted((pos_first, pos_second))
+            below = count_below(pos_lo)
+            between = count_below(pos_hi) - below
+            key = between, pos_second < pos_first
+            if key not in pairs:
+                pairs[key] = (-SQRT_HALF if key[1] else SQRT_HALF) * parity_signs(between)
+                pairs[key].flags.writeable = False
+            opened.append((below, between, pairs[key]))
+            live |= 1 << pos_lo | 1 << pos_hi
+        first = count_below(pos_alpha)
+        live = live & ~(15 << pos_alpha) | 1 << pos_a
+        steps.append((m, tuple(opened), first, parity_signs(first)))
+    return tuple(steps)
+
+
 def build_stack(
     lattice: LatticeSpec,
     entries: np.ndarray,
@@ -164,9 +154,10 @@ def build_stack(
     ``(S, N, 2, 2, 2, 2, 2)`` tensors in site M order sharing one parity
     pattern.  Row i is the state of set i in M order; each row equals the
     set built alone.  ``cap`` bounds the peak number of live modes ``w``,
-    counted before allocating; the stack holds ``S 2^w`` amplitudes.
+    counted before allocating; the stack holds ``S 2^w`` amplitudes, with
+    bit i of a row's index on slot i of :func:`_schedule`.
     """
-    steps, width = _plan(lattice)
+    width = _plan(lattice)[1]
     if width > cap:
         raise ResourceLimitError(
             f"peak live width of {width} modes exceeds the dense cap of {cap}"
@@ -175,12 +166,23 @@ def build_stack(
     # [set, site, k, d u r l]: the auxiliary bits in slot order, alpha lowest
     matrices = (entries * site_signs()).transpose(0, 1, 2, 6, 5, 4, 3).reshape(
         n_sets, lattice.n_sites, 2, 16)
-    state = _ActiveState(n_sets)
-    for m, pos_a, pos_alpha, bonds in steps:
-        for pos_first, pos_second in bonds:
-            state.open_bond(pos_first, pos_second)
-        state.project_site(pos_a, pos_alpha, matrices[:, m], parity[m])
-    return state.amps
+    amps = np.ones((n_sets, 1), dtype=complex)
+    for m, bonds, first, signs in _schedule(lattice):
+        # (1 + c^dag_first c^dag_second) / sqrt(2) on two fresh modes
+        for below, between, pair in bonds:
+            old = amps.reshape(n_sets, -1, 1 << between, 1 << below)
+            new = np.zeros((n_sets, old.shape[1], 2, 1 << between, 2, 1 << below), dtype=complex)
+            np.multiply(old, SQRT_HALF, out=new[:, :, 0, :, 0, :])
+            np.multiply(old, pair[:, None], out=new[:, :, 1, :, 1, :])
+            amps = new.reshape(n_sets, -1)
+        # the projector: one (below, 16) x (16, 2) product per set and value
+        # of the modes above; the annihilators pass the modes below alpha
+        # when l + r + u + d is odd, that is when k differs from the parity
+        amps = amps.reshape(n_sets, -1, 16, 1 << first)  # [set, above, d u r l, below]
+        out = amps.transpose(0, 1, 3, 2) @ matrices[:, m].transpose(0, 2, 1)[:, None]
+        out[..., 1 - parity[m]] *= signs  # [set, above, below, k]
+        amps = out.reshape(n_sets, -1)
+    return amps
 
 
 def build_fpeps(
@@ -195,6 +197,6 @@ def build_fpeps(
     bounds the peak number of live modes, counted before allocating.  A
     stack of one for :func:`build_stack`.
     """
-    amps = build_stack(lattice, *stack_sets(lattice.sites(), [tensors]), cap)
+    amps = build_stack(lattice, *stack_sets(site_order(lattice), [tensors]), cap)
     return FockVector(physical_registry(lattice), amps[0])
 

@@ -55,14 +55,17 @@ CONVERT_SITE_FLOATS = 8700  # charged per site of a convert; see the charges bel
 #   tuples, and the text) and 34-35 per momentum of the largest of --sizes,
 #   traced from 101^2 to 401^2; charged 56 and 40.
 # * entropy: 24 floats per torus site, then 8 of them next to 1.50
-#   (2 L^2)^2 arrays for the largest block length L (the block's covariance,
+#   (2 L^2)^2 arrays for the largest block length L: the block's covariance,
 #   copied once from a window of the displacement array, and two L^2 x L^2
-#   temporaries of the chirality checks and R = A - C; A, C and B are slices
-#   of the covariance), traced up to torus 801 and L = 50; charged 24 per site
+#   arrays, R = A - C and R^T R.  The chirality checks run in R's array
+#   before it holds R, so they peak lower; A, C and B are slices of the
+#   covariance.  Traced at torus 61-801 and L = 20-50; charged 24 per site
 #   plus two such arrays.
-# * convert: 7,970-8,410 floats per site of a set with every allowed entry
-#   nonzero, mostly the JSON document read and the one written, traced from
-#   10x10 to 100x100; charged CONVERT_SITE_FLOATS once the lattice is read.
+# * convert: 8,040-8,450 floats per site of a set with every allowed entry
+#   nonzero, nearly all of it while the output's JSON text is built (one
+#   dict per entry next to the text); the text is then written with its
+#   newline after it, not copied.  Traced from 10x10 to 100x100; charged
+#   CONVERT_SITE_FLOATS once the lattice is read.
 # * verify's mapping suite: one stack of tensor sets (drawn tensors, oracle,
 #   spin tensors, contraction) peaks at 10.7 KiB per set on 1x2 and 2x1 and
 #   34.6-34.7 KiB on 2x2, traced with stacks of 64 and 256, and MAPPING_STACK
@@ -70,12 +73,15 @@ CONVERT_SITE_FLOATS = 8700  # charged per site of a convert; see the charges bel
 #   add 168-170 floats per set, traced from 2000 to 16000 sets: charged 176.
 
 
-def _emit(text: str, out_path):
+def _emit(text: str, out_path, end: str = ""):
+    """Write ``text`` and then ``end`` to ``out_path``, or to stdout."""
     if out_path:
         with open(out_path, "w", newline="") as fh:
             fh.write(text)
+            fh.write(end)
     else:
         sys.stdout.write(text)
+        sys.stdout.write(end)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +198,7 @@ def cmd_verify(args) -> int:
         "checks": checks,
         "passed": passed,
     }
-    _emit(json.dumps(report, indent=1) + "\n", args.out)
+    _emit(json.dumps(report, indent=1), args.out, end="\n")
     n_pass = sum(1 for c in checks if c["passed"])
     print(f"verify: {n_pass}/{len(checks)} checks passed", file=sys.stderr)
     return 0 if passed else 1
@@ -231,7 +237,7 @@ def cmd_hamiltonian(args) -> int:
     for (dh, dv), c in sorted(table.hopping.items()):
         lines.append(f"hopping,{dh},{dv},{c.real + 0.0!r},{c.imag + 0.0!r}")
     lines.append(f"mu,0,0,{table.mu + 0.0!r},0.0")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit("\n".join(lines), args.out, end="\n")
     print("hamiltonian: coefficient table written", file=sys.stderr)
     return 0
 
@@ -261,11 +267,17 @@ def cmd_spectrum(args) -> int:
 
 
 def _int_list(text: str, flag: str) -> list[int]:
-    """A comma-separated list of integers; empty items are skipped."""
+    """A comma-separated list of distinct integers; empty items are skipped."""
     try:
-        return [int(tok) for tok in text.split(",") if tok]
+        values = [int(tok) for tok in text.split(",") if tok]
     except ValueError as exc:
         raise ContractViolationError(f"cannot parse {flag} {text!r}") from exc
+    seen = set()
+    for value in values:
+        if value in seen:  # it would write its row twice
+            raise ContractViolationError(f"{flag} {value} is given more than once")
+        seen.add(value)
+    return values
 
 
 def _block_lengths(text: str, torus: int) -> list[int]:
@@ -305,8 +317,7 @@ def cmd_convert(args) -> int:
     refuse_over_limit(CONVERT_SITE_FLOATS * lattice.n_sites,
                       f"convert of the {lattice.n_h}x{lattice.n_v} lattice")
     mapped = map_tensor_set(lattice, tensors)
-    text = fio.dump_peps_set(lattice, mapped) + "\n"
-    _emit(text, args.output)
+    _emit(fio.dump_peps_set(lattice, mapped), args.output, end="\n")
     print(f"convert: mapped {lattice.n_sites} tensors", file=sys.stderr)
     return 0
 

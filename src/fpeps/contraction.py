@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ContractViolationError, ResourceLimitError
 from .fock import FockVector, physical_registry
-from .lattice import LatticeSpec, Site
+from .lattice import LatticeSpec, Site, site_order
 from .tensors import PEPSTensor
 
 MAX_SITES = 12
@@ -90,8 +90,9 @@ def contract_peps(lattice: LatticeSpec, tensors: dict[Site, PEPSTensor]) -> Fock
 
     A stack of one for :func:`contract_stack`.
     """
-    missing = [s for s in lattice.sites() if s not in tensors]
+    sites = site_order(lattice)
+    missing = [s for s in sites if s not in tensors]
     if missing:
         raise ContractViolationError(f"missing tensors for sites {missing}")
-    entries = np.stack([tensors[s].entries for s in lattice.sites()])[None]
+    entries = np.stack([tensors[s].entries for s in sites])[None]
     return FockVector(physical_registry(lattice), contract_stack(lattice, entries)[0])

@@ -15,6 +15,7 @@ same ladder kernel ``_flip``.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ from .errors import (
     ResourceLimitError,
     UndefinedStateError,
 )
-from .lattice import LatticeSpec, Site
+from .lattice import LatticeSpec, Site, site_order
 
 DEFAULT_MODE_CAP = 24
 # The many-body solver holds H as a dense matrix and diagonalises its two
@@ -42,13 +43,17 @@ SPECIES = ("a", "alpha", "beta", "gamma", "delta")
 ModeLabel = tuple[str, Site]
 
 
+# an entry is one read-only vector of 2^n floats
+@functools.lru_cache(maxsize=32)
 def parity_signs(n: int) -> np.ndarray:
-    """(-1)^(number of set bits of i) for i < 2^n.
+    """(-1)^(number of set bits of i) for i < 2^n, read-only.
 
     Entry i is the Jordan-Wigner sign a ladder operator on position n picks
     up from the occupations i of the positions below it.
     """
-    return 1.0 - 2.0 * (np.bitwise_count(np.arange(1 << n)) & 1)
+    signs = 1.0 - 2.0 * (np.bitwise_count(np.arange(1 << n)) & 1)
+    signs.flags.writeable = False
+    return signs
 
 
 def antisymmetry_defect(M: np.ndarray) -> float:
@@ -78,9 +83,11 @@ class ModeRegistry:
         return len(self.labels)
 
 
+# an entry is one lattice's registry of N labels
+@functools.lru_cache(maxsize=128)
 def physical_registry(lattice: LatticeSpec) -> ModeRegistry:
-    """Physical modes only, ordered by M(h, v)."""
-    return ModeRegistry(tuple(("a", s) for s in lattice.sites()))
+    """Physical modes only, ordered by M(h, v); one registry per lattice."""
+    return ModeRegistry(tuple(("a", s) for s in site_order(lattice)))
 
 
 @dataclass

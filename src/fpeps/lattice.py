@@ -7,6 +7,7 @@ Boundaries are always periodic.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,13 @@ class LatticeSpec:
         """Reciprocal-lattice angles (2*pi*k_h/n_h, 2*pi*k_v/n_v) as (n_sites, 2) rows in M order."""
         kv, kh = np.divmod(np.arange(self.n_sites), self.n_h)
         return np.stack([2.0 * np.pi * kh / self.n_h, 2.0 * np.pi * kv / self.n_v], axis=1)
+
+
+# an entry is one lattice's N site tuples
+@functools.lru_cache(maxsize=128)
+def site_order(lattice: LatticeSpec) -> tuple[Site, ...]:
+    """All sites in M order, as one tuple per lattice shared by every caller."""
+    return tuple(lattice.sites())
 
 
 def parse_lattice(text: str) -> LatticeSpec:

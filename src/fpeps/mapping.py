@@ -33,9 +33,10 @@ that every remaining monomial sits on one site.
 
 The tables depend on nothing but the lattice and each site's parity, so each
 lattice and parity pattern is derived once per process and kept in a bounded
-cache; callers share the read-only stack.
-``map_stack`` maps a stack of tensor sets that share one parity pattern
-with one table stack; ``map_tensor_set`` is a stack of one.
+cache; callers share the read-only stack.  ``map_stack`` maps a stack of
+tensor sets that share one parity pattern with one cached, read-only stack of
+the signs ``(-1)^f`` as floats in the entries' axis order, keyed like the
+tables; ``map_tensor_set`` is a stack of one.
 """
 from __future__ import annotations
 
@@ -44,24 +45,26 @@ import functools
 import numpy as np
 
 from .errors import ContractViolationError
-from .lattice import LatticeSpec, Site
+from .lattice import LatticeSpec, Site, site_order
 from .tensors import _PARITY, FPEPSTensor, PEPSTensor, stack_sets
 
 # table entries [k, u, d, l, r] as five rows of 32 columns
 _ENTRIES = np.indices((2,) * 5).reshape(5, 32)
 
 
-def _normalize_parity(lattice: LatticeSpec, parity) -> dict[Site, int]:
+def _parity_pattern(lattice: LatticeSpec, parity) -> tuple[int, ...]:
+    """A per-site parity mapping (None: all even) as a tuple in M order."""
+    sites = site_order(lattice)
     if parity is None:
-        return {s: 0 for s in lattice.sites()}
+        return (0,) * len(sites)
     wrong = {s: c for s, c in dict(parity).items() if c not in (0, 1)}
     if wrong:
         raise ContractViolationError(f"site parities must be 0 or 1, got {wrong}")
-    out = {lattice.wrap(s): int(c) for s, c in dict(parity).items()}
-    missing = [s for s in lattice.sites() if s not in out]
+    given = {lattice.wrap(s): int(c) for s, c in dict(parity).items()}
+    missing = [s for s in sites if s not in given]
     if missing:
         raise ContractViolationError(f"parity assignment missing sites {missing}")
-    return out
+    return tuple(given[s] for s in sites)
 
 
 def derive_sign_functions(lattice: LatticeSpec, parity=None) -> np.ndarray:
@@ -73,8 +76,7 @@ def derive_sign_functions(lattice: LatticeSpec, parity=None) -> np.ndarray:
     the closed form of the module docstring.  Repeated calls with the same
     lattice and parities return the same stack.
     """
-    parity = _normalize_parity(lattice, parity)
-    return _sign_tables(lattice, tuple(parity[s] for s in lattice.sites()))
+    return _sign_tables(lattice, _parity_pattern(lattice, parity))
 
 
 # an entry is one lattice's (N, 2, 2, 2, 2, 2) stack for one parity pattern
@@ -106,6 +108,32 @@ def _sign_tables(lattice: LatticeSpec, parities: tuple[int, ...]) -> np.ndarray:
     return tables
 
 
+# an entry is one lattice's (N, 2, 2, 2, 2, 2) stack of +-1 floats for one
+# parity pattern, in the entries' axis order [site, k, l, r, u, d]
+@functools.lru_cache(maxsize=128)
+def _sign_stack(lattice: LatticeSpec, parities: tuple[int, ...]) -> np.ndarray:
+    bad = [c for c in parities if c not in (0, 1)]
+    if bad:
+        raise ContractViolationError(f"site parities must be 0 or 1, got {bad[0]}")
+    # the sign tables are indexed [site, k, u, d, l, r]
+    tables = _sign_tables(lattice, parities).transpose(0, 1, 4, 5, 2, 3)
+    signs = np.ascontiguousarray((-1.0) ** tables)
+    signs.flags.writeable = False
+    return signs
+
+
+def _check_parity(lattice: LatticeSpec, own: tuple[int, ...], parity) -> None:
+    """Refuse a ``parity`` argument that disagrees with the tensors' own pattern."""
+    if parity is None:
+        return
+    given = _parity_pattern(lattice, parity)
+    if given != own:
+        wrong = [s for s, g, o in zip(site_order(lattice), given, own) if g != o]
+        raise ContractViolationError(
+            f"parity argument disagrees with the tensors' parity at sites {wrong}"
+        )
+
+
 def tensor_parity(
     lattice: LatticeSpec, tensors: dict[Site, FPEPSTensor], parity=None
 ) -> dict[Site, int]:
@@ -113,15 +141,10 @@ def tensor_parity(
 
     ``parity``, if given, is a per-site mapping that must agree with it.
     """
-    own = {s: tensors[s].parity for s in lattice.sites()}
-    if parity is not None:
-        given = _normalize_parity(lattice, parity)
-        wrong = [s for s in lattice.sites() if given[s] != own[s]]
-        if wrong:
-            raise ContractViolationError(
-                f"parity argument disagrees with the tensors' parity at sites {wrong}"
-            )
-    return own
+    sites = site_order(lattice)
+    own = tuple(tensors[s].parity for s in sites)
+    _check_parity(lattice, own, parity)
+    return dict(zip(sites, own))
 
 
 def map_stack(lattice: LatticeSpec, entries: np.ndarray, parity: tuple[int, ...]) -> np.ndarray:
@@ -135,11 +158,9 @@ def map_stack(lattice: LatticeSpec, entries: np.ndarray, parity: tuple[int, ...]
     (-1)^((d + l) r'); bulk tensors enforce l' = (r' + u + d) mod 2 with
     phase (-1)^(d r'); the last column additionally pins r' = 0.
     """
-    signs = derive_sign_functions(lattice, dict(zip(lattice.sites(), parity)))
     nonzero = np.nonzero(entries)
     i, m, k, l, r, u, d = nonzero
-    # the sign tables are indexed [site, k, u, d, l, r]
-    base = (entries * (-1.0) ** signs.transpose(0, 1, 4, 5, 2, 3))[nonzero]
+    base = (entries * _sign_stack(lattice, tuple(parity)))[nonzero]
     first = m % lattice.n_h == 0
     out = np.zeros(entries.shape[:2] + (2,) * 7, dtype=complex)
     for rp in (0, 1):
@@ -159,7 +180,8 @@ def map_tensor_set(
     The sign tables are derived for the tensors' own parities; ``parity``,
     if given, must agree with them.  A stack of one for :func:`map_stack`.
     """
-    entries, own = stack_sets(lattice.sites(), [tensors])
-    tensor_parity(lattice, tensors, parity)
+    sites = site_order(lattice)
+    entries, own = stack_sets(sites, [tensors])
+    _check_parity(lattice, own, parity)
     out = map_stack(lattice, entries, own)[0]
-    return {s: PEPSTensor(b) for s, b in zip(lattice.sites(), out)}
+    return {s: PEPSTensor(b) for s, b in zip(sites, out)}

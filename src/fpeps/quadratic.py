@@ -278,13 +278,16 @@ def block_entropy(gamma, modes) -> float:
     else:
         p = n + q
         a, c, b = mat[np.ix_(q, q)], mat[np.ix_(q, p)], mat[np.ix_(p, p)]
-    defects = np.max(np.abs(a + b)), np.max(np.abs(c - c.T))
-    if max(defects) > ENTROPY_ATOL:
+    # one n x n scratch array holds A + B, then C - C^T, then R, each in place
+    scratch = np.add(a, b)
+    ab_defect = np.max(np.abs(scratch, out=scratch))
+    c_defect = np.max(np.abs(np.subtract(c, c.T, out=scratch), out=scratch))
+    if max(ab_defect, c_defect) > ENTROPY_ATOL:
         raise ContractViolationError(
             "block [[A, C], [-C^T, B]] is not chiral: "
-            "max|A + B| = {:.2e}, max|C - C^T| = {:.2e}".format(*defects)
+            f"max|A + B| = {ab_defect:.2e}, max|C - C^T| = {c_defect:.2e}"
         )
-    r = a - c
+    r = np.subtract(a, c, out=scratch)
     nu2 = np.linalg.eigvalsh(r.T @ r)
     if nu2[0] < -ENTROPY_ATOL or nu2[-1] > 1.0 + ENTROPY_ATOL:
         raise NumericalValidityError(f"nu^2 spans [{nu2[0]:.3g}, {nu2[-1]:.3g}], not in [0, 1]")

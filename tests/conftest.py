@@ -1,10 +1,42 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from scipy.stats import ortho_group
 
+import fpeps
 from fpeps.gaussian import GaussianChannel
 
 VACUUM_CM = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def package_caches() -> dict:
+    """Every functools cache defined in an ``fpeps`` module, by dotted name.
+
+    A cache is a module attribute with ``cache_clear``; one imported from
+    another module is listed under the module that defines it.
+    """
+    caches = {}
+    for info in pkgutil.iter_modules(fpeps.__path__):
+        if info.name == "__main__":  # runs the command line on import
+            continue
+        module = importlib.import_module(f"fpeps.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_clear") and value.__module__ == module.__name__:
+                caches[f"{module.__name__}.{name}"] = value
+    return caches
+
+
+@pytest.fixture
+def cold_caches():
+    """Every fpeps cache empty, and emptied again afterwards."""
+    caches = package_caches().values()
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
 
 
 @pytest.fixture

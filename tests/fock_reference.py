@@ -8,10 +8,13 @@ m and species s of its quadruple at ``N + 4m + s``, the layout that
 ``fpeps.build._plan`` computes directly.  ``label_plan`` is that plan read
 off the registry by label, and ``build_fpeps_reference`` composes every
 bond, then every projector in descending M, and projects the auxiliary modes
-onto empty, a contiguous slice of the amplitudes.
+onto empty, a contiguous slice of the amplitudes.  ``replay_schedule`` is
+the reference of ``fpeps.build._schedule``: it replays the plan on a sorted
+list of live registry positions.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +29,7 @@ from fpeps.fock import (
     ModeRegistry,
     _flip,
     _parity_sectors,
+    parity_signs,
     physical_registry,
 )
 from fpeps.lattice import LatticeSpec, Site
@@ -196,3 +200,31 @@ def label_plan(lattice: LatticeSpec):
         steps.append((sites.index(site), position(registry, ("a", site)),
                       position(registry, ("alpha", site)), tuple(bonds)))
     return tuple(steps), width
+
+
+def replay_schedule(plan_steps):
+    """``fpeps.build._schedule`` of a plan, replayed on a sorted position list.
+
+    Slot i is the i-th live registry position.  A bond's modes go live at
+    the slots bisection finds for them; the pair's vector is
+    ``+-sqrt(1/2) parity_signs(between)``, negative when its second mode
+    precedes its first.  A projector's ``alpha`` is found by its index in
+    the list, its four modes leave and ``a`` joins at slot 0.
+    """
+    positions: list[int] = []
+    steps = []
+    for m, pos_a, pos_alpha, bonds in plan_steps:
+        opened = []
+        for pos_first, pos_second in bonds:
+            pos_lo, pos_hi = sorted((pos_first, pos_second))
+            below = bisect_left(positions, pos_lo)
+            between = bisect_left(positions, pos_hi) - below
+            sign = -SQRT_HALF if pos_second < pos_first else SQRT_HALF
+            opened.append((below, between, sign * parity_signs(between)))
+            positions.insert(below, pos_lo)
+            positions.insert(below + between + 1, pos_hi)
+        first = positions.index(pos_alpha)
+        positions[first:first + 4] = []
+        positions.insert(0, pos_a)
+        steps.append((m, tuple(opened), first, parity_signs(first)))
+    return tuple(steps)

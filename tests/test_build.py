@@ -9,10 +9,11 @@ from fock_reference import (
     build_fpeps_reference,
     label_plan,
     projector_q,
+    replay_schedule,
     standard_registry,
     vacuum,
 )
-from fpeps.build import _plan, build_fpeps
+from fpeps.build import _plan, _schedule, build_fpeps
 from fpeps.errors import ContractViolationError, ResourceLimitError
 from fpeps.fock import ModeRegistry, covariance_matrix
 from fpeps.lattice import LatticeSpec
@@ -171,6 +172,25 @@ def test_plan_is_the_label_based_plan():
         for n_v in range(1, 7):
             lattice = LatticeSpec(n_h, n_v)
             assert _plan(lattice) == label_plan(lattice)
+
+
+def _schedule_bytes(steps):
+    """A schedule with every sign vector as its bytes."""
+    return [(m, [(below, between, pair.tobytes()) for below, between, pair in bonds],
+             first, signs.tobytes()) for m, bonds, first, signs in steps]
+
+
+@pytest.mark.parametrize("shape", [(h, v) for h in range(1, 5) for v in range(1, 5)],
+                         ids=lambda shape: f"{shape[0]}x{shape[1]}")
+def test_schedule_is_the_position_list_replay(shape):
+    # the live-bit count finds the slots bisection into a sorted list finds,
+    # and the cached vectors are the signs the per-bond products used
+    lattice = LatticeSpec(*shape)
+    steps = _schedule(lattice)
+    assert _schedule_bytes(steps) == _schedule_bytes(replay_schedule(_plan(lattice)[0]))
+    for _, bonds, _, signs in steps:
+        assert not signs.flags.writeable
+        assert not any(pair.flags.writeable for _, _, pair in bonds)
 
 
 def test_missing_site_raises():

@@ -1,0 +1,83 @@
+"""The package's functools caches: read-only values, and no effect on results.
+
+Every cache holds what depends only on its key (a lattice, a parity
+pattern, a channel's bytes, a size), so a call gives the same bytes with
+every cache empty and with every cache filled.
+"""
+import numpy as np
+import pytest
+
+from conftest import package_caches
+from fpeps import build, cli, correlators, fock, gaussian, lattice, mapping
+from fpeps.build import build_fpeps
+from fpeps.contraction import contract_peps
+from fpeps.critical import example_channel
+from fpeps.fock import covariance_matrix
+from fpeps.lattice import LatticeSpec
+from fpeps.mapping import map_tensor_set
+from fpeps.tensors import FPEPSTensor
+
+CHECKERBOARD_3X2 = (0, 1, 0, 1, 0, 1)
+
+
+def _harmonic_table():
+    channel = example_channel()
+    return gaussian._harmonic_table(channel.A.tobytes(), channel.B.tobytes(), channel.D.tobytes())
+
+
+# one call of every cache; a cache without an entry fails the listing test
+CACHE_CALLS = {
+    "fpeps.build._plan": lambda: build._plan(LatticeSpec(3, 2)),
+    "fpeps.build._schedule": lambda: build._schedule(LatticeSpec(3, 2)),
+    "fpeps.build.site_signs": build.site_signs,
+    "fpeps.cli.build_parser": cli.build_parser,
+    "fpeps.correlators._gauss_legendre": lambda: correlators._gauss_legendre(8),
+    "fpeps.fock.parity_signs": lambda: fock.parity_signs(5),
+    "fpeps.fock.physical_registry": lambda: fock.physical_registry(LatticeSpec(3, 2)),
+    "fpeps.gaussian._harmonic_table": _harmonic_table,
+    "fpeps.lattice.site_order": lambda: lattice.site_order(LatticeSpec(3, 2)),
+    "fpeps.mapping._sign_tables": lambda: mapping._sign_tables(LatticeSpec(3, 2), CHECKERBOARD_3X2),
+    "fpeps.mapping._sign_stack": lambda: mapping._sign_stack(LatticeSpec(3, 2), CHECKERBOARD_3X2),
+}
+
+
+def _arrays(value):
+    """The arrays in a cached value, inside nested tuples and lists."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+
+
+def test_every_cache_is_listed():
+    assert sorted(package_caches()) == sorted(CACHE_CALLS)
+
+
+@pytest.mark.parametrize("name", sorted(CACHE_CALLS))
+def test_cached_arrays_are_read_only(cold_caches, name):
+    value = CACHE_CALLS[name]()
+    assert CACHE_CALLS[name]() is value
+    for array in _arrays(value):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = array.copy()
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (2, 1), (2, 2), (3, 2), (3, 3)],
+                         ids=lambda shape: f"{shape[0]}x{shape[1]}")
+def test_cold_and_warm_calls_give_the_same_bytes(cold_caches, shape):
+    lattice = LatticeSpec(*shape)
+    rng = np.random.default_rng(700 + 10 * shape[0] + shape[1])
+    parity = {(h, v): (h + v) % 2 for h, v in lattice.sites()}
+    tensors = {s: FPEPSTensor.random(rng, parity[s]) for s in lattice.sites()}
+
+    def run():
+        state = build_fpeps(lattice, tensors)
+        mapped = map_tensor_set(lattice, tensors, parity)
+        spin = contract_peps(lattice, mapped)
+        return ([state.amplitudes.tobytes(), spin.amplitudes.tobytes(),
+                 covariance_matrix(state).tobytes()]
+                + [mapped[s].entries.tobytes() for s in lattice.sites()])
+
+    cold = run()
+    assert run() == cold

@@ -398,6 +398,16 @@ def test_spectrum_bad_sizes_is_config_error(tmp_path, capsys):
     assert_config_error(["spectrum", "--sizes", "4,x", "--out", str(tmp_path / "x.csv")], capsys)
 
 
+@pytest.mark.parametrize("sizes, repeated", [("5,5", 5), ("5,7,9,07", 7)])
+def test_spectrum_repeated_size_is_config_error(tmp_path, capsys, sizes, repeated):
+    # a repeated size used to write its row twice
+    out = tmp_path / "x.csv"
+    with mock.patch.object(cli, "gap_scan", _must_not_run):
+        assert run(["spectrum", "--sizes", sizes, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --sizes {repeated} is given more than once\n"
+    assert not out.exists()
+
+
 def test_spectrum_oversized_torus_is_refused_before_allocating(tmp_path, capsys):
     # 2001^2 momenta of levels, about 1.7 GiB (--lattice) and 1.2 GiB (--sizes)
     with mock.patch.object(quadratic, "parent_hamiltonian", _must_not_run), \
@@ -451,6 +461,16 @@ def test_entropy_bad_torus_is_blamed_on_the_torus(tmp_path, capsys, torus):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "--blocks" not in err and f"{torus}x{torus}" in err
+
+
+@pytest.mark.parametrize("blocks, repeated", [("2,2", 2), ("1,3,2,3", 3)])
+def test_entropy_repeated_block_length_is_config_error(tmp_path, capsys, blocks, repeated):
+    # a repeated block length used to write its row twice
+    out = tmp_path / "x.csv"
+    with mock.patch.object(cli, "entropy_scan", _must_not_run):
+        assert run(["entropy", "--torus", "7", "--blocks", blocks, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --blocks {repeated} is given more than once\n"
+    assert not out.exists()
 
 
 def test_entropy_bad_blocks_is_config_error(tmp_path, capsys):

@@ -136,14 +136,6 @@ def test_oracle_equivalence_on_self_loop_lattices(shape, mixed):
         assert_oracle_matches_contraction(lattice, tensors, parity)
 
 
-@pytest.fixture
-def fresh_sign_cache():
-    """An empty sign-table cache, emptied again afterwards."""
-    mapping._sign_tables.cache_clear()
-    yield
-    mapping._sign_tables.cache_clear()
-
-
 @pytest.mark.parametrize("shape", [(2, 2), (3, 2)], ids=["2x2", "3x2"])
 def test_sign_derivation_without_transport_is_not_site_local(monkeypatch, shape):
     # the boundary and vertical pieces are what makes the residual local
@@ -162,7 +154,7 @@ def _reference_patterns(lattice):
 
 @pytest.mark.parametrize("shape", [(h, v) for h in range(1, 8) for v in range(1, 8)],
                          ids=lambda shape: f"{shape[0]}x{shape[1]}")
-def test_closed_form_equals_the_normal_ordering_reference(fresh_sign_cache, shape):
+def test_closed_form_equals_the_normal_ordering_reference(cold_caches, shape):
     # 1xN, Nx1 and 2xN alias or double up bonds; three or more columns run the bulk
     lattice = LatticeSpec(*shape)
     for parities in _reference_patterns(lattice):
@@ -209,7 +201,7 @@ def test_sign_tables_are_derived_once_and_shared():
         first[0, 0, 0, 0, 0, 0] = 1
 
 
-def test_cached_sign_tables_equal_a_fresh_derivation(fresh_sign_cache):
+def test_cached_sign_tables_equal_a_fresh_derivation(cold_caches):
     lattices = list(MAPPING_LATTICES) + [LatticeSpec(*shape) for shape, _ in SIGN_TABLE_DIGESTS]
     keys = [(lattice, parity) for lattice in lattices for parity in _parity_patterns(lattice)]
     cached = [derive_sign_functions(lattice, parity) for lattice, parity in keys]
@@ -220,7 +212,7 @@ def test_cached_sign_tables_equal_a_fresh_derivation(fresh_sign_cache):
 
 
 @pytest.mark.parametrize("even_first", [True, False], ids=["even-first", "checkerboard-first"])
-def test_sign_cache_key_holds_the_parity(fresh_sign_cache, even_first):
+def test_sign_cache_key_holds_the_parity(cold_caches, even_first):
     lattice = LatticeSpec(4, 4)
     even, checkerboard = _parity_patterns(lattice)
     order = [(False, even), (True, checkerboard)]
