@@ -61,11 +61,12 @@ CONVERT_SITE_FLOATS = 8700  # charged per site of a convert; see the charges bel
 #   before it holds R, so they peak lower; A, C and B are slices of the
 #   covariance.  Traced at torus 61-801 and L = 20-50; charged 24 per site
 #   plus two such arrays.
-# * convert: 8,040-8,450 floats per site of a set with every allowed entry
+# * convert: 8,140-8,510 floats per site of a set with every allowed entry
 #   nonzero, nearly all of it while the output's JSON text is built (one
-#   dict per entry next to the text); the text is then written with its
-#   newline after it, not copied.  Traced from 10x10 to 100x100; charged
-#   CONVERT_SITE_FLOATS once the lattice is read.
+#   dict per entry next to the text, and the mapping's cached gather plan,
+#   up to 96 floats per site); the text is then written with its newline
+#   after it, not copied.  Traced with every cache empty from 10x10 to
+#   100x100; charged CONVERT_SITE_FLOATS once the lattice is read.
 # * verify's mapping suite: one stack of tensor sets (drawn tensors, oracle,
 #   spin tensors, contraction) peaks at 10.7 KiB per set on 1x2 and 2x1 and
 #   34.6-34.7 KiB on 2x2, traced with stacks of 64 and 256, and MAPPING_STACK

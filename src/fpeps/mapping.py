@@ -33,10 +33,13 @@ that every remaining monomial sits on one site.
 
 The tables depend on nothing but the lattice and each site's parity, so each
 lattice and parity pattern is derived once per process and kept in a bounded
-cache; callers share the read-only stack.  ``map_stack`` maps a stack of
-tensor sets that share one parity pattern with one cached, read-only stack of
-the signs ``(-1)^f`` as floats in the entries' axis order, keyed like the
-tables; ``map_tensor_set`` is a stack of one.
+cache; callers share the read-only stack.  So is where each entry goes: a
+cached, read-only gather plan, keyed like the tables, holds for every
+parity-allowed entry and each ``r'`` its flat source and destination index
+and its ``+-1`` sign (the table sign times the boundary or vertical phase),
+with ``r' = 1`` of the last column left out.  ``map_stack`` maps a stack of
+tensor sets that share one parity pattern with one gather, one multiply and
+one indexed write; ``map_tensor_set`` is a stack of one.
 """
 from __future__ import annotations
 
@@ -108,27 +111,48 @@ def _sign_tables(lattice: LatticeSpec, parities: tuple[int, ...]) -> np.ndarray:
     return tables
 
 
-# an entry is one lattice's (N, 2, 2, 2, 2, 2) stack of +-1 floats for one
-# parity pattern, in the entries' axis order [site, k, l, r, u, d]
+# an entry is one lattice's plan for one parity pattern: per site 32 mapped
+# entries (16 allowed entries, each for r' = 0 and 1; 16 on the last column)
+# of two int64 indices and one float sign, 768 bytes
 @functools.lru_cache(maxsize=128)
-def _sign_stack(lattice: LatticeSpec, parities: tuple[int, ...]) -> np.ndarray:
+def _map_plan(lattice: LatticeSpec, parities: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Flat destinations in the ``(N, 2^7)`` spin stack, flat sources in the
+    ``(N, 2^5)`` fermionic stack and the signs of every mapped entry."""
     bad = [c for c in parities if c not in (0, 1)]
     if bad:
         raise ContractViolationError(f"site parities must be 0 or 1, got {bad[0]}")
-    # the sign tables are indexed [site, k, u, d, l, r]
-    tables = _sign_tables(lattice, parities).transpose(0, 1, 4, 5, 2, 3)
-    signs = np.ascontiguousarray((-1.0) ** tables)
-    signs.flags.writeable = False
-    return signs
+    n_h, n = lattice.n_h, lattice.n_sites
+    allowed = _PARITY == np.array(parities).reshape((n,) + (1,) * 5)
+    # every allowed entry [site, k, l, r, u, d], once for r' = 0 and once for r' = 1
+    m, k, l, r, u, d = np.repeat(np.nonzero(allowed), 2, axis=1)
+    rp = np.tile([0, 1], len(m) // 2)
+    first = m % n_h == 0
+    lp = np.where(first, 0, (rp + u + d) % 2)
+    phase = np.where(first, d + l, d) * rp
+    keep = (rp == 0) | (m % n_h != n_h - 1)
+    f = _sign_tables(lattice, parities)[m, k, u, d, l, r]
+    plan = (np.ravel_multi_index((m, k, l, lp, r, rp, u, d), (n,) + (2,) * 7)[keep],
+            np.ravel_multi_index((m, k, l, r, u, d), (n,) + (2,) * 5)[keep],
+            ((-1.0) ** (f + phase))[keep])
+    for array in plan:
+        array.flags.writeable = False
+    return plan
 
 
 def _check_parity(lattice: LatticeSpec, own: tuple[int, ...], parity) -> None:
     """Refuse a ``parity`` argument that disagrees with the tensors' own pattern."""
     if parity is None:
         return
+    sites = site_order(lattice)
+    # a dict keyed by exactly the sites, with int values that agree, is
+    # accepted as it stands; any other form goes through the validation
+    if isinstance(parity, dict) and len(parity) == len(sites):
+        given = tuple(map(parity.get, sites))
+        if given == own and all(type(c) is int for c in given):
+            return
     given = _parity_pattern(lattice, parity)
     if given != own:
-        wrong = [s for s, g, o in zip(site_order(lattice), given, own) if g != o]
+        wrong = [s for s, g, o in zip(sites, given, own) if g != o]
         raise ContractViolationError(
             f"parity argument disagrees with the tensors' parity at sites {wrong}"
         )
@@ -152,22 +176,18 @@ def map_stack(lattice: LatticeSpec, entries: np.ndarray, parity: tuple[int, ...]
 
     ``entries`` and ``parity`` are a stack from :func:`fpeps.tensors.stack_sets`:
     ``(S, N, 2, 2, 2, 2, 2)`` tensors in site M order sharing one parity
-    pattern, so one sign-table stack serves every set.  Entry ``[i, m]`` is
+    pattern, so one cached gather plan serves every set.  Entry ``[i, m]`` is
     B[k, l, l', r, r', u, d] of site ``m`` of set ``i``.  First-column
     tensors only populate l' = 0 and carry the boundary phase
     (-1)^((d + l) r'); bulk tensors enforce l' = (r' + u + d) mod 2 with
     phase (-1)^(d r'); the last column additionally pins r' = 0.
     """
-    nonzero = np.nonzero(entries)
-    i, m, k, l, r, u, d = nonzero
-    base = (entries * _sign_stack(lattice, tuple(parity)))[nonzero]
-    first = m % lattice.n_h == 0
-    out = np.zeros(entries.shape[:2] + (2,) * 7, dtype=complex)
-    for rp in (0, 1):
-        lp = np.where(first, 0, (rp + u + d) % 2)
-        out[i, m, k, l, lp, r, rp, u, d] = base * (-1.0) ** (np.where(first, d + l, d) * rp)
-    out[:, lattice.n_h - 1::lattice.n_h, ..., 1, :, :] = 0.0
-    return out
+    dst, src, sign = _map_plan(lattice, tuple(parity))
+    n_sets, n = entries.shape[0], lattice.n_sites
+    out = np.zeros((n_sets, n * 2**7), dtype=complex)
+    # + 0.0: an allowed entry that is zero is written as 0.0, never -0.0
+    out[:, dst] = entries.reshape(n_sets, n * 2**5)[:, src] * sign + 0.0
+    return out.reshape((n_sets, n) + (2,) * 7)
 
 
 def map_tensor_set(

@@ -14,11 +14,17 @@ of each site is eliminated through the tensor parity constraint
 ``k = (l + r + u + d + c) mod 2``.  The tables come out as
 ``derive_sign_functions`` returns them: a ``(N, 2, 2, 2, 2, 2)`` uint8 stack
 indexed ``[site, k, u, d, l, r]`` in M order.
+
+``scatter_map_stack`` is the reference of ``fpeps.mapping._map_plan``: the
+scatter form of ``map_stack`` that the plan replaced.  It multiplies the whole
+stack by the ``+-1`` table signs, scans the nonzero entries, writes them once
+per ``r'`` with the phase, and zeroes ``r' = 1`` on the last column.
 """
 import numpy as np
 
 from fpeps.errors import ContractViolationError
 from fpeps.lattice import LatticeSpec
+from fpeps.mapping import _sign_tables
 from fpeps.tensors import _PARITY
 
 # table entries [k, u, d, l, r] as 32 columns; rows are the values of the
@@ -100,3 +106,19 @@ def normal_ordered_sign_tables(lattice: LatticeSpec, parities: tuple[int, ...]) 
     # parity is a bit count, the same in the table's axis order
     tables *= _PARITY.reshape(32) == c[:, None]
     return tables.reshape((n,) + (2,) * 5).astype(np.uint8)
+
+
+def scatter_map_stack(lattice: LatticeSpec, entries: np.ndarray, parity) -> np.ndarray:
+    """Spin tensors of a ``(S, N, 2, 2, 2, 2, 2)`` stack, as ``map_stack`` returns them."""
+    # the sign tables are indexed [site, k, u, d, l, r], the entries [site, k, l, r, u, d]
+    signs = (-1.0) ** _sign_tables(lattice, tuple(parity)).transpose(0, 1, 4, 5, 2, 3)
+    nonzero = np.nonzero(entries)
+    i, m, k, l, r, u, d = nonzero
+    base = (entries * signs)[nonzero]
+    first = m % lattice.n_h == 0
+    out = np.zeros(entries.shape[:2] + (2,) * 7, dtype=complex)
+    for rp in (0, 1):
+        lp = np.where(first, 0, (rp + u + d) % 2)
+        out[i, m, k, l, lp, r, rp, u, d] = base * (-1.0) ** (np.where(first, d + l, d) * rp)
+    out[:, lattice.n_h - 1::lattice.n_h, ..., 1, :, :] = 0.0
+    return out

@@ -36,8 +36,8 @@ CACHE_CALLS = {
     "fpeps.fock.physical_registry": lambda: fock.physical_registry(LatticeSpec(3, 2)),
     "fpeps.gaussian._harmonic_table": _harmonic_table,
     "fpeps.lattice.site_order": lambda: lattice.site_order(LatticeSpec(3, 2)),
+    "fpeps.mapping._map_plan": lambda: mapping._map_plan(LatticeSpec(3, 2), CHECKERBOARD_3X2),
     "fpeps.mapping._sign_tables": lambda: mapping._sign_tables(LatticeSpec(3, 2), CHECKERBOARD_3X2),
-    "fpeps.mapping._sign_stack": lambda: mapping._sign_stack(LatticeSpec(3, 2), CHECKERBOARD_3X2),
 }
 
 

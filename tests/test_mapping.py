@@ -7,6 +7,7 @@ import pytest
 from fpeps.build import build_fpeps, build_stack
 from fpeps.cli import MAPPING_LATTICES
 from fpeps.contraction import contract_peps, contract_stack
+from fpeps.critical import example_tensor_set
 from fpeps.errors import ContractViolationError
 from fpeps.lattice import LatticeSpec
 from fpeps import mapping
@@ -17,9 +18,13 @@ import sign_reference
 
 
 def map_with_zero_signs(monkeypatch, lattice, site, tensor):
-    """The spin tensor of ``site`` mapped with all-zero sign tables, every other site empty."""
-    monkeypatch.setattr(mapping, "derive_sign_functions",
-                        lambda lattice, parity: np.zeros((lattice.n_sites,) + (2,) * 5, np.uint8))
+    """The spin tensor of ``site`` mapped with all-zero sign tables, every other site empty.
+
+    The gather plan reads ``_sign_tables``; the caller's ``cold_caches`` keeps
+    a plan built before, or with, the patch out of every other test.
+    """
+    monkeypatch.setattr(mapping, "_sign_tables",
+                        lambda lattice, parities: np.zeros((lattice.n_sites,) + (2,) * 5, np.uint8))
     tensors = {s: FPEPSTensor(np.zeros((2,) * 5, dtype=complex)) for s in lattice.sites()}
     tensors[site] = tensor
     return map_tensor_set(lattice, tensors)[site].entries
@@ -31,7 +36,7 @@ def one_entry(k, l, r, u, d, value=1.0):
     return FPEPSTensor(arr, (k + l + r + u + d) % 2)
 
 
-def test_map_identity_entry_first_column(monkeypatch):
+def test_map_identity_entry_first_column(cold_caches, monkeypatch):
     lattice = LatticeSpec(3, 3)
     B = map_with_zero_signs(monkeypatch, lattice, (1, 1), one_entry(0, 0, 0, 0, 0))
     # d + l = 0: both r' slots carry +1, l' pinned to 0
@@ -40,7 +45,7 @@ def test_map_identity_entry_first_column(monkeypatch):
     assert np.count_nonzero(B) == 2
 
 
-def test_map_first_column_boundary_phase(monkeypatch):
+def test_map_first_column_boundary_phase(cold_caches, monkeypatch):
     lattice = LatticeSpec(3, 3)
     B = map_with_zero_signs(monkeypatch, lattice, (1, 1), one_entry(0, 0, 1, 0, 1))
     # r = d = 1, l = 0: the r' = 1 slot picks up (-1)^(d + l) = -1
@@ -48,7 +53,7 @@ def test_map_first_column_boundary_phase(monkeypatch):
     assert B[0, 0, 0, 1, 1, 0, 1] == -1.0
 
 
-def test_map_bulk_delta_constraint(monkeypatch):
+def test_map_bulk_delta_constraint(cold_caches, monkeypatch):
     lattice = LatticeSpec(3, 3)
     rng = np.random.default_rng(0)
     tensor = FPEPSTensor.random(rng, parity=0)
@@ -57,9 +62,13 @@ def test_map_bulk_delta_constraint(monkeypatch):
         assert lp == (rp + u + d) % 2
     # exactly half the (l', r') slots can be populated
     assert np.count_nonzero(B) == 2 * np.count_nonzero(tensor.entries)
+    # r' = 0 carries no phase, so with zero tables every entry keeps its
+    # sign; the real table of this site flips some of them
+    k, l, r, u, d = np.indices((2,) * 5)
+    assert np.array_equal(B[k, l, (u + d) % 2, r, 0, u, d], tensor.entries)
 
 
-def test_map_last_column_pins_rprime(monkeypatch):
+def test_map_last_column_pins_rprime(cold_caches, monkeypatch):
     lattice = LatticeSpec(3, 3)
     rng = np.random.default_rng(1)
     tensor = FPEPSTensor.random(rng, parity=0)
@@ -75,7 +84,7 @@ def test_map_rejects_invalid_tensor():
         FPEPSTensor(arr, 0)
 
 
-def test_zero_tensor_maps_to_zero(monkeypatch):
+def test_zero_tensor_maps_to_zero(cold_caches, monkeypatch):
     lattice = LatticeSpec(2, 2)
     zero = FPEPSTensor(np.zeros((2,) * 5, dtype=complex), 0)
     B = map_with_zero_signs(monkeypatch, lattice, (2, 2), zero)
@@ -378,3 +387,92 @@ def test_random_stack_draws_one_16_by_2_block_per_tensor(shape):
 def test_random_stack_refuses_a_parity_other_than_0_or_1():
     with pytest.raises(ContractViolationError, match="parity must be 0 or 1, got 2"):
         random_stack([np.random.default_rng(0)], (0, 2))
+
+
+def _with_zeros(entries, rng):
+    """``entries`` with about a third of them, allowed ones included, set to exactly 0."""
+    return np.where(rng.random(entries.shape) < 0.3, 0.0, entries)
+
+
+@pytest.mark.parametrize("shape", [(h, v) for h in range(1, 5) for v in range(1, 4)],
+                         ids=lambda shape: f"{shape[0]}x{shape[1]}")
+def test_map_stack_equals_the_scatter_reference(cold_caches, shape):
+    # even, checkerboard and drawn patterns on stacks of three sets; a zero at
+    # an allowed entry is gathered and signed, and must still be written 0.0
+    lattice = LatticeSpec(*shape)
+    rng = np.random.default_rng(950 + 10 * shape[0] + shape[1])
+    patterns = [(0,) * lattice.n_sites, tuple((h + v) % 2 for h, v in lattice.sites()),
+                tuple(rng.integers(0, 2, lattice.n_sites).tolist())]
+    stacks = [(_with_zeros(random_stack([rng] * 3, parity), rng), parity) for parity in patterns]
+    # the example tensor's entry [0, 0, 0, 0, 0] is exactly 1 + 0j
+    stacks.append(stack_sets(lattice.sites(), [example_tensor_set(lattice)] * 2))
+    for entries, parity in stacks:
+        reference = sign_reference.scatter_map_stack(lattice, entries, parity)
+        assert map_stack(lattice, entries, parity).tobytes() == reference.tobytes()
+
+
+def test_map_stack_writes_no_negative_zero():
+    # real and imaginary entries and zeros: a part that is 0 is written as
+    # 0.0 whatever the sign it is multiplied by
+    lattice = LatticeSpec(3, 2)
+    rng = np.random.default_rng(17)
+    parity = tuple(rng.integers(0, 2, lattice.n_sites).tolist())
+    drawn = _with_zeros(random_stack([rng] * 4, parity), rng)
+    spin = map_stack(lattice, np.concatenate([drawn.real + 0j, 1j * drawn.imag]), parity)
+    parts = spin.view(float)
+    assert not np.signbit(parts[parts == 0]).any()
+
+
+def _checkerboard_set(lattice, seed):
+    parity = {(h, v): (h + v) % 2 for h, v in lattice.sites()}
+    rng = np.random.default_rng(seed)
+    return parity, {s: FPEPSTensor.random(rng, parity[s]) for s in lattice.sites()}
+
+
+def _replaced(parity, site, value):
+    return {**parity, site: value}
+
+
+# map_tensor_set's parity argument on the 3x2 checkerboard, whose site (1, 1)
+# is even and (2, 1) odd: the argument, then the refusal's message or None
+PARITY_ARGUMENTS = {
+    "dict": lambda p: (dict(p), None),
+    "wrapped-keys": lambda p: ({(h + 3, v - 2): c for (h, v), c in p.items()}, None),
+    "one-wrapped-key": lambda p: ({(4, 1) if s == (1, 1) else s: c for s, c in p.items()}, None),
+    "list-of-pairs": lambda p: (list(p.items()), None),
+    "extra-agreeing-key": lambda p: ({**p, (4, 1): 0}, None),
+    "extra-disagreeing-key": lambda p: (
+        {**p, (4, 1): 1}, "parity argument disagrees with the tensors' parity at sites [(1, 1)]"),
+    "missing-site": lambda p: (
+        {s: c for s, c in p.items() if s != (2, 2)}, "parity assignment missing sites [(2, 2)]"),
+    "value-2": lambda p: (_replaced(p, (2, 1), 2), "site parities must be 0 or 1, got {(2, 1): 2}"),
+    "value-minus-1": lambda p: (
+        _replaced(p, (2, 1), -1), "site parities must be 0 or 1, got {(2, 1): -1}"),
+    "value-1.7": lambda p: (
+        _replaced(p, (2, 1), 1.7), "site parities must be 0 or 1, got {(2, 1): 1.7}"),
+    "True": lambda p: (_replaced(p, (2, 1), True), None),
+    "int64-1": lambda p: (_replaced(p, (2, 1), np.int64(1)), None),
+    "float-0": lambda p: (_replaced(p, (1, 1), 0.0), None),
+    "True-on-even": lambda p: (
+        _replaced(p, (1, 1), True),
+        "parity argument disagrees with the tensors' parity at sites [(1, 1)]"),
+    "one-disagreeing-site": lambda p: (
+        _replaced(p, (2, 2), 1),
+        "parity argument disagrees with the tensors' parity at sites [(2, 2)]"),
+}
+
+
+@pytest.mark.parametrize("case", list(PARITY_ARGUMENTS))
+def test_map_tensor_set_parity_argument(case):
+    lattice = LatticeSpec(3, 2)
+    parity, tensors = _checkerboard_set(lattice, 31)
+    argument, refusal = PARITY_ARGUMENTS[case](parity)
+    if refusal is None:
+        mapped = map_tensor_set(lattice, tensors, argument)
+        without = map_tensor_set(lattice, tensors)
+        assert all(mapped[s].entries.tobytes() == without[s].entries.tobytes()
+                   for s in lattice.sites())
+    else:
+        with pytest.raises(ContractViolationError) as refused:
+            map_tensor_set(lattice, tensors, argument)
+        assert str(refused.value) == refusal
