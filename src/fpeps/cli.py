@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
 
@@ -43,7 +42,7 @@ from .tensors import random_stack
 
 MAPPING_LATTICES = (LatticeSpec(1, 2), LatticeSpec(2, 1), LatticeSpec(2, 2))
 MAPPING_STACK = 64  # the most tensor sets checked as one stack; see the charges below
-CONVERT_SITE_FLOATS = 8700  # charged per site of a convert; see the charges below
+CONVERT_SITE_FLOATS = 1100  # charged per site of a convert; see the charges below
 
 # A request whose arrays would pass errors.MAX_FLOATS (1 GiB) is refused
 # before anything is allocated.  What each command holds, measured:
@@ -61,27 +60,33 @@ CONVERT_SITE_FLOATS = 8700  # charged per site of a convert; see the charges bel
 #   before it holds R, so they peak lower; A, C and B are slices of the
 #   covariance.  Traced at torus 61-801 and L = 20-50; charged 24 per site
 #   plus two such arrays.
-# * convert: 8,140-8,510 floats per site of a set with every allowed entry
-#   nonzero, nearly all of it while the output's JSON text is built (one
-#   dict per entry next to the text, and the mapping's cached gather plan,
-#   up to 96 floats per site); the text is then written with its newline
-#   after it, not copied.  Traced with every cache empty from 10x10 to
-#   100x100; charged CONVERT_SITE_FLOATS once the lattice is read.
+# * convert: 986-1,013 floats per site of a set with every allowed entry
+#   nonzero, all of it while the input file is read (its text, then its
+#   parsed document next to the entry arrays).  The mapped set, with the
+#   mapping's cached gather plan (up to 96 floats per site), is written as
+#   one chunk of JSON text per site and peaks lower.  Traced with every
+#   cache empty from 10x10 to 100x100, 3x300 and 300x3; charged
+#   CONVERT_SITE_FLOATS once the lattice is read.
 # * verify's mapping suite: one stack of tensor sets (drawn tensors, oracle,
 #   spin tensors, contraction) peaks at 10.7 KiB per set on 1x2 and 2x1 and
 #   34.6-34.7 KiB on 2x2, traced with stacks of 64 and 256, and MAPPING_STACK
-#   sets per stack keep it under 2.2 MiB; the report's check and JSON text
-#   add 168-170 floats per set, traced from 2000 to 16000 sets: charged 176.
+#   sets per stack keep it under 2.2 MiB; the report's checks and JSON text
+#   add 98-104 floats per set from 4000 to 16000 sets, and at 2000 sets the
+#   stacks still put the peak at 169 per set: charged 176.
 
 
-def _emit(text: str, out_path, end: str = ""):
-    """Write ``text`` and then ``end`` to ``out_path``, or to stdout."""
+def _emit(text, out_path, end: str = ""):
+    """Write ``text`` and then ``end`` to ``out_path``, or to stdout.
+
+    ``text`` is one str, or an iterable of str chunks written as they come.
+    """
+    chunks = (text,) if isinstance(text, str) else text
     if out_path:
         with open(out_path, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
             fh.write(end)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         sys.stdout.write(end)
 
 
@@ -199,7 +204,7 @@ def cmd_verify(args) -> int:
         "checks": checks,
         "passed": passed,
     }
-    _emit(json.dumps(report, indent=1), args.out, end="\n")
+    _emit(fio.json_text(report), args.out, end="\n")
     n_pass = sum(1 for c in checks if c["passed"])
     print(f"verify: {n_pass}/{len(checks)} checks passed", file=sys.stderr)
     return 0 if passed else 1
@@ -318,7 +323,7 @@ def cmd_convert(args) -> int:
     refuse_over_limit(CONVERT_SITE_FLOATS * lattice.n_sites,
                       f"convert of the {lattice.n_h}x{lattice.n_v} lattice")
     mapped = map_tensor_set(lattice, tensors)
-    _emit(fio.dump_peps_set(lattice, mapped), args.output, end="\n")
+    _emit(fio.peps_set_chunks(lattice, mapped), args.output, end="\n")
     print(f"convert: mapped {lattice.n_sites} tensors", file=sys.stderr)
     return 0
 

@@ -61,13 +61,15 @@ def contract_stack(lattice: LatticeSpec, entries: np.ndarray) -> np.ndarray:
 
     ``entries[i, m]`` is B[k, l, l', r, r', u, d] of site ``m`` (M order) of
     set ``i``; row i of the result is that set's amplitudes in site M order,
-    equal to the set contracted alone.
+    equal to the set contracted alone.  A stack of no sets gives ``(0, 2^N)``.
     """
     if lattice.n_sites > MAX_SITES:
         raise ResourceLimitError(
             f"{lattice.n_sites} sites exceed the exact-contraction cap of {MAX_SITES}"
         )
     n_sets = entries.shape[0]
+    if not n_sets:
+        return np.zeros((0, 2**lattice.n_sites), np.result_type(entries, float))
     rows = [_row_tensors(lattice, entries, v) for v in range(1, lattice.n_v + 1)]
     width = rows[0].shape[1]
     env = np.eye(width).reshape(1, width, 1, width)  # [set, D_current, phys, U_open]

@@ -36,9 +36,11 @@ from .gaussian import (
     gamma_out_hat,
 )
 from .lattice import LatticeSpec, Site
-from .quadratic import DiracQuadratic, block_entropy, parent_hamiltonian, single_particle_spectrum
+from .quadratic import DiracQuadratic, _levels, block_entropy, parent_hamiltonian
 from .tensors import FPEPSTensor
 
+# read-only: every example channel shares these arrays, and the package's
+# caches are keyed on their bytes
 EXAMPLE_B = 0.5 * np.array([
     [1, -1, 0, 0, -1, 1, 0, 0],
     [0, 0, -1, 1, 0, 0, 1, -1],
@@ -54,6 +56,7 @@ EXAMPLE_D = 0.25 * np.array([
     [1, 1, 0, 2, -1, -1, 0, 2],
     [1, 1, -2, 0, -1, -1, -2, 0],
 ], dtype=float)
+EXAMPLE_B.flags.writeable = EXAMPLE_D.flags.writeable = False
 
 
 def example_channel() -> GaussianChannel:
@@ -207,4 +210,4 @@ def gap_scan(sizes) -> list[tuple[int, float]]:
     if not lattices:
         raise ContractViolationError("gap scan needs at least one torus size")
     ham = parent_hamiltonian(example_channel(), radius_cap=2)
-    return [(lat.n_h, single_particle_spectrum(ham, lat)[1]) for lat in lattices]
+    return [(lat.n_h, float(_levels(ham, lat.momenta()).min())) for lat in lattices]

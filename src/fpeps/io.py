@@ -4,25 +4,89 @@ Both formats share one JSON layout and one codec: the lattice, the parity
 rows (tensor sets only), then per site the nonzero entries of its array in
 C order of the indices, named by ``_FERMION_KEYS`` or ``_SPIN_KEYS``.
 
-JSON floats are serialized with Python's shortest round-trip repr, so a
-fixed input produces byte-identical output files.
+Both files, and ``fpeps verify``'s report, are written by one JSON writer,
+:func:`json_text`, which gives the bytes of ``json.dumps(value, indent=1)``
+without its pure-Python encoder: floats in their shortest round-trip repr,
+so a fixed input produces byte-identical output files.  A tensor file is
+written site by site, each nonzero entry from one text template per format.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ContractViolationError
-from .lattice import LatticeSpec, Site
+from .lattice import LatticeSpec, Site, site_order
 from .mapping import tensor_parity
 from .tensors import FPEPSTensor, PEPSTensor
 
 # entry index names of the two file formats, in array axis order
 _FERMION_KEYS = ("k", "l", "r", "u", "d")
 _SPIN_KEYS = ("k", "l", "lp", "r", "rp", "u", "d")
+# a tensor file's sites start two spaces in, and their entries four
+_SITE_PAD, _ENTRY_PAD = "\n  ", "\n    "
+
+
+class _Text(str):
+    """JSON text that :func:`json_text` copies as it stands."""
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float(value: float) -> str:
+    """A float as ``json`` writes it: its shortest repr, or NaN, Infinity, -Infinity."""
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
+def json_text(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=1)``, without its pure-Python encoder.
+
+    ``value`` nests dicts with str keys, lists and tuples of str, int, bool,
+    float and None; a :class:`_Text` is copied as it stands.  ``pad`` is a
+    newline and the indentation of the line ``value`` starts on.  Each
+    container is joined from the text of its items, so a document is a few
+    large strings rather than one per token.
+    """
+    if isinstance(value, str):
+        return value if type(value) is _Text else encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float(value)
+    inner = pad + " "
+    if isinstance(value, (list, tuple)):
+        brackets, items = "[]", [json_text(item, inner) for item in value]
+    elif isinstance(value, dict):
+        brackets, items = "{}", [f"{encode_basestring_ascii(key)}: {json_text(item, inner)}"
+                                 for key, item in value.items()]
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+
+
+# an entry is one file format's entry texts, one per C-order flat index of a
+# site's array, each with a %s hole for its real and one for its imaginary part
+@functools.lru_cache(maxsize=2)
+def _entry_templates(keys: tuple[str, ...]) -> tuple[str, ...]:
+    hole = _Text("%s")
+    return tuple(json_text({**dict(zip(keys, index)), "re": hole, "im": hole}, _ENTRY_PAD)
+                 for index in itertools.product((0, 1), repeat=len(keys)))
 
 
 @contextmanager
@@ -85,18 +149,29 @@ def _load(path, kind: str, keys) -> tuple[LatticeSpec, dict, dict[Site, np.ndarr
     return lattice, data, arrays
 
 
-def _dump(lattice: LatticeSpec, keys, arrays: dict[Site, np.ndarray], **header) -> str:
-    """The JSON document of one entry array per site; ``header`` follows the lattice."""
-    tensors = []
-    for site in lattice.sites():
-        arr = arrays[site]
-        nonzero = arr != 0
-        tensors.append({"site": list(site), "entries": [
-            {**dict(zip(keys, idx)), "re": val.real, "im": val.imag}
-            for idx, val in zip(np.argwhere(nonzero).tolist(), arr[nonzero].tolist())
-        ]})
-    payload = {"lattice": {"nh": lattice.n_h, "nv": lattice.n_v}, **header, "tensors": tensors}
-    return json.dumps(payload, indent=1)
+def _dump(lattice: LatticeSpec, keys, arrays: dict[Site, np.ndarray], **header):
+    """The file's JSON text in chunks: its head, one chunk per site, its tail.
+
+    Joined, the chunks are ``json.dumps(document, indent=1)`` of the document
+    with one dict per nonzero entry (its index by ``keys``, then "re" and
+    "im"); ``header`` follows the lattice.  That document is never built.
+    """
+    mark = _Text("\0")  # the writer escapes every other NUL
+    head, tail = json_text({"lattice": {"nh": lattice.n_h, "nv": lattice.n_v}, **header,
+                            "tensors": [mark]}).split(mark)
+    templates = _entry_templates(keys)
+    yield head
+    for i, site in enumerate(site_order(lattice)):
+        arr = arrays[site].ravel()
+        flat = np.flatnonzero(arr)
+        values = arr[flat]
+        parts = values.real.tolist(), values.imag.tolist()
+        if not np.isfinite(values).all():
+            parts = [[_float(x) for x in part] for part in parts]
+        entries = [_Text(templates[f] % pair) for f, pair in zip(flat.tolist(), zip(*parts))]
+        chunk = json_text({"site": list(site), "entries": entries}, _SITE_PAD)
+        yield "," + _SITE_PAD + chunk if i else chunk
+    yield tail
 
 
 def load_tensor_set(path) -> tuple[LatticeSpec, dict[Site, int], dict[Site, FPEPSTensor]]:
@@ -120,7 +195,7 @@ def dump_tensor_set(
     rows = [[parity[(h, v)] for h in range(1, lattice.n_h + 1)]
             for v in range(1, lattice.n_v + 1)]
     arrays = {s: tensors[s].entries for s in lattice.sites()}
-    return _dump(lattice, _FERMION_KEYS, arrays, parity=rows)
+    return "".join(_dump(lattice, _FERMION_KEYS, arrays, parity=rows))
 
 
 def load_peps_set(path) -> tuple[LatticeSpec, dict[Site, PEPSTensor]]:
@@ -128,5 +203,10 @@ def load_peps_set(path) -> tuple[LatticeSpec, dict[Site, PEPSTensor]]:
     return lattice, {s: PEPSTensor(arrays[s]) for s in lattice.sites()}
 
 
+def peps_set_chunks(lattice: LatticeSpec, tensors: dict[Site, PEPSTensor]):
+    """The PEPS-set file's text in chunks, one per site between its head and tail."""
+    return _dump(lattice, _SPIN_KEYS, {s: tensors[s].entries for s in site_order(lattice)})
+
+
 def dump_peps_set(lattice: LatticeSpec, tensors: dict[Site, PEPSTensor]) -> str:
-    return _dump(lattice, _SPIN_KEYS, {s: tensors[s].entries for s in lattice.sites()})
+    return "".join(peps_set_chunks(lattice, tensors))

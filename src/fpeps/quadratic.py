@@ -21,7 +21,9 @@ allows.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -60,19 +62,24 @@ def _half_space(radius: int) -> list[Displacement]:
 
 @dataclass(frozen=True)
 class QuadraticHamiltonian:
-    """Displacement-block form of a quadratic Majorana Hamiltonian."""
+    """Displacement-block form of a quadratic Majorana Hamiltonian.
+
+    It is read-only: ``blocks`` becomes a read-only mapping of read-only
+    copies of the given blocks, so one instance can be shared.
+    """
 
     blocks: dict = field(default_factory=dict)  # Displacement -> real 2x2
 
     def __post_init__(self):
         clean = {}
         for delta, blk in self.blocks.items():
-            arr = np.asarray(blk, dtype=float)
+            arr = np.array(blk, dtype=float)
             if arr.shape != (2, 2):
                 raise ContractViolationError("Hamiltonian blocks must be 2x2")
             if np.max(np.abs(arr)) > 0:
+                arr.flags.writeable = False
                 clean[(int(delta[0]), int(delta[1]))] = arr
-        object.__setattr__(self, "blocks", clean)
+        object.__setattr__(self, "blocks", MappingProxyType(clean))
         for delta, arr in clean.items():
             minus = (-delta[0], -delta[1])
             partner = clean.get(minus, np.zeros((2, 2)))
@@ -171,8 +178,22 @@ def parent_hamiltonian(channel: GaussianChannel, radius_cap: int = 2) -> Quadrat
     h_hat(phi) = [[i p, q], [-conj(q), -i p]] from the minimal triple; the
     displacement blocks are the (exactly finite) harmonic content of p and q.
     Blocks beyond ``radius_cap`` cannot occur by construction; offending
-    radii raise ``ContractViolationError`` inside the triple search.
+    radii raise ``ContractViolationError`` inside the triple search.  It is
+    derived once per channel and ``radius_cap`` in a process, and read-only.
     """
+    return _parent_hamiltonian(channel.A.tobytes(), channel.B.tobytes(), channel.D.tobytes(),
+                               channel.B.shape, radius_cap)
+
+
+# an entry is one channel's parent Hamiltonian at one radius cap; the key is
+# the bytes of A, B and D and B's shape (which fixes A's and D's), so a
+# channel whose arrays change in place gets a fresh search
+@functools.lru_cache(maxsize=64)
+def _parent_hamiltonian(A: bytes, B: bytes, D: bytes, shape: tuple[int, int],
+                        radius_cap: int) -> QuadraticHamiltonian:
+    n_out, n_in = shape
+    channel = GaussianChannel(*(np.frombuffer(x).reshape(rows, cols) for x, rows, cols in
+                                ((A, n_out, n_out), (B, n_out, n_in), (D, n_in, n_in))))
     deltas, (p, qr, qi, _) = minimal_triple(channel, radius_cap=radius_cap)
     # p = sum b sin(phi.Delta) and q = sum a cos(phi.Delta) + i c sin(phi.Delta)
     # have the harmonic blocks [[-b, a - c], [-(a + c), b]] / 2 at +Delta and
@@ -216,12 +237,17 @@ def _positive_branch(hh: np.ndarray) -> np.ndarray:
     return (a + c) / 2 + np.hypot((a - c) / 2, np.abs(hh[..., 0, 1]))
 
 
+def _levels(ham: QuadraticHamiltonian, momenta: np.ndarray) -> np.ndarray:
+    """The positive-branch level of every momentum: the one level kernel of the spectra."""
+    return _positive_branch(ham.h_hat(momenta))
+
+
 def single_particle_spectrum(
     ham: QuadraticHamiltonian, lattice: LatticeSpec
 ) -> tuple[list[tuple[tuple[float, float], float]], float]:
     """Positive branch of eigenvalues of i h_hat(phi) per momentum, and the gap."""
     momenta = lattice.momenta()
-    eps = _positive_branch(ham.h_hat(momenta))
+    eps = _levels(ham, momenta)
     return list(zip(zip(*momenta.T.tolist()), eps.tolist())), float(eps.min())
 
 

@@ -4,11 +4,13 @@ Every cache holds what depends only on its key (a lattice, a parity
 pattern, a channel's bytes, a size), so a call gives the same bytes with
 every cache empty and with every cache filled.
 """
+from collections.abc import Mapping
+
 import numpy as np
 import pytest
 
 from conftest import package_caches
-from fpeps import build, cli, correlators, fock, gaussian, lattice, mapping
+from fpeps import build, cli, correlators, fock, gaussian, io, lattice, mapping, quadratic
 from fpeps.build import build_fpeps
 from fpeps.contraction import contract_peps
 from fpeps.critical import example_channel
@@ -25,6 +27,12 @@ def _harmonic_table():
     return gaussian._harmonic_table(channel.A.tobytes(), channel.B.tobytes(), channel.D.tobytes())
 
 
+def _parent_hamiltonian():
+    channel = example_channel()
+    return quadratic._parent_hamiltonian(channel.A.tobytes(), channel.B.tobytes(),
+                                         channel.D.tobytes(), channel.B.shape, 2)
+
+
 # one call of every cache; a cache without an entry fails the listing test
 CACHE_CALLS = {
     "fpeps.build._plan": lambda: build._plan(LatticeSpec(3, 2)),
@@ -35,16 +43,22 @@ CACHE_CALLS = {
     "fpeps.fock.parity_signs": lambda: fock.parity_signs(5),
     "fpeps.fock.physical_registry": lambda: fock.physical_registry(LatticeSpec(3, 2)),
     "fpeps.gaussian._harmonic_table": _harmonic_table,
+    "fpeps.io._entry_templates": lambda: io._entry_templates(io._SPIN_KEYS),
     "fpeps.lattice.site_order": lambda: lattice.site_order(LatticeSpec(3, 2)),
     "fpeps.mapping._map_plan": lambda: mapping._map_plan(LatticeSpec(3, 2), CHECKERBOARD_3X2),
     "fpeps.mapping._sign_tables": lambda: mapping._sign_tables(LatticeSpec(3, 2), CHECKERBOARD_3X2),
+    "fpeps.quadratic._parent_hamiltonian": _parent_hamiltonian,
 }
 
 
 def _arrays(value):
-    """The arrays in a cached value, inside nested tuples and lists."""
+    """The arrays in a cached value, inside nested tuples, lists, mappings and Hamiltonians."""
     if isinstance(value, np.ndarray):
         yield value
+    elif isinstance(value, quadratic.QuadraticHamiltonian):
+        yield from _arrays(value.blocks)
+    elif isinstance(value, Mapping):
+        yield from _arrays(list(value.values()))
     elif isinstance(value, (tuple, list)):
         for item in value:
             yield from _arrays(item)
@@ -61,6 +75,26 @@ def test_cached_arrays_are_read_only(cold_caches, name):
     for array in _arrays(value):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = array.copy()
+
+
+def test_cached_parent_hamiltonian_is_read_only(cold_caches):
+    ham = quadratic.parent_hamiltonian(example_channel())
+    assert quadratic.parent_hamiltonian(example_channel()) is ham
+    assert ham.blocks and all(not block.flags.writeable for block in ham.blocks.values())
+    with pytest.raises(TypeError):
+        ham.blocks[(9, 9)] = np.zeros((2, 2))
+    with pytest.raises(TypeError):
+        del ham.blocks[(0, 0)]
+
+
+@pytest.mark.parametrize("argv", [["spectrum", "--lattice", "5x5"], ["verify", "--suite", "gaussian"]],
+                         ids=lambda argv: argv[0])
+def test_cold_and_warm_commands_write_the_same_bytes(cold_caches, capsys, argv):
+    outputs = []
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] and outputs[1] == outputs[0]
 
 
 @pytest.mark.parametrize("shape", [(1, 2), (2, 1), (2, 2), (3, 2), (3, 3)],

@@ -539,10 +539,11 @@ def test_convert_oversized_set_is_config_error(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out.json").exists()
 
 
-def test_convert_charge_covers_its_peak(tmp_path):
+def _convert_peak(tmp_path, side) -> int:
+    """The traced peak of a second ``convert`` of a drawn side x side set, in bytes."""
     # every allowed entry of a drawn tensor is nonzero, both parities, and
-    # ten columns put most sites in the bulk, which holds both r' slots
-    lattice = LatticeSpec(10, 10)
+    # ten or more columns put most sites in the bulk, which holds both r' slots
+    lattice = LatticeSpec(side, side)
     rng = np.random.default_rng(12)
     parity = {s: int(rng.integers(0, 2)) for s in lattice.sites()}
     src = tmp_path / "set.json"
@@ -553,10 +554,17 @@ def test_convert_charge_covers_its_peak(tmp_path):
     tracemalloc.start()
     try:
         assert run(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * cli.CONVERT_SITE_FLOATS * lattice.n_sites
+
+
+def test_convert_charge_covers_its_peak(tmp_path):
+    assert _convert_peak(tmp_path, 10) <= 8 * cli.CONVERT_SITE_FLOATS * 100
+
+
+def test_convert_charge_covers_its_peak_on_30x30(tmp_path):
+    assert _convert_peak(tmp_path, 30) <= 8 * cli.CONVERT_SITE_FLOATS * 900
 
 
 # --- fuzzing the argument grammars: parse, or exit 2 with one error line ----

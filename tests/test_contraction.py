@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fpeps.contraction import contract_peps
+from fpeps.contraction import contract_peps, contract_stack
 from fpeps.errors import ContractViolationError, ResourceLimitError
 from fpeps.lattice import LatticeSpec
+from fpeps.mapping import map_stack
 from fpeps.tensors import PEPSTensor
 
 
@@ -31,6 +32,15 @@ def test_product_tensors_give_product_state():
             val *= a1 if (idx >> m) & 1 else a0
         expected[idx] = val
     assert np.max(np.abs(state.amplitudes - expected)) < 1e-12
+
+
+def test_empty_stack_contracts_to_no_amplitudes():
+    # map_stack maps a stack of no sets to an empty stack; its contraction
+    # used to fail inside a reshape
+    lattice = LatticeSpec(2, 2)
+    mapped = map_stack(lattice, np.zeros((0, 4) + (2,) * 5, dtype=complex), (0, 1, 1, 0))
+    amplitudes = contract_stack(lattice, mapped)
+    assert amplitudes.shape == (0, 16) and amplitudes.dtype == complex
 
 
 def test_site_order_of_amplitudes():

@@ -7,6 +7,8 @@ from fock_reference import OperatorPoly, apply_poly, nonzero_items
 from fpeps.build import build_fpeps, site_signs
 from fpeps.contraction import contract_peps
 from fpeps.critical import (
+    EXAMPLE_B,
+    EXAMPLE_D,
     block_covariance,
     closed_form_ratios,
     entropy_scan,
@@ -28,6 +30,7 @@ from fpeps.fock import (
 from fpeps.gaussian import apply_channel, channel_tensor, gamma_out_hat, lattice_bond_cm
 from fpeps.lattice import LatticeSpec
 from fpeps.mapping import map_tensor_set
+from fpeps.quadratic import parent_hamiltonian, single_particle_spectrum
 
 
 def test_channel_blocks_are_orthogonal_antisymmetric():
@@ -215,6 +218,25 @@ def test_gap_scan_power_law():
     logs = np.log(np.array(rows, dtype=float))
     corr = np.corrcoef(logs[:, 0], logs[:, 1])[0, 1]
     assert corr < -0.99
+
+
+def test_gap_scan_equals_the_spectrum_gap():
+    ham = parent_hamiltonian(example_channel(), radius_cap=2)
+    sizes = range(5, 14, 2)
+    assert gap_scan(sizes) == [(n, single_particle_spectrum(ham, LatticeSpec(n, n))[1])
+                               for n in sizes]
+
+
+@pytest.mark.parametrize("name", ["B", "D"])
+def test_example_channel_blocks_are_read_only(name):
+    # every example channel shares the module's B and D; one write into them
+    # would change every later channel and every cache keyed on their bytes
+    block = getattr(example_channel(), name)
+    assert block is {"B": EXAMPLE_B, "D": EXAMPLE_D}[name]
+    before = block.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        block[0, 0] += 1.0
+    assert np.array_equal(getattr(example_channel(), name), before)
 
 
 def test_gap_scan_rejects_even_sizes():

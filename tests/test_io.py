@@ -1,6 +1,8 @@
 """File formats round-trip bit-exactly; malformed files raise one error type."""
+import contextlib
 import copy
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -8,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpeps.cli import main
 from fpeps.critical import example_channel
 from fpeps.errors import ContractViolationError
 from fpeps.gaussian import GaussianChannel
-from fpeps.io import dump_peps_set, dump_tensor_set, load_peps_set, load_tensor_set
+from fpeps.io import dump_peps_set, dump_tensor_set, json_text, load_peps_set, load_tensor_set
 from fpeps.lattice import LatticeSpec
 from fpeps.mapping import map_tensor_set
 from fpeps.tensors import FPEPSTensor
@@ -90,6 +93,96 @@ def test_dumps_are_pinned():
     texts = (dump_tensor_set(lattice, parity, tensors),
              dump_peps_set(lattice, map_tensor_set(lattice, tensors, parity)))
     assert tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts) == DUMP_DIGESTS
+
+
+# --- the writer: json.dumps(value, indent=1), byte for byte ----------------
+
+# floats at the edges of repr's notations, signed zero, the smallest
+# subnormal and normal, and the three values json spells out
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               1e16, 9999999999999998.0, 1e-7, 1e-4, 9.999999999999999e-05, 0.1,
+               float("nan"), float("inf"), float("-inf")]
+EDGE_TEXT = ['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n\t\r\b\f", "é", "\u2028", "\ud800",
+             "\U0001f600", ""]
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers()
+    | st.floats() | st.sampled_from(EDGE_FLOATS) | st.sampled_from(EDGE_FLOATS).map(np.float64)
+    | st.text() | st.sampled_from(EDGE_TEXT)
+)
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=JSON_TREES)
+def test_writer_equals_json_dumps(value):
+    assert json_text(value) == json.dumps(value, indent=1)
+
+
+@pytest.mark.parametrize("value", [[], {}, [[]], {"a": {}}, [{}, [], ""], EDGE_FLOATS,
+                                   dict(zip(EDGE_TEXT, EDGE_FLOATS))])
+def test_writer_equals_json_dumps_on_empty_and_edge_values(value):
+    assert json_text(value) == json.dumps(value, indent=1)
+
+
+def one_dict_per_entry(lattice, keys, tensors, **header) -> str:
+    """A tensor file as the codec wrote it before: one dict per nonzero entry, then json.dumps."""
+    documents = []
+    for site in lattice.sites():
+        arr = tensors[site].entries
+        nonzero = arr != 0
+        documents.append({"site": list(site), "entries": [
+            {**dict(zip(keys, idx)), "re": val.real, "im": val.imag}
+            for idx, val in zip(np.argwhere(nonzero).tolist(), arr[nonzero].tolist())
+        ]})
+    document = {"lattice": {"nh": lattice.n_h, "nv": lattice.n_v}, **header, "tensors": documents}
+    return json.dumps(document, indent=1)
+
+
+def _convert_text(tmp_path, lattice, parity, tensors):
+    """``fpeps convert`` output of the set, and the set's own file text."""
+    src, out = tmp_path / "set.json", tmp_path / "out.json"
+    src.write_text(dump_tensor_set(lattice, parity, tensors))
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(["convert", "--input", str(src), "--output", str(out)]) == 0
+    return out.read_text(), src.read_text()
+
+
+SPIN_KEYS = ("k", "l", "lp", "r", "rp", "u", "d")
+FERMION_KEYS = ("k", "l", "r", "u", "d")
+
+
+@pytest.mark.parametrize("zero_site", [None, (2, 3)], ids=["drawn", "one-zero-site"])
+def test_convert_equals_json_dumps(tmp_path, zero_site):
+    lattice = LatticeSpec(10, 10)
+    rng = np.random.default_rng(32)
+    parity = {s: int(rng.integers(0, 2)) for s in lattice.sites()}
+    tensors = {s: FPEPSTensor.random(rng, parity[s]) for s in lattice.sites()}
+    if zero_site:
+        tensors[zero_site] = FPEPSTensor(np.zeros((2,) * 5, dtype=complex), parity[zero_site])
+    text, source = _convert_text(tmp_path, lattice, parity, tensors)
+    rows = [[parity[(h, v)] for h in range(1, 11)] for v in range(1, 11)]
+    assert source == one_dict_per_entry(lattice, FERMION_KEYS, tensors, parity=rows)
+    mapped = map_tensor_set(lattice, tensors)
+    assert text == one_dict_per_entry(lattice, SPIN_KEYS, mapped) + "\n"
+    if zero_site:
+        assert '"entries": []' in text
+
+
+def test_dump_equals_json_dumps_on_signed_zero_and_non_finite_entries():
+    lattice = LatticeSpec(2, 1)
+    entries = np.zeros((2,) * 5, dtype=complex)
+    entries[0, 0, 0, 0, 0] = complex(float("nan"), -0.0)
+    entries[1, 1, 0, 0, 0] = complex(float("inf"), 5e-324)
+    entries[0, 1, 1, 0, 0] = complex(-0.0, float("-inf"))
+    entries[1, 0, 1, 0, 0] = complex(1e16, 1e-7)
+    tensors = {s: FPEPSTensor(entries, 0) for s in lattice.sites()}
+    text = dump_tensor_set(lattice, None, tensors)
+    assert text == one_dict_per_entry(lattice, FERMION_KEYS, tensors, parity=[[0, 0]])
+    assert "NaN" in text and "-Infinity" in text
 
 
 LOADERS = (load_tensor_set, load_peps_set)

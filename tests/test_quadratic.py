@@ -130,9 +130,10 @@ def test_minimal_triple_of_the_example_is_exact():
     assert np.max(np.abs(coef - np.round(4 * coef) / 4)) < 1e-14
 
 
-def test_triple_search_refuses_a_vanishing_determinant(monkeypatch):
+def test_triple_search_refuses_a_vanishing_determinant(monkeypatch, cold_caches):
     # with d = 0 at every momentum, d' = 0 and q' = 1 fit the rows: a d' with
-    # no constant term is refused, not taken for a Hamiltonian
+    # no constant term is refused, not taken for a Hamiltonian.  The parent
+    # is cached per channel, so the search runs only with the caches empty
     import fpeps.quadratic as quadratic
 
     real = quadratic.gamma_out_hat
@@ -142,7 +143,7 @@ def test_triple_search_refuses_a_vanishing_determinant(monkeypatch):
         parent_hamiltonian(example_channel())
 
 
-def test_parent_search_draws_no_random_numbers(monkeypatch):
+def test_parent_search_draws_no_random_numbers(monkeypatch, cold_caches):
     def no_draws(*args, **kwargs):
         raise AssertionError("the parent search drew random numbers")
 
