@@ -77,6 +77,6 @@ from .quadratic import (
     parent_hamiltonian,
     single_particle_spectrum,
 )
-from .tensors import FPEPSTensor, PEPSTensor
+from .tensors import FPEPSTensor
 
 __version__ = "0.1.0"

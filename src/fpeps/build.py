@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .fock import DEFAULT_MODE_CAP, FockVector, parity_signs, physical_registry
-from .lattice import LatticeSpec, Site, site_order
+from .lattice import LatticeSpec, Site
 from .tensors import FPEPSTensor, stack_sets
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -197,6 +197,6 @@ def build_fpeps(
     bounds the peak number of live modes, counted before allocating.  A
     stack of one for :func:`build_stack`.
     """
-    amps = build_stack(lattice, *stack_sets(site_order(lattice), [tensors]), cap)
+    amps = build_stack(lattice, *stack_sets(lattice, [tensors]), cap)
     return FockVector(physical_registry(lattice), amps[0])
 

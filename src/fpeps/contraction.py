@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractViolationError, ResourceLimitError
+from .errors import ResourceLimitError
 from .fock import FockVector, physical_registry
-from .lattice import LatticeSpec, Site, site_order
-from .tensors import PEPSTensor
+from .lattice import LatticeSpec, Site
+from .tensors import spin_stack
 
 MAX_SITES = 12
 
@@ -87,14 +87,11 @@ def contract_stack(lattice: LatticeSpec, entries: np.ndarray) -> np.ndarray:
     return amps.reshape(n_sets, -1)
 
 
-def contract_peps(lattice: LatticeSpec, tensors: dict[Site, PEPSTensor]) -> FockVector:
+def contract_peps(lattice: LatticeSpec, tensors: dict[Site, np.ndarray]) -> FockVector:
     """Full amplitude vector of the spin state, indexed in site M order.
 
-    A stack of one for :func:`contract_stack`.
+    ``tensors`` maps every site to its ``(2,)*7`` array.  A stack of one
+    for :func:`contract_stack`.
     """
-    sites = site_order(lattice)
-    missing = [s for s in sites if s not in tensors]
-    if missing:
-        raise ContractViolationError(f"missing tensors for sites {missing}")
-    entries = np.stack([tensors[s].entries for s in sites])[None]
+    entries = np.stack(spin_stack(lattice, tensors))[None]
     return FockVector(physical_registry(lattice), contract_stack(lattice, entries)[0])

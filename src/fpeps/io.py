@@ -2,7 +2,11 @@
 
 Both formats share one JSON layout and one codec: the lattice, the parity
 rows (tensor sets only), then per site the nonzero entries of its array in
-C order of the indices, named by ``_FERMION_KEYS`` or ``_SPIN_KEYS``.
+C order of the indices, named by ``_FERMION_KEYS`` or ``_SPIN_KEYS``.  A set
+is written from its stack in site M order, as :func:`fpeps.tensors.stack_sets`
+and :func:`fpeps.tensors.spin_stack` read it, so a set missing a site is
+refused as everywhere else.  A loaded spin set is a dict of ``(2,)*7``
+arrays.
 
 Both files, and ``fpeps verify``'s report, are written by one JSON writer,
 :func:`json_text`, which gives the bytes of ``json.dumps(value, indent=1)``
@@ -23,8 +27,7 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .lattice import LatticeSpec, Site, site_order
-from .mapping import tensor_parity
-from .tensors import FPEPSTensor, PEPSTensor
+from .tensors import FPEPSTensor, spin_stack, stack_sets
 
 # entry index names of the two file formats, in array axis order
 _FERMION_KEYS = ("k", "l", "r", "u", "d")
@@ -115,12 +118,17 @@ def _load(path, kind: str, keys) -> tuple[LatticeSpec, dict, dict[Site, np.ndarr
     A lattice with more sites than the file lists tensors is refused before
     any per-site loop; a site listed twice or outside the lattice is refused
     by name.  A file that passes all three lists every site exactly once.
-    A site or entry index that is not a JSON integer, and an entry listed
-    twice within one site, are refused rather than truncated or overwritten.
+    A lattice size, site or entry index that is not a JSON integer, and an
+    entry listed twice within one site, are refused rather than truncated
+    or overwritten.
     """
     with _reading(kind, path):
         data = json.loads(Path(path).read_text())
-        lattice = LatticeSpec(int(data["lattice"]["nh"]), int(data["lattice"]["nv"]))
+        size = data["lattice"]["nh"], data["lattice"]["nv"]
+        # int() first: an infinite size overflows, as any out-of-range number does
+        if any(int(n) != n or type(n) is not int for n in size):
+            raise ValueError(f"lattice size {size} is not two integers")
+        lattice = LatticeSpec(*size)
         listed = data["tensors"]
         if lattice.n_sites > len(listed):
             raise ContractViolationError(
@@ -149,8 +157,10 @@ def _load(path, kind: str, keys) -> tuple[LatticeSpec, dict, dict[Site, np.ndarr
     return lattice, data, arrays
 
 
-def _dump(lattice: LatticeSpec, keys, arrays: dict[Site, np.ndarray], **header):
+def _dump(lattice: LatticeSpec, keys, stack, **header):
     """The file's JSON text in chunks: its head, one chunk per site, its tail.
+
+    ``stack`` holds the sites' arrays in M order.
 
     Joined, the chunks are ``json.dumps(document, indent=1)`` of the document
     with one dict per nonzero entry (its index by ``keys``, then "re" and
@@ -161,8 +171,8 @@ def _dump(lattice: LatticeSpec, keys, arrays: dict[Site, np.ndarray], **header):
                             "tensors": [mark]}).split(mark)
     templates = _entry_templates(keys)
     yield head
-    for i, site in enumerate(site_order(lattice)):
-        arr = arrays[site].ravel()
+    for i, (site, arr) in enumerate(zip(site_order(lattice), stack)):
+        arr = arr.ravel()
         flat = np.flatnonzero(arr)
         values = arr[flat]
         parts = values.real.tolist(), values.imag.tolist()
@@ -178,8 +188,12 @@ def load_tensor_set(path) -> tuple[LatticeSpec, dict[Site, int], dict[Site, FPEP
     lattice, data, arrays = _load(path, "tensor-set", _FERMION_KEYS)
     with _reading("tensor-set", path):
         rows = data.get("parity")
-        parity = {(h, v): rows[v - 1][h - 1] if rows is not None else 0
-                  for h, v in lattice.sites()}
+        if rows is None:
+            rows = [[0] * lattice.n_h] * lattice.n_v
+        if type(rows) is not list or len(rows) != lattice.n_v or any(
+                type(row) is not list or len(row) != lattice.n_h for row in rows):
+            raise ValueError(f"parity is not {lattice.n_v} rows of {lattice.n_h} integers")
+        parity = {(h, v): rows[v - 1][h - 1] for h, v in lattice.sites()}
         for site, value in parity.items():
             if type(value) is not int:
                 raise ValueError(f"parity {value!r} of site {site} is not an integer")
@@ -190,23 +204,21 @@ def load_tensor_set(path) -> tuple[LatticeSpec, dict[Site, int], dict[Site, FPEP
 def dump_tensor_set(
     lattice: LatticeSpec, parity: dict[Site, int], tensors: dict[Site, FPEPSTensor]
 ) -> str:
-    """The tensor-set file; ``parity`` must agree with the tensors' own."""
-    parity = tensor_parity(lattice, tensors, parity)
-    rows = [[parity[(h, v)] for h in range(1, lattice.n_h + 1)]
-            for v in range(1, lattice.n_v + 1)]
-    arrays = {s: tensors[s].entries for s in lattice.sites()}
-    return "".join(_dump(lattice, _FERMION_KEYS, arrays, parity=rows))
+    """The tensor-set file; ``parity`` (None: not checked) must agree with the tensors' own."""
+    entries, own = stack_sets(lattice, [tensors], parity)
+    rows = [list(own[v * lattice.n_h:(v + 1) * lattice.n_h]) for v in range(lattice.n_v)]
+    return "".join(_dump(lattice, _FERMION_KEYS, entries[0], parity=rows))
 
 
-def load_peps_set(path) -> tuple[LatticeSpec, dict[Site, PEPSTensor]]:
+def load_peps_set(path) -> tuple[LatticeSpec, dict[Site, np.ndarray]]:
     lattice, _, arrays = _load(path, "PEPS-set", _SPIN_KEYS)
-    return lattice, {s: PEPSTensor(arrays[s]) for s in lattice.sites()}
+    return lattice, {s: arrays[s] for s in lattice.sites()}
 
 
-def peps_set_chunks(lattice: LatticeSpec, tensors: dict[Site, PEPSTensor]):
+def peps_set_chunks(lattice: LatticeSpec, tensors: dict[Site, np.ndarray]):
     """The PEPS-set file's text in chunks, one per site between its head and tail."""
-    return _dump(lattice, _SPIN_KEYS, {s: tensors[s].entries for s in site_order(lattice)})
+    return _dump(lattice, _SPIN_KEYS, spin_stack(lattice, tensors))
 
 
-def dump_peps_set(lattice: LatticeSpec, tensors: dict[Site, PEPSTensor]) -> str:
+def dump_peps_set(lattice: LatticeSpec, tensors: dict[Site, np.ndarray]) -> str:
     return "".join(peps_set_chunks(lattice, tensors))

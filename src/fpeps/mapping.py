@@ -49,25 +49,10 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .lattice import LatticeSpec, Site, site_order
-from .tensors import _PARITY, FPEPSTensor, PEPSTensor, stack_sets
+from .tensors import _PARITY, FPEPSTensor, parity_pattern, stack_sets
 
 # table entries [k, u, d, l, r] as five rows of 32 columns
 _ENTRIES = np.indices((2,) * 5).reshape(5, 32)
-
-
-def _parity_pattern(lattice: LatticeSpec, parity) -> tuple[int, ...]:
-    """A per-site parity mapping (None: all even) as a tuple in M order."""
-    sites = site_order(lattice)
-    if parity is None:
-        return (0,) * len(sites)
-    wrong = {s: c for s, c in dict(parity).items() if c not in (0, 1)}
-    if wrong:
-        raise ContractViolationError(f"site parities must be 0 or 1, got {wrong}")
-    given = {lattice.wrap(s): int(c) for s, c in dict(parity).items()}
-    missing = [s for s in sites if s not in given]
-    if missing:
-        raise ContractViolationError(f"parity assignment missing sites {missing}")
-    return tuple(given[s] for s in sites)
 
 
 def derive_sign_functions(lattice: LatticeSpec, parity=None) -> np.ndarray:
@@ -79,7 +64,7 @@ def derive_sign_functions(lattice: LatticeSpec, parity=None) -> np.ndarray:
     the closed form of the module docstring.  Repeated calls with the same
     lattice and parities return the same stack.
     """
-    return _sign_tables(lattice, _parity_pattern(lattice, parity))
+    return _sign_tables(lattice, parity_pattern(lattice, parity))
 
 
 # an entry is one lattice's (N, 2, 2, 2, 2, 2) stack for one parity pattern
@@ -139,38 +124,6 @@ def _map_plan(lattice: LatticeSpec, parities: tuple[int, ...]) -> tuple[np.ndarr
     return plan
 
 
-def _check_parity(lattice: LatticeSpec, own: tuple[int, ...], parity) -> None:
-    """Refuse a ``parity`` argument that disagrees with the tensors' own pattern."""
-    if parity is None:
-        return
-    sites = site_order(lattice)
-    # a dict keyed by exactly the sites, with int values that agree, is
-    # accepted as it stands; any other form goes through the validation
-    if isinstance(parity, dict) and len(parity) == len(sites):
-        given = tuple(map(parity.get, sites))
-        if given == own and all(type(c) is int for c in given):
-            return
-    given = _parity_pattern(lattice, parity)
-    if given != own:
-        wrong = [s for s, g, o in zip(sites, given, own) if g != o]
-        raise ContractViolationError(
-            f"parity argument disagrees with the tensors' parity at sites {wrong}"
-        )
-
-
-def tensor_parity(
-    lattice: LatticeSpec, tensors: dict[Site, FPEPSTensor], parity=None
-) -> dict[Site, int]:
-    """The parity each site's tensor carries.
-
-    ``parity``, if given, is a per-site mapping that must agree with it.
-    """
-    sites = site_order(lattice)
-    own = tuple(tensors[s].parity for s in sites)
-    _check_parity(lattice, own, parity)
-    return dict(zip(sites, own))
-
-
 def map_stack(lattice: LatticeSpec, entries: np.ndarray, parity: tuple[int, ...]) -> np.ndarray:
     """Spin tensors of a stack of tensor sets, as one ``(S, N, 2, 2, 2, 2, 2, 2, 2)`` array.
 
@@ -194,14 +147,12 @@ def map_tensor_set(
     lattice: LatticeSpec,
     tensors: dict[Site, FPEPSTensor],
     parity=None,
-) -> dict[Site, PEPSTensor]:
+) -> dict[Site, np.ndarray]:
     """Spin tensors B[k, l, l', r, r', u, d] of every site, in one pass.
 
     The sign tables are derived for the tensors' own parities; ``parity``,
-    if given, must agree with them.  A stack of one for :func:`map_stack`.
+    if given, must agree with them.  A stack of one for :func:`map_stack`;
+    each site's ``(2,)*7`` array is a view of the one mapped stack.
     """
-    sites = site_order(lattice)
-    entries, own = stack_sets(sites, [tensors])
-    _check_parity(lattice, own, parity)
-    out = map_stack(lattice, entries, own)[0]
-    return {s: PEPSTensor(b) for s, b in zip(sites, out)}
+    entries, own = stack_sets(lattice, [tensors], parity)
+    return dict(zip(site_order(lattice), map_stack(lattice, entries, own)[0]))

@@ -1,15 +1,20 @@
-"""Site tensors for the fermionic and spin descriptions.
+"""Site tensors and tensor sets: the one place that says what a valid set is.
 
 ``FPEPSTensor`` holds the coefficients A[k, l, r, u, d] of a local fermionic
 projector; nonzero entries require (k + l + r + u + d) mod 2 == parity, and
 construction refuses any other.  Index names: k physical, l left, r right,
 u up (bond toward v-1), d down (bond toward v+1).
 
-``PEPSTensor`` is the mapped spin tensor B[k, l, l', r, r', u, d] with one
-extra two-valued horizontal index pair (l', r').  First-column tensors only
-populate l' = 0 and last-column tensors only r' = 0, which makes the extra
-bonds an open chain along each row while every tensor keeps one uniform
-shape.
+A mapped spin tensor is a plain complex ``(2,)*7`` array
+B[k, l, l', r, r', u, d], with one extra two-valued horizontal index pair
+(l', r').  First-column tensors only populate l' = 0 and last-column
+tensors only r' = 0, which makes the extra bonds an open chain along each
+row while every tensor keeps one uniform shape.
+
+A tensor set is a dict keyed by site.  Every set enters the package
+through :func:`stack_sets` (fermionic) or :func:`spin_stack` (spin), which
+read it in site M order and refuse a missing site; :func:`parity_pattern`
+validates every per-site parity mapping given from outside.
 """
 from __future__ import annotations
 
@@ -18,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
+from .lattice import LatticeSpec, Site, site_order
 
 _PARITY = np.indices((2,) * 5).sum(axis=0) % 2  # (k + l + r + u + d) mod 2
 
@@ -36,6 +42,7 @@ class FPEPSTensor:
             )
         if self.parity not in (0, 1):
             raise ContractViolationError(f"parity must be 0 or 1, got {self.parity}")
+        object.__setattr__(self, "parity", int(self.parity))  # True, np.int64(1), 1.0: 1
         forbidden = forbidden_entries(arr, self.parity)
         if forbidden.any():
             bad = [tuple(idx) for idx in np.argwhere(forbidden).tolist()]
@@ -86,34 +93,66 @@ def random_stack(rngs, parity: tuple[int, ...]) -> np.ndarray:
     return entries
 
 
-def stack_sets(sites, sets) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The entries of tensor sets keyed by site, and the parity pattern they share.
+def parity_pattern(lattice: LatticeSpec, parity) -> tuple[int, ...]:
+    """A per-site parity mapping (None: all even) as a tuple in M order.
 
-    Returns one ``(S, N, 2, 2, 2, 2, 2)`` complex array, sets in the given
-    order and sites in ``sites`` order, and each site's parity as an
-    ``(N,)`` tuple.  A set missing a site, and a stack whose sets disagree
-    on a site's parity, are refused.
+    The mapping may name a site by any periodic image; every site must be
+    given, and every value must be 0 or 1.
     """
+    sites = site_order(lattice)
+    if parity is None:
+        return (0,) * len(sites)
+    wrong = {s: c for s, c in dict(parity).items() if c not in (0, 1)}
+    if wrong:
+        raise ContractViolationError(f"site parities must be 0 or 1, got {wrong}")
+    given = {lattice.wrap(s): int(c) for s, c in dict(parity).items()}
+    missing = [s for s in sites if s not in given]
+    if missing:
+        raise ContractViolationError(f"parity assignment missing sites {missing}")
+    return tuple(given[s] for s in sites)
+
+
+def _sites(lattice: LatticeSpec, sets) -> tuple[Site, ...]:
+    """The lattice's sites in M order; a set that lacks one is refused."""
+    sites = site_order(lattice)
     missing = sorted({s for tensors in sets for s in sites if s not in tensors})
     if missing:
         raise ContractViolationError(f"missing tensors for sites {missing}")
+    return sites
+
+
+def stack_sets(lattice: LatticeSpec, sets, parity=None) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The entries of fermionic tensor sets keyed by site, and the parity pattern they share.
+
+    Returns one ``(S, N, 2, 2, 2, 2, 2)`` complex array, sets in the given
+    order and sites in M order, and each site's parity as an ``(N,)``
+    tuple.  A set missing a site, a stack whose sets disagree on a site's
+    parity, and a ``parity`` mapping (None: not checked) that disagrees
+    with the tensors' own parities are refused.
+    """
+    sites = _sites(lattice, sets)
     patterns = {tuple(tensors[s].parity for s in sites) for tensors in sets}
     if len(patterns) > 1:
         split = [s for j, s in enumerate(sites) if len({p[j] for p in patterns}) > 1]
         raise ContractViolationError(f"tensor sets disagree on the parity of sites {split}")
+    own = patterns.pop()
+    if parity is not None:
+        wrong = [s for s, g, o in zip(sites, parity_pattern(lattice, parity), own) if g != o]
+        if wrong:
+            raise ContractViolationError(f"parity argument disagrees with the tensors' "
+                                         f"parity at sites {wrong}")
     entries = np.array([[tensors[s].entries for s in sites] for tensors in sets])
-    return entries, patterns.pop()
+    return entries, own
 
 
-@dataclass(frozen=True)
-class PEPSTensor:
-    entries: np.ndarray  # complex, shape (2,)*7, indexed [k, l, lp, r, rp, u, d]
+def spin_stack(lattice: LatticeSpec, tensors: dict[Site, np.ndarray]) -> list[np.ndarray]:
+    """The complex ``(2,)*7`` tensors of a spin set, in M order.
 
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=complex)
-        if arr.shape != (2,) * 7:
-            raise ContractViolationError(
-                f"PEPS tensor must have shape (2,)*7, got {arr.shape}"
-            )
-        object.__setattr__(self, "entries", arr)
-
+    A missing site and a tensor of any other shape are refused.  The
+    tensors are not copied when they already are complex arrays.
+    """
+    stack = [np.asarray(tensors[s], dtype=complex) for s in _sites(lattice, [tensors])]
+    shapes = sorted({b.shape for b in stack} - {(2,) * 7})
+    if shapes:
+        raise ContractViolationError(f"PEPS tensor must have shape (2,)*7, got {shapes[0]}")
+    return stack

@@ -111,7 +111,7 @@ def test_cold_and_warm_calls_give_the_same_bytes(cold_caches, shape):
         spin = contract_peps(lattice, mapped)
         return ([state.amplitudes.tobytes(), spin.amplitudes.tobytes(),
                  covariance_matrix(state).tobytes()]
-                + [mapped[s].entries.tobytes() for s in lattice.sites()])
+                + [mapped[s].tobytes() for s in lattice.sites()])
 
     cold = run()
     assert run() == cold

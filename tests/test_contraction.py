@@ -7,9 +7,9 @@ import pytest
 
 from fpeps.contraction import contract_peps, contract_stack
 from fpeps.errors import ContractViolationError, ResourceLimitError
+from fpeps.io import dump_peps_set
 from fpeps.lattice import LatticeSpec
 from fpeps.mapping import map_stack
-from fpeps.tensors import PEPSTensor
 
 
 def product_tensor(amp0, amp1):
@@ -17,7 +17,7 @@ def product_tensor(amp0, amp1):
     arr = np.zeros((2,) * 7, dtype=complex)
     arr[0, 0, 0, 0, 0, 0, 0] = amp0
     arr[1, 0, 0, 0, 0, 0, 0] = amp1
-    return PEPSTensor(arr)
+    return arr
 
 
 def test_product_tensors_give_product_state():
@@ -58,7 +58,12 @@ def test_site_order_of_amplitudes():
 def test_shape_mismatch_raises():
     lattice = LatticeSpec(1, 1)
     with pytest.raises(ContractViolationError):
-        contract_peps(lattice, {(1, 1): PEPSTensor(np.zeros((2, 2, 2)))})
+        contract_peps(lattice, {(1, 1): np.zeros((2, 2, 2))})
+    # a set of mixed shapes is refused by name, not by numpy's stack
+    mixed = {(1, 1): product_tensor(1, 0), (2, 1): np.zeros((2, 2, 2))}
+    for call in (contract_peps, dump_peps_set):
+        with pytest.raises(ContractViolationError, match=r"\(2,\)\*7, got \(2, 2, 2\)"):
+            call(LatticeSpec(2, 1), mixed)
 
 
 def test_missing_tensor_raises():
@@ -89,7 +94,7 @@ def full_einsum(lattice, tensors):
     for s in lattice.sites():
         h, v = s
         left, south = right[lattice.wrap((h - 1, v))], north[lattice.wrap((h, v - 1))]
-        operands += [tensors[s].entries,
+        operands += [tensors[s],
                      phys[s] + left + right[s] + south + north[s]]
     # amplitude index: site M on bit M - 1, so the last site is the first axis
     out = "".join(phys[s] for s in reversed(lattice.sites()))
@@ -105,7 +110,7 @@ def test_matches_full_einsum_on_random_tensors(shape):
     lattice = LatticeSpec(*shape)
     rng = np.random.default_rng(sum(shape))
     tensors = {
-        s: PEPSTensor(rng.standard_normal((2,) * 7) + 1j * rng.standard_normal((2,) * 7))
+        s: rng.standard_normal((2,) * 7) + 1j * rng.standard_normal((2,) * 7)
         for s in lattice.sites()
     }
     expected = full_einsum(lattice, tensors)

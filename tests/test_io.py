@@ -43,6 +43,23 @@ def test_tensor_set_round_trip(tmp_path):
     assert dump_tensor_set(lat2, parity2, tensors2) == text
 
 
+@pytest.mark.parametrize("odd", [True, np.int64(1), 1.0], ids=["True", "int64", "float"])
+def test_parity_round_trips_as_an_int(tmp_path, odd):
+    # True used to be written as true, which load_tensor_set refused;
+    # np.int64(1) failed in the writer, and 1.0 was written as 1.0
+    lattice = LatticeSpec(2, 1)
+    rng = np.random.default_rng(9)
+    tensors = {(1, 1): FPEPSTensor.random(rng, 0),
+               (2, 1): FPEPSTensor(FPEPSTensor.random(rng, 1).entries, odd)}
+    assert type(tensors[(2, 1)].parity) is int
+    text = dump_tensor_set(lattice, None, tensors)
+    path = tmp_path / "set.json"
+    path.write_text(text)
+    _, parity, loaded = load_tensor_set(path)
+    assert parity == {(1, 1): 0, (2, 1): 1}
+    assert dump_tensor_set(lattice, parity, loaded) == text
+
+
 def test_dump_refuses_a_parity_that_disagrees_with_the_tensors():
     # used to write parity rows that load_tensor_set then refused
     lattice = LatticeSpec(2, 1)
@@ -73,7 +90,7 @@ def test_peps_set_round_trip(tmp_path):
     lat2, mapped2 = load_peps_set(path)
     assert lat2 == lattice
     for s in lattice.sites():
-        assert np.array_equal(mapped2[s].entries, mapped[s].entries)
+        assert np.array_equal(mapped2[s], mapped[s])
 
 
 # sha256 of both dumps of one mixed-parity 3x2 set (parities drawn first,
@@ -128,11 +145,11 @@ def test_writer_equals_json_dumps_on_empty_and_edge_values(value):
     assert json_text(value) == json.dumps(value, indent=1)
 
 
-def one_dict_per_entry(lattice, keys, tensors, **header) -> str:
+def one_dict_per_entry(lattice, keys, arrays, **header) -> str:
     """A tensor file as the codec wrote it before: one dict per nonzero entry, then json.dumps."""
     documents = []
     for site in lattice.sites():
-        arr = tensors[site].entries
+        arr = arrays[site]
         nonzero = arr != 0
         documents.append({"site": list(site), "entries": [
             {**dict(zip(keys, idx)), "re": val.real, "im": val.imag}
@@ -140,6 +157,10 @@ def one_dict_per_entry(lattice, keys, tensors, **header) -> str:
         ]})
     document = {"lattice": {"nh": lattice.n_h, "nv": lattice.n_v}, **header, "tensors": documents}
     return json.dumps(document, indent=1)
+
+
+def _entries(tensors):
+    return {s: tensor.entries for s, tensor in tensors.items()}
 
 
 def _convert_text(tmp_path, lattice, parity, tensors):
@@ -165,7 +186,7 @@ def test_convert_equals_json_dumps(tmp_path, zero_site):
         tensors[zero_site] = FPEPSTensor(np.zeros((2,) * 5, dtype=complex), parity[zero_site])
     text, source = _convert_text(tmp_path, lattice, parity, tensors)
     rows = [[parity[(h, v)] for h in range(1, 11)] for v in range(1, 11)]
-    assert source == one_dict_per_entry(lattice, FERMION_KEYS, tensors, parity=rows)
+    assert source == one_dict_per_entry(lattice, FERMION_KEYS, _entries(tensors), parity=rows)
     mapped = map_tensor_set(lattice, tensors)
     assert text == one_dict_per_entry(lattice, SPIN_KEYS, mapped) + "\n"
     if zero_site:
@@ -181,7 +202,7 @@ def test_dump_equals_json_dumps_on_signed_zero_and_non_finite_entries():
     entries[1, 0, 1, 0, 0] = complex(1e16, 1e-7)
     tensors = {s: FPEPSTensor(entries, 0) for s in lattice.sites()}
     text = dump_tensor_set(lattice, None, tensors)
-    assert text == one_dict_per_entry(lattice, FERMION_KEYS, tensors, parity=[[0, 0]])
+    assert text == one_dict_per_entry(lattice, FERMION_KEYS, _entries(tensors), parity=[[0, 0]])
     assert "NaN" in text and "-Infinity" in text
 
 
@@ -195,6 +216,23 @@ def test_malformed_file_is_contract_violation(tmp_path, loader, text):
     path.write_text(text)
     with pytest.raises(ContractViolationError, match="malformed"):
         loader(path)
+
+
+@pytest.mark.parametrize("rows", [[[0, 0, 1, 1], [1, 1]], [[0, 0, 1]], [[0]], [], [[0], [0]],
+                                  [0, 0], "00"],
+                         ids=["two-long-rows", "long-row", "short-row", "no-rows", "two-rows",
+                              "flat", "text"])
+def test_parity_must_be_one_row_of_n_h_per_lattice_row(tmp_path, capsys, rows):
+    # [[0, 0, 1, 1], [1, 1]] used to load on a 2x1 lattice as all even
+    doc = json.loads(_dump_one_of(load_tensor_set, LatticeSpec(2, 1), seed=4))
+    doc["parity"] = rows
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ContractViolationError, match="parity is not 1 rows of 2 integers") as info:
+        load_tensor_set(path)
+    assert "\n" not in str(info.value)
+    assert main(["convert", "--input", str(path), "--output", str(tmp_path / "out.json")]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 @pytest.mark.parametrize("loader", LOADERS)
@@ -247,6 +285,8 @@ def test_entry_index_must_be_zero_or_one(tmp_path, loader, value):
 
 
 TRUNCATION_MESSAGES = {
+    "lattice": r"lattice size \(1\.9, 1\) is not two integers",
+    "lattice-text": r"lattice size \(1, '1'\) is not two integers",
     "site": r"site \[1\.9, True\] is not two integers",
     "parity": r"parity 1\.7 of site \(1, 1\) is not an integer",
     "entry": r"site \(1, 1\) lists entry \(\d(, \d)+\) twice",
@@ -254,14 +294,21 @@ TRUNCATION_MESSAGES = {
 
 
 @pytest.mark.parametrize("loader,fault", [
+    (load_tensor_set, "lattice"), (load_peps_set, "lattice"), (load_tensor_set, "lattice-text"),
     (load_tensor_set, "site"), (load_peps_set, "site"), (load_tensor_set, "parity"),
     (load_tensor_set, "entry"), (load_peps_set, "entry"),
-], ids=["tensor-set-site", "peps-set-site", "tensor-set-parity",
+], ids=["tensor-set-lattice", "peps-set-lattice", "tensor-set-lattice-text",
+        "tensor-set-site", "peps-set-site", "tensor-set-parity",
         "tensor-set-entry", "peps-set-entry"])
 def test_values_are_refused_not_truncated(tmp_path, loader, fault):
-    # these used to load as site (1, 1), parity 1 and the entry's last value
+    # these used to load as a 1x1 lattice, site (1, 1), parity 1 and the
+    # entry's last value
     doc = json.loads(_dump_one_of(loader, LatticeSpec(1, 1), seed=2))
-    if fault == "site":
+    if fault == "lattice":
+        doc["lattice"]["nh"] = 1.9
+    elif fault == "lattice-text":
+        doc["lattice"]["nv"] = "1"
+    elif fault == "site":
         doc["tensors"][0]["site"] = [1.9, True]
     elif fault == "parity":
         doc["parity"] = [[1.7]]

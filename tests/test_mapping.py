@@ -9,6 +9,7 @@ from fpeps.cli import MAPPING_LATTICES
 from fpeps.contraction import contract_peps, contract_stack
 from fpeps.critical import example_tensor_set
 from fpeps.errors import ContractViolationError
+from fpeps.io import dump_peps_set, dump_tensor_set
 from fpeps.lattice import LatticeSpec
 from fpeps import mapping
 from fpeps.mapping import derive_sign_functions, map_stack, map_tensor_set
@@ -27,7 +28,7 @@ def map_with_zero_signs(monkeypatch, lattice, site, tensor):
                         lambda lattice, parities: np.zeros((lattice.n_sites,) + (2,) * 5, np.uint8))
     tensors = {s: FPEPSTensor(np.zeros((2,) * 5, dtype=complex)) for s in lattice.sites()}
     tensors[site] = tensor
-    return map_tensor_set(lattice, tensors)[site].entries
+    return map_tensor_set(lattice, tensors)[site]
 
 
 def one_entry(k, l, r, u, d, value=1.0):
@@ -260,7 +261,7 @@ def test_oracle_equivalence_with_bulk_columns(shape, mixed):
             s: FPEPSTensor.random(rng, parity=parity[s]) for s in lattice.sites()
         }
         mapped = map_tensor_set(lattice, tensors, parity)
-        assert np.any(mapped[(2, 1)].entries[:, :, :, :, 1] != 0)
+        assert np.any(mapped[(2, 1)][:, :, :, :, 1] != 0)
         assert_oracle_matches_contraction(lattice, tensors, parity)
 
 
@@ -272,7 +273,7 @@ def test_parity_transport_telescopes():
     tensors = {s: FPEPSTensor.random(rng, parity=0) for s in lattice.sites()}
     mapped = map_tensor_set(lattice, tensors)
     for h in (2, 3):
-        B = mapped[(h, 1)].entries
+        B = mapped[(h, 1)]
         for (k, l, lp, r, rp, u, d) in np.argwhere(np.abs(B) > 0):
             assert lp == (rp + u + d) % 2
             if h == 3:
@@ -316,7 +317,7 @@ def test_map_tensor_set_refuses_a_disagreeing_parity_argument():
     # the agreeing argument is accepted and changes nothing
     with_arg = map_tensor_set(lattice, tensors, parity)
     without = map_tensor_set(lattice, tensors)
-    assert all(np.array_equal(with_arg[s].entries, without[s].entries) for s in lattice.sites())
+    assert all(np.array_equal(with_arg[s], without[s]) for s in lattice.sites())
 
 
 def _mixed_stack(lattice, n_sets, seed):
@@ -335,7 +336,7 @@ def _mixed_stack(lattice, n_sets, seed):
 def test_stack_cores_match_the_per_set_route(shape, n_sets):
     lattice = LatticeSpec(*shape)
     sets = _mixed_stack(lattice, n_sets, 700 + 10 * shape[0] + shape[1] + n_sets)
-    entries, parity = stack_sets(lattice.sites(), sets)
+    entries, parity = stack_sets(lattice, sets)
     oracle = build_stack(lattice, entries, parity)
     spin = map_stack(lattice, entries, parity)
     amps = contract_stack(lattice, spin)
@@ -343,7 +344,7 @@ def test_stack_cores_match_the_per_set_route(shape, n_sets):
     for i, tensors in enumerate(sets):
         assert np.array_equal(oracle[i], build_fpeps(lattice, tensors).amplitudes)
         mapped = map_tensor_set(lattice, tensors)
-        assert all(np.array_equal(spin[i, m], mapped[s].entries)
+        assert all(np.array_equal(spin[i, m], mapped[s])
                    for m, s in enumerate(lattice.sites()))
         single = contract_peps(lattice, mapped).amplitudes
         assert np.max(np.abs(amps[i] - single)) <= 1e-14 * np.max(np.abs(single))
@@ -358,8 +359,34 @@ def test_stack_of_disagreeing_parity_patterns_is_refused():
     flipped = {**second, (2, 1): FPEPSTensor.random(np.random.default_rng(6),
                                                      1 - second[(2, 1)].parity)}
     with pytest.raises(ContractViolationError) as refused:
-        stack_sets(lattice.sites(), [first, second, flipped])
+        stack_sets(lattice, [first, second, flipped])
     assert str(refused.value) == "tensor sets disagree on the parity of sites [(2, 1)]"
+
+
+def _without_site_2_1(tensors):
+    return {s: t for s, t in tensors.items() if s != (2, 1)}
+
+
+SET_ENTRY_POINTS = {
+    "build_fpeps": lambda lattice, tensors: build_fpeps(lattice, _without_site_2_1(tensors)),
+    "map_tensor_set": lambda lattice, tensors: map_tensor_set(lattice, _without_site_2_1(tensors)),
+    "contract_peps": lambda lattice, tensors: contract_peps(
+        lattice, _without_site_2_1(map_tensor_set(lattice, tensors))),
+    "dump_tensor_set": lambda lattice, tensors: dump_tensor_set(
+        lattice, None, _without_site_2_1(tensors)),
+    "dump_peps_set": lambda lattice, tensors: dump_peps_set(
+        lattice, _without_site_2_1(map_tensor_set(lattice, tensors))),
+}
+
+
+@pytest.mark.parametrize("entry_point", list(SET_ENTRY_POINTS))
+def test_every_set_entry_point_refuses_a_missing_site_alike(entry_point):
+    # the two dump functions used to raise a bare KeyError
+    lattice = LatticeSpec(2, 2)
+    _, tensors = _drawn_set(lattice, 8)
+    with pytest.raises(ContractViolationError) as refused:
+        SET_ENTRY_POINTS[entry_point](lattice, tensors)
+    assert str(refused.value) == "missing tensors for sites [(2, 1)]"
 
 
 @pytest.mark.parametrize("shape", [(1, 2), (2, 2), (3, 2)])
@@ -405,7 +432,7 @@ def test_map_stack_equals_the_scatter_reference(cold_caches, shape):
                 tuple(rng.integers(0, 2, lattice.n_sites).tolist())]
     stacks = [(_with_zeros(random_stack([rng] * 3, parity), rng), parity) for parity in patterns]
     # the example tensor's entry [0, 0, 0, 0, 0] is exactly 1 + 0j
-    stacks.append(stack_sets(lattice.sites(), [example_tensor_set(lattice)] * 2))
+    stacks.append(stack_sets(lattice, [example_tensor_set(lattice)] * 2))
     for entries, parity in stacks:
         reference = sign_reference.scatter_map_stack(lattice, entries, parity)
         assert map_stack(lattice, entries, parity).tobytes() == reference.tobytes()
@@ -470,7 +497,7 @@ def test_map_tensor_set_parity_argument(case):
     if refusal is None:
         mapped = map_tensor_set(lattice, tensors, argument)
         without = map_tensor_set(lattice, tensors)
-        assert all(mapped[s].entries.tobytes() == without[s].entries.tobytes()
+        assert all(mapped[s].tobytes() == without[s].tobytes()
                    for s in lattice.sites())
     else:
         with pytest.raises(ContractViolationError) as refused:
