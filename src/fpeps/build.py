@@ -14,19 +14,21 @@ site product of projectors is taken ascending in M left to right, so the
 highest-M projector acts on the state first; for even-parity tensors the
 order is immaterial since the projectors commute.
 
-``build_stack`` builds a stack of tensor sets that share one parity
-pattern and keeps only the modes that are currently live (bond applied,
-projector pending, or physical mode created), as one dense ``(S, 2^w)``
-array with a row per set.  A bond is two slice writes.  A site is one
-batched ``matmul`` with one 2x16 matrix ``<k 0000| Q |0 l r u d>`` per set,
-which contracts the site's four auxiliary axes (projecting them onto empty)
-and adds the axis of ``a(site)``; the Jordan-Wigner signs from the other
-live modes enter as a +-1 mask.  The slots every bond and projector act on,
-and their sign vectors, depend on the lattice alone: ``_schedule`` derives
-them once per lattice, so a build does array operations only.  Each set's
-products are the ones it would get alone, so a row does not depend on its
-stack.  ``build_fpeps`` is a stack of one.  The cap limits the peak live
-width, not the total mode count: 13 modes at 3x2, 16 at 3x3, 20 at 4x3.
+``build_stack`` builds a stack of tensor sets and keeps only the live modes
+(projector pending, or physical mode created), as one dense ``(S, 2^w)``
+array with a row per set.  A site opens its fresh bonds inside its
+projector: their ends on the site are contracted at once and only the
+partner ends join, with the occupations the product gives them; a bond
+with both ends on the site (one row, one column) opens and closes in the
+same product.  A site is one batched ``matmul`` with a small matrix per
+set, gathered from its tensor, and one reordering copy that puts the new
+modes at their slots with the Jordan-Wigner signs of the other live modes.
+Slots, signs and gathers depend on the lattice alone: ``_schedule``
+derives them once per lattice, so a build does array operations only.
+Each set's products are the ones it would get alone, so a row does not
+depend on its stack.  ``build_fpeps`` is a stack of one.  The cap limits
+the peak live width, not the total mode count: 10 modes at 3x2, 13 at
+3x3, 17 at 4x3 and 21 at 4x4.
 
 Mode positions follow one registry of ``5N`` modes: ``a`` of site m at
 position m, then each site's auxiliary quadruple (alpha, beta, gamma,
@@ -37,11 +39,12 @@ is the same state.
 from __future__ import annotations
 
 from functools import cache, lru_cache
+from itertools import groupby
 
 import numpy as np
 
 from .errors import ResourceLimitError
-from .fock import DEFAULT_MODE_CAP, FockVector, parity_signs, physical_registry
+from .fock import DEFAULT_MODE_CAP, FockVector, physical_registry
 from .lattice import LatticeSpec, Site
 from .tensors import FPEPSTensor, stack_sets
 
@@ -70,11 +73,10 @@ def _plan(lattice: LatticeSpec):
     """Each site's projector step in action order, and the peak live width.
 
     A step is the site's index m in M order, the registry positions of its
-    ``a`` and ``alpha`` modes (m and N + 4m), and the bonds to open before
-    its projector.  A bond is opened by the first of its two sites to act.
-    A horizontal bond pairs ``beta`` (quadruple offset 1) of its source
-    with ``alpha`` (offset 0) of its target, a vertical one ``delta`` (3)
-    with ``gamma`` (2).
+    ``a`` and ``alpha`` modes (m and N + 4m), and the bonds it opens.  A bond
+    is opened by the first of its two sites to act.  A horizontal bond pairs
+    ``beta`` (quadruple offset 1) of its source with ``alpha`` (offset 0) of
+    its target, a vertical one ``delta`` (3) with ``gamma`` (2).
     """
     n = lattice.n_sites
     right, left = lattice.shifted(1, 0).tolist(), lattice.shifted(-1, 0).tolist()
@@ -90,98 +92,118 @@ def _plan(lattice: LatticeSpec):
             if (o, source) not in opened:
                 opened.add((o, source))
                 bonds.append((n + 4 * source + o + 1, n + 4 * target + o))
-        live += 2 * len(bonds)
+        # each opened bond's two modes join, the site's four leave and a joins
+        live += 2 * len(bonds) - 3
         width = max(width, live)
-        live -= 3  # four auxiliary modes leave, the physical one joins
         steps.append((m, m, n + 4 * m, tuple(bonds)))
     return tuple(steps), width
 
 
-# an entry is one lattice's schedule; its sign vectors hold fewer than 2^w
-# floats (1.95 million at 4x4, w = 24), less than one set's amplitudes
+# an entry is one lattice's schedule: 2^(5 - L) gathered entries per site and
+# one int8 sign per output amplitude of each step, 8.4 MiB in all at 4x4
 @lru_cache(maxsize=32)
 def _schedule(lattice: LatticeSpec):
-    """The slots of :func:`_plan`: each step as ``(m, bonds, first, signs)``.
+    """The gather ``(index, coeff)`` of every site's matrix, and each step
+    as ``(m, old, shape, axes, signs)``.
 
     Bit i of an amplitude index is slot i, the i-th live mode by registry
-    position, so Jordan-Wigner signs agree with the full-registry
-    computation (every other mode is empty and contributes no parity).  A
-    bond is ``(below, between, pair)``: the number of live modes below its
-    lower mode and between its two modes, and the signs of the occupied
-    pair, ``+-sqrt(1/2) parity_signs(between)``.  Live modes below both new
-    ones are counted twice and cancel, so the pair picks up the parity of
-    the modes between them, and -1 when the second mode precedes the first.
-    ``first`` is the slot of the site's ``alpha``, the lowest of its four
-    contiguous auxiliary slots; the projector's annihilators pass the
-    ``first`` modes below it, whose parity ``signs`` is.  Projectors act in
-    descending M and the physical modes come first in the registry, so a new
-    ``a(site)`` is always slot 0 and ``a^dag`` picks up no sign.  Read-only.
+    position.  Every live auxiliary mode sits on a site yet to act, so a
+    step's old ends (its site's modes paired earlier) are the highest slots,
+    above the spectators.  Its matrix, ``rows`` by ``old = 2^(old ends)``,
+    maps the old ends to ``k`` and the partners (row bits from the lowest),
+    and the signs hold for either site parity.  An entry sums
+    ``A[k, l, r, u, d]`` over the ``L`` self-loop bonds, times ``sqrt(1/2)``
+    per bond and the signs among the site's modes and partners: the
+    ``site_signs`` word, each pair passing the occupied modes between its
+    ends (-1 more when its second mode precedes its first), and the
+    annihilators passing the partners.  Each partner joining and each old
+    end leaving passes the spectators below it: ``signs``, over the output
+    in slot order, holds the partners' and the next step's old ends'.
+    ``shape`` and ``axes`` group the product's ``[rows, spectators]`` bits
+    into runs and put them at their slots.  Read-only.
     """
-    live = 0  # bit p is set while registry position p is live
-
-    def count_below(pos):
-        return (live & ((1 << pos) - 1)).bit_count()
-
-    pairs = {}  # one read-only vector per (between, order), shared by its bonds
+    n_loops = (lattice.n_h == 1) + (lattice.n_v == 1)
+    flat_signs = site_signs().reshape(32)
+    plan = _plan(lattice)[0]
+    index = np.empty((lattice.n_sites, 1 << 5 - 2 * n_loops, 1 << n_loops), dtype=np.intp)
+    coeff = np.empty(index.shape)
     steps = []
-    for m, pos_a, pos_alpha, bonds in _plan(lattice)[0]:
-        opened = []
-        for pos_first, pos_second in bonds:
-            pos_lo, pos_hi = sorted((pos_first, pos_second))
-            below = count_below(pos_lo)
-            between = count_below(pos_hi) - below
-            key = between, pos_second < pos_first
-            if key not in pairs:
-                pairs[key] = (-SQRT_HALF if key[1] else SQRT_HALF) * parity_signs(between)
-                pairs[key].flags.writeable = False
-            opened.append((below, between, pairs[key]))
-            live |= 1 << pos_lo | 1 << pos_hi
-        first = count_below(pos_alpha)
-        live = live & ~(15 << pos_alpha) | 1 << pos_a
-        steps.append((m, tuple(opened), first, parity_signs(first)))
-    return tuple(steps)
+    live = 0  # bit p is set while registry position p is live
+    for i, (m, pos_a, pos_alpha, bonds) in enumerate(plan):
+        quad = 15 << pos_alpha
+        old = [p for p in range(pos_alpha, pos_alpha + 4) if live >> p & 1]
+        ends = [[p for p in bond if not quad >> p & 1] for bond in bonds]  # [partner] or []
+        partners = sorted(sum(ends, []))
+        # bits of a term j, lowest first: self-loop bonds, old ends, k, partners
+        k_bit, loop_bits = n_loops + len(old), iter(range(n_loops))
+        bits = [k_bit + 1 + partners.index(q[0]) if q else next(loop_bits) for q in ends]
+        for j in range(2 << k_bit + len(partners)):
+            occ = sum(1 << p for t, p in enumerate(old) if j >> n_loops + t & 1)
+            sign = 0
+            for (first, second), bit in zip(bonds, bits):
+                if j >> bit & 1:  # c^dag_first c^dag_second passes the modes between
+                    lo, hi = sorted((first, second))
+                    sign += (second < first) + (occ & (1 << hi) - (2 << lo)).bit_count()
+                    occ |= 1 << first | 1 << second
+            aux = occ >> pos_alpha & 15  # alpha lowest
+            sign += aux.bit_count() * (occ & ~quad).bit_count()
+            entry = 16 * (j >> k_bit & 1) + sum((aux >> s & 1) << 3 - s for s in range(4))
+            index[m].flat[j] = 32 * m + entry
+            coeff[m].flat[j] = SQRT_HALF ** len(bonds) * (-1) ** sign * flat_signs[entry]
+        spectators = live & ~quad
+        live = spectators | sum(1 << q for q in partners) | 1 << pos_a
+        slots = [p for p in range(live.bit_length()) if live >> p & 1]
+        # the product's bits, lowest first, in runs that stay adjacent; highest run first
+        source = [p for p in slots if spectators >> p & 1] + [pos_a] + partners
+        runs = [[*r] for _, r in groupby(source, lambda p: slots.index(p) - source.index(p))][::-1]
+        order = sorted(range(len(runs)), key=lambda r: -slots.index(runs[r][0]))
+        t = np.arange(1 << len(slots))
+
+        def parity(mask):  # of the live modes in a mask of registry positions
+            return np.bitwise_count(t & sum(1 << s for s, p in enumerate(slots) if mask >> p & 1)) & 1
+
+        after = 15 << plan[i + 1][2] if i + 1 < len(plan) else 0  # the next old ends
+        flips = parity(live & after) & parity(live & ~after)
+        for q in partners:
+            flips ^= parity(1 << q) & parity(spectators & (1 << q) - 1)
+        signs = (1 - 2 * flips.astype(np.int8)).reshape([1 << len(runs[r]) for r in order])
+        signs.flags.writeable = False
+        steps.append((m, 1 << len(old), tuple(1 << len(run) for run in runs),
+                      (0,) + tuple(1 + r for r in order), signs))
+    index.flags.writeable = coeff.flags.writeable = False
+    return index, coeff, tuple(steps)
 
 
 def build_stack(
     lattice: LatticeSpec,
     entries: np.ndarray,
-    parity: tuple[int, ...],
     cap: int = DEFAULT_MODE_CAP,
 ) -> np.ndarray:
     """Physical amplitudes of a stack of tensor sets, as one ``(S, 2^N)`` array.
 
-    ``entries`` and ``parity`` are a stack from :func:`fpeps.tensors.stack_sets`:
-    ``(S, N, 2, 2, 2, 2, 2)`` tensors in site M order sharing one parity
-    pattern.  Row i is the state of set i in M order; each row equals the
-    set built alone.  ``cap`` bounds the peak number of live modes ``w``,
-    counted before allocating; the stack holds ``S 2^w`` amplitudes, with
-    bit i of a row's index on slot i of :func:`_schedule`.
+    ``entries`` is a stack from :func:`fpeps.tensors.stack_sets`, ``(S, N, 2,
+    2, 2, 2, 2)`` tensors in site M order whose nonzero entries carry each
+    site's parity, so no parity pattern is read.  Row i is the state of set
+    i in M order; each row equals the set built alone.  ``cap`` bounds the
+    peak number of live modes ``w``, counted before allocating; the stack
+    holds ``S 2^w`` amplitudes, with bit i of a row's index on slot i of
+    :func:`_schedule`.
     """
     width = _plan(lattice)[1]
     if width > cap:
         raise ResourceLimitError(
             f"peak live width of {width} modes exceeds the dense cap of {cap}"
         )
+    index, coeff, steps = _schedule(lattice)
     n_sets = entries.shape[0]
-    # [set, site, k, d u r l]: the auxiliary bits in slot order, alpha lowest
-    matrices = (entries * site_signs()).transpose(0, 1, 2, 6, 5, 4, 3).reshape(
-        n_sets, lattice.n_sites, 2, 16)
+    # [set, site, row x old]: every site's matrix, its self-loop terms summed
+    matrices = (np.take(entries.reshape(n_sets, -1), index, axis=1) * coeff).sum(axis=3)
     amps = np.ones((n_sets, 1), dtype=complex)
-    for m, bonds, first, signs in _schedule(lattice):
-        # (1 + c^dag_first c^dag_second) / sqrt(2) on two fresh modes
-        for below, between, pair in bonds:
-            old = amps.reshape(n_sets, -1, 1 << between, 1 << below)
-            new = np.zeros((n_sets, old.shape[1], 2, 1 << between, 2, 1 << below), dtype=complex)
-            np.multiply(old, SQRT_HALF, out=new[:, :, 0, :, 0, :])
-            np.multiply(old, pair[:, None], out=new[:, :, 1, :, 1, :])
-            amps = new.reshape(n_sets, -1)
-        # the projector: one (below, 16) x (16, 2) product per set and value
-        # of the modes above; the annihilators pass the modes below alpha
-        # when l + r + u + d is odd, that is when k differs from the parity
-        amps = amps.reshape(n_sets, -1, 16, 1 << first)  # [set, above, d u r l, below]
-        out = amps.transpose(0, 1, 3, 2) @ matrices[:, m].transpose(0, 2, 1)[:, None]
-        out[..., 1 - parity[m]] *= signs  # [set, above, below, k]
-        amps = out.reshape(n_sets, -1)
+    for m, old, shape, axes, signs in steps:
+        out = matrices[:, m].reshape(n_sets, -1, old) @ amps.reshape(n_sets, old, -1)
+        # one reordering copy puts every bit at its slot and applies the signs
+        amps = np.multiply(out.reshape((n_sets,) + shape).transpose(axes), signs,
+                           order="C").reshape(n_sets, -1)
     return amps
 
 
@@ -197,6 +219,6 @@ def build_fpeps(
     bounds the peak number of live modes, counted before allocating.  A
     stack of one for :func:`build_stack`.
     """
-    amps = build_stack(lattice, *stack_sets(lattice, [tensors]), cap)
+    amps = build_stack(lattice, stack_sets(lattice, [tensors])[0], cap)
     return FockVector(physical_registry(lattice), amps[0])
 

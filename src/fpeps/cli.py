@@ -68,11 +68,11 @@ CONVERT_SITE_FLOATS = 1100  # charged per site of a convert; see the charges bel
 #   cache empty from 10x10 to 100x100, 3x300 and 300x3; charged
 #   CONVERT_SITE_FLOATS once the lattice is read.
 # * verify's mapping suite: one stack of tensor sets (drawn tensors, oracle,
-#   spin tensors, contraction) peaks at 10.7 KiB per set on 1x2 and 2x1 and
-#   34.6-34.7 KiB on 2x2, traced with stacks of 64 and 256, and MAPPING_STACK
-#   sets per stack keep it under 2.2 MiB; the report's checks and JSON text
-#   add 98-104 floats per set from 4000 to 16000 sets, and at 2000 sets the
-#   stacks still put the peak at 169 per set: charged 176.
+#   spin tensors, contraction) peaks at 7.6-8.1 KiB per set on 1x2 and 2x1
+#   and 31.3 KiB on 2x2 (oracle 11.0, mapped contraction 29.0), traced with
+#   stacks of 64 and 256; MAPPING_STACK sets per stack keep it under 2.2 MiB.
+#   The report's checks and JSON text add 98-104 floats per set from 4000 to
+#   16000 sets; at 2000 sets the stacks put the peak at 169: charged 176.
 
 
 def _emit(text, out_path, end: str = ""):
@@ -119,7 +119,7 @@ def _mapping_checks(seed: int, n_sets: int, tolerance: float):
             chunk = indices[start:start + MAPPING_STACK]
             parity = (0,) * lattice.n_sites
             entries = random_stack([np.random.default_rng(seed + i) for i in chunk], parity)
-            oracle = build_stack(lattice, entries, parity)
+            oracle = build_stack(lattice, entries)
             contracted = contract_stack(lattice, map_stack(lattice, entries, parity))
             residuals = np.abs(normalized_overlaps(oracle, contracted) - 1.0)
             for i, residual in zip(chunk, residuals.tolist()):

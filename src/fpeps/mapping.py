@@ -47,7 +47,6 @@ import functools
 
 import numpy as np
 
-from .errors import ContractViolationError
 from .lattice import LatticeSpec, Site, site_order
 from .tensors import _PARITY, FPEPSTensor, parity_pattern, stack_sets
 
@@ -102,10 +101,8 @@ def _sign_tables(lattice: LatticeSpec, parities: tuple[int, ...]) -> np.ndarray:
 @functools.lru_cache(maxsize=128)
 def _map_plan(lattice: LatticeSpec, parities: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """Flat destinations in the ``(N, 2^7)`` spin stack, flat sources in the
-    ``(N, 2^5)`` fermionic stack and the signs of every mapped entry."""
-    bad = [c for c in parities if c not in (0, 1)]
-    if bad:
-        raise ContractViolationError(f"site parities must be 0 or 1, got {bad[0]}")
+    ``(N, 2^5)`` fermionic stack and the signs of every mapped entry; the
+    pattern comes checked, from ``stack_sets`` or ``random_stack``."""
     n_h, n = lattice.n_h, lattice.n_sites
     allowed = _PARITY == np.array(parities).reshape((n,) + (1,) * 5)
     # every allowed entry [site, k, l, r, u, d], once for r' = 0 and once for r' = 1

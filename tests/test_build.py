@@ -8,16 +8,17 @@ from fock_reference import (
     bond_v,
     build_fpeps_reference,
     label_plan,
+    per_bond_build_stack,
     projector_q,
     replay_schedule,
     standard_registry,
     vacuum,
 )
-from fpeps.build import _plan, _schedule, build_fpeps
+from fpeps.build import _plan, _schedule, build_fpeps, build_stack
 from fpeps.errors import ContractViolationError, ResourceLimitError
 from fpeps.fock import ModeRegistry, covariance_matrix
 from fpeps.lattice import LatticeSpec
-from fpeps.tensors import FPEPSTensor
+from fpeps.tensors import FPEPSTensor, random_stack
 
 BOND_CM = np.array([
     [0, 0, 0, 1],
@@ -121,6 +122,22 @@ def test_build_matches_reference_construction():
     assert np.max(np.abs(fast.amplitudes - slow.amplitudes)) < 1e-12
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1)],
+                         ids=lambda shape: f"{shape[0]}x{shape[1]}")
+@pytest.mark.parametrize("mixed", [False, True], ids=["even", "mixed"])
+def test_build_matches_reference_construction_on_three_sites_or_fewer(shape, mixed):
+    # every bond of these lattices touches a self-loop site or closes on one,
+    # so each step opens and closes bonds inside one product
+    lattice = LatticeSpec(*shape)
+    rng = np.random.default_rng(40 + 10 * shape[0] + shape[1])
+    parity = {s: int(rng.integers(0, 2)) if mixed else 0 for s in lattice.sites()}
+    tensors = {s: FPEPSTensor.random(rng, parity=parity[s]) for s in lattice.sites()}
+    fast = build_fpeps(lattice, tensors)
+    slow = build_fpeps_reference(lattice, tensors)
+    assert slow.norm() > 1e-6
+    assert np.max(np.abs(fast.amplitudes - slow.amplitudes)) < 1e-12
+
+
 def test_build_matches_reference_construction_mixed_parity():
     lattice = LatticeSpec(2, 2)
     rng = np.random.default_rng(17)
@@ -174,23 +191,67 @@ def test_plan_is_the_label_based_plan():
             assert _plan(lattice) == label_plan(lattice)
 
 
-def _schedule_bytes(steps):
-    """A schedule with every sign vector as its bytes."""
-    return [(m, [(below, between, pair.tobytes()) for below, between, pair in bonds],
-             first, signs.tobytes()) for m, bonds, first, signs in steps]
+def test_width_is_three_below_the_per_bond_width():
+    # the per-bond build held every fresh pair next to the live modes before
+    # the projector removed four of them and added a
+    for n_h in range(1, 7):
+        for n_v in range(1, 7):
+            steps, width = _plan(LatticeSpec(n_h, n_v))
+            live = per_bond = 0
+            for *_, bonds in steps:
+                per_bond = max(per_bond, live + 2 * len(bonds))
+                live += 2 * len(bonds) - 3
+            assert width == per_bond - 3
+
+
+PARITIES = {
+    "even": lambda n_h, n: (0,) * n,
+    "mixed": lambda n_h, n: tuple(int(b) for b in np.random.default_rng(n).integers(0, 2, n)),
+    "checkerboard": lambda n_h, n: tuple((m % n_h + m // n_h) % 2 for m in range(n)),
+}
+
+
+@pytest.mark.parametrize("pattern", sorted(PARITIES))
+@pytest.mark.parametrize("shape", [(h, v) for h in range(1, 5) for v in range(1, 4)] + [(3, 4)],
+                         ids=lambda shape: f"{shape[0]}x{shape[1]}")
+def test_build_equals_the_per_bond_build(shape, pattern):
+    # Folding sqrt(1/2) per bond into each site's matrix reassociates the
+    # products and the product sums over fewer terms, so the two builds
+    # differ by rounding: at most 1e-15 of the largest amplitude.
+    lattice = LatticeSpec(*shape)
+    parity = PARITIES[pattern](lattice.n_h, lattice.n_sites)
+    entries = random_stack([np.random.default_rng(900 + i) for i in range(2)], parity)
+    stack = build_stack(lattice, entries)
+    reference = per_bond_build_stack(lattice, entries, parity)
+    assert np.abs(reference).max() > 1e-6
+    assert np.max(np.abs(stack - reference)) <= 1e-15 * np.abs(reference).max()
+    for row, alone in zip(stack, entries):
+        assert row.tobytes() == build_stack(lattice, alone[None])[0].tobytes()
+
+
+def _moved(shape, axes):
+    """Where each output amplitude of a step comes from in its product."""
+    return np.arange(np.prod(shape)).reshape(shape).transpose(axes).ravel()
 
 
 @pytest.mark.parametrize("shape", [(h, v) for h in range(1, 5) for v in range(1, 5)],
                          ids=lambda shape: f"{shape[0]}x{shape[1]}")
 def test_schedule_is_the_position_list_replay(shape):
-    # the live-bit count finds the slots bisection into a sorted list finds,
-    # and the cached vectors are the signs the per-bond products used
+    # the live-bit masks find the slots and signs that the position list and
+    # the operators acting one by one find, and every cached array is read-only
     lattice = LatticeSpec(*shape)
-    steps = _schedule(lattice)
-    assert _schedule_bytes(steps) == _schedule_bytes(replay_schedule(_plan(lattice)[0]))
-    for _, bonds, _, signs in steps:
+    index, coeff, steps = _schedule(lattice)
+    ref_index, ref_coeff, ref_steps = replay_schedule(lattice)
+    assert index.tobytes() == ref_index.tobytes() and coeff.tobytes() == ref_coeff.tobytes()
+    assert len(steps) == len(ref_steps)
+    for step, (ref_m, ref_old, bit_axes, ref_signs) in zip(steps, ref_steps):
+        m, old, shape_, axes, signs = step
+        assert (m, old) == (ref_m, ref_old)
+        assert signs.tobytes() == ref_signs.tobytes()
+        moved = _moved(shape_, [a - 1 for a in axes[1:]])
+        assert np.array_equal(moved, _moved((2,) * len(bit_axes), bit_axes))
         assert not signs.flags.writeable
-        assert not any(pair.flags.writeable for _, _, pair in bonds)
+    assert not index.flags.writeable and not coeff.flags.writeable
 
 
 def test_missing_site_raises():
@@ -200,15 +261,18 @@ def test_missing_site_raises():
 
 
 def test_mode_cap():
-    lattice = LatticeSpec(5, 4)  # peak live width 29 > 24
+    lattice = LatticeSpec(5, 4)  # peak live width 26 > 24
     tensors = {s: one_entry(0, 0, 0, 0, 0) for s in lattice.sites()}
     with pytest.raises(ResourceLimitError):
         build_fpeps(lattice, tensors)
 
 
-@pytest.mark.parametrize("shape, width", [((3, 2), 13), ((3, 3), 16), ((4, 3), 20), ((4, 4), 24)])
-def test_mode_cap_counts_peak_live_width(shape, width):
-    # the cap bounds the widest live set, counted before anything is allocated
+@pytest.mark.parametrize("shape, per_bond_width", [((3, 2), 13), ((3, 3), 16), ((4, 3), 20),
+                                                  ((4, 4), 24)])
+def test_mode_cap_counts_peak_live_width(shape, per_bond_width):
+    # the cap bounds the widest live set, counted before anything is allocated:
+    # 10 / 13 / 17 / 21 modes, 3 below the per-bond build's
+    width = per_bond_width - 3
     lattice = LatticeSpec(*shape)
     tensors = {s: one_entry(0, 0, 0, 0, 0) for s in lattice.sites()}
     with pytest.raises(ResourceLimitError, match=f"width of {width} modes"):

@@ -97,7 +97,7 @@ def test_cold_and_warm_commands_write_the_same_bytes(cold_caches, capsys, argv):
     assert outputs[0] and outputs[1] == outputs[0]
 
 
-@pytest.mark.parametrize("shape", [(1, 2), (2, 1), (2, 2), (3, 2), (3, 3)],
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2), (3, 2), (3, 3)],
                          ids=lambda shape: f"{shape[0]}x{shape[1]}")
 def test_cold_and_warm_calls_give_the_same_bytes(cold_caches, shape):
     lattice = LatticeSpec(*shape)

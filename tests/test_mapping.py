@@ -337,7 +337,7 @@ def test_stack_cores_match_the_per_set_route(shape, n_sets):
     lattice = LatticeSpec(*shape)
     sets = _mixed_stack(lattice, n_sets, 700 + 10 * shape[0] + shape[1] + n_sets)
     entries, parity = stack_sets(lattice, sets)
-    oracle = build_stack(lattice, entries, parity)
+    oracle = build_stack(lattice, entries)
     spin = map_stack(lattice, entries, parity)
     amps = contract_stack(lattice, spin)
     assert oracle.shape == amps.shape == (n_sets, 2**lattice.n_sites)
