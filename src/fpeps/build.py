@@ -197,13 +197,16 @@ def build_stack(
     index, coeff, steps = _schedule(lattice)
     n_sets = entries.shape[0]
     # [set, site, row x old]: every site's matrix, its self-loop terms summed
-    matrices = (np.take(entries.reshape(n_sets, -1), index, axis=1) * coeff).sum(axis=3)
+    matrices = (np.take(entries.reshape(n_sets, 32 * lattice.n_sites), index, axis=1)
+                * coeff).sum(axis=3)
     amps = np.ones((n_sets, 1), dtype=complex)
+    # explicit sizes throughout: a stack of no sets infers none
     for m, old, shape, axes, signs in steps:
-        out = matrices[:, m].reshape(n_sets, -1, old) @ amps.reshape(n_sets, old, -1)
+        out = (matrices[:, m].reshape(n_sets, index.shape[1] // old, old)
+               @ amps.reshape(n_sets, old, amps.shape[1] // old))
         # one reordering copy puts every bit at its slot and applies the signs
         amps = np.multiply(out.reshape((n_sets,) + shape).transpose(axes), signs,
-                           order="C").reshape(n_sets, -1)
+                           order="C").reshape(n_sets, signs.size)
     return amps
 
 

@@ -23,6 +23,7 @@ multiples of four.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -39,8 +40,7 @@ from .lattice import LatticeSpec, Site
 from .quadratic import DiracQuadratic, _levels, block_entropy, parent_hamiltonian
 from .tensors import FPEPSTensor
 
-# read-only: every example channel shares these arrays, and the package's
-# caches are keyed on their bytes
+# read-only, like the example channel's own copies of them
 EXAMPLE_B = 0.5 * np.array([
     [1, -1, 0, 0, -1, 1, 0, 0],
     [0, 0, -1, 1, 0, 0, 1, -1],
@@ -59,8 +59,9 @@ EXAMPLE_D = 0.25 * np.array([
 EXAMPLE_B.flags.writeable = EXAMPLE_D.flags.writeable = False
 
 
+@cache
 def example_channel() -> GaussianChannel:
-    """The one-site Gaussian map of the critical model."""
+    """The one-site Gaussian map of the critical model, one shared instance."""
     return GaussianChannel(np.zeros((2, 2)), EXAMPLE_B, EXAMPLE_D)
 
 

@@ -61,13 +61,15 @@ class MajoranaCM:
         object.__setattr__(self, "matrix", mat)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianChannel:
     """Pure Gaussian map Gamma_out = B (D - Gamma_in)^-1 B^T + A.
 
     A is 2p x 2p, B is 2p x 2q and D is 2q x 2q for p output and q input
     modes; the assembled block matrix [[A, B], [-B^T, D]] must be
-    antisymmetric and orthogonal.
+    antisymmetric and orthogonal.  A channel is a read-only value: it keeps
+    read-only copies of the blocks, checked once, and hashes by identity,
+    so what is derived from it is cached per channel object.
     """
 
     A: np.ndarray
@@ -75,12 +77,14 @@ class GaussianChannel:
     D: np.ndarray
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        B = np.asarray(self.B, dtype=float)
-        D = np.asarray(self.D, dtype=float)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "D", D)
+        for name in ("A", "B", "D"):
+            block = np.array(getattr(self, name), dtype=float)
+            if block.ndim != 2:
+                raise ContractViolationError(f"channel block {name} must be a matrix, "
+                                             f"got shape {block.shape}")
+            block.flags.writeable = False
+            object.__setattr__(self, name, block)
+        A, B, D = self.A, self.B, self.D
         if A.shape[0] != A.shape[1] or A.shape[0] != B.shape[0]:
             raise ContractViolationError("channel block A/B shapes inconsistent")
         if D.shape[0] != D.shape[1] or D.shape[0] != B.shape[1]:
@@ -131,6 +135,7 @@ class GaussianChannel:
             # [type, site, species] on both sides
             out = np.zeros((2, n_sites, rows, 2, n_sites, cols))
             out[:, site, :, :, site] = getattr(self, name).reshape(2, rows, 2, cols)
+            out.flags.writeable = False
             object.__setattr__(expanded, name, out.reshape(2 * n_sites * rows, -1))
         return expanded
 
@@ -367,11 +372,10 @@ _GRID = 2 * np.pi * np.stack(np.meshgrid(np.arange(5), np.arange(5), indexing="i
 
 
 # an entry is one channel's read-only (3, 5, 5) table of the harmonic
-# coefficients of (p, q, d); the key is the bytes of A, B and D, so a channel
-# whose arrays change in place gets a fresh table
+# coefficients of (p, q, d)
 @functools.lru_cache(maxsize=64)
-def _harmonic_table(A: bytes, B: bytes, D: bytes) -> np.ndarray:
-    A, B, D = (np.frombuffer(x).reshape(n, -1) for x, n in ((A, 2), (B, 2), (D, 8)))
+def _harmonic_table(channel: GaussianChannel) -> np.ndarray:
+    A, B, D = channel.A, channel.B, channel.D
     adj, det = _adjugate(D - fourier_bond(_GRID))
     bad = abs(det.imag) > 1e-9 * np.maximum(1.0, abs(det))
     if bad.any():
@@ -411,7 +415,7 @@ def gamma_out_hat(channel: GaussianChannel, phis) -> OutputTriple:
         raise ContractViolationError(f"momenta must have shape (..., 2), not {phis.shape}")
     if not np.isfinite(phis).all():
         raise ContractViolationError("momenta must be finite")
-    table = _harmonic_table(channel.A.tobytes(), channel.B.tobytes(), channel.D.tobytes())
+    table = _harmonic_table(channel)
     waves = np.exp(1j * phis[..., None] * _HARMONICS)
     p, q, d = np.einsum("...m,...n,tmn->t...", waves[..., 0, :], waves[..., 1, :], table)
     d = d.real

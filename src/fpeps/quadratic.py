@@ -181,19 +181,12 @@ def parent_hamiltonian(channel: GaussianChannel, radius_cap: int = 2) -> Quadrat
     radii raise ``ContractViolationError`` inside the triple search.  It is
     derived once per channel and ``radius_cap`` in a process, and read-only.
     """
-    return _parent_hamiltonian(channel.A.tobytes(), channel.B.tobytes(), channel.D.tobytes(),
-                               channel.B.shape, radius_cap)
+    return _parent_hamiltonian(channel, radius_cap)
 
 
-# an entry is one channel's parent Hamiltonian at one radius cap; the key is
-# the bytes of A, B and D and B's shape (which fixes A's and D's), so a
-# channel whose arrays change in place gets a fresh search
+# an entry is one channel's parent Hamiltonian at one radius cap
 @functools.lru_cache(maxsize=64)
-def _parent_hamiltonian(A: bytes, B: bytes, D: bytes, shape: tuple[int, int],
-                        radius_cap: int) -> QuadraticHamiltonian:
-    n_out, n_in = shape
-    channel = GaussianChannel(*(np.frombuffer(x).reshape(rows, cols) for x, rows, cols in
-                                ((A, n_out, n_out), (B, n_out, n_in), (D, n_in, n_in))))
+def _parent_hamiltonian(channel: GaussianChannel, radius_cap: int) -> QuadraticHamiltonian:
     deltas, (p, qr, qi, _) = minimal_triple(channel, radius_cap=radius_cap)
     # p = sum b sin(phi.Delta) and q = sum a cos(phi.Delta) + i c sin(phi.Delta)
     # have the harmonic blocks [[-b, a - c], [-(a + c), b]] / 2 at +Delta and

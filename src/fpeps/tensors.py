@@ -126,10 +126,12 @@ def stack_sets(lattice: LatticeSpec, sets, parity=None) -> tuple[np.ndarray, tup
 
     Returns one ``(S, N, 2, 2, 2, 2, 2)`` complex array, sets in the given
     order and sites in M order, and each site's parity as an ``(N,)``
-    tuple.  A set missing a site, a stack whose sets disagree on a site's
-    parity, and a ``parity`` mapping (None: not checked) that disagrees
+    tuple.  No sets, a set missing a site, a stack whose sets disagree on a
+    site's parity, and a ``parity`` mapping (None: not checked) that disagrees
     with the tensors' own parities are refused.
     """
+    if not sets:
+        raise ContractViolationError("no tensor sets to stack: a stack needs a parity pattern")
     sites = _sites(lattice, sets)
     patterns = {tuple(tensors[s].parity for s in sites) for tensors in sets}
     if len(patterns) > 1:

@@ -1,7 +1,7 @@
 """The package's functools caches: read-only values, and no effect on results.
 
 Every cache holds what depends only on its key (a lattice, a parity
-pattern, a channel's bytes, a size), so a call gives the same bytes with
+pattern, a read-only channel, a size), so a call gives the same bytes with
 every cache empty and with every cache filled.
 """
 from collections.abc import Mapping
@@ -22,17 +22,6 @@ from fpeps.tensors import FPEPSTensor
 CHECKERBOARD_3X2 = (0, 1, 0, 1, 0, 1)
 
 
-def _harmonic_table():
-    channel = example_channel()
-    return gaussian._harmonic_table(channel.A.tobytes(), channel.B.tobytes(), channel.D.tobytes())
-
-
-def _parent_hamiltonian():
-    channel = example_channel()
-    return quadratic._parent_hamiltonian(channel.A.tobytes(), channel.B.tobytes(),
-                                         channel.D.tobytes(), channel.B.shape, 2)
-
-
 # one call of every cache; a cache without an entry fails the listing test
 CACHE_CALLS = {
     "fpeps.build._plan": lambda: build._plan(LatticeSpec(3, 2)),
@@ -40,21 +29,26 @@ CACHE_CALLS = {
     "fpeps.build.site_signs": build.site_signs,
     "fpeps.cli.build_parser": cli.build_parser,
     "fpeps.correlators._gauss_legendre": lambda: correlators._gauss_legendre(8),
+    "fpeps.critical.example_channel": example_channel,
     "fpeps.fock.parity_signs": lambda: fock.parity_signs(5),
     "fpeps.fock.physical_registry": lambda: fock.physical_registry(LatticeSpec(3, 2)),
-    "fpeps.gaussian._harmonic_table": _harmonic_table,
+    "fpeps.gaussian._harmonic_table": lambda: gaussian._harmonic_table(example_channel()),
     "fpeps.io._entry_templates": lambda: io._entry_templates(io._SPIN_KEYS),
     "fpeps.lattice.site_order": lambda: lattice.site_order(LatticeSpec(3, 2)),
     "fpeps.mapping._map_plan": lambda: mapping._map_plan(LatticeSpec(3, 2), CHECKERBOARD_3X2),
     "fpeps.mapping._sign_tables": lambda: mapping._sign_tables(LatticeSpec(3, 2), CHECKERBOARD_3X2),
-    "fpeps.quadratic._parent_hamiltonian": _parent_hamiltonian,
+    "fpeps.quadratic._parent_hamiltonian":
+        lambda: quadratic._parent_hamiltonian(example_channel(), 2),
 }
 
 
 def _arrays(value):
-    """The arrays in a cached value, inside nested tuples, lists, mappings and Hamiltonians."""
+    """The arrays in a cached value, inside nested tuples, lists, mappings,
+    channels and Hamiltonians."""
     if isinstance(value, np.ndarray):
         yield value
+    elif isinstance(value, gaussian.GaussianChannel):
+        yield from _arrays([value.A, value.B, value.D])
     elif isinstance(value, quadratic.QuadraticHamiltonian):
         yield from _arrays(value.blocks)
     elif isinstance(value, Mapping):

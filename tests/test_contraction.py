@@ -5,11 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fpeps.build import build_stack
 from fpeps.contraction import contract_peps, contract_stack
 from fpeps.errors import ContractViolationError, ResourceLimitError
 from fpeps.io import dump_peps_set
 from fpeps.lattice import LatticeSpec
 from fpeps.mapping import map_stack
+from fpeps.tensors import random_stack
 
 
 def product_tensor(amp0, amp1):
@@ -35,12 +37,18 @@ def test_product_tensors_give_product_state():
 
 
 def test_empty_stack_contracts_to_no_amplitudes():
-    # map_stack maps a stack of no sets to an empty stack; its contraction
-    # used to fail inside a reshape
-    lattice = LatticeSpec(2, 2)
-    mapped = map_stack(lattice, np.zeros((0, 4) + (2,) * 5, dtype=complex), (0, 1, 1, 0))
-    amplitudes = contract_stack(lattice, mapped)
-    assert amplitudes.shape == (0, 16) and amplitudes.dtype == complex
+    # a stack of no sets builds, maps and contracts to no amplitudes; the
+    # oracle build and the contraction used to fail inside a reshape
+    for shape in [(1, 1), (1, 3), (3, 1), (2, 2), (3, 2)]:
+        lattice = LatticeSpec(*shape)
+        parity = tuple((h + v) % 2 for h, v in lattice.sites())
+        entries = random_stack([], parity)
+        oracle = build_stack(lattice, entries)
+        mapped = map_stack(lattice, entries, parity)
+        amplitudes = contract_stack(lattice, mapped)
+        assert mapped.shape == (0, lattice.n_sites) + (2,) * 7
+        for amps in (oracle, amplitudes):
+            assert amps.shape == (0, 2**lattice.n_sites) and amps.dtype == complex
 
 
 def test_site_order_of_amplitudes():

@@ -229,13 +229,16 @@ def test_gap_scan_equals_the_spectrum_gap():
 
 @pytest.mark.parametrize("name", ["B", "D"])
 def test_example_channel_blocks_are_read_only(name):
-    # every example channel shares the module's B and D; one write into them
-    # would change every later channel and every cache keyed on their bytes
+    # one shared channel keys the caches of its table and parent Hamiltonian;
+    # its blocks are read-only copies of the module's read-only B and D
+    assert example_channel() is example_channel()
     block = getattr(example_channel(), name)
-    assert block is {"B": EXAMPLE_B, "D": EXAMPLE_D}[name]
+    constant = {"B": EXAMPLE_B, "D": EXAMPLE_D}[name]
+    assert np.array_equal(block, constant)
     before = block.copy()
-    with pytest.raises(ValueError, match="read-only"):
-        block[0, 0] += 1.0
+    for array in (block, constant):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] += 1.0
     assert np.array_equal(getattr(example_channel(), name), before)
 
 

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from gaussian_reference import blocks_from_matrix, circulant_reference, eq9_gamma_hat, purity_defect
-from fpeps.critical import example_channel
+from fpeps.critical import EXAMPLE_B, EXAMPLE_D, example_channel
 from fpeps.errors import ContractViolationError, NumericalValidityError, ZeroNormError
 from fpeps.gaussian import (
     ZERO_NORM_ATOL,
@@ -22,6 +22,7 @@ from fpeps.gaussian import (
     physical_cm_from_blocks,
 )
 from fpeps.lattice import LatticeSpec
+from fpeps.quadratic import parent_hamiltonian
 
 VACUUM_CM = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -42,6 +43,17 @@ def test_cm_validation_refuses_an_empty_matrix(shape):
 def test_channel_validation_rejects_bad_blocks():
     with pytest.raises(ContractViolationError):
         GaussianChannel(np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2))
+
+
+@pytest.mark.parametrize("name, shape", [("A", (2,)), ("D", (2, 2, 2)), ("B", (2,))],
+                         ids=["A-1d", "D-3d", "B-1d"])
+def test_channel_refuses_blocks_that_are_not_matrices(vacuum_channel, name, shape):
+    # a 1-D A or B ended in a bare IndexError, a 3-D D in numpy's hstack ValueError
+    blocks = {"A": vacuum_channel.A, "B": vacuum_channel.B, "D": vacuum_channel.D,
+              name: np.zeros(shape)}
+    with pytest.raises(ContractViolationError) as refused:
+        GaussianChannel(**blocks)
+    assert str(refused.value) == f"channel block {name} must be a matrix, got shape {shape}"
 
 
 def test_lattice_bond_cm_is_pure_and_antisymmetric():
@@ -259,10 +271,6 @@ def direct_triple(ch, phis):
     return R[..., 0, 0].imag, R[..., 0, 1], det.real
 
 
-def table_keys(ch):
-    return ch.A.tobytes(), ch.B.tobytes(), ch.D.tobytes()
-
-
 @pytest.mark.parametrize("seed", range(8))
 def test_harmonic_table_is_exact_on_random_channels(seed, random_site_channel):
     ch = random_site_channel(seed)
@@ -287,22 +295,33 @@ def test_harmonic_table_is_exact_on_the_example():
 
 
 def test_harmonic_table_is_shared_and_read_only():
-    table = _harmonic_table(*table_keys(example_channel()))
-    assert _harmonic_table(*table_keys(example_channel())) is table
+    table = _harmonic_table(example_channel())
+    assert _harmonic_table(example_channel()) is table
     assert table.shape == (3, 5, 5)
     with pytest.raises(ValueError):
         table[0, 0, 0] = 1.0
 
 
-def test_harmonic_table_follows_an_in_place_change(random_site_channel):
-    ch = random_site_channel(3)
+def test_channel_is_a_read_only_value(random_site_channel):
+    source = random_site_channel(3)
+    A, B, D = (block.copy() for block in (source.A, source.B, source.D))
+    ch = GaussianChannel(A, B, D)
+    for channel in (ch, ch.expand_to_lattice(3)):
+        for name in "ABD":
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(channel, name)[0, 0] = 1.0
     phis = np.random.default_rng(3).uniform(0, 2 * np.pi, (20, 2))
     before = gamma_out_hat(ch, phis)
-    ch.D[...] = -ch.D  # still antisymmetric, so d stays real
-    after = gamma_out_hat(ch, phis)
-    assert np.max(np.abs(after.d - before.d)) > 1e-3
-    for got, want in zip(after[:3], direct_triple(ch, phis)):
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    D[...] = -D  # the caller's arrays, which the channel copied
+    assert np.array_equal(ch.D, source.D)
+    assert all(np.array_equal(x, y) for x, y in zip(gamma_out_hat(ch, phis), before))
+    # a cache entry is per channel object: an equal channel derives equal bytes
+    example, fresh = example_channel(), GaussianChannel(np.zeros((2, 2)), EXAMPLE_B, EXAMPLE_D)
+    assert fresh is not example
+    assert _harmonic_table(fresh).tobytes() == _harmonic_table(example).tobytes()
+    ham, fresh_ham = parent_hamiltonian(example), parent_hamiltonian(fresh)
+    assert list(fresh_ham.blocks) == list(ham.blocks)
+    assert all(fresh_ham.blocks[k].tobytes() == ham.blocks[k].tobytes() for k in ham.blocks)
 
 
 def test_gamma_out_hat_refuses_a_lattice_channel():

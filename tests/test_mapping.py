@@ -363,6 +363,12 @@ def test_stack_of_disagreeing_parity_patterns_is_refused():
     assert str(refused.value) == "tensor sets disagree on the parity of sites [(2, 1)]"
 
 
+def test_stack_of_no_sets_is_refused():
+    # no set has no parity pattern to return
+    with pytest.raises(ContractViolationError, match="no tensor sets"):
+        stack_sets(LatticeSpec(2, 2), [])
+
+
 def _without_site_2_1(tensors):
     return {s: t for s, t in tensors.items() if s != (2, 1)}
 
