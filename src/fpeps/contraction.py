@@ -19,26 +19,24 @@ times smaller.  The environment [D, phys, U] absorbs a row with one product
 over D; the last row is contracted together with the periodic vertical
 trace over (D, U).  Every new row is merged as the more significant index,
 so the amplitudes come out in site M order.  When n_v == 1 each site's
-vertical self-loop is traced before chaining.  The worst case under the cap
-is 6x2, whose row chain peaks at about 76 MiB.
+vertical self-loop is traced before chaining.  A stack is charged for its
+memory before anything is allocated, so an 8x2 full vector is refused.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import ContractViolationError, refuse_over_limit
 from .fock import FockVector, physical_registry
 from .lattice import LatticeSpec, Site
 from .tensors import spin_stack
-
-MAX_SITES = 12
 
 
 def _row_tensors(lattice: LatticeSpec, entries: np.ndarray, v: int) -> np.ndarray:
     """Contract the horizontal chain of row v of every set into [set, U, D, phys]."""
     n_sets, n_h = entries.shape[0], lattice.n_h
     # [set, h, k, L, R, u, d]; a one-row lattice closes each vertical bond on its site
-    blocks = entries[:, (v - 1) * n_h:v * n_h].reshape(n_sets, n_h, 2, 4, 4, 2, 2)
+    blocks = entries[:, (v - 1) * n_h:v * n_h].reshape(n_sets, n_h, -1, 4, 4, 2, 2)
     if lattice.n_v == 1:
         blocks = np.einsum("shkLRuu->shkLR", blocks)[..., None, None]
     _, _, k, L, R, u, d = blocks.shape
@@ -57,33 +55,34 @@ def _row_tensors(lattice: LatticeSpec, entries: np.ndarray, v: int) -> np.ndarra
 
 
 def contract_stack(lattice: LatticeSpec, entries: np.ndarray) -> np.ndarray:
-    """Amplitude vectors of a stack of spin tensor sets, as one ``(S, 2^N)`` array.
+    """Amplitudes of an ``(S, N, P) + (2,)*6`` stack of spin tensor sets, as ``(S, P^N)``.
 
-    ``entries[i, m]`` is B[k, l, l', r, r', u, d] of site ``m`` (M order) of
-    set ``i``; row i of the result is that set's amplitudes in site M order,
-    equal to the set contracted alone.  A stack of no sets gives ``(0, 2^N)``.
+    ``entries[i, m, k]`` is B[k, l, l', r, r', u, d] of site ``m`` of set ``i``.  P = 2
+    gives each set's amplitudes in site M order, equal to the set contracted alone; P = 1
+    one configuration's amplitude per set, B[k_m] at each site m.  No sets: ``(0, P^N)``.
     """
-    if lattice.n_sites > MAX_SITES:
-        raise ResourceLimitError(
-            f"{lattice.n_sites} sites exceed the exact-contraction cap of {MAX_SITES}"
-        )
-    n_sets = entries.shape[0]
+    if entries.shape[1:] not in [(lattice.n_sites, p) + (2,) * 6 for p in (1, 2)]:
+        raise ContractViolationError(f"a spin stack must have shape (S, {lattice.n_sites}, P) "
+                                     f"+ (2,)*6 with P 1 or 2, got {entries.shape}")
+    (n_sets, n, p), n_h, n_v = entries.shape[:3], lattice.n_h, lattice.n_v
+    w = 2 if n_v > 1 else 1  # a one-row lattice traces its vertical self-loop first
+    # complex numbers per set: the row chain and its input, 24 (P w^2)^n_h; the n_v row tensors;
+    # the environment, its copy and the amplitudes, 3 w^(2 n_h) P^(N - n_h); one row of the stack.
+    # Traced peak/charge: 12x1 .95, 6x2 .66, 4x4 .67, 5x3 .55; P=1 5x5 x64 .74, 7x3 x8 .73, 9x9 .78
+    per_set = (24 + n_v) * (p * w * w) ** n_h + 3 * w ** (2 * n_h) * p ** (n - n_h) + 64 * p * n_h
+    refuse_over_limit(2 * n_sets * per_set, f"{n_sets} x {p}^{n} amplitudes on {n_h}x{n_v}")
     if not n_sets:
-        return np.zeros((0, 2**lattice.n_sites), np.result_type(entries, float))
-    rows = [_row_tensors(lattice, entries, v) for v in range(1, lattice.n_v + 1)]
-    width = rows[0].shape[1]
+        return np.zeros((0, p**n), np.result_type(entries, float))
+    rows = [_row_tensors(lattice, entries, v) for v in range(1, n_v + 1)]
+    width = w**n_h  # of every U and D
     env = np.eye(width).reshape(1, width, 1, width)  # [set, D_current, phys, U_open]
     for row in rows[:-1]:
         # tensordot's GEMM over the row's U and D_current, one per set
-        _, U, D, P = row.shape
-        n, _, phys, u_open = env.shape
-        env = np.matmul(row.transpose(0, 2, 3, 1).reshape(n_sets, D * P, U),
-                        env.reshape(n, U, phys * u_open)).reshape(n_sets, D, P * phys, u_open)
+        env = np.matmul(row.transpose(0, 2, 3, 1).reshape(n_sets, -1, width),
+                        env.reshape(len(env), width, -1)).reshape(n_sets, width, -1, width)
     # last row and the periodic vertical trace in one product, over (U, D_current) and (D, U_open)
-    _, U, D, P = rows[-1].shape
-    n, _, phys, u_open = env.shape
-    amps = np.matmul(rows[-1].transpose(0, 3, 1, 2).reshape(n_sets, P, U * D),
-                     env.transpose(0, 1, 3, 2).reshape(n, U * D, phys))
+    amps = np.matmul(rows[-1].transpose(0, 3, 1, 2).reshape(n_sets, -1, width**2),
+                     env.transpose(0, 1, 3, 2).reshape(len(env), width**2, -1))
     return amps.reshape(n_sets, -1)
 
 

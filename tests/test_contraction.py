@@ -1,13 +1,15 @@
 """Exact spin-PEPS contraction."""
 import string
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from fpeps import contraction
 from fpeps.build import build_stack
 from fpeps.contraction import contract_peps, contract_stack
-from fpeps.errors import ContractViolationError, ResourceLimitError
+from fpeps.errors import ContractViolationError
 from fpeps.io import dump_peps_set
 from fpeps.lattice import LatticeSpec
 from fpeps.mapping import map_stack
@@ -49,6 +51,8 @@ def test_empty_stack_contracts_to_no_amplitudes():
         assert mapped.shape == (0, lattice.n_sites) + (2,) * 7
         for amps in (oracle, amplitudes):
             assert amps.shape == (0, 2**lattice.n_sites) and amps.dtype == complex
+        # a P = 1 stack of no configurations gives no amplitudes
+        assert contract_stack(lattice, spin_zeros(lattice, 1, 0)).shape == (0, 1)
 
 
 def test_site_order_of_amplitudes():
@@ -80,11 +84,91 @@ def test_missing_tensor_raises():
         contract_peps(lattice, {(1, 1): product_tensor(1, 0)})
 
 
-def test_site_cap():
-    lattice = LatticeSpec(4, 4)
-    tensors = {s: product_tensor(1, 0) for s in lattice.sites()}
-    with pytest.raises(ResourceLimitError):
-        contract_peps(lattice, tensors)
+def spin_zeros(lattice, p, n_sets):
+    """A stack of ``n_sets`` zero spin tensor sets with a physical axis of length ``p``."""
+    return np.zeros((n_sets, lattice.n_sites, p) + (2,) * 6, dtype=complex)
+
+
+def configuration_stack(spin, configs):
+    """One ``P = 1`` set per configuration of the ``(N, 2, ...)`` spin set ``spin``.
+
+    Site m of set j holds B[k_m], with k_m bit m of ``configs[j]`` (site M order).
+    """
+    n = len(spin)
+    bits = np.asarray(configs)[:, None] >> np.arange(n) & 1
+    return spin[np.arange(n), bits][:, :, None]
+
+
+def test_stack_is_charged_by_memory():
+    # full vectors of up to 12 sites, and 4x4, are admitted
+    for shape in [(4, 4), (6, 2), (1, 12), (12, 1)]:
+        lattice = LatticeSpec(*shape)
+        assert contract_stack(lattice, spin_zeros(lattice, 2, 1)).shape == (1, 2**lattice.n_sites)
+    # an 8x2 full vector is refused with one line, before the chain allocates
+    lattice = LatticeSpec(8, 2)
+    entries = spin_zeros(lattice, 2, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ContractViolationError, match="1 x 2\\^16 amplitudes on 8x2") as refusal:
+            contract_stack(lattice, entries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "\n" not in str(refusal.value) and peak < 64 * 2**10
+    # one configuration on 7x5 is admitted, a stack of them past 1 GiB is not
+    lattice = LatticeSpec(7, 5)
+    assert contract_stack(lattice, spin_zeros(lattice, 1, 1)).shape == (1, 1)
+    with pytest.raises(ContractViolationError, match="over the 1 GiB limit"):
+        contract_stack(lattice, spin_zeros(lattice, 1, 256))
+    # any other trailing shape is refused, not reshaped
+    lattice = LatticeSpec(2, 2)
+    for shape in [(4, 3) + (2,) * 6, (4, 0) + (2,) * 6, (4,) + (2,) * 6, (4,) + (2,) * 8,
+                  (3, 2) + (2,) * 6, (4, 2) + (2,) * 5 + (4,), ()]:
+        with pytest.raises(ContractViolationError, match="must have shape") as refusal:
+            contract_stack(lattice, np.zeros((1,) + shape, dtype=complex))
+        assert "\n" not in str(refusal.value)
+
+
+CHARGED = [((12, 1), 2, 1), ((6, 2), 2, 1), ((4, 4), 2, 1), ((5, 3), 2, 1),
+           ((5, 5), 1, 64), ((7, 3), 1, 8), ((9, 9), 1, 1)]
+
+
+@pytest.mark.parametrize("shape, p, n_sets", CHARGED,
+                         ids=[f"{h}x{v}-P{p}-x{s}" for (h, v), p, s in CHARGED])
+def test_contraction_charge_covers_its_peak(shape, p, n_sets):
+    lattice = LatticeSpec(*shape)
+    entries = spin_zeros(lattice, p, n_sets)
+    charged = []
+    with mock.patch.object(contraction, "refuse_over_limit",
+                           lambda floats, _: charged.append(floats)):
+        tracemalloc.start()
+        try:
+            amplitudes = contract_stack(lattice, entries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert amplitudes.shape == (n_sets, p**lattice.n_sites)
+    assert peak <= 8 * charged[0]
+
+
+FIXED = [(h, v) for v in range(1, 4) for h in range(1, 5)] + [(3, 4), (6, 2), (2, 6), (1, 12),
+                                                              (12, 1)]
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["even", "mixed"])
+@pytest.mark.parametrize("shape", FIXED, ids=[f"{h}x{v}" for h, v in FIXED])
+def test_configuration_amplitudes_equal_the_full_vector(shape, mixed):
+    # a P = 1 set per configuration gives that configuration's entry of the P = 2 vector
+    lattice = LatticeSpec(*shape)
+    n = lattice.n_sites
+    rng = np.random.default_rng(500 + 10 * shape[1] + shape[0] + mixed)
+    parity = tuple(rng.permutation(np.arange(n) % 2 if mixed else np.zeros(n, int)).tolist())
+    spin = map_stack(lattice, random_stack([rng], parity), parity)
+    full = contract_stack(lattice, spin)[0]
+    configs = rng.choice(2**n, min(16, 2**n), replace=False)
+    amps = contract_stack(lattice, configuration_stack(spin[0], configs))
+    assert amps.shape == (len(configs), 1)
+    assert np.max(np.abs(amps[:, 0] - full[configs])) < 1e-14 * np.max(np.abs(full))
 
 
 def full_einsum(lattice, tensors):

@@ -13,9 +13,10 @@ from fpeps.io import dump_peps_set, dump_tensor_set
 from fpeps.lattice import LatticeSpec
 from fpeps import mapping
 from fpeps.mapping import derive_sign_functions, map_stack, map_tensor_set
-from fpeps.tensors import FPEPSTensor, forbidden_entries, random_stack, stack_sets
+from fpeps.tensors import FPEPSTensor, forbidden_entries, random_stack, spin_stack, stack_sets
 
 import sign_reference
+from test_contraction import configuration_stack
 
 
 def map_with_zero_signs(monkeypatch, lattice, site, tensor):
@@ -102,13 +103,21 @@ def test_sign_function_depends_only_on_local_indices():
 
 def assert_oracle_matches_contraction(lattice, tensors, parity=None):
     oracle = build_fpeps(lattice, tensors)
-    contracted = contract_peps(lattice, map_tensor_set(lattice, tensors, parity))
+    mapped = map_tensor_set(lattice, tensors, parity)
+    contracted = contract_peps(lattice, mapped)
     # the translation is exact including the global phase
     scale = 2.0 ** lattice.n_sites
     assert np.max(
         np.abs(contracted.amplitudes - scale * oracle.amplitudes)
     ) < 1e-10 * max(1.0, np.max(np.abs(contracted.amplitudes)))
     assert abs(oracle.normalized_overlap(contracted) - 1.0) < 1e-10
+    # and so is each configuration contracted alone, as one P = 1 set
+    n = lattice.n_sites
+    configs = np.random.default_rng(n).choice(2**n, min(16, 2**n), replace=False)
+    spin = np.stack(spin_stack(lattice, mapped))
+    amps = contract_stack(lattice, configuration_stack(spin, configs))
+    assert np.max(np.abs(amps[:, 0] - scale * oracle.amplitudes[configs])) < (
+        1e-14 * np.max(np.abs(contracted.amplitudes)))
 
 
 @pytest.mark.parametrize("shape", [(1, 2), (2, 1), (2, 2)])
@@ -247,13 +256,13 @@ def test_site_parity_other_than_0_or_1_is_refused(value):
 
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["even", "mixed"])
-@pytest.mark.parametrize("shape", [(3, 1), (3, 2), (3, 3), (4, 3), (3, 4)],
-                         ids=["3x1", "3x2", "3x3", "4x3", "3x4"])
+@pytest.mark.parametrize("shape", [(3, 1), (3, 2), (3, 3), (4, 3), (3, 4), (4, 4), (5, 3)],
+                         ids=["3x1", "3x2", "3x3", "4x3", "3x4", "4x4", "5x3"])
 def test_oracle_equivalence_with_bulk_columns(shape, mixed):
     # bulk columns run the branch l' = r' + u + d with r' = 1
     lattice = LatticeSpec(*shape)
     rng = np.random.default_rng(400 + 10 * shape[1] + shape[0] + mixed)
-    for _ in range({3: 4, 6: 4, 9: 2, 12: 1}[lattice.n_sites]):
+    for _ in range({3: 4, 6: 4, 9: 2, 12: 1, 15: 1, 16: 1}[lattice.n_sites]):
         bits = np.arange(lattice.n_sites) % 2 if mixed else np.zeros(lattice.n_sites)
         bits = rng.permutation(bits)
         parity = {s: int(b) for s, b in zip(lattice.sites(), bits)}
