@@ -43,7 +43,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, refuse_over_limit
 from .fock import DEFAULT_MODE_CAP, FockVector, physical_registry
 from .lattice import LatticeSpec, Site
 from .tensors import FPEPSTensor, stack_sets
@@ -185,8 +185,8 @@ def build_stack(
     2, 2, 2, 2)`` tensors in site M order whose nonzero entries carry each
     site's parity, so no parity pattern is read.  Row i is the state of set
     i in M order; each row equals the set built alone.  ``cap`` bounds the
-    peak number of live modes ``w``, counted before allocating; the stack
-    holds ``S 2^w`` amplitudes, with bit i of a row's index on slot i of
+    peak number of live modes ``w``, and the stack's ``S 2^w`` amplitudes are
+    charged, before allocating; bit i of a row's index is on slot i of
     :func:`_schedule`.
     """
     width = _plan(lattice)[1]
@@ -194,8 +194,10 @@ def build_stack(
         raise ResourceLimitError(
             f"peak live width of {width} modes exceeds the dense cap of {cap}"
         )
-    index, coeff, steps = _schedule(lattice)
     n_sets = entries.shape[0]
+    # 3 S 2^w complex: the stack, its product with a site and the reordering copy (traced 2.5-2.6)
+    refuse_over_limit(6 * n_sets * 2**width, f"{n_sets} sets on {lattice.n_h}x{lattice.n_v}")
+    index, coeff, steps = _schedule(lattice)
     # [set, site, row x old]: every site's matrix, its self-loop terms summed
     matrices = (np.take(entries.reshape(n_sets, 32 * lattice.n_sites), index, axis=1)
                 * coeff).sum(axis=3)

@@ -15,12 +15,14 @@ whose combined vertical legs are 2^n_h wide, and the periodic
 (l, l') / (r, r') bond closes inside the row.  The chain keeps each site's
 (k, u, d) legs in the order the products leave them and permutes them into
 site M order once, after the periodic bond is traced, when the row is 16
-times smaller.  The environment [D, phys, U] absorbs a row with one product
-over D; the last row is contracted together with the periodic vertical
-trace over (D, U).  Every new row is merged as the more significant index,
-so the amplitudes come out in site M order.  When n_v == 1 each site's
-vertical self-loop is traced before chaining.  A stack is charged for its
-memory before anything is allocated, so an 8x2 full vector is refused.
+times smaller.  Each row is built just before it is absorbed, so one row
+tensor lives at a time, whatever n_v is.  The environment [D, phys, U]
+absorbs a row with one product over D; the last row is contracted together
+with the periodic vertical trace over (D, U).  Every new row is merged as
+the more significant index, so the amplitudes come out in site M order.
+When n_v == 1 each site's vertical self-loop is traced before chaining.  A
+stack is charged for its memory before anything is allocated, so an 8x2
+full vector is refused.
 """
 from __future__ import annotations
 
@@ -66,23 +68,24 @@ def contract_stack(lattice: LatticeSpec, entries: np.ndarray) -> np.ndarray:
                                      f"+ (2,)*6 with P 1 or 2, got {entries.shape}")
     (n_sets, n, p), n_h, n_v = entries.shape[:3], lattice.n_h, lattice.n_v
     w = 2 if n_v > 1 else 1  # a one-row lattice traces its vertical self-loop first
-    # complex numbers per set: the row chain and its input, 24 (P w^2)^n_h; the n_v row tensors;
+    # complex numbers per set: the row chain, its input and the row it makes, 25 (P w^2)^n_h;
     # the environment, its copy and the amplitudes, 3 w^(2 n_h) P^(N - n_h); one row of the stack.
-    # Traced peak/charge: 12x1 .95, 6x2 .66, 4x4 .67, 5x3 .55; P=1 5x5 x64 .74, 7x3 x8 .73, 9x9 .78
-    per_set = (24 + n_v) * (p * w * w) ** n_h + 3 * w ** (2 * n_h) * p ** (n - n_h) + 64 * p * n_h
+    # Traced peak/charge: 12x1 .95, 6x2 .68, 4x4 .67, 5x3 .55; P=1 .72-.75 (x1-x64 up to 9x9)
+    per_set = 25 * (p * w * w) ** n_h + 3 * w ** (2 * n_h) * p ** (n - n_h) + 64 * p * n_h
     refuse_over_limit(2 * n_sets * per_set, f"{n_sets} x {p}^{n} amplitudes on {n_h}x{n_v}")
     if not n_sets:
         return np.zeros((0, p**n), np.result_type(entries, float))
-    rows = [_row_tensors(lattice, entries, v) for v in range(1, n_v + 1)]
     width = w**n_h  # of every U and D
     env = np.eye(width).reshape(1, width, 1, width)  # [set, D_current, phys, U_open]
-    for row in rows[:-1]:
-        # tensordot's GEMM over the row's U and D_current, one per set
-        env = np.matmul(row.transpose(0, 2, 3, 1).reshape(n_sets, -1, width),
-                        env.reshape(len(env), width, -1)).reshape(n_sets, width, -1, width)
+    for v in range(1, n_v):
+        # row v is built as it is absorbed: tensordot's GEMM over its U and D_current, per set
+        env = np.matmul(
+            _row_tensors(lattice, entries, v).transpose(0, 2, 3, 1).reshape(n_sets, -1, width),
+            env.reshape(len(env), width, -1)).reshape(n_sets, width, -1, width)
     # last row and the periodic vertical trace in one product, over (U, D_current) and (D, U_open)
-    amps = np.matmul(rows[-1].transpose(0, 3, 1, 2).reshape(n_sets, -1, width**2),
-                     env.transpose(0, 1, 3, 2).reshape(len(env), width**2, -1))
+    amps = np.matmul(
+        _row_tensors(lattice, entries, n_v).transpose(0, 3, 1, 2).reshape(n_sets, -1, width**2),
+        env.transpose(0, 1, 3, 2).reshape(len(env), width**2, -1))
     return amps.reshape(n_sets, -1)
 
 

@@ -37,7 +37,7 @@ from .gaussian import (
     gamma_out_hat,
 )
 from .lattice import LatticeSpec, Site
-from .quadratic import DiracQuadratic, _levels, block_entropy, parent_hamiltonian
+from .quadratic import DiracQuadratic, _positive_branch, block_entropy, parent_hamiltonian
 from .tensors import FPEPSTensor
 
 # read-only, like the example channel's own copies of them
@@ -210,5 +210,5 @@ def gap_scan(sizes) -> list[tuple[int, float]]:
     lattices = [odd_torus(LatticeSpec(n, n)) for n in sizes]
     if not lattices:
         raise ContractViolationError("gap scan needs at least one torus size")
-    ham = parent_hamiltonian(example_channel(), radius_cap=2)
-    return [(lat.n_h, float(_levels(ham, lat.momenta()).min())) for lat in lattices]
+    h_hat = parent_hamiltonian(example_channel(), radius_cap=2).h_hat
+    return [(lat.n_h, float(_positive_branch(h_hat(lat.momenta())).min())) for lat in lattices]

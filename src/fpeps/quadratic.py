@@ -230,17 +230,12 @@ def _positive_branch(hh: np.ndarray) -> np.ndarray:
     return (a + c) / 2 + np.hypot((a - c) / 2, np.abs(hh[..., 0, 1]))
 
 
-def _levels(ham: QuadraticHamiltonian, momenta: np.ndarray) -> np.ndarray:
-    """The positive-branch level of every momentum: the one level kernel of the spectra."""
-    return _positive_branch(ham.h_hat(momenta))
-
-
 def single_particle_spectrum(
     ham: QuadraticHamiltonian, lattice: LatticeSpec
 ) -> tuple[list[tuple[tuple[float, float], float]], float]:
     """Positive branch of eigenvalues of i h_hat(phi) per momentum, and the gap."""
     momenta = lattice.momenta()
-    eps = _levels(ham, momenta)
+    eps = _positive_branch(ham.h_hat(momenta))
     return list(zip(zip(*momenta.T.tolist()), eps.tolist())), float(eps.min())
 
 

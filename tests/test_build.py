@@ -1,4 +1,7 @@
 """Entangled bonds, local projectors, and the exact state assembly."""
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from fock_reference import (
     standard_registry,
     vacuum,
 )
+from fpeps import build
 from fpeps.build import _plan, _schedule, build_fpeps, build_stack
 from fpeps.errors import ContractViolationError, ResourceLimitError
 from fpeps.fock import ModeRegistry, covariance_matrix
@@ -277,6 +281,48 @@ def test_mode_cap_counts_peak_live_width(shape, per_bond_width):
     tensors = {s: one_entry(0, 0, 0, 0, 0) for s in lattice.sites()}
     with pytest.raises(ResourceLimitError, match=f"width of {width} modes"):
         build_fpeps(lattice, tensors, cap=width - 1)
+
+
+def _must_not_run(*args):
+    raise AssertionError("called after the refusal")
+
+
+def test_stack_is_charged_before_it_allocates():
+    # 64 sets on 4x4 would hold about 5 GiB: one line, before the schedule runs
+    lattice = LatticeSpec(4, 4)
+    entries = np.zeros((64, lattice.n_sites) + (2,) * 5, dtype=complex)
+    with mock.patch.object(build, "_schedule", _must_not_run):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContractViolationError,
+                               match="64 sets on 4x4 needs 6.0 GiB") as refusal:
+                build_stack(lattice, entries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert "\n" not in str(refusal.value) and peak < 64 * 2**10
+    # one set is charged to the default cap: 24 live modes pass the charge, 25 do not
+    with mock.patch.object(build, "_schedule", _must_not_run):
+        for width, error in [(24, AssertionError), (25, ContractViolationError)]:
+            with mock.patch.object(build, "_plan", lambda _: ((), width)), pytest.raises(error):
+                build_stack(lattice, entries[:1], cap=25)
+
+
+@pytest.mark.parametrize("shape, n_sets", [((3, 3), 64), ((4, 3), 8)], ids=["3x3-x64", "4x3-x8"])
+def test_stack_charge_covers_its_peak(shape, n_sets):
+    lattice = LatticeSpec(*shape)
+    entries = np.zeros((n_sets, lattice.n_sites) + (2,) * 5, dtype=complex)
+    _schedule(lattice)  # the lattice's cached tables are not part of a stack's charge
+    charged = []
+    with mock.patch.object(build, "refuse_over_limit", lambda floats, _: charged.append(floats)):
+        tracemalloc.start()
+        try:
+            amplitudes = build_stack(lattice, entries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert amplitudes.shape == (n_sets, 2**lattice.n_sites)
+    assert peak <= 8 * charged[0]
 
 
 def test_zero_state_is_representable():

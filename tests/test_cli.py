@@ -454,6 +454,23 @@ def test_entropy_charge_covers_its_peak(tmp_path):
     assert peak <= 8 * charged[0]
 
 
+@pytest.mark.parametrize("scan", [["--lattice", "101x101"], ["--sizes", "5,101"]],
+                         ids=["lattice", "sizes"])
+def test_spectrum_charge_covers_its_peak(tmp_path, scan):
+    # 56 floats per momentum of --lattice, 40 per site of the largest --sizes torus
+    argv = ["spectrum"] + scan + ["--out", str(tmp_path / "x.csv")]
+    assert run(argv) == 0  # numpy's first calls allocate once per process
+    charged = []
+    with mock.patch.object(cli, "refuse_over_limit", lambda floats, _: charged.append(floats)):
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 8 * charged[0]
+
+
 @pytest.mark.parametrize("torus", ["-1", "0", "1", "2", "4"])
 def test_entropy_bad_torus_is_blamed_on_the_torus(tmp_path, capsys, torus):
     with mock.patch.object(cli, "entropy_scan", _must_not_run):

@@ -130,7 +130,7 @@ def test_stack_is_charged_by_memory():
 
 
 CHARGED = [((12, 1), 2, 1), ((6, 2), 2, 1), ((4, 4), 2, 1), ((5, 3), 2, 1),
-           ((5, 5), 1, 64), ((7, 3), 1, 8), ((9, 9), 1, 1)]
+           ((5, 5), 1, 64), ((7, 3), 1, 8), ((9, 9), 1, 1), ((5, 15), 1, 8), ((3, 21), 1, 8)]
 
 
 @pytest.mark.parametrize("shape, p, n_sets", CHARGED,
@@ -149,6 +149,24 @@ def test_contraction_charge_covers_its_peak(shape, p, n_sets):
             tracemalloc.stop()
     assert amplitudes.shape == (n_sets, p**lattice.n_sites)
     assert peak <= 8 * charged[0]
+
+
+def configuration_peak(lattice):
+    """The ``tracemalloc`` peak of contracting one ``P = 1`` configuration of zeros."""
+    entries = spin_zeros(lattice, 1, 1)
+    tracemalloc.start()
+    try:
+        contract_stack(lattice, entries)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n_h, n_vs", [(5, (3, 15)), (3, (3, 21))], ids=["5x3-5x15", "3x3-3x21"])
+def test_configuration_memory_does_not_grow_with_rows(n_h, n_vs):
+    # each row is built as it is absorbed, so a configuration holds one row tensor
+    few, many = (configuration_peak(LatticeSpec(n_h, n_v)) for n_v in n_vs)
+    assert abs(many - few) <= 0.02 * few
 
 
 FIXED = [(h, v) for v in range(1, 4) for h in range(1, 5)] + [(3, 4), (6, 2), (2, 6), (1, 12),
