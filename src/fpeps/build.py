@@ -26,9 +26,9 @@ modes at their slots with the Jordan-Wigner signs of the other live modes.
 Slots, signs and gathers depend on the lattice alone: ``_schedule``
 derives them once per lattice, so a build does array operations only.
 Each set's products are the ones it would get alone, so a row does not
-depend on its stack.  ``build_fpeps`` is a stack of one.  The cap limits
-the peak live width, not the total mode count: 10 modes at 3x2, 13 at
-3x3, 17 at 4x3 and 21 at 4x4.
+depend on its stack.  ``build_fpeps`` is a stack of one.  A stack's
+memory charge is the one size rule: it grows with the peak live width (10
+modes at 3x2, 13 at 3x3, 17 at 4x3, 21 at 4x4), up to 24 for one set.
 
 Mode positions follow one registry of ``5N`` modes: ``a`` of site m at
 position m, then each site's auxiliary quadruple (alpha, beta, gamma,
@@ -44,7 +44,7 @@ from itertools import groupby
 import numpy as np
 
 from .errors import ResourceLimitError, refuse_over_limit
-from .fock import DEFAULT_MODE_CAP, FockVector, physical_registry
+from .fock import FockVector, physical_registry
 from .lattice import LatticeSpec, Site
 from .tensors import FPEPSTensor, stack_sets
 
@@ -157,15 +157,16 @@ def _schedule(lattice: LatticeSpec):
         source = [p for p in slots if spectators >> p & 1] + [pos_a] + partners
         runs = [[*r] for _, r in groupby(source, lambda p: slots.index(p) - source.index(p))][::-1]
         order = sorted(range(len(runs)), key=lambda r: -slots.index(runs[r][0]))
-        t = np.arange(1 << len(slots))
-
-        def parity(mask):  # of the live modes in a mask of registry positions
-            return np.bitwise_count(t & sum(1 << s for s, p in enumerate(slots) if mask >> p & 1)) & 1
-
         after = 15 << plan[i + 1][2] if i + 1 < len(plan) else 0  # the next old ends
-        flips = parity(live & after) & parity(live & ~after)
-        for q in partners:
-            flips ^= parity(1 << q) & parity(spectators & (1 << q) - 1)
+        # the slots of the next old ends and of the spectators
+        ends, spectating = (sum(1 << s for s, p in enumerate(slots) if mask >> p & 1)
+                            for mask in (after, spectators))
+        flips = np.zeros(1, np.uint8)
+        for s, p in enumerate(slots):
+            # slot s set: the upper half of a table twice as long, flipped once per set slot below
+            # s paired with it: a next old end and another live mode, a partner and a spectator
+            pairs = (~ends if after >> p & 1 else ends) ^ (spectating if p in partners else 0)
+            flips = np.concatenate([flips, flips ^ np.bitwise_count(np.arange(1 << s) & pairs) & 1])
         signs = (1 - 2 * flips.astype(np.int8)).reshape([1 << len(runs[r]) for r in order])
         signs.flags.writeable = False
         steps.append((m, 1 << len(old), tuple(1 << len(run) for run in runs),
@@ -177,30 +178,30 @@ def _schedule(lattice: LatticeSpec):
 def build_stack(
     lattice: LatticeSpec,
     entries: np.ndarray,
-    cap: int = DEFAULT_MODE_CAP,
+    cap: int | None = None,
 ) -> np.ndarray:
     """Physical amplitudes of a stack of tensor sets, as one ``(S, 2^N)`` array.
 
     ``entries`` is a stack from :func:`fpeps.tensors.stack_sets`, ``(S, N, 2,
     2, 2, 2, 2)`` tensors in site M order whose nonzero entries carry each
     site's parity, so no parity pattern is read.  Row i is the state of set
-    i in M order; each row equals the set built alone.  ``cap`` bounds the
-    peak number of live modes ``w``, and the stack's ``S 2^w`` amplitudes are
-    charged, before allocating; bit i of a row's index is on slot i of
-    :func:`_schedule`.
+    i in M order; each row equals the set built alone.  The stack is charged
+    for its memory before anything is allocated, and ``cap``, when given,
+    bounds the peak number of live modes ``w``; bit i of a row's index is on
+    slot i of :func:`_schedule`.
     """
     width = _plan(lattice)[1]
-    if width > cap:
-        raise ResourceLimitError(
-            f"peak live width of {width} modes exceeds the dense cap of {cap}"
-        )
-    n_sets = entries.shape[0]
-    # 3 S 2^w complex: the stack, its product with a site and the reordering copy (traced 2.5-2.6)
-    refuse_over_limit(6 * n_sets * 2**width, f"{n_sets} sets on {lattice.n_h}x{lattice.n_v}")
+    if cap is not None and width > cap:
+        raise ResourceLimitError(f"peak live width of {width} modes exceeds the dense cap of {cap}")
+    n_sets, n = entries.shape[0], lattice.n_sites
+    # complex per set: the stack, its product with a site and the reordering copy, 3 2^w, the
+    # gathered entries and their products with the coefficients, 64 N; numpy's two buffers for
+    # the signs.  Peak/charge 1x1 x64 .08, 1x2 x64 .24, 2x2 x64 .79, 3x3 x1 .90, x64 .83, 4x4 .83
+    charge = 2 * n_sets * (3 * 2**width + 64 * n) + 4 * np.getbufsize()
+    refuse_over_limit(charge, f"{n_sets} sets on {lattice.n_h}x{lattice.n_v}")
     index, coeff, steps = _schedule(lattice)
     # [set, site, row x old]: every site's matrix, its self-loop terms summed
-    matrices = (np.take(entries.reshape(n_sets, 32 * lattice.n_sites), index, axis=1)
-                * coeff).sum(axis=3)
+    matrices = (np.take(entries.reshape(n_sets, 32 * n), index, axis=1) * coeff).sum(axis=3)
     amps = np.ones((n_sets, 1), dtype=complex)
     # explicit sizes throughout: a stack of no sets infers none
     for m, old, shape, axes, signs in steps:
@@ -215,15 +216,14 @@ def build_stack(
 def build_fpeps(
     lattice: LatticeSpec,
     tensors: dict[Site, FPEPSTensor],
-    cap: int = DEFAULT_MODE_CAP,
+    cap: int | None = None,
 ) -> FockVector:
     """Assemble the physical state exactly; may be the zero vector.
 
     Tensors are keyed by site (h, v); every site must be present.  The
-    returned vector lives on the physical registry in M order.  ``cap``
-    bounds the peak number of live modes, counted before allocating.  A
-    stack of one for :func:`build_stack`.
+    returned vector lives on the physical registry in M order.  It is
+    charged and ``cap`` applied as in :func:`build_stack`, of which it is a
+    stack of one.
     """
     amps = build_stack(lattice, stack_sets(lattice, [tensors])[0], cap)
     return FockVector(physical_registry(lattice), amps[0])
-

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import re
 import sys
 
@@ -225,9 +226,9 @@ def cmd_correlations(args) -> int:
         rows.extend(correlation_scan(direction, args.max_n, args.grid))
     # the residue column is the independent reference of the numeric one
     error = max(abs(numeric - residue) for _n1, _n2, _kind, numeric, residue, _asym in rows)
-    text = "n1,n2,kind,numeric,residue,asymptotic\n"
-    for n1, n2, kind, numeric, residue, asym in rows:
-        text += f"{n1},{n2},{kind},{numeric!r},{residue!r},{asym!r}\n"
+    text = "n1,n2,kind,numeric,residue,asymptotic\n" + "".join(
+        f"{n1},{n2},{kind},{numeric!r},{residue!r},{asym!r}\n"
+        for n1, n2, kind, numeric, residue, asym in rows)
     _emit(text, args.out)
     print(f"correlations: wrote {len(rows)} rows, "
           f"quadrature error estimate {error:.1e}", file=sys.stderr)
@@ -263,11 +264,9 @@ def cmd_spectrum(args) -> int:
     refuse_over_limit(56 * lattice.n_sites, f"--lattice {lattice.n_h}x{lattice.n_v}")
     ham = parent_hamiltonian(example_channel(), radius_cap=2)
     spectrum, _gap = single_particle_spectrum(ham, lattice)
-    text = "phi1,phi2,energy\n"
-    for (p1, p2), eps in spectrum:
-        text += f"{p1!r},{p2!r},{eps!r}\n"
-        text += f"{p1!r},{p2!r},{-eps!r}\n"
-    _emit(text, args.out)
+    # written as they are formatted: a joined text would hold every row twice
+    rows = (f"{p1!r},{p2!r},{eps!r}\n{p1!r},{p2!r},{-eps!r}\n" for (p1, p2), eps in spectrum)
+    _emit(itertools.chain(["phi1,phi2,energy\n"], rows), args.out)
     print(f"spectrum: {2 * len(spectrum)} levels written", file=sys.stderr)
     return 0
 

@@ -10,16 +10,17 @@ The contraction is dense and row by row, over a stack of tensor sets at
 once: every product is a batched ``matmul`` with the GEMM shapes of a
 ``tensordot`` on one set, so a set's amplitudes do not depend on its stack,
 and ``contract_peps`` is a stack of one.  The extra bond lives inside its
-row, so each row chains horizontally into a transfer tensor [U, D, phys]
-whose combined vertical legs are 2^n_h wide, and the periodic
-(l, l') / (r, r') bond closes inside the row.  The chain keeps each site's
-(k, u, d) legs in the order the products leave them and permutes them into
-site M order once, after the periodic bond is traced, when the row is 16
-times smaller.  Each row is built just before it is absorbed, so one row
-tensor lives at a time, whatever n_v is.  The environment [D, phys, U]
-absorbs a row with one product over D; the last row is contracted together
-with the periodic vertical trace over (D, U).  Every new row is merged as
-the more significant index, so the amplitudes come out in site M order.
+row, so each row chains horizontally into a transfer tensor whose combined
+vertical legs U and D are 2^n_h wide, and the periodic (l, l') / (r, r')
+bond closes inside the row with one ``einsum`` trace.  The chain keeps each
+site's (k, u, d) legs in the order the products leave them and permutes
+them once, when the row is 16 times smaller, into site M order and the axis
+order its product reads.  Each row is built just before it is absorbed, so
+one row tensor lives at a time, whatever n_v is.  The environment
+[D, phys, U] absorbs a row [D, phys, U] with one product over the row's U
+and its own D; the last row [phys, U, D] is contracted together with the
+periodic vertical trace over (U, D).  Every new row is merged as the more significant index,
+so the amplitudes come out in site M order.
 When n_v == 1 each site's vertical self-loop is traced before chaining.  A
 stack is charged for its memory before anything is allocated, so an 8x2
 full vector is refused.
@@ -34,8 +35,8 @@ from .lattice import LatticeSpec, Site
 from .tensors import spin_stack
 
 
-def _row_tensors(lattice: LatticeSpec, entries: np.ndarray, v: int) -> np.ndarray:
-    """Contract the horizontal chain of row v of every set into [set, U, D, phys]."""
+def _row_tensors(lattice: LatticeSpec, entries: np.ndarray, v: int, legs) -> np.ndarray:
+    """Row v of every set, chained and flat, with phys (0), U (1) and D (2) in ``legs`` order."""
     n_sets, n_h = entries.shape[0], lattice.n_h
     # [set, h, k, L, R, u, d]; a one-row lattice closes each vertical bond on its site
     blocks = entries[:, (v - 1) * n_h:v * n_h].reshape(n_sets, n_h, -1, 4, 4, 2, 2)
@@ -49,11 +50,10 @@ def _row_tensors(lattice: LatticeSpec, entries: np.ndarray, v: int) -> np.ndarra
         # tensordot's GEMM over the shared (r, r') / (l, l') bond, one per set
         row = np.matmul(row.reshape(n_sets, -1, R), blocks[:, h].reshape(n_sets, L, -1))
     # [set, L_open, (k, u, d) of sites 1..n_h, R]; the periodic bond closes in the row
-    row = row.reshape(n_sets, L, -1, R)
-    row = sum(row[:, i, :, i] for i in range(L)).reshape((n_sets,) + (k, u, d) * n_h)
-    # the last site is the most significant part of U, D and phys
-    axes = [1 + 3 * h + leg for leg in (1, 2, 0) for h in reversed(range(n_h))]
-    return row.transpose([0] + axes).reshape(n_sets, u**n_h, d**n_h, k**n_h)
+    row = np.einsum("sixi->sx", row.reshape(n_sets, L, -1, R))
+    # the last site is the most significant part of U, D and phys: one permutation copy
+    axes = [1 + 3 * h + leg for leg in legs for h in reversed(range(n_h))]
+    return row.reshape((n_sets,) + (k, u, d) * n_h).transpose([0] + axes).reshape(n_sets, -1)
 
 
 def contract_stack(lattice: LatticeSpec, entries: np.ndarray) -> np.ndarray:
@@ -78,14 +78,12 @@ def contract_stack(lattice: LatticeSpec, entries: np.ndarray) -> np.ndarray:
     width = w**n_h  # of every U and D
     env = np.eye(width).reshape(1, width, 1, width)  # [set, D_current, phys, U_open]
     for v in range(1, n_v):
-        # row v is built as it is absorbed: tensordot's GEMM over its U and D_current, per set
-        env = np.matmul(
-            _row_tensors(lattice, entries, v).transpose(0, 2, 3, 1).reshape(n_sets, -1, width),
-            env.reshape(len(env), width, -1)).reshape(n_sets, width, -1, width)
-    # last row and the periodic vertical trace in one product, over (U, D_current) and (D, U_open)
-    amps = np.matmul(
-        _row_tensors(lattice, entries, n_v).transpose(0, 3, 1, 2).reshape(n_sets, -1, width**2),
-        env.transpose(0, 1, 3, 2).reshape(len(env), width**2, -1))
+        # row v [D, phys, U] is built as it is absorbed: tensordot's GEMM over U and D_current
+        env = np.matmul(_row_tensors(lattice, entries, v, (2, 0, 1)).reshape(n_sets, -1, width),
+                        env.reshape(len(env), width, -1)).reshape(n_sets, width, -1, width)
+    # last row [phys, U, D] and the periodic vertical trace: a GEMM over (U, D), (D_current, U_open)
+    amps = np.matmul(_row_tensors(lattice, entries, n_v, (0, 1, 2)).reshape(n_sets, -1, width**2),
+                     env.transpose(0, 1, 3, 2).reshape(len(env), width**2, -1))
     return amps.reshape(n_sets, -1)
 
 
@@ -95,5 +93,5 @@ def contract_peps(lattice: LatticeSpec, tensors: dict[Site, np.ndarray]) -> Fock
     ``tensors`` maps every site to its ``(2,)*7`` array.  A stack of one
     for :func:`contract_stack`.
     """
-    entries = np.stack(spin_stack(lattice, tensors))[None]
+    entries = np.array([spin_stack(lattice, tensors)])
     return FockVector(physical_registry(lattice), contract_stack(lattice, entries)[0])

@@ -28,7 +28,6 @@ from .errors import (
 )
 from .lattice import LatticeSpec, Site, site_order
 
-DEFAULT_MODE_CAP = 24
 # The many-body solver holds H as a dense matrix and diagonalises its two
 # parity sectors.  The cap is the largest size anything runs: the package
 # solves at most the 3x3 parent's 9 modes and the tests 10 modes (1024

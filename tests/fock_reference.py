@@ -28,7 +28,6 @@ from fpeps.build import site_signs
 from fpeps.errors import ContractViolationError, ResourceLimitError
 from fpeps.fock import (
     _MAJORANA,
-    DEFAULT_MODE_CAP,
     SPECIES,
     FockVector,
     ModeLabel,
@@ -42,6 +41,8 @@ from fpeps.lattice import LatticeSpec, Site
 from fpeps.tensors import FPEPSTensor
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
+# the most modes a dense vector over a registry may hold
+DEFAULT_MODE_CAP = 24
 
 
 def standard_registry(lattice: LatticeSpec) -> ModeRegistry:

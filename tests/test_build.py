@@ -265,9 +265,9 @@ def test_missing_site_raises():
 
 
 def test_mode_cap():
-    lattice = LatticeSpec(5, 4)  # peak live width 26 > 24
+    lattice = LatticeSpec(5, 4)  # peak live width 26: its memory charge refuses it
     tensors = {s: one_entry(0, 0, 0, 0, 0) for s in lattice.sites()}
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ContractViolationError, match="1 sets on 5x4 needs"):
         build_fpeps(lattice, tensors)
 
 
@@ -301,15 +301,20 @@ def test_stack_is_charged_before_it_allocates():
         finally:
             tracemalloc.stop()
     assert "\n" not in str(refusal.value) and peak < 64 * 2**10
-    # one set is charged to the default cap: 24 live modes pass the charge, 25 do not
+    # the charge is the one size rule: at one set 24 live modes pass it, 25 do not
     with mock.patch.object(build, "_schedule", _must_not_run):
         for width, error in [(24, AssertionError), (25, ContractViolationError)]:
             with mock.patch.object(build, "_plan", lambda _: ((), width)), pytest.raises(error):
-                build_stack(lattice, entries[:1], cap=25)
+                build_stack(lattice, entries[:1])
 
 
-@pytest.mark.parametrize("shape, n_sets", [((3, 3), 64), ((4, 3), 8)], ids=["3x3-x64", "4x3-x8"])
+STACKS = [((1, 1), 64), ((1, 2), 64), ((2, 2), 64), ((3, 3), 1), ((3, 3), 64), ((4, 3), 8),
+          ((4, 4), 1)]
+
+
+@pytest.mark.parametrize("shape, n_sets", STACKS, ids=[f"{h}x{v}-x{s}" for (h, v), s in STACKS])
 def test_stack_charge_covers_its_peak(shape, n_sets):
+    # every array a build holds: the stack's chain, the gathered site matrices, numpy's buffers
     lattice = LatticeSpec(*shape)
     entries = np.zeros((n_sets, lattice.n_sites) + (2,) * 5, dtype=complex)
     _schedule(lattice)  # the lattice's cached tables are not part of a stack's charge

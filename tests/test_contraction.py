@@ -233,3 +233,55 @@ def test_matches_full_einsum_on_random_tensors(shape):
     assert np.max(np.abs(state.amplitudes - expected)) < 1e-10 * np.max(np.abs(expected))
     # only the 2^n_h-wide vertical bonds cross the row sweep: 3x4 and 1x12 stay small
     assert peak < 32 * 2**20
+
+
+def two_copy_row(lattice, entries, v):
+    """Row v of every set as [set, U, D, phys], its periodic bond traced by a Python sum."""
+    n_sets, n_h = entries.shape[0], lattice.n_h
+    blocks = entries[:, (v - 1) * n_h:v * n_h].reshape(n_sets, n_h, -1, 4, 4, 2, 2)
+    if lattice.n_v == 1:
+        blocks = np.einsum("shkLRuu->shkLR", blocks)[..., None, None]
+    _, _, k, L, R, u, d = blocks.shape
+    blocks = blocks.transpose(0, 1, 3, 2, 5, 6, 4)
+    row = blocks[:, 0]
+    for h in range(1, n_h):
+        row = np.matmul(row.reshape(n_sets, -1, R), blocks[:, h].reshape(n_sets, L, -1))
+    row = row.reshape(n_sets, L, -1, R)
+    row = sum(row[:, i, :, i] for i in range(L)).reshape((n_sets,) + (k, u, d) * n_h)
+    axes = [1 + 3 * h + leg for leg in (1, 2, 0) for h in reversed(range(n_h))]
+    return row.transpose([0] + axes).reshape(n_sets, u**n_h, d**n_h, k**n_h)
+
+
+def two_copy_contract_stack(lattice, entries):
+    """The contraction that copied every row twice: once into [U, D, phys] and once into
+    the axis order of its product.  The same products in the same order."""
+    n_sets, n_h, n_v = entries.shape[0], lattice.n_h, lattice.n_v
+    width = (2 if n_v > 1 else 1) ** n_h
+    env = np.eye(width).reshape(1, width, 1, width)
+    for v in range(1, n_v):
+        env = np.matmul(
+            two_copy_row(lattice, entries, v).transpose(0, 2, 3, 1).reshape(n_sets, -1, width),
+            env.reshape(len(env), width, -1)).reshape(n_sets, width, -1, width)
+    amps = np.matmul(
+        two_copy_row(lattice, entries, n_v).transpose(0, 3, 1, 2).reshape(n_sets, -1, width**2),
+        env.transpose(0, 1, 3, 2).reshape(len(env), width**2, -1))
+    return amps.reshape(n_sets, -1)
+
+
+SMALL = [(h, v) for v in range(1, 13) for h in range(1, 13 // v + 1) if h * v <= 12]
+TWO_COPY = [(shape, 2, n_sets) for shape in SMALL for n_sets in (1, 3)] + [
+    ((4, 4), 2, 1), ((5, 5), 1, 64), ((7, 3), 1, 8)]
+
+
+@pytest.mark.parametrize("shape, p, n_sets", TWO_COPY,
+                         ids=[f"{h}x{v}-P{p}-x{s}" for (h, v), p, s in TWO_COPY])
+def test_contraction_is_the_two_copy_contraction_bit_for_bit(shape, p, n_sets):
+    # each row is permuted once, into the order its product reads: the same bytes.  The
+    # tensors are not mapped, so every term of every sum is nonzero and a reordered sum shows.
+    lattice = LatticeSpec(*shape)
+    rng = np.random.default_rng([n_sets, *shape])
+    size = (n_sets, lattice.n_sites, p) + (2,) * 6
+    spin = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    amps = contract_stack(lattice, spin)
+    assert amps.shape == (n_sets, p**lattice.n_sites)
+    assert amps.tobytes() == two_copy_contract_stack(lattice, spin).tobytes()
