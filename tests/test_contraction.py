@@ -268,8 +268,8 @@ def two_copy_contract_stack(lattice, entries):
     return amps.reshape(n_sets, -1)
 
 
-SMALL = [(h, v) for v in range(1, 13) for h in range(1, 13 // v + 1) if h * v <= 12]
-TWO_COPY = [(shape, 2, n_sets) for shape in SMALL for n_sets in (1, 3)] + [
+# stacks of 3: a set's products do not depend on its stack, so a stack of one adds nothing
+TWO_COPY = [((h, v), 2, 3) for v in range(1, 13) for h in range(1, 12 // v + 1)] + [
     ((4, 4), 2, 1), ((5, 5), 1, 64), ((7, 3), 1, 8)]
 
 
