@@ -49,8 +49,8 @@ CONVERT_SITE_FLOATS = 1100  # charged per site of a convert; see the charges bel
 # before anything is allocated.  What each command holds, measured:
 # * verify's gaussian suite: at most four (8 N)^2 float arrays of the dense
 #   lattice channel for N sites (D, the bond covariance, their difference
-#   and one LU copy of it) next to smaller ones (B, A, B's solve); from
-#   15x15 to 21x21 its resident set grows like five such arrays.
+#   and one LU copy of it) next to smaller ones (B, A, B's solve).  Charged
+#   five; traced at 0.74 of that to 17x17, 0.88 from 19x19 (its rcond inverse).
 # * spectrum: 52-53 floats per momentum of --lattice (the levels as Python
 #   tuples, and the text) and 34-35 per momentum of the largest of --sizes,
 #   traced from 101^2 to 401^2; charged 56 and 40.
@@ -236,8 +236,7 @@ def cmd_correlations(args) -> int:
 
 
 def cmd_hamiltonian(args) -> int:
-    lattice = parse_lattice(args.lattice) if args.lattice is not None else None
-    table = hcrit_coefficients(lattice)
+    table = hcrit_coefficients()
     lines = ["term,dh,dv,re,im"]
     for (dh, dv), c in sorted(table.pairing.items()):
         lines.append(f"pairing,{dh},{dv},{c.real + 0.0!r},{c.imag + 0.0!r}")
@@ -375,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hamiltonian", help="parent-model coupling table")
     p.add_argument("--model", choices=("example",), default="example")
-    p.add_argument("--lattice", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_hamiltonian)
 
@@ -411,11 +409,9 @@ def main(argv=None) -> int:
         # parser built once: a wrapper that replaces a cmd_* of this module
         # later (perfbench's tracer) still sees the call
         return globals()[args.func.__name__](args)
-    except FpepsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (FpepsError, OSError) as exc:
+        # one line, whatever line breaks an argument or a path carries
+        print("error: " + str(exc).replace("\r", "\\r").replace("\n", "\\n"), file=sys.stderr)
         return 2
 
 

@@ -215,10 +215,8 @@ def _ratios(phi1: np.ndarray, phi2: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _rule_values(entries, grid_size: int) -> np.ndarray:
-    """Continuum correlators of every (n1, n2, kind) entry from one rule."""
+    """Continuum correlators of every (n1, n2, kind) entry, kind "p" or "q", from one rule."""
     _check_grid(grid_size)
-    for _n1, _n2, kind in entries:
-        _check_kind(kind)
     n1s, at1 = np.unique([int(e[0]) for e in entries], return_inverse=True)
     n2s, at2 = np.unique([int(e[1]) for e in entries], return_inverse=True)
     refuse_over_limit(_rule_floats([(len(ns), np.max(np.abs(ns))) for ns in (n1s, n2s)],
@@ -286,6 +284,7 @@ def correlator_numeric(n1: int, n2: int, kind: str, grid_size: int = 401) -> flo
     that many.  This is ``correlation_scan``'s table evaluation with one
     entry.
     """
+    _check_kind(kind)
     return float(_rule_values([(n1, n2, kind)], grid_size)[0])
 
 
@@ -337,7 +336,7 @@ def _residue_integrals(n1, n2, cos_coef, sin_coef, order: int) -> np.ndarray:
 
 
 def _residue_values(entries) -> np.ndarray:
-    """Residue-reduced correlators of every (n1, n2, kind) entry.
+    """Residue-reduced correlators of every (n1, n2, kind) entry, kind "p" or "q".
 
     The inner integral over phi1 closes around the single pole inside the
     unit circle, z = i (1 - |cos phi2|) / sin phi2 (its companion with
@@ -349,8 +348,6 @@ def _residue_values(entries) -> np.ndarray:
     zero for the forbidden parity.  A change above RESIDUE_TOL between
     RESIDUE_ORDER and RESIDUE_GUARD_ORDER raises NumericalValidityError.
     """
-    for _n1, _n2, kind in entries:
-        _check_kind(kind)
     n1, n2 = (np.array([int(e[i]) for e in entries], dtype=np.int64) for i in (0, 1))
     if np.any(n1 < 0) or np.any(n2 < 0):
         raise ContractViolationError("residue form expects non-negative separations")
@@ -391,6 +388,7 @@ def correlator_residue(n1: int, n2: int, kind: str) -> float:
 
     This is ``correlation_scan``'s residue column with one entry.
     """
+    _check_kind(kind)
     refuse_over_limit(_residue_floats(1, max(int(n1), int(n2), 1)), "residue quadrature")
     return float(_residue_values([(n1, n2, kind)])[0])
 

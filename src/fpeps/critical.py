@@ -114,15 +114,12 @@ def example_tensor_set(lattice: LatticeSpec) -> dict[Site, FPEPSTensor]:
 # parent-model coefficient table
 
 
-def hcrit_coefficients(lattice: LatticeSpec | None = None) -> DiracQuadratic:
+def hcrit_coefficients() -> DiracQuadratic:
     """Literal coupling table of the critical parent Hamiltonian.
 
     Vertical pair creation 2i, horizontal pair creation -2i, and diagonal
-    hopping -1 to both (h+1, v+1) and (h+1, v-1).  When a lattice is given,
-    both dimensions must be odd (unique ground state).
+    hopping -1 to both (h+1, v+1) and (h+1, v-1).
     """
-    if lattice is not None:
-        odd_torus(lattice)
     return DiracQuadratic(
         pairing={(0, 1): 2j, (1, 0): -2j},
         hopping={(1, 1): -1.0, (1, -1): -1.0},

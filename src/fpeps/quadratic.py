@@ -49,15 +49,9 @@ ENTROPY_ATOL = 1e-8
 
 
 def _half_space(radius: int) -> list[Displacement]:
-    """(0,0) plus one representative per +/-Delta pair within the radius."""
-    out = [(0, 0)]
-    for dh in range(-radius, radius + 1):
-        for dv in range(-radius, radius + 1):
-            if (dh, dv) == (0, 0):
-                continue
-            if dh > 0 or (dh == 0 and dv > 0):
-                out.append((dh, dv))
-    return out
+    """(0,0) plus the Delta > (0, 0) within the radius, in tuple order."""
+    span = range(-radius, radius + 1)
+    return [(0, 0)] + [(dh, dv) for dh in span for dv in span if (dh, dv) > (0, 0)]
 
 
 @dataclass(frozen=True)
@@ -189,13 +183,11 @@ def parent_hamiltonian(channel: GaussianChannel, radius_cap: int = 2) -> Quadrat
 def _parent_hamiltonian(channel: GaussianChannel, radius_cap: int) -> QuadraticHamiltonian:
     deltas, (p, qr, qi, _) = minimal_triple(channel, radius_cap=radius_cap)
     # p = sum b sin(phi.Delta) and q = sum a cos(phi.Delta) + i c sin(phi.Delta)
-    # have the harmonic blocks [[-b, a - c], [-(a + c), b]] / 2 at +Delta and
-    # [[b, a + c], [-(a - c), -b]] / 2 at -Delta; the on-site block is [[0, a], [-a, 0]]
+    # have the harmonic blocks [[-b, a - c], [-(a + c), b]] / 2 at +Delta, and
+    # T(-Delta) = -T(Delta)^T at -Delta; the on-site block is [[0, a], [-a, 0]]
     plus = np.stack([-p, qr - qi, -(qr + qi), p], axis=-1).reshape(-1, 2, 2) / 2.0
-    minus = np.stack([p, qr + qi, -(qr - qi), -p], axis=-1).reshape(-1, 2, 2) / 2.0
     plus[0] = [[0.0, qr[0]], [-qr[0], 0.0]]
-    for T in (plus, minus):
-        T[np.abs(T) < HARMONIC_ATOL] = 0.0
+    plus[np.abs(plus) < HARMONIC_ATOL] = 0.0
     blocks = {}
     # shortest displacements first, then descending dv: h_hat sums the blocks
     # in insertion order, so this order fixes the last bits of every spectrum
@@ -203,7 +195,7 @@ def _parent_hamiltonian(channel: GaussianChannel, radius_cap: int) -> QuadraticH
         dh, dv = deltas[j].tolist()
         blocks[(dh, dv)] = plus[j]
         if j:
-            blocks[(-dh, -dv)] = minus[j]
+            blocks[(-dh, -dv)] = -plus[j].T + 0.0  # + 0.0 turns a signed zero into 0.0
     ham = QuadraticHamiltonian(blocks)
 
     # cross-check: h_hat must reproduce d * g_hat; both have exponents in

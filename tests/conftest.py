@@ -1,5 +1,8 @@
+import contextlib
 import importlib
 import pkgutil
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +29,18 @@ def package_caches() -> dict:
             if hasattr(value, "cache_clear") and value.__module__ == module.__name__:
                 caches[f"{module.__name__}.{name}"] = value
     return caches
+
+
+@contextlib.contextmanager
+def traced_peak():
+    """Trace the allocations of the block; ``.peak`` is then their peak in bytes."""
+    traced = SimpleNamespace(peak=None)
+    tracemalloc.start()
+    try:
+        yield traced
+        traced.peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -1,10 +1,10 @@
 """Entangled bonds, local projectors, and the exact state assembly."""
-import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from fock_reference import (
     apply_poly,
     bond_h,
@@ -291,16 +291,10 @@ def test_stack_is_charged_before_it_allocates():
     # 64 sets on 4x4 would hold about 5 GiB: one line, before the schedule runs
     lattice = LatticeSpec(4, 4)
     entries = np.zeros((64, lattice.n_sites) + (2,) * 5, dtype=complex)
-    with mock.patch.object(build, "_schedule", _must_not_run):
-        tracemalloc.start()
-        try:
-            with pytest.raises(ContractViolationError,
-                               match="64 sets on 4x4 needs 6.0 GiB") as refusal:
-                build_stack(lattice, entries)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert "\n" not in str(refusal.value) and peak < 64 * 2**10
+    with mock.patch.object(build, "_schedule", _must_not_run), traced_peak() as traced, \
+            pytest.raises(ContractViolationError, match="64 sets on 4x4 needs 6.0 GiB") as refusal:
+        build_stack(lattice, entries)
+    assert "\n" not in str(refusal.value) and traced.peak < 64 * 2**10
     # the charge is the one size rule: at one set 24 live modes pass it, 25 do not
     with mock.patch.object(build, "_schedule", _must_not_run):
         for width, error in [(24, AssertionError), (25, ContractViolationError)]:
@@ -319,15 +313,11 @@ def test_stack_charge_covers_its_peak(shape, n_sets):
     entries = np.zeros((n_sets, lattice.n_sites) + (2,) * 5, dtype=complex)
     _schedule(lattice)  # the lattice's cached tables are not part of a stack's charge
     charged = []
-    with mock.patch.object(build, "refuse_over_limit", lambda floats, _: charged.append(floats)):
-        tracemalloc.start()
-        try:
-            amplitudes = build_stack(lattice, entries)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    with mock.patch.object(build, "refuse_over_limit", lambda floats, _: charged.append(floats)), \
+            traced_peak() as traced:
+        amplitudes = build_stack(lattice, entries)
     assert amplitudes.shape == (n_sets, 2**lattice.n_sites)
-    assert peak <= 8 * charged[0]
+    assert traced.peak <= 8 * charged[0]
 
 
 def test_zero_state_is_representable():

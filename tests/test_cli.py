@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -16,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fpeps import cli, correlators, errors, quadratic
+from conftest import traced_peak
+from fpeps import cli, correlators, errors
 from fpeps.build import build_fpeps
 from fpeps.cli import main
 from fpeps.contraction import contract_peps
@@ -36,6 +36,7 @@ def assert_config_error(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    return err
 
 
 def test_verify_mapping_small(tmp_path):
@@ -333,14 +334,24 @@ def test_verify_sets_charge_covers_the_report(tmp_path):
     # the report grows by at most the 176 floats charged per set
     peaks = []
     for sets in (1000, 3000):
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             assert run(["verify", "--suite", "mapping", "--sets", str(sets),
                         "--out", str(tmp_path / "x.json")]) == 0
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced.peak)
     assert 0 < peaks[1] - peaks[0] <= 8 * 176 * 2000
+
+
+def test_verify_gaussian_charge_covers_its_peak(tmp_path):
+    # 5 (8N)^2 floats; 19x19 is the first lattice whose slogdet falls below
+    # log(1e-9), so apply_channel's reciprocal condition number runs there too
+    out = str(tmp_path / "x.json")
+    assert run(["verify", "--suite", "gaussian", "--lattice", "3x3", "--out", out]) == 0
+    charged = []
+    with mock.patch.object(cli, "refuse_over_limit", lambda floats, _: charged.append(floats)), \
+            traced_peak() as traced:
+        assert run(["verify", "--suite", "gaussian", "--lattice", "19x19", "--out", out]) == 0
+    assert charged == [5 * (8 * 361) ** 2]
+    assert traced.peak <= 8 * charged[0]
 
 
 def test_correlations_bad_grid_is_config_error(tmp_path):
@@ -361,10 +372,12 @@ def test_hamiltonian_table(tmp_path):
     assert table[("hopping", "1", "-1")] == (-1.0, 0.0)
 
 
-def test_hamiltonian_even_lattice_is_config_error(tmp_path):
-    code = run(["hamiltonian", "--model", "example", "--lattice", "4x4",
-                "--out", str(tmp_path / "x.csv")])
-    assert code == 2
+def test_hamiltonian_even_lattice_is_config_error(tmp_path, capsys):
+    # the table depends on no lattice: --lattice is an unknown flag, refused in one line
+    out = tmp_path / "x.csv"
+    err = assert_config_error(["hamiltonian", "--model", "example", "--lattice", "4x4",
+                               "--out", str(out)], capsys)
+    assert "unrecognized arguments: --lattice 4x4" in err and not out.exists()
 
 
 def test_spectrum_gap_scan(tmp_path):
@@ -410,9 +423,8 @@ def test_spectrum_repeated_size_is_config_error(tmp_path, capsys, sizes, repeate
 
 def test_spectrum_oversized_torus_is_refused_before_allocating(tmp_path, capsys):
     # 2001^2 momenta of levels, about 1.7 GiB (--lattice) and 1.2 GiB (--sizes)
-    with mock.patch.object(quadratic, "parent_hamiltonian", _must_not_run), \
-            mock.patch.object(quadratic, "single_particle_spectrum", _must_not_run), \
-            mock.patch.object(cli, "gap_scan", _must_not_run):
+    with mock.patch.multiple(cli, parent_hamiltonian=_must_not_run,
+                             single_particle_spectrum=_must_not_run, gap_scan=_must_not_run):
         for flags in (["--lattice", "2001x2001"], ["--sizes", "5,2001"]):
             assert_config_error(["spectrum", *flags, "--out", str(tmp_path / "x.csv")], capsys)
 
@@ -444,14 +456,10 @@ def test_entropy_charge_covers_its_peak(tmp_path):
     argv = ["entropy", "--torus", "61", "--blocks", "20", "--out", str(tmp_path / "x.csv")]
     assert run(argv) == 0  # numpy's first calls allocate once per process
     charged = []
-    with mock.patch.object(cli, "refuse_over_limit", lambda floats, _: charged.append(floats)):
-        tracemalloc.start()
-        try:
-            assert run(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peak <= 8 * charged[0]
+    with mock.patch.object(cli, "refuse_over_limit", lambda floats, _: charged.append(floats)), \
+            traced_peak() as traced:
+        assert run(argv) == 0
+    assert traced.peak <= 8 * charged[0]
 
 
 @pytest.mark.parametrize("scan", [["--lattice", "101x101"], ["--sizes", "5,101"]],
@@ -461,14 +469,10 @@ def test_spectrum_charge_covers_its_peak(tmp_path, scan):
     argv = ["spectrum"] + scan + ["--out", str(tmp_path / "x.csv")]
     assert run(argv) == 0  # numpy's first calls allocate once per process
     charged = []
-    with mock.patch.object(cli, "refuse_over_limit", lambda floats, _: charged.append(floats)):
-        tracemalloc.start()
-        try:
-            assert run(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peak <= 8 * charged[0]
+    with mock.patch.object(cli, "refuse_over_limit", lambda floats, _: charged.append(floats)), \
+            traced_peak() as traced:
+        assert run(argv) == 0
+    assert traced.peak <= 8 * charged[0]
 
 
 @pytest.mark.parametrize("torus", ["-1", "0", "1", "2", "4"])
@@ -506,6 +510,23 @@ def test_convert_round_trip(tmp_path):
     lat2, mapped = load_peps_set(dst)
     assert lat2 == lattice
     assert set(mapped) == set(lattice.sites())
+
+
+def test_convert_file_without_parity_is_all_even(tmp_path):
+    # README: a tensor-set file with no "parity" key loads as all even
+    lattice = LatticeSpec(3, 2)
+    rng = np.random.default_rng(4)
+    tensors = {s: FPEPSTensor.random(rng) for s in lattice.sites()}
+    explicit, implicit = tmp_path / "explicit.json", tmp_path / "implicit.json"
+    explicit.write_text(dump_tensor_set(lattice, {s: 0 for s in lattice.sites()}, tensors))
+    doc = json.loads(explicit.read_text())
+    assert doc.pop("parity") == [[0, 0, 0], [0, 0, 0]]
+    implicit.write_text(json.dumps(doc))
+    outputs = []
+    for src in (explicit, implicit):
+        outputs.append(tmp_path / f"{src.stem}-out.json")
+        assert run(["convert", "--input", str(src), "--output", str(outputs[-1])]) == 0
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
 
 def test_convert_missing_file_is_config_error(tmp_path):
@@ -568,12 +589,9 @@ def _convert_peak(tmp_path, side) -> int:
                                                      for s in lattice.sites()}))
     argv = ["convert", "--input", str(src), "--output", str(tmp_path / "out.json")]
     assert run(argv) == 0  # numpy's first calls allocate once per process
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         assert run(argv) == 0
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced.peak
 
 
 def test_convert_charge_covers_its_peak(tmp_path):
@@ -598,6 +616,13 @@ def assert_parsed_or_refused(argv):
         assert text.startswith("error: ") and text.count("\n") == 1
     else:
         assert code == 0
+    return code
+
+
+def no_levels():
+    """``spectrum --lattice`` with the levels stubbed: an accepted torus gets none."""
+    return mock.patch.multiple(cli, parent_hamiltonian=lambda *args, **kw: None,
+                               single_particle_spectrum=lambda *args: ([], 0.0))
 
 
 @settings(max_examples=200, deadline=None)
@@ -607,9 +632,13 @@ def test_lattice_grammar_fuzz(text):
         lattice = parse_lattice(text)
     except ContractViolationError as exc:
         assert "\n" not in str(exc)
+        lattice = None
     else:
         assert lattice.n_h >= 1 and lattice.n_v >= 1
-    assert_parsed_or_refused(["hamiltonian", "--lattice=" + text])
+    # the command line reads the same grammar: a refused text is refused there too
+    with no_levels():
+        code = assert_parsed_or_refused(["spectrum", "--lattice=" + text])
+    assert lattice is not None or code == 2
 
 
 @settings(max_examples=200, deadline=None)
@@ -630,9 +659,8 @@ def test_sizes_grammar_fuzz(text):
 @given(text=GRAMMAR_TEXT)
 @example("4\nx4")
 def test_spectrum_lattice_grammar_fuzz(text):
-    # only the grammar and the refusals: an accepted torus gets no levels
-    with mock.patch.object(quadratic, "parent_hamiltonian", lambda *args, **kw: None), \
-            mock.patch.object(quadratic, "single_particle_spectrum", lambda *args: ([], 0.0)):
+    # only the grammar and the refusals
+    with no_levels():
         assert_parsed_or_refused(["spectrum", "--lattice=" + text])
 
 
@@ -643,6 +671,32 @@ def test_spectrum_lattice_grammar_fuzz(text):
 def test_blocks_grammar_fuzz(text):
     # a 5-torus keeps every accepted block length (1..4) cheap to evaluate
     assert_parsed_or_refused(["entropy", "--torus", "5", "--blocks=" + text])
+
+
+@pytest.mark.parametrize("argv", [["spectrum", "--sizes", ","], ["entropy", "--blocks", ","]],
+                         ids=["sizes", "blocks"])
+def test_empty_list_is_config_error(argv, capsys):
+    # the list parses to no item: the scan refuses it
+    assert "needs at least one" in assert_config_error(argv, capsys)
+
+
+def test_line_breaks_stay_on_the_error_line(tmp_path, capsys):
+    # an argument or a path with a line break used to split its error over two lines
+    bad = tmp_path / "bad\nname.json"
+    bad.write_text("{")
+    for argv, shown in ((["hamiltonian", "--bogus=a\nb"], "--bogus=a\\nb"),
+                        (["spectrum", "x\ny"], "x\\ny"),
+                        (["convert", "--input", str(bad)], "bad\\nname.json")):
+        assert shown in assert_config_error(argv, capsys)
+
+
+@settings(max_examples=200, deadline=None)
+@given(prefix=st.sampled_from([["verify"], ["correlations", "--dir", "axis"], ["hamiltonian"],
+                               ["spectrum"], ["entropy"], ["convert", "--input", "x.json"]]),
+       value=st.tuples(st.text(max_size=6), st.sampled_from(["\n", "\r", "\r\n"]),
+                       st.text(max_size=6)).map("".join))
+def test_unknown_flag_with_line_breaks_is_one_line(prefix, value):
+    assert assert_parsed_or_refused([*prefix, "--bogus=" + value]) == 2
 
 
 def test_huge_block_range_is_refused_before_listing(tmp_path, capsys):
@@ -683,7 +737,7 @@ def test_negative_integer_is_accepted_or_refused(prefix, flag):
     assert_parsed_or_refused([*prefix, flag + "=-1"])
 
 
-@pytest.mark.parametrize("argv", [["spectrum", "--sizes="], ["hamiltonian", "--lattice="]])
+@pytest.mark.parametrize("argv", [["spectrum", "--sizes="], ["verify", "--lattice="]])
 def test_empty_value_is_config_error(argv, capsys):
     assert_config_error(argv, capsys)
 

@@ -1,11 +1,11 @@
 """Exact spin-PEPS contraction."""
 import string
-import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from fpeps import contraction
 from fpeps.build import build_stack
 from fpeps.contraction import contract_peps, contract_stack
@@ -107,14 +107,10 @@ def test_stack_is_charged_by_memory():
     # an 8x2 full vector is refused with one line, before the chain allocates
     lattice = LatticeSpec(8, 2)
     entries = spin_zeros(lattice, 2, 1)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ContractViolationError, match="1 x 2\\^16 amplitudes on 8x2") as refusal:
-            contract_stack(lattice, entries)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert "\n" not in str(refusal.value) and peak < 64 * 2**10
+    with traced_peak() as traced, \
+            pytest.raises(ContractViolationError, match="1 x 2\\^16 amplitudes on 8x2") as refusal:
+        contract_stack(lattice, entries)
+    assert "\n" not in str(refusal.value) and traced.peak < 64 * 2**10
     # one configuration on 7x5 is admitted, a stack of them past 1 GiB is not
     lattice = LatticeSpec(7, 5)
     assert contract_stack(lattice, spin_zeros(lattice, 1, 1)).shape == (1, 1)
@@ -140,26 +136,18 @@ def test_contraction_charge_covers_its_peak(shape, p, n_sets):
     entries = spin_zeros(lattice, p, n_sets)
     charged = []
     with mock.patch.object(contraction, "refuse_over_limit",
-                           lambda floats, _: charged.append(floats)):
-        tracemalloc.start()
-        try:
-            amplitudes = contract_stack(lattice, entries)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+                           lambda floats, _: charged.append(floats)), traced_peak() as traced:
+        amplitudes = contract_stack(lattice, entries)
     assert amplitudes.shape == (n_sets, p**lattice.n_sites)
-    assert peak <= 8 * charged[0]
+    assert traced.peak <= 8 * charged[0]
 
 
 def configuration_peak(lattice):
     """The ``tracemalloc`` peak of contracting one ``P = 1`` configuration of zeros."""
     entries = spin_zeros(lattice, 1, 1)
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         contract_stack(lattice, entries)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced.peak
 
 
 @pytest.mark.parametrize("n_h, n_vs", [(5, (3, 15)), (3, (3, 21))], ids=["5x3-5x15", "3x3-3x21"])
@@ -224,15 +212,11 @@ def test_matches_full_einsum_on_random_tensors(shape):
         for s in lattice.sites()
     }
     expected = full_einsum(lattice, tensors)
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         state = contract_peps(lattice, tensors)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert np.max(np.abs(state.amplitudes - expected)) < 1e-10 * np.max(np.abs(expected))
     # only the 2^n_h-wide vertical bonds cross the row sweep: 3x4 and 1x12 stay small
-    assert peak < 32 * 2**20
+    assert traced.peak < 32 * 2**20
 
 
 def two_copy_row(lattice, entries, v):

@@ -1,11 +1,11 @@
 """Correlator quadratures, residue reduction, asymptotics."""
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from conftest import traced_peak
 from gaussian_reference import torus_correlator
 from fpeps import correlators
 from fpeps.cli import main
@@ -148,19 +148,22 @@ def test_residue_guard_fires_on_too_few_panels(monkeypatch):
 ], ids=["axis-300", "n-2n-150", "single"])
 def test_residue_charge_covers_its_peak(entries, count, step):
     correlators._residue_values(entries[:2])
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         correlators._residue_values(entries)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * correlators._residue_floats(count, step)
+    assert traced.peak <= 8 * correlators._residue_floats(count, step)
 
 
 def test_residue_refuses_an_oversized_separation(monkeypatch):
     monkeypatch.setattr(correlators, "_residue_integrals", lambda *args: pytest.fail("allocated"))
     with pytest.raises(ContractViolationError, match="GiB"):
         correlator_residue(10**8, 1, "p")
+
+
+@pytest.mark.parametrize("entry", [(-1, 2, "p"), (2, -1, "q"), (-3, -3, "q")])
+def test_residue_refuses_a_negative_separation(monkeypatch, entry):
+    monkeypatch.setattr(correlators, "_residue_integrals", lambda *args: pytest.fail("integrated"))
+    with pytest.raises(ContractViolationError, match="non-negative separations"):
+        correlator_residue(*entry)
 
 
 @pytest.mark.parametrize("entry", [(10**400, 0, "p"), (0, -10**400, "q"), (2**53 + 1, 1, "p")])
@@ -267,13 +270,9 @@ def test_scan_size_limit(direction, limit, monkeypatch):
         with pytest.raises(ContractViolationError, match="GiB"):
             correlation_scan(direction, limit + 1)
     correlation_scan(direction, 2)  # numpy's first calls allocate once per process
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         correlation_scan(direction, limit)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * charge
+    assert traced.peak <= 8 * charge
 
 
 def test_unknown_kind_is_refused():

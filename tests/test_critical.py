@@ -167,11 +167,6 @@ def test_hcrit_literal_coefficients():
     assert table.mu == 0.0
 
 
-def test_hcrit_rejects_even_lattice():
-    with pytest.raises(ContractViolationError):
-        hcrit_coefficients(LatticeSpec(4, 3))
-
-
 def test_zero_census_odd_lattices_clean():
     for shape in [(3, 3), (5, 5), (7, 3)]:
         report = norm_zero_locator(LatticeSpec(*shape))

@@ -56,6 +56,26 @@ def test_channel_refuses_blocks_that_are_not_matrices(vacuum_channel, name, shap
     assert str(refused.value) == f"channel block {name} must be a matrix, got shape {shape}"
 
 
+@pytest.mark.parametrize("blocks, message", [
+    ((np.zeros((2, 2)), np.zeros((4, 2)), VACUUM_CM), "A/B shapes inconsistent"),
+    ((np.zeros((2, 3)), np.zeros((2, 2)), VACUUM_CM), "A/B shapes inconsistent"),
+    ((VACUUM_CM, np.zeros((2, 2)), np.zeros((4, 4))), "B/D shapes inconsistent"),
+    ((VACUUM_CM, np.zeros((2, 4)), np.zeros((4, 2))), "B/D shapes inconsistent"),
+    ((np.zeros((1, 1)), np.zeros((1, 2)), VACUUM_CM), "even dimension"),
+    ((VACUUM_CM, np.zeros((2, 1)), np.zeros((1, 1))), "even dimension"),
+    ((VACUUM_CM, np.zeros((2, 2)), 2 * VACUUM_CM), "must be orthogonal"),
+], ids=["A-rows", "A-square", "D-rows", "D-square", "odd-A", "odd-D", "not-orthogonal"])
+def test_channel_refuses_inconsistent_blocks(blocks, message):
+    with pytest.raises(ContractViolationError, match=message):
+        GaussianChannel(*blocks)
+
+
+def test_apply_channel_refuses_an_input_of_another_size(vacuum_channel):
+    two_modes = MajoranaCM(np.kron(np.eye(2), VACUUM_CM))
+    with pytest.raises(ContractViolationError, match=r"input covariance \(4, 4\) does not match D"):
+        apply_channel(vacuum_channel, two_modes)
+
+
 def test_lattice_bond_cm_is_pure_and_antisymmetric():
     for shape in [(1, 1), (2, 1), (2, 2), (3, 3)]:
         cm = lattice_bond_cm(LatticeSpec(*shape))

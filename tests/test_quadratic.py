@@ -426,6 +426,12 @@ def test_block_entropy_refuses_bad_modes(modes):
             block_entropy(gamma, bad)
 
 
+@pytest.mark.parametrize("modes", [[], range(0), range(3, 3)], ids=["list", "range", "empty-range"])
+def test_block_entropy_refuses_an_empty_block(modes):
+    with pytest.raises(ContractViolationError, match="at least one mode"):
+        block_entropy(_example_3x3_cm(), modes)
+
+
 def test_block_entropy_reads_a_range_as_its_list():
     # a step-1 range is read by slicing, a list by gathering: the same bits
     gamma = _example_3x3_cm()
